@@ -9,8 +9,14 @@ process is the projection of Y_{k+1} plus one explicit driver step,
     Y_k = P_k[ Y_{k+1} ] + F(t_k, S_k, P_k[Y_{k+1}], Z_k) dt,
 
 with P_k the least-squares projection onto the span of the step-k
-features.  Both regressions share one factorisation per step.  The
-terminal entry of Y is the supplied sample array, untouched.
+features.  Both regressions share one pass per step: the design rows,
+shifted by their means over the first 4096 paths, and the target rows
+sit in one buffer, one product of that buffer with its transpose gives
+every sum and second moment, and centring and the ridge-regularised
+normal equations are solved in the small (features + targets)^2 space.
+A failed solve retries with ``lstsq`` when the ridge is positive and
+raises ``RegressionError`` when it is zero.  The terminal entry of Y is
+the supplied sample array, untouched.
 
 On top of the solver sit the analytics used by the comparison and limit
 experiments: extraction of the nondecreasing compensator of a
@@ -254,57 +260,105 @@ def make_features(spec: RegressionBasisSpec, traj: TrajectoryBatch):
 # Least squares
 
 
-class _Factor:
-    """Normal-equations factorisation of one step's design, reused per target.
+_RANK_DEFICIENT = "normal equations are rank deficient; pass a ridge parameter > 0"
 
-    ``At`` is the transposed design matrix, shape (B, n), with the
-    intercept in row 0.  The intercept is handled by centring: features
-    and targets are demeaned, the ridge penalises only the non-constant
-    directions, and the target mean is restored afterwards.  Constants are
-    therefore reproduced exactly, the cross-sectional mean of the fitted
-    values equals the target mean exactly, and feature rows that are
-    (numerically) constant are dropped.
+
+def _rank_deficient(G: np.ndarray, n: int) -> bool:
+    """Whether a centred Gram of n paths is singular up to its rounding error.
+
+    Scaled to unit diagonal, the Gram's entries carry errors up to about
+    n eps, so its smallest eigenvalue is indistinguishable from zero below
+    k n eps (k the Gram's size).
+    """
+    s = np.sqrt(np.diag(G))
+    lam = np.linalg.eigvalsh(G / np.outer(s, s))[0]
+    return not lam > G.shape[0] * n * np.finfo(float).eps
+
+
+class _Factor:
+    """One-pass least squares for the per-step regressions of one solve.
+
+    The factor owns a (B + t, n) buffer, allocated once per solve: rows
+    0..B-1 hold the design (row 0 the intercept of ones), rows B.. the t
+    targets, which the caller writes into ``targets`` before each ``fit``.
+    A fit makes one pass over its data.  It writes the design rows shifted
+    by their means over the first 4096 paths, shifts each target row by its
+    first sample, and takes every sum and second moment from the single
+    product ``buf @ buf.T``.  Centring then happens in the small
+    (B + t)^2 space:
+
+        C = M - M[0]' M[0] / n,
+
+    and the normal equations C[K, K] beta = C[K, T] are solved for the
+    kept feature rows K, with the ridge penalising only those directions
+    (identity times ridge * trace / |K|).  The fitted values are
+    gamma' buf[:B], with the target means and shifts folded into the
+    intercept gamma[0].
+
+    The shifts keep the one-pass moments accurate when a feature's mean
+    dwarfs its spread (a running maximum, a running integral).  Constants
+    are reproduced exactly: a constant target row is zero after its shift,
+    so its moments vanish and gamma is the constant on the intercept
+    alone.  The mean of the fitted values equals the target mean, and
+    feature rows that are (numerically) constant over the first 4096 paths
+    are zeroed and left out.  When the solve fails or returns non-finite
+    coefficients, a positive ridge retries with ``lstsq`` on the centred
+    kept rows.  A zero ridge raises ``RegressionError`` instead, and also
+    when the kept Gram is singular up to its rounding error, so an
+    exactly collinear design fails however the moments round.
     """
 
-    def __init__(self, At: np.ndarray, ridge: float):
-        B, n = At.shape
+    def __init__(self, n_features: int, n_targets: int, n_paths: int, ridge: float):
+        self.n_features = n_features
+        self.ridge = ridge
+        self.buf = np.empty((n_features + n_targets, n_paths))
+        self.buf[0] = 1.0
+        self.targets = self.buf[n_features:]
+
+    def fit(self, At: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Fitted values (t, n) of the projection of ``targets`` onto the rows of ``At``.
+
+        ``At`` is the transposed design, shape (B, n), with the intercept in
+        row 0.  ``targets`` is consumed (shifted in place).
+        """
+        B = self.n_features
+        buf = self.buf
+        n = buf.shape[1]
+        if At.shape != (B, n):
+            raise ValueError(f"design shape {At.shape} != ({B}, {n})")
         head = At[:, : min(n, 4096)]
         scale = np.abs(head).max(axis=1)
         keep = np.zeros(B, dtype=bool)
         keep[1:] = head[1:].std(axis=1) > 1e-13 * np.maximum(1.0, scale[1:])
-        centered = At[keep] - At[keep].mean(axis=1, keepdims=True)
-        self.A = centered
-        self.ridge = ridge
-        G = centered @ centered.T
-        if ridge > 0 and G.shape[0] > 0:
-            G = G + (ridge * np.trace(G) / G.shape[0]) * np.eye(G.shape[0])
-        self.G = G
+        np.subtract(At[1:], head[1:].mean(axis=1, keepdims=True), out=buf[1:B])
+        buf[1:B][~keep[1:]] = 0.0
+        shift = self.targets[:, 0].copy()
+        self.targets -= shift[:, None]
 
-    def fit(self, targets: np.ndarray) -> np.ndarray:
-        """Fitted values (n, n_targets) of the least-squares projection."""
-        means = targets.mean(axis=0, keepdims=True)
-        if self.A.shape[0] == 0:  # every feature degenerate: project onto constants
-            return np.repeat(means, targets.shape[0], axis=0)
-        resid = targets - means
-        rhs = self.A @ resid
+        M = buf @ buf.T
+        mean = M[0] / n
+        C = M - np.outer(M[0], mean)
+        kept = np.flatnonzero(keep)
+        G = C[np.ix_(kept, kept)]
+        rhs = C[kept, B:]
+        if self.ridge > 0 and kept.size:
+            G[np.diag_indices_from(G)] += self.ridge * np.trace(G) / kept.size
+        elif kept.size and _rank_deficient(G, n):
+            raise RegressionError(_RANK_DEFICIENT)
         try:
-            beta = np.linalg.solve(self.G, rhs)
-            fitted = self.A.T @ beta
-            if not np.all(np.isfinite(fitted)):
+            beta = np.linalg.solve(G, rhs) if kept.size else rhs
+            if not np.all(np.isfinite(beta)):
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             if self.ridge == 0:
-                raise RegressionError(
-                    "normal equations are rank deficient; pass a ridge parameter > 0"
-                ) from None
-            beta, *_ = np.linalg.lstsq(self.A.T, resid, rcond=None)
-            fitted = self.A.T @ beta
-        fitted += means
-        return fitted
-
-
-def _fit(At: np.ndarray, targets: np.ndarray, ridge: float) -> np.ndarray:
-    return _Factor(At, ridge).fit(targets)
+                raise RegressionError(_RANK_DEFICIENT) from None
+            A = buf[kept] - mean[kept, None]
+            beta, *_ = np.linalg.lstsq(A.T, (self.targets - mean[B:, None]).T, rcond=None)
+        gamma = np.zeros((B, buf.shape[0] - B))
+        gamma[kept] = beta
+        gamma[0] = shift + mean[B:] - mean[kept] @ beta
+        # np.dot, not matmul: matmul runs this short-wide product several times slower
+        return np.dot(gamma.T, buf[:B], out=out)
 
 
 def solve_bsde(
@@ -321,7 +375,8 @@ def solve_bsde(
     ``features`` is either a RegressionBasisSpec (compiled here against the
     trajectories) or an already-compiled provider with design/state
     methods.  ``increments`` are the Brownian increments used by the
-    forward simulation, shape (n_paths, n_steps, d).
+    forward simulation, shape (n_paths, n_steps, d).  The provider's
+    ``state`` is called only for a nonzero driver.
     """
     if isinstance(features, RegressionBasisSpec):
         basis = features
@@ -338,35 +393,35 @@ def solve_bsde(
     if increments.shape[0] != n_paths or increments.shape[1] != n_steps:
         raise ValueError(f"increments shape {increments.shape} mismatches trajectories")
     d = increments.shape[2]
-    probe = features.design_t(0)
-    if probe.shape[0] > n_paths / 10:
+    n_features = features.design_t(0).shape[0]
+    if n_features > n_paths / 10:
         raise ValueError(
-            f"basis size {probe.shape[0]} exceeds the well-posedness guard n_paths/10 = {n_paths / 10:g}"
+            f"basis size {n_features} exceeds the well-posedness guard n_paths/10 = {n_paths / 10:g}"
         )
 
     dt = grid.dt
     times = grid.times
-    dW_t = np.ascontiguousarray(increments.transpose(1, 0, 2))  # (steps, n, d)
-    Y_t = np.empty((n_steps + 1, n_paths))
-    Z_t = np.empty((n_steps, n_paths, d))
-    Y_t[-1] = terminal
-    targets = np.empty((n_paths, d + 1))
+    dW_t = np.ascontiguousarray(increments.transpose(1, 2, 0))  # (steps, d, n)
+    # step-major solution: rows :d of W_t[k] are Z_k, row d is Y_k
+    W_t = np.empty((n_steps + 1, d + 1, n_paths))
+    W_t[-1, d] = terminal
+    factor = _Factor(n_features, d + 1, n_paths, basis.ridge)
+    targets = factor.targets
     for k in range(n_steps - 1, -1, -1):
-        factor = _Factor(features.design_t(k), basis.ridge)
-        y_next = Y_t[k + 1]
-        np.multiply(dW_t[k], y_next[:, None], out=targets[:, :d])
-        targets[:, :d] /= dt
-        targets[:, d] = y_next
-        fitted = factor.fit(targets)
-        Z_t[k] = fitted[:, :d]
-        y_proj = fitted[:, d]
-        Y_t[k] = y_proj + driver(times[k], features.state(k), y_proj, Z_t[k]) * dt
+        y_next = W_t[k + 1, d]
+        np.multiply(dW_t[k], y_next, out=targets[:d])
+        targets[:d] /= dt
+        targets[d] = y_next
+        factor.fit(features.design_t(k), out=W_t[k])
+        if driver.f is not None:
+            y_proj = W_t[k, d]
+            y_proj += driver(times[k], features.state(k), y_proj, W_t[k, :d].T) * dt
 
-    Y = np.ascontiguousarray(Y_t.T)
-    Z = np.ascontiguousarray(Z_t.transpose(1, 0, 2))
+    Y = np.ascontiguousarray(W_t[:, d].T)
+    Z = np.ascontiguousarray(W_t[:-1, :d].transpose(2, 0, 1))
     K = None
     if with_compensator:
-        K = extract_compensator(Y, Z, driver, features, grid, increments, _zt=Z_t, _dwt=dW_t)
+        K = extract_compensator(Y, Z, driver, features, grid, increments, _zt=W_t[:-1, :d], _dwt=dW_t)
     return BsdeSolution(grid, Y, Z, K)
 
 
@@ -394,14 +449,16 @@ def extract_compensator(
     dt = grid.dt
     times = grid.times
     Y_t = np.ascontiguousarray(Y.T)
-    Z_t = _zt if _zt is not None else np.ascontiguousarray(Z.transpose(1, 0, 2))
-    dW_t = _dwt if _dwt is not None else np.ascontiguousarray(increments.transpose(1, 0, 2))
+    # step-major (steps, d, n), as solve_bsde holds them
+    Z_t = _zt if _zt is not None else np.ascontiguousarray(Z.transpose(1, 2, 0))
+    dW_t = _dwt if _dwt is not None else np.ascontiguousarray(increments.transpose(1, 2, 0))
     K_t = np.empty_like(Y_t)
     K_t[0] = 0.0
     acc = np.zeros(n_paths)
     for k in range(n_steps):
-        f_val = driver(times[k], features.state(k), Y_t[k], Z_t[k])
-        acc = acc + np.sum(Z_t[k] * dW_t[k], axis=1) - f_val * dt
+        acc = acc + np.sum(Z_t[k] * dW_t[k], axis=0)
+        if driver.f is not None:
+            acc -= driver(times[k], features.state(k), Y_t[k], Z_t[k].T) * dt
         K_t[k + 1] = Y_t[0] - Y_t[k + 1] + acc
     return np.ascontiguousarray(K_t.T)
 

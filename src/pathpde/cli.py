@@ -114,6 +114,10 @@ def _p(params: dict, key: str, default, cast=float):
         raise ConfigError(f"parameter {key!r}: cannot parse {raw!r}") from exc
 
 
+def _int_list(raw) -> tuple[int, ...]:
+    return tuple(int(v) for v in str(raw).split(","))
+
+
 def run_markov_heat(params, seed, workers, outdir):
     n_paths = _p(params, "n_paths", 100_000, int)
     n_steps = _p(params, "n_steps", 100, int)
@@ -156,7 +160,7 @@ def run_markov_kinked_terminal(params, seed, workers, outdir):
     n_paths = _p(params, "n_paths", 100_000, int)
     n_steps = _p(params, "n_steps", 100, int)
     tol = _p(params, "tolerance", 0.02)
-    indices = tuple(int(v) for v in str(params.get("indices", "4,8,16,32")).split(","))
+    indices = _p(params, "indices", (4, 8, 16, 32), _int_list)
     prob = ProblemSpec("markov", 0.0, 1.0, DriverSpec(None), lambda x: np.abs(x), horizon=1.0)
     sched = ApproximationSchedule(indices, SolverConfig(n_paths, n_steps, seed=seed, workers=workers))
     report = strong_viscosity_pipeline(prob, sched, [(0.0, 0.0)])
@@ -237,7 +241,7 @@ def run_comparison(params, seed, workers, outdir):
 def run_sde_convergence(params, seed, workers, outdir):
     n_paths = _p(params, "n_paths", 20_000, int)
     n_steps = _p(params, "n_steps", 100, int)
-    indices = tuple(int(v) for v in str(params.get("indices", "2,8,32")).split(","))
+    indices = _p(params, "indices", (2, 8, 32), _int_list)
     g = Grid(0.0, 1.0, n_steps)
     noise = NoiseBundle(seed, n_paths, n_steps)
     kinked = lambda x: -np.abs(x)
@@ -262,7 +266,7 @@ def run_bsde_limit(params, seed, workers, outdir):
     n_paths = _p(params, "n_paths", 30_000, int)
     n_steps = _p(params, "n_steps", 64, int)
     rate = _p(params, "rate", 0.1)
-    indices = tuple(int(v) for v in str(params.get("indices", "1,4,16,64")).split(","))
+    indices = _p(params, "indices", (1, 4, 16, 64), _int_list)
     g = Grid(0.0, 1.0, n_steps)
     basis = RegressionBasisSpec("markov", 2)
     base_drv = DriverSpec(lambda t, s, y, z, r=rate: -r * y, lipschitz=rate)
@@ -294,7 +298,7 @@ def run_bsde_limit(params, seed, workers, outdir):
 
 def run_ito_residual(params, seed, workers, outdir):
     n_paths = _p(params, "n_paths", 1000, int)
-    steps_list = tuple(int(v) for v in str(params.get("steps", "100,1000,10000")).split(","))
+    steps_list = _p(params, "steps", (100, 1000, 10000), _int_list)
     identity = PresentFunctional(
         lambda t, x: x, lambda t, x: np.zeros_like(x), lambda t, x: np.ones_like(x),
         lambda t, x: np.zeros_like(x),
@@ -427,12 +431,11 @@ def load_config(path: str) -> tuple[str, dict, int]:
     if name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ConfigError(f"unknown experiment {name!r}; known: {known}")
-    seed = parser["experiment"].getint("seed", fallback=2024)
+    seed = _p(parser["experiment"], "seed", 2024, int)
     params = dict(parser["parameters"]) if "parameters" in parser else {}
-    for key, value in params.items():
-        for field in ("n_paths", "n_steps", "max_index", "n_rough"):
-            if key == field and int(value) <= 0:
-                raise ConfigError(f"parameter {key!r} must be positive, got {value}")
+    for field in ("n_paths", "n_steps", "max_index", "n_rough"):
+        if field in params and _p(params, field, None, int) <= 0:
+            raise ConfigError(f"parameter {field!r} must be positive, got {params[field]}")
     return name, params, seed
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathpde.paths import Grid, Path
 from pathpde.bsde import (
@@ -7,6 +8,7 @@ from pathpde.bsde import (
     DriverSpec,
     RegressionBasisSpec,
     RegressionError,
+    _Factor,
     bsde_norms,
     comparison_check,
     extract_compensator,
@@ -17,6 +19,7 @@ from pathpde.bsde import (
 )
 from pathpde.sde import NoiseBundle, SdeSpec, euler_markov, euler_path_dependent
 from pathpde.smoothing import mollify
+from pathpde.solver import ProblemSpec, SolverConfig, SupTerminal, _terminal_samples_path
 
 
 def _brownian(n_paths=100_000, n_steps=100, seed=11, x0=0.0):
@@ -306,3 +309,218 @@ def test_limit_table_csv_header(tmp_path):
     limit_table_to_csv(rows, out)
     header = out.read_text().splitlines()[0]
     assert header == "n,z_gap_q,y_gap_sup2,k_gap_max,se_z_gap_q,se_y_gap_sup2"
+
+
+# ---------------------------------------------------------------------------
+# the fused one-pass regression against the two-pass reference
+
+
+class _TwoPassFactor:
+    """The two-pass normal-equations factor the fused ``_Factor`` replaced.
+
+    It materialises the centred design, then makes separate passes for the
+    right-hand side and the fitted values.
+    """
+
+    def __init__(self, At, ridge):
+        B, n = At.shape
+        head = At[:, : min(n, 4096)]
+        scale = np.abs(head).max(axis=1)
+        keep = np.zeros(B, dtype=bool)
+        keep[1:] = head[1:].std(axis=1) > 1e-13 * np.maximum(1.0, scale[1:])
+        centered = At[keep] - At[keep].mean(axis=1, keepdims=True)
+        self.A = centered
+        self.ridge = ridge
+        G = centered @ centered.T
+        if ridge > 0 and G.shape[0] > 0:
+            G = G + (ridge * np.trace(G) / G.shape[0]) * np.eye(G.shape[0])
+        self.G = G
+
+    def fit(self, targets):
+        means = targets.mean(axis=0, keepdims=True)
+        if self.A.shape[0] == 0:
+            return np.repeat(means, targets.shape[0], axis=0)
+        resid = targets - means
+        rhs = self.A @ resid
+        try:
+            beta = np.linalg.solve(self.G, rhs)
+            fitted = self.A.T @ beta
+            if not np.all(np.isfinite(fitted)):
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            if self.ridge == 0:
+                raise RegressionError("rank deficient") from None
+            beta, *_ = np.linalg.lstsq(self.A.T, resid, rcond=None)
+            fitted = self.A.T @ beta
+        fitted += means
+        return fitted
+
+
+def _reference_solve(driver, terminal, features, traj, dW, ridge):
+    """The backward induction with the two-pass factor, one step at a time."""
+    n_paths, n_steps, d = dW.shape
+    dt, times = traj.grid.dt, traj.grid.times
+    Y = np.empty((n_paths, n_steps + 1))
+    Z = np.empty((n_paths, n_steps, d))
+    Y[:, -1] = terminal
+    targets = np.empty((n_paths, d + 1))
+    for k in range(n_steps - 1, -1, -1):
+        factor = _TwoPassFactor(features.design_t(k), ridge)
+        y_next = Y[:, k + 1]
+        np.multiply(dW[:, k], y_next[:, None], out=targets[:, :d])
+        targets[:, :d] /= dt
+        targets[:, d] = y_next
+        fitted = factor.fit(targets)
+        Z[:, k] = fitted[:, :d]
+        y_proj = fitted[:, d]
+        Y[:, k] = y_proj + driver(times[k], features.state(k), y_proj, Z[:, k]) * dt
+    return Y, Z
+
+
+# float64 eps times the paths summed in one moment, with headroom for the
+# conditioning of the degree-2 designs
+REFERENCE_RTOL = 1e-9
+
+
+def _assert_matches_reference(driver, xi, basis, traj, dW):
+    features = make_features(basis, traj)
+    sol = solve_bsde(driver, xi, features, traj, dW, basis=basis)
+    Y, Z = _reference_solve(driver, xi, features, traj, dW, basis.ridge)
+    assert np.abs(sol.Y - Y).max() <= REFERENCE_RTOL * np.abs(Y).max()
+    assert np.abs(sol.Z - Z).max() <= REFERENCE_RTOL * np.abs(Z).max()
+
+
+def test_fused_matches_reference_markov_degree2_d2():
+    g = Grid(0.0, 1.0, 20)
+    nb = NoiseBundle(19, 20_000, 20, d=2)
+    dW = nb.increments(g.dt)
+    traj = euler_markov(SdeSpec(lambda t, x: -0.3 * x, lambda t, x: np.ones_like(x)),
+                        0.0, np.array([0.0, 1.0]), g, nb, increments=dW)
+    xi = np.sin(traj.terminal()).sum(axis=1)
+    drv = DriverSpec(lambda t, s, y, z: -0.1 * y + 0.05 * z[:, 0] - 0.02 * z[:, 1], lipschitz=0.2)
+    _assert_matches_reference(drv, xi, RegressionBasisSpec("markov", 2), traj, dW)
+
+
+def test_fused_matches_reference_path_sup_terminal():
+    eta = Path.from_function(lambda x: 0.3 * np.sin(3.0 * x), 1.0, 101)
+    g = Grid(0.2, 1.0, 40)
+    nb = NoiseBundle(20, 20_000, 40)
+    dW = nb.increments(g.dt)
+    traj = euler_path_dependent(SdeSpec(0.0, 1.0, path_dependent=True), 0.2, eta, g, nb,
+                                increments=dW)
+    problem = ProblemSpec("path", 0.0, 1.0, DriverSpec(None), SupTerminal(), horizon=1.0)
+    xi = _terminal_samples_path(problem, 0.2, eta, traj, nb, SolverConfig(20_000, 40, seed=20))
+    _assert_matches_reference(DriverSpec(None), xi, RegressionBasisSpec("path", 2), traj, dW)
+
+
+def test_fused_matches_reference_large_offset():
+    # the feature means dwarf their spread: the head-mean shift keeps the
+    # one-pass moments from cancelling
+    g = Grid(0.0, 1.0, 20)
+    nb = NoiseBundle(21, 20_000, 20)
+    dW = nb.increments(g.dt)
+    traj = euler_markov(SdeSpec(0.0, 1e-2), 0.0, 1e3, g, nb, increments=dW)
+    xi = traj.terminal() ** 2
+    drv = DriverSpec(lambda t, s, y, z: -0.1 * y, lipschitz=0.1)
+    _assert_matches_reference(drv, xi, RegressionBasisSpec("markov", 2), traj, dW)
+
+
+def test_zero_driver_never_reads_the_state():
+    g, traj, dW = _brownian(2000, 10, seed=22)
+    features = make_features(BASIS, traj)
+
+    class NoState:
+        spec = BASIS
+
+        def design_t(self, k):
+            return features.design_t(k)
+
+        def state(self, k):
+            raise AssertionError("state read for the zero driver")
+
+    sol = solve_bsde(DriverSpec(None), traj.terminal(), NoState(), traj, dW, with_compensator=True)
+    ref = solve_bsde(DriverSpec(None), traj.terminal(), features, traj, dW, with_compensator=True)
+    np.testing.assert_array_equal(sol.Y, ref.Y)
+    np.testing.assert_array_equal(sol.K, ref.K)
+
+
+# ---------------------------------------------------------------------------
+# properties of the fused factor
+
+
+def _fused_fit(At, targets, ridge=1e-8):
+    factor = _Factor(At.shape[0], targets.shape[0], At.shape[1], ridge)
+    factor.targets[:] = targets
+    return factor.fit(At)
+
+
+@st.composite
+def _designs(draw, min_features=2):
+    """A random design (B, n) with intercept row, offsets and scales per feature."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(40, 600))
+    B = draw(st.integers(min_features, 6))
+    offsets = draw(st.lists(st.floats(-1e4, 1e4), min_size=B - 1, max_size=B - 1))
+    scales = draw(st.lists(st.floats(1e-3, 1e3), min_size=B - 1, max_size=B - 1))
+    rng = np.random.default_rng(seed)
+    At = np.empty((B, n))
+    At[0] = 1.0
+    At[1:] = np.asarray(offsets)[:, None] + np.asarray(scales)[:, None] * rng.standard_normal((B - 1, n))
+    return At, rng
+
+
+_constants = st.floats(-1e6, 1e6, allow_subnormal=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_designs(), st.lists(_constants, min_size=1, max_size=3), st.sampled_from([0.0, 1e-8]))
+def test_property_constant_targets_reproduced_exactly(design, consts, ridge):
+    At, _ = design
+    targets = np.repeat(np.asarray(consts)[:, None], At.shape[1], axis=1)
+    fitted = _fused_fit(At, targets, ridge)
+    np.testing.assert_array_equal(fitted, targets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_designs(), st.integers(1, 3), st.floats(-1e3, 1e3))
+def test_property_fitted_mean_equals_target_mean(design, n_targets, offset):
+    At, rng = design
+    targets = offset + At[1] * 0.1 + rng.standard_normal((n_targets, At.shape[1]))
+    fitted = _fused_fit(At, targets)
+    scale = np.abs(targets).max()
+    np.testing.assert_allclose(fitted.mean(axis=1), targets.mean(axis=1), rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_designs(), st.floats(-1e4, 1e4), st.data())
+def test_property_constant_feature_row_is_dropped(design, value, data):
+    At, rng = design
+    targets = rng.standard_normal((2, At.shape[1])) + At[1]
+    at = data.draw(st.integers(1, At.shape[0]))
+    with_const = np.insert(At, at, value, axis=0)
+    # with ridge 0 a kept constant row would make the normal equations singular
+    fitted = _fused_fit(with_const, targets, ridge=0.0)
+    np.testing.assert_allclose(fitted, _fused_fit(At, targets, ridge=0.0), rtol=1e-10, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(40, 300), st.lists(_constants, min_size=4, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_property_all_features_degenerate_projects_onto_constants(B, n, values, seed):
+    At = np.ones((B, n))
+    At[1:] = np.asarray(values[: B - 1])[:, None]
+    targets = np.random.default_rng(seed).normal(3.0, 2.0, size=(2, n))
+    fitted = _fused_fit(At, targets)
+    assert np.all(fitted == fitted[:, :1])
+    np.testing.assert_allclose(fitted[:, 0], targets.mean(axis=1), rtol=0, atol=1e-13 * 10.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_designs(min_features=2), st.sampled_from([1.0, 2.0, -0.5, 4.0]), st.data())
+def test_property_collinear_design_without_ridge_raises(design, factor, data):
+    At, rng = design
+    row = data.draw(st.integers(1, At.shape[0] - 1))
+    collinear = np.vstack([At, factor * At[row]])
+    targets = rng.standard_normal((2, At.shape[1]))
+    with pytest.raises(RegressionError, match="ridge"):
+        _fused_fit(collinear, targets, ridge=0.0)

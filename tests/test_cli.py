@@ -72,6 +72,19 @@ def test_invalid_parameter_exits_2(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("key", ["n_paths", "seed"])
+def test_unparsable_integer_exits_2(tmp_path, capsys, key):
+    cfg = _write_config(tmp_path, "markov-heat", **{key: "abc"})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_unparsable_index_list_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "sde-convergence", n_paths=100, indices="2,x")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "indices" in capsys.readouterr().err
+
+
 def test_tolerance_failure_exits_1(tmp_path, capsys):
     cfg = _write_config(tmp_path, "markov-heat", n_paths=5000, n_steps=20, tolerance=1e-9)
     rc = main(["run", str(cfg), "--out", str(tmp_path / "out")])
