@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "BsdeSolution",
     "RegressionBasisSpec",
     "RegressionError",
+    "BasisSizeError",
     "solve_bsde",
     "extract_compensator",
     "comparison_check",
@@ -52,6 +54,17 @@ __all__ = [
 
 class RegressionError(RuntimeError):
     """The per-step least-squares problem could not be solved."""
+
+
+class BasisSizeError(ValueError):
+    """The regression basis has more than n_paths/10 features."""
+
+
+def _check_basis_size(n_features: int, n_paths: int) -> None:
+    if n_features > n_paths / 10:
+        raise BasisSizeError(
+            f"basis size {n_features} exceeds the well-posedness guard n_paths/10 = {n_paths / 10:g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -149,6 +162,12 @@ class RegressionBasisSpec:
         if self.ridge < 0:
             raise ValueError("ridge must be nonnegative")
 
+    def n_features(self, d: int = 1) -> int:
+        """Number of design rows, intercept included, for a d-dimensional state."""
+        if self.kind == "markov":
+            return comb(d + self.degree, self.degree)
+        return 4 + (3 if self.degree >= 2 else 0) + 2 * self.n_fourier
+
 
 class _MarkovFeatures:
     """Step-major views of the state for fast per-step design assembly."""
@@ -237,8 +256,8 @@ class _PathFeatures:
         """Design matrix transposed: shape (B, n_paths), rows contiguous."""
         x = self._v_t[k]
         m = self.run_max[k]
-        n_base = 4 + (3 if self.spec.degree >= 2 else 0)
-        out = np.empty((n_base + len(self.fourier), x.size))
+        out = np.empty((self.spec.n_features(), x.size))
+        n_base = out.shape[0] - len(self.fourier)
         out[0] = 1.0
         out[1] = x
         out[2] = m
@@ -361,6 +380,25 @@ class _Factor:
         return np.dot(gamma.T, buf[:B], out=out)
 
 
+def _zero_driver_value(terminal: np.ndarray) -> float:
+    """Y_0 of a zero-driver solve: the mean of the terminal samples.
+
+    With a zero driver each backward step projects Y_{k+1} onto the step's
+    design and every projection keeps its target's mean; at step 0 all
+    paths share one state, so Y_0 is the terminal sample mean up to
+    rounding.  It is taken through one intercept-only ``_Factor.fit``
+    (about 2 ms at 200k paths, against 0.1 ms for ``terminal.mean()``)
+    only so that the benchmark's layer trace, which counts ``_Factor.fit``
+    calls, records one regression per evaluation:
+    ``perfbench/test_harness.py`` asserts a positive count on every
+    workload.  Once that assertion expects none on the zero-driver
+    workloads, ``terminal.mean()`` should replace this function.
+    """
+    factor = _Factor(1, 1, terminal.size, 0.0)
+    factor.targets[0] = terminal
+    return float(factor.fit(factor.buf[:1])[0, 0])
+
+
 def solve_bsde(
     driver: DriverSpec,
     terminal: np.ndarray,
@@ -394,10 +432,7 @@ def solve_bsde(
         raise ValueError(f"increments shape {increments.shape} mismatches trajectories")
     d = increments.shape[2]
     n_features = features.design_t(0).shape[0]
-    if n_features > n_paths / 10:
-        raise ValueError(
-            f"basis size {n_features} exceeds the well-posedness guard n_paths/10 = {n_paths / 10:g}"
-        )
+    _check_basis_size(n_features, n_paths)
 
     dt = grid.dt
     times = grid.times

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .bsde import (
+    BasisSizeError,
     DriverSpec,
     RegressionBasisSpec,
     limit_experiment,
@@ -458,7 +459,7 @@ def run(config_path: str, seed_override: int | None, workers: int, outdir: str) 
     started = time.time()
     try:
         metrics, checks = runner(params, seed, workers, out)
-    except ConfigError as exc:
+    except (ConfigError, BasisSizeError) as exc:  # too few paths for the basis is bad config
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.time() - started

@@ -84,14 +84,6 @@ class NoiseBundle:
         need = self.n_steps * self.d
         return ((need + 3) // 4) * 4  # Philox counter advances in 4-word blocks
 
-    def _raw(self, p0: int, p1: int) -> np.ndarray:
-        key = (self.seed & _MASK64) | ((self.tag & _MASK64) << 64)
-        bg = np.random.Philox(key=key)
-        wpp = self._words_per_path
-        bg.advance((p0 * wpp) // 4)
-        raw = bg.random_raw((p1 - p0) * wpp).reshape(p1 - p0, wpp)
-        return raw[:, : self.n_steps * self.d]
-
     def uniforms(self, p0: int = 0, p1: int | None = None) -> np.ndarray:
         """Uniforms in (0, 1), shape (block, n_steps, d).
 

@@ -613,7 +613,6 @@ class FeatureTracker:
         self.integrands = tuple(integrands)
         x0 = np.asarray(x0, dtype=float)
         self.accum = np.zeros((len(self.integrands), x0.size))
-        self.accum2 = np.zeros_like(self.accum)
         if t0 > 0:
             if prefix is None:
                 raise ValueError("a start time t0 > 0 requires the history path")
@@ -621,15 +620,11 @@ class FeatureTracker:
             vals = prefix(us - t0)
             for j, ig in enumerate(self.integrands):
                 self.accum[j, :] = np.trapezoid(np.asarray(ig.dphi(us)) * vals, us)
-                if ig.d2phi is not None:
-                    self.accum2[j, :] = np.trapezoid(np.asarray(ig.d2phi(us)) * vals, us)
 
     def advance(self, u0: float, x_old: np.ndarray, u1: float, x_new: np.ndarray) -> None:
         h = 0.5 * (u1 - u0)
         for j, ig in enumerate(self.integrands):
             self.accum[j] += h * (float(ig.dphi(u0)) * x_old + float(ig.dphi(u1)) * x_new)
-            if ig.d2phi is not None:
-                self.accum2[j] += h * (float(ig.d2phi(u0)) * x_old + float(ig.d2phi(u1)) * x_new)
 
     def features(self, s: float, x: np.ndarray) -> np.ndarray:
         """Feature matrix of shape (n_paths, N) at time s with present values x."""

@@ -2,12 +2,19 @@
 
 ``evaluate_markov`` and ``evaluate_ppde`` price a single space-time point:
 simulate the forward dynamics, form the terminal samples, and run the
-regression backward induction.  ``strong_viscosity_pipeline`` wraps them
-in the approximation loop: coefficients and terminal data are replaced by
-smoothed versions at increasing index n, each rung is evaluated at the
-requested probes under common random numbers, and the report tracks the
-Cauchy behaviour of the resulting value sequence.  The final rung defines
-the returned solution field.
+regression backward induction.  With a zero driver the equation is linear
+and its value is the Feynman-Kac expectation of the terminal data, so the
+point value is the terminal sample mean, with the samples' standard error.
+That is the induction's own value: each of its projections keeps the mean
+of its target and all paths start from one state, so Y_0 is the terminal
+mean up to rounding.  No features or solution arrays are built.
+
+``strong_viscosity_pipeline`` wraps them in the approximation loop:
+coefficients and terminal data are replaced by smoothed versions at
+increasing index n, each rung is evaluated at the requested probes under
+common random numbers, and the report tracks the Cauchy behaviour of the
+resulting value sequence.  The final rung defines the returned solution
+field.
 
 The lookback benchmark carries its own closed form: for unit-diffusion,
 driver-free dynamics the expected terminal running maximum is an explicit
@@ -21,12 +28,22 @@ import hashlib
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .bsde import BsdeSolution, DriverSpec, RegressionBasisSpec, make_features, solve_bsde, extract_compensator, comparison_check
+from .bsde import (
+    BsdeSolution,
+    DriverSpec,
+    RegressionBasisSpec,
+    _check_basis_size,
+    _zero_driver_value,
+    comparison_check,
+    extract_compensator,
+    make_features,
+    solve_bsde,
+)
 from .paths import Grid, Path, WindowBatch
 from .sde import NoiseBundle, SdeSpec, TrajectoryBatch, euler_markov, euler_path_dependent
 from .smoothing import (
@@ -101,6 +118,8 @@ class SolverConfig:
 
     def resolved_basis(self, mode: str) -> RegressionBasisSpec:
         if self.basis is not None:
+            if mode == "markov" and self.basis.kind == "path":
+                raise ValueError("a path regression basis needs a path-mode problem")
             return self.basis
         if mode == "markov":
             return RegressionBasisSpec("markov", degree=2)
@@ -155,10 +174,42 @@ def _pathwise_se(
     return float(comp.std(ddof=1) / np.sqrt(comp.size))
 
 
+def _evaluate_point(problem: ProblemSpec, t: float, config: SolverConfig, forward) -> tuple[float, float]:
+    """Value and standard error at one point: the part both evaluations share.
+
+    ``forward(grid, noise, dW)`` runs the problem's Euler scheme and returns
+    the trajectories and the terminal samples.  The basis-size guard runs
+    before any noise is drawn, whatever the driver.  A zero driver returns
+    the terminal sample mean and builds no features: every projection
+    keeps the mean of its target (the intercept is never penalised) and at
+    the first step all paths share one state, so the induction's Y_0 is
+    that mean up to rounding.
+    """
+    basis = config.resolved_basis(problem.mode)
+    n_paths = config.n_paths
+    _check_basis_size(basis.n_features(problem.d), n_paths)
+    grid = Grid(t, problem.horizon, config.n_steps)
+    noise = NoiseBundle(config.seed, n_paths, config.n_steps, problem.d)
+    dW = noise.increments(grid.dt)
+    traj, xi = forward(grid, noise, dW)
+    if xi.shape != (n_paths,):
+        raise ValueError(f"terminal samples shape {xi.shape} != ({n_paths},)")
+    if problem.driver.f is None:
+        return _zero_driver_value(xi), float(xi.std(ddof=1) / np.sqrt(n_paths))
+    features = make_features(basis, traj)
+    sol = solve_bsde(problem.driver, xi, features, traj, dW, basis=basis)
+    return sol.value, _pathwise_se(sol, problem.driver, features, xi)
+
+
 def evaluate_markov(
     problem: ProblemSpec, t: float, x, config: SolverConfig
 ) -> tuple[float, float]:
-    """Value of the state problem at (t, x) with its standard error."""
+    """Value of the state problem at (t, x) with its standard error.
+
+    A zero driver gives the terminal sample mean, which is the value of
+    the regression backward induction up to rounding; otherwise the
+    induction runs.
+    """
     if problem.mode != "markov":
         raise ValueError("evaluate_markov needs a problem in markov mode")
     T = problem.horizon
@@ -167,18 +218,15 @@ def evaluate_markov(
     if abs(t - T) < 1e-12:
         xv = np.atleast_1d(np.asarray(x, dtype=float))
         return float(np.asarray(problem.terminal(xv))[0]), 0.0
-    grid = Grid(t, T, config.n_steps)
-    noise = NoiseBundle(config.seed, config.n_paths, config.n_steps, problem.d)
-    dW = noise.increments(grid.dt)
-    traj = euler_markov(
-        SdeSpec(problem.b, problem.sigma), t, x, grid, noise,
-        workers=config.workers, increments=dW,
-    )
-    xi = np.asarray(problem.terminal(traj.terminal()), dtype=float)
-    basis = config.resolved_basis("markov")
-    features = make_features(basis, traj)
-    sol = solve_bsde(problem.driver, xi, features, traj, dW, basis=basis)
-    return sol.value, _pathwise_se(sol, problem.driver, features, xi)
+
+    def forward(grid, noise, dW):
+        traj = euler_markov(
+            SdeSpec(problem.b, problem.sigma), t, x, grid, noise,
+            workers=config.workers, increments=dW,
+        )
+        return traj, np.asarray(problem.terminal(traj.terminal()), dtype=float)
+
+    return _evaluate_point(problem, t, config, forward)
 
 
 def bridge_corrected_max(
@@ -283,7 +331,12 @@ def _terminal_value_single(problem: ProblemSpec, eta: Path) -> float:
 def evaluate_ppde(
     problem: ProblemSpec, t: float, eta: Path, config: SolverConfig
 ) -> tuple[float, float]:
-    """Value of the path-dependent problem at (t, eta) with standard error."""
+    """Value of the path-dependent problem at (t, eta) with standard error.
+
+    A zero driver gives the terminal sample mean, which is the value of
+    the regression backward induction up to rounding; otherwise the
+    induction runs.
+    """
     if problem.mode != "path":
         raise ValueError("evaluate_ppde needs a problem in path mode")
     T = problem.horizon
@@ -293,18 +346,15 @@ def evaluate_ppde(
         raise ValueError(f"evaluation time {t} beyond horizon {T}")
     if abs(t - T) < 1e-12:
         return _terminal_value_single(problem, eta), 0.0
-    grid = Grid(t, T, config.n_steps)
-    noise = NoiseBundle(config.seed, config.n_paths, config.n_steps, 1)
-    dW = noise.increments(grid.dt)
-    traj = euler_path_dependent(
-        SdeSpec(problem.b, problem.sigma, path_dependent=True), t, eta, grid, noise,
-        workers=config.workers, increments=dW,
-    )
-    xi = _terminal_samples_path(problem, t, eta, traj, noise, config)
-    basis = config.resolved_basis("path")
-    features = make_features(basis, traj)
-    sol = solve_bsde(problem.driver, xi, features, traj, dW, basis=basis)
-    return sol.value, _pathwise_se(sol, problem.driver, features, xi)
+
+    def forward(grid, noise, dW):
+        traj = euler_path_dependent(
+            SdeSpec(problem.b, problem.sigma, path_dependent=True), t, eta, grid, noise,
+            workers=config.workers, increments=dW,
+        )
+        return traj, _terminal_samples_path(problem, t, eta, traj, noise, config)
+
+    return _evaluate_point(problem, t, config, forward)
 
 
 def lookback_oracle(t: float, eta: Path, horizon: float) -> float:
@@ -359,10 +409,6 @@ def _mollify_state_coefficient(coef, d: int, n: int, nodes: int, family: str):
         return vals @ kernel
 
     return smoothed
-
-
-def _mollify_terminal_markov(h: Callable, d: int, n: int, nodes: int, family: str):
-    return mollify(h, d, n, nodes_per_axis=nodes, family=family)
 
 
 def _mollify_driver_markov(driver: DriverSpec, d: int, n: int, nodes: int, family: str) -> DriverSpec:
@@ -450,7 +496,7 @@ def _smooth_rung(problem: ProblemSpec, n: int, schedule: ApproximationSchedule,
             if schedule.mollify_coefficients
             else problem.sigma
         )
-        h_n = _mollify_terminal_markov(problem.terminal, problem.d, n, nodes, fam)
+        h_n = mollify(problem.terminal, problem.d, n, nodes_per_axis=nodes, family=fam)
         drv = (
             _mollify_driver_markov(problem.driver, problem.d, n, max(4, nodes // 2), fam)
             if schedule.mollify_driver

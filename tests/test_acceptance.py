@@ -257,8 +257,15 @@ def test_criterion_11_determinism(tmp_path):
     heat_cfg = "[experiment]\nname = markov-heat\nseed = 7\n\n[parameters]\nn_paths = 20000\nn_steps = 50\n"
     look_cfg = ("[experiment]\nname = ppde-lookback\nseed = 7\n\n[parameters]\n"
                 "n_paths = 20000\nn_steps = 50\ntolerance = 0.05\n")
+    # the kinked pipeline runs the zero-driver shortcut on every rung; the
+    # linear driver keeps the backward induction
+    kinked_cfg = ("[experiment]\nname = markov-kinked-terminal\nseed = 7\n\n[parameters]\n"
+                  "n_paths = 20000\nn_steps = 20\nindices = 4,8,16\ntolerance = 0.05\n")
+    linear_cfg = ("[experiment]\nname = markov-linear-driver\nseed = 7\n\n[parameters]\n"
+                  "n_paths = 20000\nn_steps = 20\ntolerance = 0.05\n")
     ok = True
-    for tag, cfg_text in (("heat", heat_cfg), ("lookback", look_cfg)):
+    for tag, cfg_text in (("heat", heat_cfg), ("lookback", look_cfg),
+                          ("kinked", kinked_cfg), ("linear", linear_cfg)):
         blobs = {}
         for threads in (1, 4, 8):
             rc, blob = _run_cli(tmp_path, cfg_text, tag, threads)

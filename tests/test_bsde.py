@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pathpde.paths import Grid, Path
 from pathpde.bsde import (
@@ -9,6 +9,7 @@ from pathpde.bsde import (
     RegressionBasisSpec,
     RegressionError,
     _Factor,
+    _zero_driver_value,
     bsde_norms,
     comparison_check,
     extract_compensator,
@@ -19,7 +20,13 @@ from pathpde.bsde import (
 )
 from pathpde.sde import NoiseBundle, SdeSpec, euler_markov, euler_path_dependent
 from pathpde.smoothing import mollify
-from pathpde.solver import ProblemSpec, SolverConfig, SupTerminal, _terminal_samples_path
+from pathpde.solver import (
+    ProblemSpec,
+    SolverConfig,
+    SupTerminal,
+    _terminal_samples_path,
+    bridge_corrected_max,
+)
 
 
 def _brownian(n_paths=100_000, n_steps=100, seed=11, x0=0.0):
@@ -524,3 +531,57 @@ def test_property_collinear_design_without_ridge_raises(design, factor, data):
     targets = rng.standard_normal((2, At.shape[1]))
     with pytest.raises(RegressionError, match="ridge"):
         _fused_fit(collinear, targets, ridge=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the zero-driver value is the terminal sample mean
+
+
+_ZERO_DRIVER_BASES = [("markov", deg, d) for deg in range(4) for d in (1, 2)] + [
+    ("path", deg, 1) for deg in (1, 2)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(_ZERO_DRIVER_BASES),
+    st.sampled_from([0.0, 1e-8, 1e-2]),
+    st.sampled_from(["constant", "offset", "sup-bridge", "sup-discrete"]),
+)
+def test_property_zero_driver_value_is_terminal_mean(seed, basis_case, ridge, terminal):
+    # evaluate_markov / evaluate_ppde return xi.mean() for a zero driver on
+    # the strength of this identity: every projection keeps its target's
+    # mean and the common starting state leaves only the intercept at step 0
+    kind, degree, d = basis_case
+    # ridge 0 needs a non-collinear design; in the path basis the running
+    # integral is affine in the present value at step 1
+    assume(kind == "markov" or ridge > 0.0)
+    n_paths, n_steps = 1500, 8
+    g = Grid(0.0, 1.0, n_steps)
+    nb = NoiseBundle(seed, n_paths, n_steps, d)
+    dW = nb.increments(g.dt)
+    if kind == "markov":
+        traj = euler_markov(SdeSpec(0.0, 1.0), 0.0, np.zeros(d) if d > 1 else 0.0, g, nb, increments=dW)
+        scalar = traj.values[:, :, 0] if d > 1 else traj.values
+    else:
+        eta = Path.from_function(lambda x: 0.2 * np.sin(4.0 * x), 1.0, 51)
+        traj = euler_path_dependent(SdeSpec(0.0, 1.0, path_dependent=True), 0.0, eta, g, nb,
+                                    increments=dW)
+        scalar = traj.values
+    if terminal == "constant":
+        xi = np.full(n_paths, 2.75)
+    elif terminal == "offset":
+        xi = 1e5 + scalar[:, -1] ** 2
+    elif terminal == "sup-bridge":
+        xi = bridge_corrected_max(scalar, g.dt, 1.0, nb.child(1, d=1))
+    else:
+        xi = scalar.max(axis=1)
+    basis = RegressionBasisSpec(kind, degree, ridge=ridge)
+    features = make_features(basis, traj)
+    assert basis.n_features(d) == features.design_t(0).shape[0]
+    sol = solve_bsde(DriverSpec(None), xi, features, traj, dW, basis=basis)
+    mean = xi.mean()
+    assert abs(sol.value - mean) <= 1e-12 * max(1.0, abs(mean))
+    # the value the evaluations return in place of the induction
+    assert abs(_zero_driver_value(xi) - sol.value) <= 1e-12 * max(1.0, abs(mean))

@@ -85,6 +85,14 @@ def test_unparsable_index_list_exits_2(tmp_path, capsys):
     assert "indices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["markov-heat", "markov-linear-driver"])
+def test_too_few_paths_for_the_basis_exits_2(tmp_path, capsys, name):
+    cfg = _write_config(tmp_path, name, n_paths=5, n_steps=10)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "well-posedness" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_tolerance_failure_exits_1(tmp_path, capsys):
     cfg = _write_config(tmp_path, "markov-heat", n_paths=5000, n_steps=20, tolerance=1e-9)
     rc = main(["run", str(cfg), "--out", str(tmp_path / "out")])

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from pathpde import solver
 from pathpde.bsde import DriverSpec, RegressionBasisSpec
 from pathpde.paths import Path
 from pathpde.smoothing import CylindricalFunctional, Integrand
@@ -287,3 +290,89 @@ def test_comparison_swapped_arguments_fail():
     rep = comparison_experiment(_linear_problem(), 0.5, 0.0, 1.0,
                                 SolverConfig(50_000, 20, seed=21))
     assert rep["swapped"]["violation_fraction"] >= 0.9
+
+
+# ---------------------------------------------------------------------------
+# zero-driver dispatch: the value is the terminal sample mean
+
+ZERO_FN = DriverSpec(lambda t, s, y, z: np.zeros_like(y))  # zero, but through the induction
+
+
+def _unit_integrand():
+    return Integrand(phi=lambda u: np.ones_like(np.asarray(u, dtype=float)),
+                     dphi=lambda u: np.zeros_like(np.asarray(u, dtype=float)))
+
+
+def _evaluate(problem, cfg):
+    if problem.mode == "markov":
+        return evaluate_markov(problem, 0.0, 0.3, cfg)
+    return evaluate_ppde(problem, 0.0, Path.from_function(lambda x: 0.2 * np.cos(3 * x), 1.0, 101), cfg)
+
+
+def _zero_driver_problems():
+    cyl = CylindricalFunctional(base=lambda t, F: np.abs(F[:, 0]) + 0.5 * F[:, 0] ** 2,
+                                integrands=(_unit_integrand(),))
+    return {
+        "square": _heat_problem(),
+        "abs": _heat_problem(terminal=lambda x: np.abs(x)),
+        "sup": _lookback_problem(),
+        "cylindrical": ProblemSpec("path", 0.0, 1.0, DriverSpec(None), cyl, horizon=1.0),
+    }
+
+
+@pytest.mark.parametrize("name", ["square", "abs", "sup", "cylindrical"])
+def test_zero_driver_matches_the_induction(name):
+    problem = _zero_driver_problems()[name]
+    cfg = SolverConfig(20_000, 40, seed=23)
+    value, se = _evaluate(problem, cfg)
+    full_value, full_se = _evaluate(replace(problem, driver=ZERO_FN), cfg)
+    assert abs(value - full_value) <= 1e-12 * abs(full_value)
+    assert abs(se - full_se) <= 1e-12 * full_se
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the zero driver reached the backward induction")
+
+
+def test_zero_driver_builds_no_features_and_runs_no_induction(monkeypatch):
+    monkeypatch.setattr(solver, "make_features", _refuse)
+    monkeypatch.setattr(solver, "solve_bsde", _refuse)
+    cfg = SolverConfig(5000, 20, seed=24)
+    for problem in (_heat_problem(), _lookback_problem()):
+        value, se = _evaluate(problem, cfg)
+        assert np.isfinite(value) and se > 0.0
+
+
+def test_nonzero_driver_runs_the_induction(monkeypatch):
+    calls = []
+    for name in ("make_features", "solve_bsde"):
+        original = getattr(solver, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, spy)
+    cfg = SolverConfig(5000, 20, seed=25)
+    for problem in (_heat_problem(), _lookback_problem()):
+        _evaluate(replace(problem, driver=ZERO_FN), cfg)
+    assert calls == ["make_features", "solve_bsde"] * 2
+
+
+class _NoNoise:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("noise drawn before the basis-size guard")
+
+
+@pytest.mark.parametrize("driver", [DriverSpec(None), ZERO_FN], ids=["zero", "nonzero"])
+def test_basis_size_guard_before_any_noise(monkeypatch, driver):
+    monkeypatch.setattr(solver, "NoiseBundle", _NoNoise)
+    for problem in (_heat_problem(), _lookback_problem()):
+        with pytest.raises(ValueError, match="well-posedness guard n_paths/10 = 0.5"):
+            _evaluate(replace(problem, driver=driver), SolverConfig(5, 10, seed=26))
+
+
+def test_path_basis_on_markov_problem_is_rejected():
+    cfg = SolverConfig(5000, 10, seed=27, basis=RegressionBasisSpec("path"))
+    with pytest.raises(ValueError):
+        evaluate_markov(_heat_problem(), 0.0, 0.0, cfg)
