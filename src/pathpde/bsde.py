@@ -69,7 +69,7 @@ def _check_basis_size(n_features: int, n_paths: int) -> None:
 
 @dataclass(frozen=True)
 class DriverSpec:
-    """Generator F(t, state, y, z) with its Lipschitz and growth budgets.
+    """Generator F(t, state, y, z) with its Lipschitz constant.
 
     ``f`` is vectorised over paths: state is whatever the feature provider
     exposes at a step (the state array for Markovian problems, the raw
@@ -79,8 +79,6 @@ class DriverSpec:
 
     f: Callable | None
     lipschitz: float = 0.0
-    growth_c: float | None = None
-    growth_m: float | None = None
 
     def __call__(self, t, state, y, z) -> np.ndarray:
         if self.f is None:

@@ -134,8 +134,6 @@ class SdeSpec:
     b: Callable | CylindricalFunctional | float
     sigma: Callable | CylindricalFunctional | float
     path_dependent: bool = False
-    growth_c: float | None = None
-    growth_m: float | None = None
 
 
 @dataclass

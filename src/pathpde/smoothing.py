@@ -257,22 +257,54 @@ def _fejer_weights(n: int) -> np.ndarray:
     return (n + 1 - np.arange(n + 1)) / (n + 1)
 
 
+def _trapezoid_weights(xs: np.ndarray) -> np.ndarray:
+    """Weights w with w @ f == np.trapezoid(f, xs) up to rounding."""
+    half = 0.5 * np.diff(xs)
+    w = np.zeros(xs.size)
+    w[:-1] += half
+    w[1:] += half
+    return w
+
+
+@dataclass(frozen=True)
+class _FejerLayout:
+    """The order-n Fejer projection on m uniform nodes of [-T, 0].
+
+    The pathwise-integral coefficient of the detrended path against e_i
+    reduces to the trapezoid sum of e_i times the path (its boundary term
+    vanishes), so once the basis is sampled on the nodes the projection of
+    any stack of rows is two matrix products.
+    """
+
+    horizon: float
+    xs: np.ndarray  # (m,)
+    weighted: np.ndarray  # (n+1, m): e_i(x_j) times the trapezoid weight of x_j
+    fejer: np.ndarray  # (n+1, m): (n+1-i)/(n+1) * e_i(x_j)
+
+    @classmethod
+    def build(cls, n: int, basis: FourierBasis, horizon: float, m: int) -> "_FejerLayout":
+        if n > basis.max_index:
+            raise ValueError(f"order {n} exceeds basis max_index {basis.max_index}")
+        xs = np.linspace(-horizon, 0.0, m)
+        E = np.stack([basis.evaluate(i, xs) for i in range(n + 1)])
+        return cls(horizon, xs, E * _trapezoid_weights(xs), _fejer_weights(n)[:, None] * E)
+
+    def project(self, V: np.ndarray) -> np.ndarray:
+        """Project every row of V, shape (..., m): Fejer mean of the detrended row plus trend."""
+        trend = ((V[..., -1] - V[..., 0]) / self.horizon)[..., None] * self.xs
+        return ((V - trend) @ self.weighted.T) @ self.fejer + trend
+
+
 def fejer_project(path: Path, n: int, basis: FourierBasis) -> Path:
     """Order-n smooth projection: Fejer mean of the detrended path plus trend.
 
     The Cesaro weights (n+1-i)/(n+1) make the periodic part a sup-norm
     contraction of the detrended path; the output converges uniformly to
-    the input as n grows.
+    the input as n grows.  The trend is ``linear_trend(path)`` and the
+    coefficients are ``fourier_coeff`` of the detrended path, in closed form.
     """
-    if n > basis.max_index:
-        raise ValueError(f"order {n} exceeds basis max_index {basis.max_index}")
-    trend = linear_trend(path)
-    residual = Path(path.horizon, path.values - trend.values)
-    coeffs = np.array([fourier_coeff(residual, i, basis) for i in range(n + 1)])
-    xs = path.nodes
-    E = np.stack([basis.evaluate(i, xs) for i in range(n + 1)])
-    vals = _fejer_weights(n) @ (coeffs[:, None] * E) + trend.values
-    return Path(path.horizon, vals)
+    layout = _FejerLayout.build(n, basis, path.horizon, path.n_nodes)
+    return Path(path.horizon, layout.project(path.values))
 
 
 # ---------------------------------------------------------------------------
@@ -323,41 +355,55 @@ def smooth_terminal(
     form.  The default form is the one obtained by direct substitution of
     the endpoint average into the projected coordinates and is valid for
     every horizon.
+
+    The argument of H is linear in the path samples.  The returned callable
+    exposes it as ``argument(eta)`` (a Path) and, for a stack of sample
+    rows V of shape (..., m) on the uniform nodes, as ``argument_values(V)``
+    (same shape): the Fejer coefficients of all rows take one matrix
+    product, I_n one more.  The nodes, the sampled basis, the edge-bump
+    weights and the correction are built once per node count m.  An order
+    n above ``basis.max_index`` is rejected here, not at evaluation.
     """
     if n < 1:
         raise ValueError(f"smoothing index must be >= 1, got {n}")
     T = horizon
     if basis is None:
         basis = FourierBasis(T, max_index=max(n, 1))
+    if n > basis.max_index:
+        raise ValueError(f"order {n} exceeds basis max_index {basis.max_index}")
+    layouts: dict[int, tuple[_FejerLayout, np.ndarray, np.ndarray]] = {}
 
-    weights = _fejer_weights(n)
+    def layout(m: int) -> tuple[_FejerLayout, np.ndarray, np.ndarray]:
+        if m not in layouts:
+            fejer = _FejerLayout.build(n, basis, T, m)
+            xs = fejer.xs
+            bump = _trapezoid_weights(xs) * edge_bump(T, n, xs + T)
+            if gamma_form:
+                if abs(T - 1.0) < 1e-12:
+                    raise ValueError("gamma_form correction is singular at horizon T == 1")
+                correction = fejer.project(-xs / (T - 1.0)) + xs / (T * (T - 1.0))
+            else:
+                moments = np.array([basis.x_moment(i) for i in range(n + 1)]) / T
+                correction = moments @ fejer.fejer - xs / T
+            layouts[m] = (fejer, bump, correction)
+        return layouts[m]
 
-    def correction_values(xs: np.ndarray) -> np.ndarray:
-        if gamma_form:
-            if abs(T - 1.0) < 1e-12:
-                raise ValueError("gamma_form correction is singular at horizon T == 1")
-            gamma = Path.from_function(lambda x: -x / (T - 1.0), T, xs.size)
-            tn_gamma = fejer_project(gamma, n, basis)
-            return tn_gamma.values + xs / (T * (T - 1.0))
-        vals = (-1.0 / T) * xs
-        for i in range(n + 1):
-            a_i = basis.x_moment(i) / T
-            if a_i != 0.0:
-                vals = vals + weights[i] * a_i * basis.evaluate(i, xs)
-        return vals
+    def argument_values(V) -> np.ndarray:
+        V = np.asarray(V, dtype=float)
+        fejer, bump, correction = layout(V.shape[-1])
+        inner = (V - V[..., :1]) @ bump
+        return fejer.project(V) + inner[..., None] * correction
 
     def argument(eta: Path) -> Path:
         if abs(eta.horizon - T) > 1e-12 * max(1.0, T):
             raise ValueError(f"path horizon {eta.horizon} does not match functional horizon {T}")
-        xs = eta.nodes
-        projected = fejer_project(eta, n, basis)
-        inner = np.trapezoid((eta.values - eta.values[0]) * edge_bump(T, n, xs + T), xs)
-        return Path(T, projected.values + correction_values(xs) * inner)
+        return Path(T, argument_values(eta.values))
 
     def smoothed(eta: Path) -> float:
         return float(H(argument(eta)))
 
     smoothed.argument = argument
+    smoothed.argument_values = argument_values
     return smoothed
 
 

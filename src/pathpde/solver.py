@@ -95,8 +95,6 @@ class ProblemSpec:
     terminal: object
     horizon: float
     d: int = 1
-    growth_c: float | None = None
-    growth_m: float | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("markov", "path"):
@@ -179,11 +177,12 @@ def _evaluate_point(problem: ProblemSpec, t: float, config: SolverConfig, forwar
 
     ``forward(grid, noise, dW)`` runs the problem's Euler scheme and returns
     the trajectories and the terminal samples.  The basis-size guard runs
-    before any noise is drawn, whatever the driver.  A zero driver returns
-    the terminal sample mean and builds no features: every projection
-    keeps the mean of its target (the intercept is never penalised) and at
-    the first step all paths share one state, so the induction's Y_0 is
-    that mean up to rounding.
+    before any noise is drawn, whatever the driver.  Terminal samples of the
+    wrong shape, or with a NaN or inf among them, raise a ValueError before
+    either branch.  A zero driver returns the terminal sample mean and
+    builds no features: every projection keeps the mean of its target (the
+    intercept is never penalised) and at the first step all paths share
+    one state, so the induction's Y_0 is that mean up to rounding.
     """
     basis = config.resolved_basis(problem.mode)
     n_paths = config.n_paths
@@ -194,6 +193,9 @@ def _evaluate_point(problem: ProblemSpec, t: float, config: SolverConfig, forwar
     traj, xi = forward(grid, noise, dW)
     if xi.shape != (n_paths,):
         raise ValueError(f"terminal samples shape {xi.shape} != ({n_paths},)")
+    n_bad = n_paths - int(np.count_nonzero(np.isfinite(xi)))
+    if n_bad:
+        raise ValueError(f"{n_bad} of {n_paths} terminal samples are not finite (NaN or inf)")
     if problem.driver.f is None:
         return _zero_driver_value(xi), float(xi.std(ddof=1) / np.sqrt(n_paths))
     features = make_features(basis, traj)
@@ -439,46 +441,29 @@ def _mollify_driver_markov(driver: DriverSpec, d: int, n: int, nodes: int, famil
 
 
 class _LinearTerminalSmoother:
-    """Batch form of the terminal smoothing: one matrix per node layout.
+    """Batch form of the terminal smoothing ``smooth_terminal(inner, n, T)``.
 
-    The composed argument (projection plus endpoint correction) is linear
-    in the window samples, so it is materialised by probing the scalar
-    routine with unit vectors; the wrapped functional is then applied row
-    by row (vectorised for the running maximum).
+    The smoothed argument (projection plus endpoint correction) is linear
+    in the window samples.  ``evaluate_batch`` builds its matrix on every
+    call, in closed form as ``argument_values`` of the identity, and
+    applies it to all windows in one product; the wrapped functional is
+    then applied row by row (vectorised for the running maximum).
     """
 
     def __init__(self, inner, n: int, horizon: float):
         self.inner = inner
-        self.n = n
         self.horizon = horizon
-        self._matrix_cache: dict[int, np.ndarray] = {}
-
-    def _matrix(self, m: int) -> np.ndarray:
-        if m not in self._matrix_cache:
-            transform = smooth_terminal(lambda p: 0.0, self.n, self.horizon).argument
-            cols = np.empty((m, m))
-            for j in range(m):
-                unit = np.zeros(m)
-                unit[j] = 1.0
-                cols[:, j] = transform(Path(self.horizon, unit)).values
-            self._matrix_cache[m] = cols
-        return self._matrix_cache[m]
+        H = (lambda p: float(np.max(p.values))) if isinstance(inner, SupTerminal) else inner
+        self._smoothed = smooth_terminal(H, n, horizon)
 
     def evaluate_batch(self, wb: WindowBatch) -> np.ndarray:
-        M = self._matrix(wb.xs.size)
-        smoothed_vals = wb.values @ M.T
+        smoothed_vals = wb.values @ self._smoothed.argument_values(np.eye(wb.xs.size))
         if isinstance(self.inner, SupTerminal):
             return smoothed_vals.max(axis=1)
-        return np.array(
-            [float(self.inner(Path(self.horizon, smoothed_vals[i]))) for i in range(smoothed_vals.shape[0])]
-        )
+        return np.array([float(self.inner(Path(self.horizon, row))) for row in smoothed_vals])
 
     def __call__(self, eta: Path) -> float:
-        vals = self._matrix(eta.n_nodes) @ eta.values
-        smoothed = Path(self.horizon, vals)
-        if isinstance(self.inner, SupTerminal):
-            return float(np.max(smoothed.values))
-        return float(self.inner(smoothed))
+        return self._smoothed(eta)
 
 
 def _smooth_rung(problem: ProblemSpec, n: int, schedule: ApproximationSchedule,

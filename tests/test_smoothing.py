@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pathpde.paths import Path, sup_norm
+from pathpde.paths import Path, WindowBatch, sup_norm
 from pathpde.smoothing import (
     CylindricalFunctional,
     FourierBasis,
     Integrand,
     Mollifier,
     NonConvergenceError,
+    edge_bump,
     fejer_project,
     fourier_coeff,
     linear_trend,
@@ -17,6 +19,7 @@ from pathpde.smoothing import (
     smooth_finite_dim,
     smooth_terminal,
 )
+from pathpde.solver import SupTerminal, _LinearTerminalSmoother
 
 # frozen by independent quadrature (scipy.integrate.quad to 1e-14):
 # 2 * int_0^1 phi_1(w) w dw for the standard exp bump
@@ -215,6 +218,114 @@ def test_smooth_terminal_gamma_form_singular_at_unit_horizon():
     smoothed = smooth_terminal(H, 4, 1.0, gamma_form=True)
     with pytest.raises(ValueError):
         smoothed(Path.constant(1.0, 1.0))
+
+
+def test_smooth_terminal_rejects_small_basis_at_construction():
+    with pytest.raises(ValueError, match="order 8 exceeds basis max_index 4"):
+        smooth_terminal(lambda p: 0.0, 8, 1.0, FourierBasis(1.0, 4))
+
+
+# ---------------------------------------------------------------------------
+# the closed-form smoothed-terminal operator against the seed's probe build
+
+
+def _seed_fejer_project(path, n, basis):
+    """The seed's Fejer projection: one pathwise integral per coefficient."""
+    trend = linear_trend(path)
+    residual = Path(path.horizon, path.values - trend.values)
+    coeffs = np.array([fourier_coeff(residual, i, basis) for i in range(n + 1)])
+    E = np.stack([basis.evaluate(i, path.nodes) for i in range(n + 1)])
+    weights = (n + 1 - np.arange(n + 1)) / (n + 1)
+    return weights @ (coeffs[:, None] * E) + trend.values
+
+
+def _probe_matrix(n, T, m):
+    """The smoothed-terminal argument's matrix, probed with unit vectors.
+
+    Column j is the seed's scalar argument of the j-th unit path: its Fejer
+    projection plus the weighted-moment correction times the trapezoid
+    edge-bump average of the path minus its left endpoint.
+    """
+    basis = FourierBasis(T, n)
+    xs = np.linspace(-T, 0.0, m)
+    weights = (n + 1 - np.arange(n + 1)) / (n + 1)
+    correction = (-1.0 / T) * xs
+    for i in range(n + 1):
+        a_i = basis.x_moment(i) / T
+        if a_i != 0.0:
+            correction = correction + weights[i] * a_i * basis.evaluate(i, xs)
+    bump = edge_bump(T, n, xs + T)
+    cols = np.empty((m, m))
+    for j in range(m):
+        unit = Path(T, np.eye(m)[j])
+        inner = np.trapezoid((unit.values - unit.values[0]) * bump, xs)
+        cols[:, j] = _seed_fejer_project(unit, n, basis) + correction * inner
+    return cols
+
+
+@pytest.mark.parametrize("m", [3, 101, 201])
+@pytest.mark.parametrize("n", [1, 4, 16, 64])
+def test_argument_values_matches_probe_matrix(n, m):
+    for T in (0.5, 1.0, 2.0):
+        got = smooth_terminal(lambda p: 0.0, n, T).argument_values(np.eye(m))
+        np.testing.assert_allclose(got, _probe_matrix(n, T, m).T, rtol=0.0, atol=1e-12)
+
+
+def _rows(seed, k, m, scale=1.0):
+    return scale * np.random.default_rng(seed).normal(size=(k, m))
+
+
+_orders = st.integers(1, 64)
+_horizons = st.sampled_from([0.5, 1.0, 2.0, 3.7])
+_seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_orders, _horizons, st.integers(2, 257), _seeds,
+       st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+def test_property_argument_values_is_linear(n, T, m, seed, a, b):
+    A = smooth_terminal(lambda p: 0.0, n, T).argument_values
+    U, V = _rows(seed, 3, m), _rows(seed + 1, 3, m)
+    scale = max(1.0, abs(a) + abs(b)) * max(np.abs(U).max(), np.abs(V).max())
+    np.testing.assert_allclose(A(a * U + b * V), a * A(U) + b * A(V), rtol=0.0, atol=1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_orders, _horizons, st.data(), st.floats(-1e3, 1e3))
+def test_property_argument_values_fixes_constants(n, T, data, c):
+    # once the nodes resolve every cosine of the basis (m - 1 > n // 2), the
+    # trapezoid sums of the nonconstant modes of a constant path vanish
+    m = data.draw(st.integers(n // 2 + 2, 257))
+    got = smooth_terminal(lambda p: 0.0, n, T).argument_values(np.full((2, m), c))
+    np.testing.assert_allclose(got, c, rtol=0.0, atol=1e-12 * max(1.0, abs(c)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_orders, _horizons, st.integers(2, 257), _seeds, st.booleans())
+def test_property_batch_rows_equal_single_path_argument(n, T, m, seed, gamma_form):
+    if gamma_form and T == 1.0:
+        T = 2.0
+    smoothed = smooth_terminal(lambda p: 0.0, n, T, gamma_form=gamma_form)
+    V = _rows(seed, 4, m, scale=3.0)
+    batch = smoothed.argument_values(V)
+    for row, want in zip(V, batch):
+        got = smoothed.argument(Path(T, row)).values
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+
+def _present_plus_spread(p):
+    return float(p.values[-1] + np.abs(p.values - p.values.mean()).max())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 4, 16, 64]), _horizons, st.integers(2, 201), _seeds,
+       st.sampled_from(["sup", "callable"]))
+def test_property_smoother_batch_equals_row_by_row(n, T, m, seed, inner):
+    smoother = _LinearTerminalSmoother(SupTerminal() if inner == "sup" else _present_plus_spread, n, T)
+    wb = WindowBatch(np.linspace(-T, 0.0, m), np.cumsum(_rows(seed, 6, m, scale=0.2), axis=1))
+    batch = smoother.evaluate_batch(wb)
+    rows = np.array([smoother(wb.path(i)) for i in range(6)])
+    np.testing.assert_allclose(batch, rows, rtol=0.0, atol=1e-12 * max(1.0, np.abs(rows).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -376,3 +376,29 @@ def test_path_basis_on_markov_problem_is_rejected():
     cfg = SolverConfig(5000, 10, seed=27, basis=RegressionBasisSpec("path"))
     with pytest.raises(ValueError):
         evaluate_markov(_heat_problem(), 0.0, 0.0, cfg)
+
+
+# ---------------------------------------------------------------------------
+# non-finite terminal samples
+
+
+def _nan_above_zero(x):
+    return np.where(x > 0, np.nan, x)
+
+
+@pytest.mark.parametrize("driver", [DriverSpec(None), _linear_problem().driver], ids=["zero", "linear"])
+def test_non_finite_terminal_samples_are_rejected(driver):
+    cfg = SolverConfig(2000, 10, seed=28)
+    problem = ProblemSpec("markov", 0.0, 1.0, driver, _nan_above_zero, horizon=1.0)
+    with pytest.raises(ValueError, match=r"^\d+ of 2000 terminal samples are not finite"):
+        evaluate_markov(problem, 0.0, 0.0, cfg)
+    problem = replace(problem, terminal=lambda x: np.where(x > 0, np.inf, x))
+    with pytest.raises(ValueError, match="not finite"):
+        evaluate_markov(problem, 0.0, 0.0, cfg)
+
+
+def test_non_finite_path_functional_samples_are_rejected():
+    problem = ProblemSpec("path", 0.0, 1.0, DriverSpec(None),
+                          lambda eta: float(_nan_above_zero(eta.values[-1])), horizon=1.0)
+    with pytest.raises(ValueError, match=r"^\d+ of 2000 terminal samples are not finite"):
+        evaluate_ppde(problem, 0.0, Path.constant(0.0, 1.0, 11), SolverConfig(2000, 10, seed=29))
