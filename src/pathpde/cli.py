@@ -163,7 +163,11 @@ def run_markov_kinked_terminal(params, seed, workers, outdir):
     tol = _p(params, "tolerance", 0.02)
     indices = _p(params, "indices", (4, 8, 16, 32), _int_list)
     prob = ProblemSpec("markov", 0.0, 1.0, DriverSpec(None), lambda x: np.abs(x), horizon=1.0)
-    sched = ApproximationSchedule(indices, SolverConfig(n_paths, n_steps, seed=seed, workers=workers))
+    cfg = SolverConfig(n_paths, n_steps, seed=seed, workers=workers)
+    try:
+        sched = ApproximationSchedule(indices, cfg)
+    except ValueError as exc:
+        raise ConfigError(f"parameter 'indices': {exc}") from exc
     report = strong_viscosity_pipeline(prob, sched, [(0.0, 0.0)])
     rows = [[n, report.values[r, 0], report.std_errors[r, 0],
              report.cauchy_gaps[r - 1, 0] if r > 0 else float("nan")]

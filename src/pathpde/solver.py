@@ -1,20 +1,26 @@
 """User-facing evaluation of PDE solutions through their backward-SDE form.
 
-``evaluate_markov`` and ``evaluate_ppde`` price a single space-time point:
-simulate the forward dynamics, form the terminal samples, and run the
-regression backward induction.  With a zero driver the equation is linear
-and its value is the Feynman-Kac expectation of the terminal data, so the
-point value is the terminal sample mean, with the samples' standard error.
-That is the induction's own value: each of its projections keeps the mean
-of its target and all paths start from one state, so Y_0 is the terminal
-mean up to rounding.  No features or solution arrays are built.
+``evaluate_markov`` and ``evaluate_ppde`` price a single space-time point
+in two parts.  The forward part draws the noise and runs the forward
+Euler scheme; the value part forms the terminal samples and runs the
+regression backward induction on them.  With a zero driver the equation
+is linear and its value is the Feynman-Kac expectation of the terminal
+data, so the point value is the terminal sample mean, with the samples'
+standard error.  That is the induction's own value: each of its
+projections keeps the mean of its target and all paths start from one
+state, so Y_0 is the terminal mean up to rounding.  No features or
+solution arrays are built.
 
 ``strong_viscosity_pipeline`` wraps them in the approximation loop:
 coefficients and terminal data are replaced by smoothed versions at
 increasing index n, each rung is evaluated at the requested probes under
 common random numbers, and the report tracks the Cauchy behaviour of the
-resulting value sequence.  The final rung defines the returned solution
-field.
+resulting value sequence.  Common random numbers make the forward part
+of a probe the same for every rung whose coefficients are the same, so it
+runs once per probe and those rungs evaluate only their terminals and
+values on it (all path-mode rungs, which smooth only the terminal, and
+Markov rungs with constant or unmollified coefficients).  The final rung
+defines the returned solution field.
 
 The lookback benchmark carries its own closed form: for unit-diffusion,
 driver-free dynamics the expected terminal running maximum is an explicit
@@ -28,6 +34,7 @@ import hashlib
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -139,6 +146,8 @@ class ApproximationSchedule:
         idx = tuple(int(n) for n in self.indices)
         if any(b <= a for a, b in zip(idx, idx[1:])) or not idx:
             raise ValueError("smoothing indices must be strictly increasing and nonempty")
+        if idx[0] < 1:
+            raise ValueError(f"smoothing indices must be >= 1, got {idx[0]}")
         object.__setattr__(self, "indices", idx)
 
 
@@ -172,35 +181,124 @@ def _pathwise_se(
     return float(comp.std(ddof=1) / np.sqrt(comp.size))
 
 
-def _evaluate_point(problem: ProblemSpec, t: float, config: SolverConfig, forward) -> tuple[float, float]:
-    """Value and standard error at one point: the part both evaluations share.
+@dataclass
+class _Forward:
+    """One simulated path set at a point, shared by every rung of a probe.
 
-    ``forward(grid, noise, dW)`` runs the problem's Euler scheme and returns
-    the trajectories and the terminal samples.  The basis-size guard runs
-    before any noise is drawn, whatever the driver.  Terminal samples of the
-    wrong shape, or with a NaN or inf among them, raise a ValueError before
-    either branch.  A zero driver returns the terminal sample mean and
-    builds no features: every projection keeps the mean of its target (the
-    intercept is never penalised) and at the first step all paths share
-    one state, so the induction's Y_0 is that mean up to rounding.
+    Holds the noise bundle (the bridge maximum draws its child stream),
+    the trajectories, the increments when a backward induction will read
+    them (None otherwise), and for a path problem the look-back windows at
+    the horizon, cut on first use.  The arrays are read-only: rungs that
+    share the path set must all see the same samples.
+    """
+
+    noise: NoiseBundle
+    dW: np.ndarray | None
+    traj: TrajectoryBatch
+
+    @cached_property
+    def windows(self) -> WindowBatch:
+        grid = self.traj.grid
+        m = int(round(self.traj.prefix.horizon / grid.dt)) + 1
+        wb = self.traj.window_batch(grid.n_steps, n_nodes=m)
+        wb.values.flags.writeable = False
+        return wb
+
+
+def _simulate_point(
+    problem: ProblemSpec, t: float, start, config: SolverConfig, keep_increments: bool = False
+) -> _Forward:
+    """The forward part of a point evaluation: noise, increments and Euler.
+
+    The basis-size guard runs before any noise is drawn, whatever the
+    driver.  The increments are dropped after the Euler scheme for a zero
+    driver unless ``keep_increments`` asks for them.
     """
     basis = config.resolved_basis(problem.mode)
-    n_paths = config.n_paths
-    _check_basis_size(basis.n_features(problem.d), n_paths)
+    _check_basis_size(basis.n_features(problem.d), config.n_paths)
     grid = Grid(t, problem.horizon, config.n_steps)
-    noise = NoiseBundle(config.seed, n_paths, config.n_steps, problem.d)
+    noise = NoiseBundle(config.seed, config.n_paths, config.n_steps, problem.d)
     dW = noise.increments(grid.dt)
-    traj, xi = forward(grid, noise, dW)
+    if problem.mode == "markov":
+        traj = euler_markov(
+            SdeSpec(problem.b, problem.sigma), t, start, grid, noise,
+            workers=config.workers, increments=dW,
+        )
+    else:
+        traj = euler_path_dependent(
+            SdeSpec(problem.b, problem.sigma, path_dependent=True), t, start, grid, noise,
+            workers=config.workers, increments=dW,
+        )
+    traj.values.flags.writeable = False
+    if problem.driver.f is None and not keep_increments:
+        dW = None
+    else:
+        dW.flags.writeable = False
+    return _Forward(noise, dW, traj)
+
+
+def _terminal_samples(problem: ProblemSpec, fwd: _Forward, config: SolverConfig) -> np.ndarray:
+    """The problem's terminal samples on a simulated path set, checked.
+
+    Samples of the wrong shape, or with a NaN or inf among them, raise a
+    ValueError.
+    """
+    traj = fwd.traj
+    if problem.mode == "markov":
+        xi = np.asarray(problem.terminal(traj.terminal()), dtype=float)
+    else:
+        xi = _terminal_samples_path(problem, fwd, config)
+    n_paths = traj.n_paths
     if xi.shape != (n_paths,):
         raise ValueError(f"terminal samples shape {xi.shape} != ({n_paths},)")
     n_bad = n_paths - int(np.count_nonzero(np.isfinite(xi)))
     if n_bad:
         raise ValueError(f"{n_bad} of {n_paths} terminal samples are not finite (NaN or inf)")
+    return xi
+
+
+def _point_value(problem: ProblemSpec, fwd: _Forward, config: SolverConfig) -> tuple[float, float]:
+    """The value part of a point evaluation: value and standard error.
+
+    A zero driver returns the terminal sample mean and builds no features:
+    every projection keeps the mean of its target (the intercept is never
+    penalised) and at the first step all paths share one state, so the
+    induction's Y_0 is that mean up to rounding.
+    """
+    xi = _terminal_samples(problem, fwd, config)
     if problem.driver.f is None:
-        return _zero_driver_value(xi), float(xi.std(ddof=1) / np.sqrt(n_paths))
-    features = make_features(basis, traj)
-    sol = solve_bsde(problem.driver, xi, features, traj, dW, basis=basis)
+        return _zero_driver_value(xi), float(xi.std(ddof=1) / np.sqrt(xi.size))
+    basis = config.resolved_basis(problem.mode)
+    features = make_features(basis, fwd.traj)
+    sol = solve_bsde(problem.driver, xi, features, fwd.traj, fwd.dW, basis=basis)
     return sol.value, _pathwise_se(sol, problem.driver, features, xi)
+
+
+def _terminal_time_value(problem: ProblemSpec, t: float, start) -> float | None:
+    """Check the point against the problem; its exact value when t is the horizon."""
+    T = problem.horizon
+    if problem.mode == "path" and abs(start.horizon - T) > 1e-12 * max(1.0, T):
+        raise ValueError(f"history horizon {start.horizon} differs from problem horizon {T}")
+    if t > T + 1e-12:
+        raise ValueError(f"evaluation time {t} beyond horizon {T}")
+    if abs(t - T) >= 1e-12:
+        return None
+    term = problem.terminal
+    if problem.mode == "markov":
+        return float(np.asarray(term(np.atleast_1d(np.asarray(start, dtype=float))))[0])
+    if isinstance(term, SupTerminal):
+        return float(np.max(start.values))
+    if isinstance(term, CylindricalFunctional):
+        return term.value(T, start)
+    return float(term(start))
+
+
+def _evaluate_point(problem: ProblemSpec, t: float, start, config: SolverConfig) -> tuple[float, float]:
+    """One point: exact at the horizon, else the forward part, then the value part."""
+    exact = _terminal_time_value(problem, t, start)
+    if exact is not None:
+        return exact, 0.0
+    return _point_value(problem, _simulate_point(problem, t, start, config), config)
 
 
 def evaluate_markov(
@@ -214,21 +312,7 @@ def evaluate_markov(
     """
     if problem.mode != "markov":
         raise ValueError("evaluate_markov needs a problem in markov mode")
-    T = problem.horizon
-    if t > T + 1e-12:
-        raise ValueError(f"evaluation time {t} beyond horizon {T}")
-    if abs(t - T) < 1e-12:
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(np.asarray(problem.terminal(xv))[0]), 0.0
-
-    def forward(grid, noise, dW):
-        traj = euler_markov(
-            SdeSpec(problem.b, problem.sigma), t, x, grid, noise,
-            workers=config.workers, increments=dW,
-        )
-        return traj, np.asarray(problem.terminal(traj.terminal()), dtype=float)
-
-    return _evaluate_point(problem, t, config, forward)
+    return _evaluate_point(problem, t, x, config)
 
 
 def bridge_corrected_max(
@@ -279,20 +363,13 @@ def _past_sup(eta: Path, lookback: float) -> float:
     return max(cand, float(eta(-lookback)))
 
 
-def _terminal_samples_path(
-    problem: ProblemSpec,
-    t: float,
-    eta: Path,
-    traj: TrajectoryBatch,
-    noise: NoiseBundle,
-    config: SolverConfig,
-) -> np.ndarray:
+def _terminal_samples_path(problem: ProblemSpec, fwd: _Forward, config: SolverConfig) -> np.ndarray:
     term = problem.terminal
-    grid = traj.grid
+    traj = fwd.traj
     if isinstance(term, SupTerminal):
-        past = _past_sup(eta, t)
+        past = _past_sup(traj.prefix, traj.grid.t_start)
         if config.bridge_max and isinstance(problem.sigma, (int, float)):
-            body = bridge_corrected_max(traj.values, grid.dt, float(problem.sigma), noise.child(1))
+            body = bridge_corrected_max(traj.values, traj.grid.dt, float(problem.sigma), fwd.noise.child(1))
         else:
             if config.bridge_max:
                 warnings.warn(
@@ -302,8 +379,7 @@ def _terminal_samples_path(
                 )
             body = traj.values.max(axis=1)
         return np.maximum(past, body)
-    m = int(round(problem.horizon / grid.dt)) + 1
-    wb = traj.window_batch(grid.n_steps, n_nodes=m)
+    wb = fwd.windows
     if isinstance(term, CylindricalFunctional):
         F = _window_features(term, problem.horizon, wb)
         return np.asarray(term.base(problem.horizon, F), dtype=float)
@@ -321,15 +397,6 @@ def _window_features(cyl: CylindricalFunctional, T: float, wb: WindowBatch) -> n
     return np.stack(cols, axis=1)
 
 
-def _terminal_value_single(problem: ProblemSpec, eta: Path) -> float:
-    term = problem.terminal
-    if isinstance(term, SupTerminal):
-        return float(np.max(eta.values))
-    if isinstance(term, CylindricalFunctional):
-        return term.value(problem.horizon, eta)
-    return float(term(eta))
-
-
 def evaluate_ppde(
     problem: ProblemSpec, t: float, eta: Path, config: SolverConfig
 ) -> tuple[float, float]:
@@ -341,22 +408,7 @@ def evaluate_ppde(
     """
     if problem.mode != "path":
         raise ValueError("evaluate_ppde needs a problem in path mode")
-    T = problem.horizon
-    if abs(eta.horizon - T) > 1e-12 * max(1.0, T):
-        raise ValueError(f"history horizon {eta.horizon} differs from problem horizon {T}")
-    if t > T + 1e-12:
-        raise ValueError(f"evaluation time {t} beyond horizon {T}")
-    if abs(t - T) < 1e-12:
-        return _terminal_value_single(problem, eta), 0.0
-
-    def forward(grid, noise, dW):
-        traj = euler_path_dependent(
-            SdeSpec(problem.b, problem.sigma, path_dependent=True), t, eta, grid, noise,
-            workers=config.workers, increments=dW,
-        )
-        return traj, _terminal_samples_path(problem, t, eta, traj, noise, config)
-
-    return _evaluate_point(problem, t, config, forward)
+    return _evaluate_point(problem, t, eta, config)
 
 
 def lookback_oracle(t: float, eta: Path, horizon: float) -> float:
@@ -563,34 +615,43 @@ def strong_viscosity_pipeline(
 
     Every rung shares the probe's seed (common random numbers), so the
     Cauchy gaps between consecutive rungs isolate the smoothing effect.
-    A probe is flagged non-convergent when its last gap both grew and
-    exceeds three joint standard errors.
+    The forward pass (noise, Euler paths, look-back windows) runs once per
+    probe and is reused by each following rung whose drift and diffusion
+    are the same objects; the values are those of one ``evaluate_*`` call
+    per rung and probe, bit for bit.  A probe is flagged non-convergent
+    when its last gap both grew and exceeds three joint standard errors.
     """
     probes = list(probes)
     inner_k = None
     if problem.mode == "path" and isinstance(problem.terminal, CylindricalFunctional):
         inner_k = _select_terminal_inner_index(problem, schedule, probes)
 
-    n_rungs = len(schedule.indices)
+    rungs = [
+        _smooth_rung(problem, n, schedule, inner_k=None if inner_k is None else int(inner_k[r]))
+        for r, n in enumerate(schedule.indices)
+    ]
+    n_rungs = len(rungs)
     values = np.empty((n_rungs, len(probes)))
     errors = np.empty_like(values)
-    rung_problem = problem
-    for r, n in enumerate(schedule.indices):
-        k_n = int(inner_k[r]) if inner_k is not None else None
-        rung_problem = _smooth_rung(problem, n, schedule, inner_k=k_n)
-        for p, (t, probe) in enumerate(probes):
-            cfg = replace(schedule.config, seed=_probe_seed(schedule.config.seed, t, probe))
-            if problem.mode == "markov":
-                values[r, p], errors[r, p] = evaluate_markov(rung_problem, t, probe, cfg)
-            else:
-                values[r, p], errors[r, p] = evaluate_ppde(rung_problem, t, probe, cfg)
+    for p, (t, probe) in enumerate(probes):
+        cfg = replace(schedule.config, seed=_probe_seed(schedule.config.seed, t, probe))
+        fwd = simulated = None
+        for r, rung in enumerate(rungs):
+            exact = _terminal_time_value(rung, t, probe)
+            if exact is not None:
+                values[r, p], errors[r, p] = exact, 0.0
+                continue
+            if fwd is None or rung.b is not simulated.b or rung.sigma is not simulated.sigma:
+                fwd = None  # release the previous path set before simulating the next
+                fwd, simulated = _simulate_point(rung, t, probe, cfg), rung
+            values[r, p], errors[r, p] = _point_value(rung, fwd, cfg)
     gaps = np.abs(np.diff(values, axis=0))
     converged = np.ones(len(probes), dtype=bool)
     if n_rungs >= 3:
         joint_se = np.sqrt(errors[-1] ** 2 + errors[-2] ** 2)
         converged = ~((gaps[-1] > gaps[-2]) & (gaps[-1] > 3.0 * joint_se))
     field = SolutionField(
-        rung_problem,
+        rungs[-1],
         schedule.config,
         provenance={
             "indices": list(schedule.indices),
@@ -645,18 +706,14 @@ def comparison_experiment(
     """
     if problem.mode != "markov":
         raise ValueError("the comparison experiment runs on the Markovian benchmark family")
-    T = problem.horizon
-    grid = Grid(t, T, config.n_steps)
-    noise = NoiseBundle(config.seed, config.n_paths, config.n_steps, problem.d)
-    dW = noise.increments(grid.dt)
-    traj = euler_markov(SdeSpec(problem.b, problem.sigma), t, x, grid, noise,
-                        workers=config.workers, increments=dW)
-    xi = np.asarray(problem.terminal(traj.terminal()), dtype=float)
+    fwd = _simulate_point(problem, t, x, config, keep_increments=True)
+    xi = _terminal_samples(problem, fwd, config)
+    traj, dW, grid = fwd.traj, fwd.dW, fwd.traj.grid
     basis = config.resolved_basis("markov")
     features = make_features(basis, traj)
     sol = solve_bsde(problem.driver, xi, features, traj, dW, basis=basis)
 
-    tilt = slack * (T - grid.times)[None, :]
+    tilt = slack * (problem.horizon - grid.times)[None, :]
     y_super = sol.Y + tilt
     y_sub = sol.Y - tilt
     se = _pathwise_se(sol, problem.driver, features, xi)

@@ -263,9 +263,11 @@ def test_criterion_11_determinism(tmp_path):
                   "n_paths = 20000\nn_steps = 20\nindices = 4,8,16\ntolerance = 0.05\n")
     linear_cfg = ("[experiment]\nname = markov-linear-driver\nseed = 7\n\n[parameters]\n"
                   "n_paths = 20000\nn_steps = 20\ntolerance = 0.05\n")
+    # default scale: the order checks need the full 400k x 8 to resolve
+    comparison_cfg = "[experiment]\nname = comparison\nseed = 7\n\n[parameters]\n"
     ok = True
-    for tag, cfg_text in (("heat", heat_cfg), ("lookback", look_cfg),
-                          ("kinked", kinked_cfg), ("linear", linear_cfg)):
+    for tag, cfg_text in (("heat", heat_cfg), ("lookback", look_cfg), ("kinked", kinked_cfg),
+                          ("linear", linear_cfg), ("comparison", comparison_cfg)):
         blobs = {}
         for threads in (1, 4, 8):
             rc, blob = _run_cli(tmp_path, cfg_text, tag, threads)

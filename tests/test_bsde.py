@@ -24,7 +24,8 @@ from pathpde.solver import (
     ProblemSpec,
     SolverConfig,
     SupTerminal,
-    _terminal_samples_path,
+    _Forward,
+    _terminal_samples,
     bridge_corrected_max,
 )
 
@@ -416,7 +417,7 @@ def test_fused_matches_reference_path_sup_terminal():
     traj = euler_path_dependent(SdeSpec(0.0, 1.0, path_dependent=True), 0.2, eta, g, nb,
                                 increments=dW)
     problem = ProblemSpec("path", 0.0, 1.0, DriverSpec(None), SupTerminal(), horizon=1.0)
-    xi = _terminal_samples_path(problem, 0.2, eta, traj, nb, SolverConfig(20_000, 40, seed=20))
+    xi = _terminal_samples(problem, _Forward(nb, dW, traj), SolverConfig(20_000, 40, seed=20))
     _assert_matches_reference(DriverSpec(None), xi, RegressionBasisSpec("path", 2), traj, dW)
 
 

@@ -402,3 +402,108 @@ def test_non_finite_path_functional_samples_are_rejected():
                           lambda eta: float(_nan_above_zero(eta.values[-1])), horizon=1.0)
     with pytest.raises(ValueError, match=r"^\d+ of 2000 terminal samples are not finite"):
         evaluate_ppde(problem, 0.0, Path.constant(0.0, 1.0, 11), SolverConfig(2000, 10, seed=29))
+
+
+def test_comparison_rejects_non_finite_terminal_samples():
+    problem = replace(_linear_problem(), terminal=_nan_above_zero)
+    with pytest.raises(ValueError, match=r"^\d+ of 2000 terminal samples are not finite"):
+        comparison_experiment(problem, 0.5, 0.0, 0.0, SolverConfig(2000, 10, seed=30))
+
+
+# ---------------------------------------------------------------------------
+# one forward pass per probe: rungs with the same coefficients share it
+
+
+@pytest.mark.parametrize("indices", [(0, 4), (-2, 4), (4, 4)])
+def test_schedule_rejects_bad_indices(indices):
+    with pytest.raises(ValueError, match="smoothing indices"):
+        ApproximationSchedule(indices)
+
+
+def _kinked_callable_coefficients():
+    # callable coefficients are mollified on every rung, so no rung shares
+    return ProblemSpec("markov", lambda t, x: -0.3 * x, lambda t, x: 1.0 + 0.1 * np.abs(x),
+                       DriverSpec(None), lambda x: np.abs(x), horizon=1.0)
+
+
+def _reuse_cases():
+    history = Path.from_function(lambda x: 0.2 * np.sin(3.0 * x), 1.0, 41)
+    path_probes = [(0.0, Path.constant(0.0, 1.0, 41)), (0.25, history)]
+    cyl = CylindricalFunctional(base=lambda t, F: np.abs(F[:, 0]), integrands=(_unit_integrand(),))
+    linear = replace(_linear_problem(), terminal=lambda x: np.abs(x))
+    markov_probes = [(0.0, 0.0), (0.5, 0.3)]
+    return {
+        "path-sup": (_lookback_problem(), {}, path_probes),
+        "path-callable": (ProblemSpec("path", 0.0, 1.0, DriverSpec(None),
+                                      lambda eta: float(np.abs(eta.values[-1])), horizon=1.0),
+                          {}, path_probes),
+        "path-cylindrical": (ProblemSpec("path", 0.0, 1.0, DriverSpec(None), cyl, horizon=1.0),
+                             {}, path_probes),
+        "markov-constant": (_heat_problem(terminal=lambda x: np.abs(x)), {}, markov_probes),
+        "markov-mollified": (_kinked_callable_coefficients(), {}, markov_probes),
+        "markov-linear-driver": (linear, {"mollify_driver": True, "quad_nodes": 8}, markov_probes),
+    }
+
+
+def _per_rung_reference(problem, schedule, probes):
+    """The pipeline's values as one evaluate_* call per rung and probe."""
+    inner_k = None
+    if problem.mode == "path" and isinstance(problem.terminal, CylindricalFunctional):
+        inner_k = solver._select_terminal_inner_index(problem, schedule, probes)
+    values = np.empty((len(schedule.indices), len(probes)))
+    errors = np.empty_like(values)
+    for r, n in enumerate(schedule.indices):
+        rung = solver._smooth_rung(problem, n, schedule,
+                                   inner_k=None if inner_k is None else int(inner_k[r]))
+        evaluate = evaluate_markov if problem.mode == "markov" else evaluate_ppde
+        for p, (t, probe) in enumerate(probes):
+            cfg = replace(schedule.config, seed=solver._probe_seed(schedule.config.seed, t, probe))
+            values[r, p], errors[r, p] = evaluate(rung, t, probe, cfg)
+    return values, errors
+
+
+@pytest.mark.parametrize("name", ["path-sup", "path-callable", "path-cylindrical", "markov-constant",
+                                  "markov-mollified", "markov-linear-driver"])
+def test_pipeline_matches_one_evaluation_per_rung(name):
+    problem, options, probes = _reuse_cases()[name]
+    n_steps = 20 if problem.mode == "markov" else 40
+    schedule = ApproximationSchedule((2, 4, 8), SolverConfig(4000, n_steps, seed=31), **options)
+    report = strong_viscosity_pipeline(problem, schedule, probes)
+    values, errors = _per_rung_reference(problem, schedule, probes)
+    assert np.array_equal(report.values, values)
+    assert np.array_equal(report.std_errors, errors)
+
+
+def _count_euler(monkeypatch):
+    calls = []
+    for name in ("euler_markov", "euler_path_dependent"):
+        original = getattr(solver, name)
+
+        def spy(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("name, shared", [("path-sup", True), ("path-cylindrical", True),
+                                          ("markov-constant", True), ("markov-linear-driver", True),
+                                          ("markov-mollified", False)])
+def test_pipeline_simulates_once_per_probe_when_rungs_share_coefficients(monkeypatch, name, shared):
+    problem, options, probes = _reuse_cases()[name]
+    calls = _count_euler(monkeypatch)
+    schedule = ApproximationSchedule((2, 4, 8), SolverConfig(2000, 20, seed=32), **options)
+    strong_viscosity_pipeline(problem, schedule, probes)
+    assert len(calls) == len(probes) * (1 if shared else len(schedule.indices))
+
+
+def test_shared_forward_arrays_are_read_only():
+    cfg = SolverConfig(2000, 20, seed=33)
+    fwd = solver._simulate_point(_lookback_problem(), 0.0, Path.constant(0.0, 1.0, 21), cfg)
+    assert fwd.dW is None  # a zero driver runs no induction
+    assert not fwd.traj.values.flags.writeable
+    assert not fwd.windows.values.flags.writeable
+    assert fwd.windows is fwd.windows  # cut once
+    fwd = solver._simulate_point(_linear_problem(), 0.0, 0.0, cfg)
+    assert fwd.dW.shape == (2000, 20, 1) and not fwd.dW.flags.writeable
