@@ -9,4 +9,4 @@ sequences of regular problems whose values converge to the target.
 
 __version__ = "0.1.0"
 
-from .paths import Grid, Path, Trajectory, WindowBatch  # noqa: F401
+from .paths import Grid, Path, WindowBatch  # noqa: F401

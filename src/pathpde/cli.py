@@ -119,6 +119,14 @@ def _int_list(raw) -> tuple[int, ...]:
     return tuple(int(v) for v in str(raw).split(","))
 
 
+def _index_list(params: dict, default: tuple[int, ...]) -> tuple[int, ...]:
+    """The ``indices`` parameter: smoothing or perturbation indices, each >= 1."""
+    indices = _p(params, "indices", default, _int_list)
+    if min(indices) < 1:
+        raise ConfigError(f"parameter 'indices': smoothing indices must be >= 1, got {min(indices)}")
+    return indices
+
+
 def run_markov_heat(params, seed, workers, outdir):
     n_paths = _p(params, "n_paths", 100_000, int)
     n_steps = _p(params, "n_steps", 100, int)
@@ -246,7 +254,7 @@ def run_comparison(params, seed, workers, outdir):
 def run_sde_convergence(params, seed, workers, outdir):
     n_paths = _p(params, "n_paths", 20_000, int)
     n_steps = _p(params, "n_steps", 100, int)
-    indices = _p(params, "indices", (2, 8, 32), _int_list)
+    indices = _index_list(params, (2, 8, 32))
     g = Grid(0.0, 1.0, n_steps)
     noise = NoiseBundle(seed, n_paths, n_steps)
     kinked = lambda x: -np.abs(x)
@@ -271,7 +279,7 @@ def run_bsde_limit(params, seed, workers, outdir):
     n_paths = _p(params, "n_paths", 30_000, int)
     n_steps = _p(params, "n_steps", 64, int)
     rate = _p(params, "rate", 0.1)
-    indices = _p(params, "indices", (1, 4, 16, 64), _int_list)
+    indices = _index_list(params, (1, 4, 16, 64))
     g = Grid(0.0, 1.0, n_steps)
     basis = RegressionBasisSpec("markov", 2)
     base_drv = DriverSpec(lambda t, s, y, z, r=rate: -r * y, lipschitz=rate)

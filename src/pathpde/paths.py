@@ -1,10 +1,10 @@
-"""Discrete paths on [-T, 0], window extraction, and pathwise integrals.
+"""Discrete paths on [-T, 0] and pathwise integrals.
 
 A ``Path`` samples a continuous function on the uniform nodes
 ``x_k = -T + k * T / (n_nodes - 1)``; off-node evaluation is linear
-interpolation everywhere in this package.  A ``Trajectory`` pastes such a
-history onto values produced on a forward time grid, and ``window`` cuts
-the length-T look-back slice out of the combined record.
+interpolation everywhere in this package.  A ``WindowBatch`` stacks many
+such look-back slices on one node layout; ``pathpde.sde.TrajectoryBatch``
+cuts them out of simulated trajectories.
 
 The pathwise integral against the increments of a path is realised through
 integration by parts,
@@ -13,12 +13,13 @@ integration by parts,
 
 a convention that places the initial point mass at -T: the constant
 integrand reproduces eta(0), and a constant path returns c * psi(-T).
+``forward_integral`` evaluates it row by row, for one path or a batch.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,10 +27,8 @@ import numpy as np
 __all__ = [
     "Grid",
     "Path",
-    "Trajectory",
     "WindowBatch",
     "sup_norm",
-    "window",
     "forward_integral",
     "extend_canonical",
     "path_to_csv",
@@ -114,40 +113,6 @@ class Path:
         return cls(horizon, np.full(n_nodes, float(c)))
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Forward values on a grid over [t, t_end], pasted onto a history path.
-
-    The prefix covers [t - T, t]; continuity requires its present value to
-    equal ``values[0]`` exactly.
-    """
-
-    grid: Grid
-    prefix: Path
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n_steps + 1,):
-            raise ValueError(
-                f"values shape {vals.shape} does not match grid with {self.grid.n_steps} steps"
-            )
-        if vals[0] != self.prefix.values[-1]:
-            raise ValueError("prefix present value must equal values[0] exactly")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def at_time(self, s) -> np.ndarray | float:
-        """Value at absolute time s: prefix before t_start, interpolated after."""
-        t0 = self.grid.t_start
-        s_arr = np.asarray(s, dtype=float)
-        body = np.interp(s_arr, self.grid.times, self.values)
-        pre = self.prefix(np.clip(s_arr - t0, -self.prefix.horizon, 0.0))
-        out = np.where(s_arr <= t0, pre, body)
-        return float(out) if np.isscalar(s) else out
-
-
 @dataclass
 class WindowBatch:
     """Many length-T look-back slices sharing one node layout.
@@ -171,11 +136,6 @@ class WindowBatch:
     def sup_norm(self) -> np.ndarray:
         return np.max(np.abs(self.values), axis=1)
 
-    def forward_integral(self, psi: Callable, psi_prime: Callable) -> np.ndarray:
-        """Row-wise psi(0)*eta(0) - int psi'(x) eta(x) dx (trapezoid)."""
-        integrand = self.values * psi_prime(self.xs)[None, :]
-        return float(psi(0.0)) * self.present - np.trapezoid(integrand, self.xs, axis=1)
-
     def path(self, i: int) -> Path:
         return Path(self.horizon, self.values[i])
 
@@ -185,39 +145,18 @@ def sup_norm(path: Path) -> float:
     return float(np.max(np.abs(path.values)))
 
 
-def window(traj: Trajectory, s: float) -> Path:
-    """Length-T look-back slice of the trajectory at time s.
+def forward_integral(psi0: float, dpsi: np.ndarray, xs: np.ndarray, values: np.ndarray):
+    """Pathwise integral of psi against the increments of each row of values.
 
-    s is snapped to the nearest grid node.  The result carries the prefix's
-    node layout; where prefix and body layouts disagree, values are linear
-    interpolations of the stored samples.
+    ``values`` samples eta on the nodes ``xs`` along its last axis (one
+    path, or one path per row), ending at x = 0; ``dpsi`` samples psi' on
+    the same nodes and ``psi0`` is psi(0).  Returns
+    psi(0) * eta(0) - int psi'(x) eta(x) dx, the Lebesgue integral by
+    composite trapezoid on the nodes, one value per row.  The convention
+    carries the initial point mass at xs[0], so psi == 1 returns eta(0) and
+    a constant path returns c * psi(xs[0]).
     """
-    k = traj.grid.nearest_index(s)
-    sk = traj.grid.times[k]
-    T = traj.prefix.horizon
-    xs = np.linspace(-T, 0.0, traj.prefix.n_nodes)
-    if k == 0:
-        return Path(T, traj.prefix.values)
-    taus = sk + xs
-    t0 = traj.grid.t_start
-    pre = traj.prefix(np.clip(taus - t0, -T, 0.0))
-    body = np.interp(taus, traj.grid.times, traj.values)
-    vals = np.where(taus <= t0, pre, body)
-    vals[-1] = traj.values[k]
-    return Path(T, vals)
-
-
-def forward_integral(psi: Callable, psi_prime: Callable, path: Path) -> float:
-    """Pathwise integral of psi against the increments of the path.
-
-    Computed as psi(0)*eta(0) - int_{-T}^0 psi'(x) eta(x) dx with the
-    Lebesgue integral by composite trapezoid on the path nodes.  The
-    convention carries the initial point mass at -T, so psi == 1 returns
-    eta(0) and a constant path returns c * psi(-T).
-    """
-    xs = path.nodes
-    lebesgue = np.trapezoid(np.asarray(psi_prime(xs), dtype=float) * path.values, xs)
-    return float(psi(0.0)) * float(path.values[-1]) - float(lebesgue)
+    return psi0 * values[..., -1] - np.trapezoid(dpsi * values, xs, axis=-1)
 
 
 def extend_canonical(times: np.ndarray, values: np.ndarray, s) -> np.ndarray | float:

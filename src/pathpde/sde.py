@@ -138,11 +138,19 @@ class SdeSpec:
 
 @dataclass
 class TrajectoryBatch:
-    """Forward values for many paths on one grid, with a shared history."""
+    """Forward values for many paths on one grid, with a shared history.
+
+    A history path covers [t - T, t] for the grid start t; continuity
+    requires its present value to equal every path's first value exactly.
+    """
 
     grid: Grid
     values: np.ndarray  # (n_paths, n_steps + 1) or (n_paths, n_steps + 1, d)
     prefix: Path | None = None
+
+    def __post_init__(self) -> None:
+        if self.prefix is not None and np.any(self.values[:, 0] != self.prefix.values[-1]):
+            raise ValueError("history present value must equal the first value of every path exactly")
 
     @property
     def n_paths(self) -> int:

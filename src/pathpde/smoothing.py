@@ -117,6 +117,28 @@ def _tensor_rule(half_widths: Sequence[float], nodes_per_axis: int) -> tuple[np.
     return pts, wts
 
 
+def _mollifier_rule(q: int, n: int, nodes_per_axis: int, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes and kernel weights of the index-n mollifier on R^q.
+
+    The nodes are the tensor Gauss-Legendre rule on the box [-1/n, 1/n]^q;
+    each weight is the rule's weight times the mollifier at its node, and
+    the weights are normalised by their own sum, so constants are
+    reproduced exactly and affine functions up to rounding (the rule is
+    symmetric).  Apply the weights as ``np.sum(vals * kernel, axis=-1)``:
+    each row's sum then does not depend on how many rows are evaluated
+    together, as it does with a BLAS matrix-vector product, so forward
+    paths split into worker blocks stay bit-identical.
+    """
+    if nodes_per_axis < MIN_QUAD_NODES:
+        raise ValueError(
+            f"nodes_per_axis={nodes_per_axis} below documented minimum {MIN_QUAD_NODES}"
+        )
+    phi = Mollifier(q, n, family)
+    pts, wts = _tensor_rule([1.0 / n] * q, nodes_per_axis)
+    kernel = wts * phi(pts)
+    return pts, kernel / kernel.sum()
+
+
 def mollify(
     g: Callable,
     q: int,
@@ -127,35 +149,21 @@ def mollify(
     """Smooth g: R^q -> R by convolution with the index-n mollifier.
 
     Returns a callable accepting points of shape (m, q) (or (m,) when
-    q == 1) and evaluating the convolution by tensor Gauss-Legendre
-    quadrature over the support ball.  The kernel weights are normalised
-    by their own quadrature mass, so g == const is reproduced exactly and
-    affine g up to rounding (the rule is symmetric).
+    q == 1) and evaluating the convolution with the quadrature of
+    ``_mollifier_rule``.  g is called once, on all shifted points as rows
+    of shape (m * Q, q) (or (m * Q,) when q == 1) for a rule of Q nodes,
+    so it keeps the (m, q) -> (m,) contract of a terminal.
     """
-    if nodes_per_axis < MIN_QUAD_NODES:
-        raise ValueError(
-            f"nodes_per_axis={nodes_per_axis} below documented minimum {MIN_QUAD_NODES}"
-        )
-    phi = Mollifier(q, n, family)
-    pts, wts = _tensor_rule([1.0 / n] * q, nodes_per_axis)
-    kernel = wts * phi(pts)
-    kernel = kernel / kernel.sum()
+    pts, kernel = _mollifier_rule(q, n, nodes_per_axis, family)
 
     def smoothed(x):
         x_arr = np.asarray(x, dtype=float)
-        scalar_in = x_arr.ndim == 0 or (q == 1 and x_arr.ndim == 0)
-        if q == 1:
-            x2 = np.atleast_1d(x_arr).reshape(-1, 1)
-        else:
-            x2 = np.atleast_2d(x_arr)
-        # shifted evaluations: (n_points, n_quad)
+        x2 = x_arr.reshape(-1, 1) if q == 1 else np.atleast_2d(x_arr)
         shifted = x2[:, None, :] - pts[None, :, :]
-        if q == 1:
-            vals = np.asarray(g(shifted[..., 0]), dtype=float)
-        else:
-            vals = np.asarray(g(shifted), dtype=float)
-        out = vals @ kernel
-        return float(out[0]) if (scalar_in or np.isscalar(x)) else out
+        rows = shifted.reshape(-1) if q == 1 else shifted.reshape(-1, q)
+        vals = np.asarray(g(rows), dtype=float).reshape(x2.shape[0], -1)
+        out = np.sum(vals * kernel, axis=-1)
+        return float(out[0]) if x_arr.ndim == 0 else out
 
     return smoothed
 
@@ -247,10 +255,8 @@ def fourier_coeff(path: Path, i: int, basis: FourierBasis) -> float:
     """
     if i > basis.max_index:
         raise ValueError(f"index {i} exceeds basis max_index {basis.max_index}")
-    top = float(basis.antiderivative(i, 0.0))
-    psi = lambda x: top - basis.antiderivative(i, x)
-    psi_prime = lambda x: -basis.evaluate(i, x)
-    return forward_integral(psi, psi_prime, path)
+    # psi(x) = e~_i(0) - e~_i(x): psi(0) = 0 and psi' = -e_i
+    return float(forward_integral(0.0, -basis.evaluate(i, path.nodes), path.nodes, path.values))
 
 
 def _fejer_weights(n: int) -> np.ndarray:
@@ -332,7 +338,6 @@ def smooth_terminal(
     n: int,
     horizon: float,
     basis: FourierBasis | None = None,
-    gamma_form: bool = False,
 ) -> Callable:
     """Smooth a path functional H by projection and endpoint mollification.
 
@@ -348,13 +353,8 @@ def smooth_terminal(
         correction = sum_{i=0}^n w_i a_i e_i + a_{-1} e_{-1},
         a_{-1} = -1/T,  a_i = (1/T) int x e_i dx.
 
-    With ``gamma_form=True`` the correction is assembled instead as
-    T_n(gamma) + e_{-1}/(T(T-1)) with gamma(x) = -x/(T-1); that grouping is
-    singular at T == 1 and, because gamma is a fixed point of the trend
-    operator, collapses to -x/T, which differs from the weighted-moment
-    form.  The default form is the one obtained by direct substitution of
-    the endpoint average into the projected coordinates and is valid for
-    every horizon.
+    This is the form obtained by direct substitution of the endpoint
+    average into the projected coordinates; it is valid for every horizon.
 
     The argument of H is linear in the path samples.  The returned callable
     exposes it as ``argument(eta)`` (a Path) and, for a stack of sample
@@ -378,13 +378,8 @@ def smooth_terminal(
             fejer = _FejerLayout.build(n, basis, T, m)
             xs = fejer.xs
             bump = _trapezoid_weights(xs) * edge_bump(T, n, xs + T)
-            if gamma_form:
-                if abs(T - 1.0) < 1e-12:
-                    raise ValueError("gamma_form correction is singular at horizon T == 1")
-                correction = fejer.project(-xs / (T - 1.0)) + xs / (T * (T - 1.0))
-            else:
-                moments = np.array([basis.x_moment(i) for i in range(n + 1)]) / T
-                correction = moments @ fejer.fejer - xs / T
+            moments = np.array([basis.x_moment(i) for i in range(n + 1)]) / T
+            correction = moments @ fejer.fejer - xs / T
             layouts[m] = (fejer, bump, correction)
         return layouts[m]
 
@@ -548,6 +543,12 @@ class Integrand:
     d2phi: Callable | None = None
 
 
+def _recent_window(t: float, eta: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of eta inside (-t, 0] with -t prepended, and eta on them."""
+    xs = np.concatenate(([-t], eta.nodes[eta.nodes > -t]))
+    return xs, eta(xs)
+
+
 @dataclass(frozen=True)
 class CylindricalFunctional:
     """A smooth function of finitely many pathwise integrals.
@@ -583,19 +584,15 @@ class CylindricalFunctional:
         """Feature vector F(t, eta) from a single window path."""
         if t < 0 or t > eta.horizon + 1e-12:
             raise ValueError(f"time {t} outside [0, {eta.horizon}]")
-        out = np.empty(self.n_features)
-        if t <= 0:
-            for j, ig in enumerate(self.integrands):
-                out[j] = float(ig.phi(0.0)) * float(eta.values[-1])
-            return out
-        xs_all = eta.nodes
-        sub = xs_all[xs_all > -t]
-        xs = np.concatenate(([-t], sub)) if (sub.size == 0 or sub[0] > -t) else sub
-        vals = eta(xs)
-        for j, ig in enumerate(self.integrands):
-            lebesgue = np.trapezoid(np.asarray(ig.dphi(xs + t), dtype=float) * vals, xs)
-            out[j] = float(ig.phi(t)) * float(eta.values[-1]) - lebesgue
-        return out
+        return self._integrals(t, *_recent_window(t, eta))
+
+    def _integrals(self, t: float, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Features of each row of ``values`` on the nodes ``xs`` of [-t, 0], shape (..., N)."""
+        return np.stack(
+            [forward_integral(float(ig.phi(t)), np.asarray(ig.dphi(xs + t), dtype=float), xs, values)
+             for ig in self.integrands],
+            axis=-1,
+        )
 
     def value(self, t: float, eta: Path) -> float:
         F = self.features(t, eta)[None, :]
@@ -629,18 +626,14 @@ class CylindricalFunctional:
         F = self.features(t, eta)[None, :]
         grad = np.asarray(self._need("base_grad")(t, F))[0]
         total = 0.0
-        xs_all = eta.nodes
-        sub = xs_all[xs_all > -t]
-        xs = np.concatenate(([-t], sub)) if (sub.size == 0 or sub[0] > -t) else sub
-        vals = eta(xs)
+        xs, vals = _recent_window(t, eta)
         for j, ig in enumerate(self.integrands):
             if ig.d2phi is None:
                 raise ValueError("horizontal derivative needs d2phi on every integrand")
-            second = np.trapezoid(np.asarray(ig.d2phi(xs + t), dtype=float) * vals, xs)
+            # d_t F_j: the pathwise integral of phi_j'(. + t), less phi_j'(0) eta(-t)
             dt_feature = (
-                float(ig.dphi(t)) * float(eta.values[-1])
-                - float(ig.dphi(0.0)) * float(eta(-t))
-                - second
+                forward_integral(float(ig.dphi(t)), np.asarray(ig.d2phi(xs + t), dtype=float), xs, vals)
+                - float(ig.dphi(0.0)) * vals[0]
             )
             total += grad[j] * dt_feature
         return -total

@@ -56,6 +56,7 @@ from .sde import NoiseBundle, SdeSpec, TrajectoryBatch, euler_markov, euler_path
 from .smoothing import (
     CylindricalFunctional,
     FourierBasis,
+    _mollifier_rule,
     mollify,
     select_diagonal,
     smooth_finite_dim,
@@ -381,20 +382,11 @@ def _terminal_samples_path(problem: ProblemSpec, fwd: _Forward, config: SolverCo
         return np.maximum(past, body)
     wb = fwd.windows
     if isinstance(term, CylindricalFunctional):
-        F = _window_features(term, problem.horizon, wb)
+        F = term._integrals(problem.horizon, wb.xs, wb.values)
         return np.asarray(term.base(problem.horizon, F), dtype=float)
     if hasattr(term, "evaluate_batch"):
         return np.asarray(term.evaluate_batch(wb), dtype=float)
     return np.array([float(term(wb.path(i))) for i in range(wb.values.shape[0])])
-
-
-def _window_features(cyl: CylindricalFunctional, T: float, wb: WindowBatch) -> np.ndarray:
-    cols = []
-    for ig in cyl.integrands:
-        integrand = np.asarray(ig.dphi(wb.xs + T), dtype=float)
-        lebesgue = np.trapezoid(wb.values * integrand[None, :], wb.xs, axis=1)
-        cols.append(float(ig.phi(T)) * wb.present - lebesgue)
-    return np.stack(cols, axis=1)
 
 
 def evaluate_ppde(
@@ -443,24 +435,13 @@ def _mollify_state_coefficient(coef, d: int, n: int, nodes: int, family: str):
     """Convolve a (t, x)-callable with the index-n state mollifier."""
     if isinstance(coef, (int, float)):
         return coef  # constants are fixed points of the convolution
-    from .smoothing import Mollifier, _tensor_rule
-
-    phi = Mollifier(d, n, family)
-    pts, wts = _tensor_rule([1.0 / n] * d, nodes)
-    kernel = wts * phi(pts)
-    kernel = kernel / kernel.sum()
+    pts, kernel = _mollifier_rule(d, n, nodes, family)
 
     def smoothed(t, x):
         x_arr = np.asarray(x, dtype=float)
-        if d == 1 and x_arr.ndim == 1:
-            shifted = x_arr[:, None] - pts[None, :, 0]
-            vals = np.stack([np.asarray(coef(t, shifted[:, j]), dtype=float) for j in range(pts.shape[0])], axis=1)
-        else:
-            vals = np.stack(
-                [np.asarray(coef(t, x_arr - pts[j][None, :]), dtype=float) for j in range(pts.shape[0])],
-                axis=1,
-            )
-        return vals @ kernel
+        shifts = pts[:, 0] if d == 1 and x_arr.ndim == 1 else pts  # scalar states arrive as (m,)
+        vals = np.stack([np.asarray(coef(t, x_arr - dx), dtype=float) for dx in shifts], axis=-1)
+        return np.sum(vals * kernel, axis=-1)  # (m,) for a scalar coefficient, (m, d) for a vector drift
 
     return smoothed
 
@@ -469,15 +450,9 @@ def _mollify_driver_markov(driver: DriverSpec, d: int, n: int, nodes: int, famil
     """Joint mollification of the generator in (x, y, z); q = 2d + 1."""
     if driver.f is None:
         return driver
-    from .smoothing import Mollifier, _tensor_rule
-
-    q = 2 * d + 1
-    phi = Mollifier(q, n, family) if q <= 3 else None
-    if phi is None:
+    if d != 1:
         raise ValueError("driver mollification supports d = 1 only (q = 3)")
-    pts, wts = _tensor_rule([1.0 / n] * q, nodes)
-    kernel = wts * phi(pts)
-    kernel = kernel / kernel.sum()
+    pts, kernel = _mollifier_rule(3, n, nodes, family)
     f = driver.f
 
     def f_n(t, state, y, z):

@@ -265,9 +265,18 @@ def test_criterion_11_determinism(tmp_path):
                   "n_paths = 20000\nn_steps = 20\ntolerance = 0.05\n")
     # default scale: the order checks need the full 400k x 8 to resolve
     comparison_cfg = "[experiment]\nname = comparison\nseed = 7\n\n[parameters]\n"
+    # sde-convergence mollifies its drift through the shared mollifier rule
+    sde_cfg = ("[experiment]\nname = sde-convergence\nseed = 7\n\n[parameters]\n"
+               "n_paths = 2000\nn_steps = 50\n")
+    limit_cfg = ("[experiment]\nname = bsde-limit\nseed = 7\n\n[parameters]\n"
+                 "n_paths = 5000\nn_steps = 16\n")
+    ito_cfg = ("[experiment]\nname = ito-residual\nseed = 7\n\n[parameters]\n"
+               "n_paths = 200\nsteps = 100,1000\n")
+    fejer_cfg = "[experiment]\nname = fejer-sweep\nseed = 7\n\n[parameters]\nn_rough = 20\n"
     ok = True
     for tag, cfg_text in (("heat", heat_cfg), ("lookback", look_cfg), ("kinked", kinked_cfg),
-                          ("linear", linear_cfg), ("comparison", comparison_cfg)):
+                          ("linear", linear_cfg), ("comparison", comparison_cfg),
+                          ("sde", sde_cfg), ("limit", limit_cfg), ("ito", ito_cfg), ("fejer", fejer_cfg)):
         blobs = {}
         for threads in (1, 4, 8):
             rc, blob = _run_cli(tmp_path, cfg_text, tag, threads)

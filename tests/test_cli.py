@@ -93,6 +93,14 @@ def test_bad_smoothing_indices_exit_2(tmp_path, capsys, indices):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("name", ["sde-convergence", "bsde-limit"])
+def test_index_below_one_exits_2(tmp_path, capsys, name):
+    cfg = _write_config(tmp_path, name, n_paths=1000, n_steps=10, indices="0,2")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "indices" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 @pytest.mark.parametrize("name", ["markov-heat", "markov-linear-driver"])
 def test_too_few_paths_for_the_basis_exits_2(tmp_path, capsys, name):
     cfg = _write_config(tmp_path, name, n_paths=5, n_steps=10)

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathpde.paths import (
     Grid,
     Path,
-    Trajectory,
+    WindowBatch,
     extend_canonical,
     forward_integral,
     path_from_csv,
     path_to_csv,
     sup_norm,
-    window,
 )
+from pathpde.sde import TrajectoryBatch
 
 
 def test_sup_norm_zero_path():
@@ -45,7 +46,12 @@ def _make_traj(prefix_fn, body_fn, T=1.0, t0=0.0, t1=1.0, n_pre=101, n_steps=100
     grid = Grid(t0, t1, n_steps)
     body = np.asarray(body_fn(grid.times), dtype=float)
     body[0] = prefix.values[-1]
-    return Trajectory(grid, prefix, body)
+    return TrajectoryBatch(grid, body[None, :], prefix)
+
+
+def window(traj, s):
+    """The one path's look-back slice at time s, on the history's node layout."""
+    return traj.window_batch(traj.grid.nearest_index(s)).path(0)
 
 
 def test_window_constant_trajectory():
@@ -69,22 +75,27 @@ def test_window_mid_time_against_direct_indexing():
     expect = np.where(xs <= -0.5, (0.5 + xs) + 1.0, 0.5 + xs)
     np.testing.assert_allclose(w.values, expect, atol=1e-12)
     # query point 0 equals the trajectory at s, exactly
-    assert w.values[-1] == traj.values[traj.grid.nearest_index(0.5)]
+    assert w.values[-1] == traj.values[0, traj.grid.nearest_index(0.5)]
 
 
 def test_window_outside_domain_raises():
     traj = _make_traj(lambda x: x, lambda s: s - 1.0)
     with pytest.raises(ValueError):
-        window(traj, 1.5)
+        traj.grid.nearest_index(1.5)
     with pytest.raises(ValueError):
-        window(traj, -0.5)
+        traj.grid.nearest_index(-0.5)
+
+
+def _integral(psi, dpsi, eta):
+    """The pathwise integral of psi against one path, from callables."""
+    return forward_integral(float(psi(0.0)), np.asarray(dpsi(eta.nodes), dtype=float), eta.nodes, eta.values)
 
 
 def test_forward_integral_unit_integrand_gives_present_value():
     rng = np.random.default_rng(1)
     for _ in range(5):
         eta = Path(1.0, rng.normal(size=51))
-        got = forward_integral(lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        got = _integral(lambda x: np.ones_like(np.asarray(x, dtype=float)),
                                lambda x: np.zeros_like(np.asarray(x, dtype=float)), eta)
         assert got == pytest.approx(eta.values[-1], abs=1e-14)
 
@@ -93,7 +104,7 @@ def test_forward_integral_constant_path_sees_left_endpoint_mass():
     psi = lambda x: np.cos(x)
     dpsi = lambda x: -np.sin(x)
     eta = Path.constant(2.5, 1.0, 4001)
-    got = forward_integral(psi, dpsi, eta)
+    got = _integral(psi, dpsi, eta)
     # composite trapezoid on 4001 nodes: O(h^2) quadrature error
     assert got == pytest.approx(2.5 * np.cos(-1.0), abs=1e-7)
 
@@ -101,7 +112,7 @@ def test_forward_integral_constant_path_sees_left_endpoint_mass():
 def test_forward_integral_linear_case():
     # T = 1, eta = x + 1, psi = x: psi(0) eta(0) - int x' (x+1) dx = -1/2
     eta = Path.from_function(lambda x: x + 1.0, 1.0, 100_001)
-    got = forward_integral(lambda x: np.asarray(x, dtype=float),
+    got = _integral(lambda x: np.asarray(x, dtype=float),
                            lambda x: np.ones_like(np.asarray(x, dtype=float)), eta)
     assert got == pytest.approx(-0.5, abs=1e-9)
 
@@ -115,14 +126,14 @@ def test_forward_integral_bilinear():
     lam, mu = 0.7, -1.3
     combo = Path(1.0, lam * a.values + mu * b.values)
     for psi, dpsi in (psi1, psi2):
-        lhs = forward_integral(psi, dpsi, combo)
-        rhs = lam * forward_integral(psi, dpsi, a) + mu * forward_integral(psi, dpsi, b)
+        lhs = _integral(psi, dpsi, combo)
+        rhs = lam * _integral(psi, dpsi, a) + mu * _integral(psi, dpsi, b)
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
     # linearity in psi
     comb_psi = lambda x: np.sin(x) + 2.0 * np.asarray(x, dtype=float) ** 2
     comb_dpsi = lambda x: np.cos(x) + 4.0 * np.asarray(x, dtype=float)
-    lhs = forward_integral(comb_psi, comb_dpsi, a)
-    rhs = forward_integral(*psi1, a) + 2.0 * forward_integral(*psi2, a)
+    lhs = _integral(comb_psi, comb_dpsi, a)
+    rhs = _integral(*psi1, a) + 2.0 * _integral(*psi2, a)
     assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
 
@@ -131,9 +142,9 @@ def test_forward_integral_refinement_order():
     dpsi = lambda x: -2.0 * np.sin(2 * x)
     f = lambda x: np.exp(x) * np.sin(5 * x)
     errs = []
-    ref = forward_integral(psi, dpsi, Path.from_function(f, 1.0, 400_001))
+    ref = _integral(psi, dpsi, Path.from_function(f, 1.0, 400_001))
     for n in (101, 201, 401, 801):
-        errs.append(abs(forward_integral(psi, dpsi, Path.from_function(f, 1.0, n)) - ref))
+        errs.append(abs(_integral(psi, dpsi, Path.from_function(f, 1.0, n)) - ref))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert min(orders) >= 1.9
 
@@ -162,7 +173,7 @@ def test_trajectory_requires_exact_pasting():
     grid = Grid(0.0, 1.0, 10)
     values = np.linspace(1.0 + 1e-9, 2.0, 11)
     with pytest.raises(ValueError):
-        Trajectory(grid, prefix, values)
+        TrajectoryBatch(grid, values[None, :], prefix)
 
 
 def test_grid_validation():
@@ -174,3 +185,20 @@ def test_grid_validation():
     assert g.dt == pytest.approx(0.025)
     assert g.nearest_index(0.25) == 0
     assert g.nearest_index(1.25) == 40
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 257), st.integers(1, 6), st.sampled_from([0.5, 1.0, 2.0, 3.7]),
+       st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+def test_property_path_and_batch_row_integrals_are_equal(m, k, T, seed, psi0):
+    # the kernel is row-wise: a batch row and the same samples as a Path
+    # give the same bits, so single-path and batch callers agree exactly
+    rng = np.random.default_rng(seed)
+    wb = WindowBatch(np.linspace(-T, 0.0, m), np.cumsum(rng.normal(size=(k, m)), axis=1))
+    dpsi = np.cos(3.0 * wb.xs)
+    batch = forward_integral(psi0, dpsi, wb.xs, wb.values)
+    assert batch.shape == (k,)
+    for i in range(k):
+        eta = wb.path(i)
+        np.testing.assert_array_equal(eta.nodes, wb.xs)
+        assert forward_integral(psi0, dpsi, eta.nodes, eta.values) == batch[i]

@@ -49,6 +49,27 @@ def test_mollify_reproduces_affine():
     np.testing.assert_allclose(smoothed3(pts), g3(pts), atol=1e-8)
 
 
+def test_mollify_hands_g_rows_of_q_coordinates():
+    # g keeps the (m, q) -> (m,) contract of a terminal: it indexes columns
+    g = lambda x: 1.5 * x[:, 0] - 0.5 * x[:, 1] + 2.0
+    smoothed = mollify(g, 2, 3)
+    pts = np.random.default_rng(5).normal(size=(7, 2))
+    np.testing.assert_allclose(smoothed(pts), g(pts), atol=1e-12)
+    assert smoothed(pts[0]).shape == (1,)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 16), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_property_mollify_rows_do_not_depend_on_the_block(q, n, m, seed):
+    # forward paths are split into worker blocks: a row's smoothed value
+    # must not depend on which rows are evaluated with it
+    x = np.random.default_rng(seed).normal(size=(m, q) if q > 1 else m)
+    g = (lambda y: np.sin(3.0 * y)) if q == 1 else (lambda y: np.sin(3.0 * y).sum(axis=1))
+    smoothed = mollify(g, q, n, nodes_per_axis=6)
+    blocks = np.concatenate([smoothed(x[a:a + 3]) for a in range(0, m, 3)])
+    assert np.array_equal(smoothed(x), blocks)
+
+
 def test_mollify_constant_exact():
     smoothed = mollify(lambda x: np.ones_like(x), 1, 7)
     assert smoothed(np.array([0.0, 3.0]))[0] == pytest.approx(1.0, abs=1e-14)
@@ -213,13 +234,6 @@ def test_smooth_terminal_parabola_sup():
     assert vals[64] == pytest.approx(0.25, abs=1e-2)
 
 
-def test_smooth_terminal_gamma_form_singular_at_unit_horizon():
-    H = lambda p: float(p.values[-1])
-    smoothed = smooth_terminal(H, 4, 1.0, gamma_form=True)
-    with pytest.raises(ValueError):
-        smoothed(Path.constant(1.0, 1.0))
-
-
 def test_smooth_terminal_rejects_small_basis_at_construction():
     with pytest.raises(ValueError, match="order 8 exceeds basis max_index 4"):
         smooth_terminal(lambda p: 0.0, 8, 1.0, FourierBasis(1.0, 4))
@@ -301,11 +315,9 @@ def test_property_argument_values_fixes_constants(n, T, data, c):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_orders, _horizons, st.integers(2, 257), _seeds, st.booleans())
-def test_property_batch_rows_equal_single_path_argument(n, T, m, seed, gamma_form):
-    if gamma_form and T == 1.0:
-        T = 2.0
-    smoothed = smooth_terminal(lambda p: 0.0, n, T, gamma_form=gamma_form)
+@given(_orders, _horizons, st.integers(2, 257), _seeds)
+def test_property_batch_rows_equal_single_path_argument(n, T, m, seed):
+    smoothed = smooth_terminal(lambda p: 0.0, n, T)
     V = _rows(seed, 4, m, scale=3.0)
     batch = smoothed.argument_values(V)
     for row, want in zip(V, batch):

@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathpde import solver
 from pathpde.bsde import DriverSpec, RegressionBasisSpec
-from pathpde.paths import Path
+from pathpde.paths import Grid, Path
+from pathpde.sde import TrajectoryBatch
 from pathpde.smoothing import CylindricalFunctional, Integrand
 from pathpde.solver import (
     ApproximationSchedule,
@@ -507,3 +509,56 @@ def test_shared_forward_arrays_are_read_only():
     assert fwd.windows is fwd.windows  # cut once
     fwd = solver._simulate_point(_linear_problem(), 0.0, 0.0, cfg)
     assert fwd.dW.shape == (2000, 20, 1) and not fwd.dW.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# one pathwise-integral kernel and one mollifier rule
+
+
+def test_pipeline_runs_a_two_dimensional_markov_problem():
+    # the terminal and the drift keep the (m, d) contract of evaluate_markov;
+    # the mollified |x|^2 is |x|^2 plus the kernel's second moment, which is
+    # positive and below 1/n^2, and the mollified linear drift is linear
+    problem = ProblemSpec("markov", lambda t, x: -0.2 * x, 1.0, DriverSpec(None),
+                          lambda x: np.sum(x**2, axis=1), horizon=1.0, d=2)
+    x0 = np.array([0.5, -0.5])
+    cfg = SolverConfig(4000, 10, seed=34)
+    schedule = ApproximationSchedule((2, 4, 8), cfg)
+    report = strong_viscosity_pipeline(problem, schedule, [(0.0, x0)])
+    exact, _ = evaluate_markov(problem, 0.0, x0, replace(cfg, seed=solver._probe_seed(cfg.seed, 0.0, x0)))
+    shift = report.values[:, 0] - exact
+    n = np.array(schedule.indices, dtype=float)
+    assert np.all(shift > 0.0) and np.all(shift < 1.0 / n**2)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_mollified_coefficient_rows_do_not_depend_on_the_block(d):
+    # Euler runs each worker's block of paths through the coefficient
+    coef = solver._mollify_state_coefficient(lambda t, x: np.sin(3.0 * x), d, 4, 6, "exp")
+    x = np.random.default_rng(35).normal(size=(50, d) if d > 1 else 50)
+    whole = coef(0.0, x)
+    assert whole.shape == x.shape
+    assert np.array_equal(whole, np.concatenate([coef(0.0, x[a:a + 7]) for a in range(0, 50, 7)]))
+
+
+def _sin_integrand():
+    return Integrand(phi=np.sin, dphi=np.cos, d2phi=lambda u: -np.sin(np.asarray(u, dtype=float)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([0.5, 1.0, 2.0]), st.integers(1, 40), st.integers(2, 41), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_property_path_features_equal_pipeline_batch_features(T, n_steps, n_prefix, n_paths, seed):
+    rng = np.random.default_rng(seed)
+    prefix = Path(T, np.cumsum(rng.normal(size=n_prefix)))
+    values = prefix.values[-1] + np.cumsum(rng.normal(size=(n_paths, n_steps + 1)), axis=1)
+    values[:, 0] = prefix.values[-1]
+    fwd = solver._Forward(None, None, TrajectoryBatch(Grid(0.0, T, n_steps), values, prefix))
+    batches = []
+    cyl = CylindricalFunctional(base=lambda t, F: batches.append(F) or F[:, 0],
+                                integrands=(_sin_integrand(), _unit_integrand()))
+    problem = ProblemSpec("path", 0.0, 1.0, DriverSpec(None), cyl, horizon=T)
+    solver._terminal_samples_path(problem, fwd, SolverConfig())
+    (F,) = batches
+    for i in range(n_paths):
+        assert np.array_equal(cyl.features(T, fwd.windows.path(i)), F[i])
