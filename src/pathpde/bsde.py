@@ -403,22 +403,19 @@ def solve_bsde(
     features,
     trajectories: TrajectoryBatch,
     increments: np.ndarray,
-    basis: RegressionBasisSpec | None = None,
     with_compensator: bool = False,
 ) -> BsdeSolution:
     """Backward induction from the terminal samples along the trajectories.
 
     ``features`` is either a RegressionBasisSpec (compiled here against the
     trajectories) or an already-compiled provider with design/state
-    methods.  ``increments`` are the Brownian increments used by the
-    forward simulation, shape (n_paths, n_steps, d).  The provider's
+    methods and the ``spec`` it was built from, whose ridge the
+    regressions use.  ``increments`` are the Brownian increments used by
+    the forward simulation, shape (n_paths, n_steps, d).  The provider's
     ``state`` is called only for a nonzero driver.
     """
     if isinstance(features, RegressionBasisSpec):
-        basis = features
         features = make_features(features, trajectories)
-    elif basis is None:
-        basis = getattr(features, "spec", RegressionBasisSpec())
 
     terminal = np.asarray(terminal, dtype=float)
     n_paths = trajectories.n_paths
@@ -438,7 +435,7 @@ def solve_bsde(
     # step-major solution: rows :d of W_t[k] are Z_k, row d is Y_k
     W_t = np.empty((n_steps + 1, d + 1, n_paths))
     W_t[-1, d] = terminal
-    factor = _Factor(n_features, d + 1, n_paths, basis.ridge)
+    factor = _Factor(n_features, d + 1, n_paths, features.spec.ridge)
     targets = factor.targets
     for k in range(n_steps - 1, -1, -1):
         y_next = W_t[k + 1, d]

@@ -139,6 +139,24 @@ def _mollifier_rule(q: int, n: int, nodes_per_axis: int, family: str) -> tuple[n
     return pts, kernel / kernel.sum()
 
 
+def _convolve(g: Callable, x2: np.ndarray, pts: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The quadrature convolution sum_j kernel_j g(x - pts_j) at each row x of x2.
+
+    ``x2`` holds m points as rows (m, q) and ``pts`` the Q nodes of the
+    rule (Q, q).  g is called once, on all shifted rows (m * Q, q), and
+    may return one value per row or a vector (a drift); the node axis is
+    moved last and the weights applied as ``np.sum(vals * kernel,
+    axis=-1)`` on a contiguous array.  Each row's value then does not
+    depend on how many rows are evaluated together, as it would with a
+    BLAS matrix-vector product, so forward paths split into worker blocks
+    stay bit-identical.
+    """
+    m, Q = x2.shape[0], pts.shape[0]
+    vals = np.asarray(g((x2[:, None, :] - pts[None, :, :]).reshape(m * Q, -1)), dtype=float)
+    vals = np.ascontiguousarray(np.moveaxis(vals.reshape(m, Q, *vals.shape[1:]), 1, -1))
+    return np.sum(vals * kernel, axis=-1)
+
+
 def mollify(
     g: Callable,
     q: int,
@@ -150,19 +168,18 @@ def mollify(
 
     Returns a callable accepting points of shape (m, q) (or (m,) when
     q == 1) and evaluating the convolution with the quadrature of
-    ``_mollifier_rule``.  g is called once, on all shifted points as rows
-    of shape (m * Q, q) (or (m * Q,) when q == 1) for a rule of Q nodes,
-    so it keeps the (m, q) -> (m,) contract of a terminal.
+    ``_mollifier_rule`` through ``_convolve``.  g is called once, on all
+    shifted points as rows of shape (m * Q, q) (or (m * Q,) when q == 1)
+    for a rule of Q nodes, so it keeps the (m, q) -> (m,) contract of a
+    terminal.
     """
     pts, kernel = _mollifier_rule(q, n, nodes_per_axis, family)
+    g_rows = (lambda rows: g(rows[:, 0])) if q == 1 else g
 
     def smoothed(x):
         x_arr = np.asarray(x, dtype=float)
         x2 = x_arr.reshape(-1, 1) if q == 1 else np.atleast_2d(x_arr)
-        shifted = x2[:, None, :] - pts[None, :, :]
-        rows = shifted.reshape(-1) if q == 1 else shifted.reshape(-1, q)
-        vals = np.asarray(g(rows), dtype=float).reshape(x2.shape[0], -1)
-        out = np.sum(vals * kernel, axis=-1)
+        out = _convolve(g_rows, x2, pts, kernel)
         return float(out[0]) if x_arr.ndim == 0 else out
 
     return smoothed
@@ -406,83 +423,33 @@ def smooth_terminal(
 # Finite-dimensional anisotropic smoothing
 
 
-def default_half_widths(M: int) -> np.ndarray:
-    """Geometric box half-widths 2^-(i+1) for coordinates i = 1..M."""
-    return 2.0 ** (-(np.arange(1, M + 1) + 1.0))
-
-
-def smooth_finite_dim(
-    base: Callable,
-    M: int,
-    k: int,
-    half_widths: Sequence[float] | None = None,
-    nodes_per_axis: int = 12,
-    mc_samples: int | None = None,
-    mc_seed: int = 0,
-) -> Callable:
+def smooth_finite_dim(base: Callable, M: int, k: int, nodes_per_axis: int = 12) -> Callable:
     """Smooth base: R^M -> R with the anisotropic product bump, scale 1/k.
 
-    The kernel is the product of one-dimensional bumps with per-coordinate
-    half-widths h_i/k; larger k means less smoothing.  Up to M = 6 the
-    convolution uses a full tensor Gauss-Legendre rule; beyond that a
-    Monte Carlo rule over the box is required (pass ``mc_samples``), and
-    the returned callable exposes ``last_std_error``.
+    The kernel is the product of one-dimensional ``exp`` bumps on the box
+    prod [-h_i/k, h_i/k] with geometric half-widths h_i = 2^-(i+1) for
+    coordinates i = 1..M; larger k means less smoothing.  The convolution
+    uses the full tensor Gauss-Legendre rule on that box, normalised by
+    its own mass, and is evaluated by ``_convolve``: base is called once
+    per evaluation and each row's value does not depend on the other rows.
+    Dimensions above ``TENSOR_DIM_CAP`` = 6 are rejected.  The returned
+    callable takes points of shape (m, M), or one point of shape (M,) for
+    a float.
     """
     if k < 1:
         raise ValueError(f"scale index k must be >= 1, got {k}")
-    if half_widths is None:
-        half_widths = default_half_widths(M)
-    half_widths = np.asarray(half_widths, dtype=float)
-    if half_widths.shape != (M,):
-        raise ValueError(f"half_widths shape {half_widths.shape} inconsistent with M={M}")
-    scaled = half_widths / k
+    if M > TENSOR_DIM_CAP:
+        raise ValueError(f"M={M} exceeds tensor-quadrature cap {TENSOR_DIM_CAP}")
+    scaled = 2.0 ** (-(np.arange(1, M + 1) + 1.0)) / k
+    pts, wts = _tensor_rule(scaled, nodes_per_axis)
+    kernel = wts * np.prod(_bump_profile((pts / scaled) ** 2, "exp"), axis=-1)
+    kernel = kernel / kernel.sum()
 
-    def kernel(z: np.ndarray) -> np.ndarray:
-        # product bump on prod [-h_i/k, h_i/k], unnormalised
-        r2 = (z / scaled[None, :]) ** 2
-        vals = np.ones(z.shape[0])
-        for i in range(M):
-            col = np.zeros(z.shape[0])
-            inside = r2[:, i] < 1.0
-            col[inside] = np.exp(1.0 / (r2[inside, i] - 1.0))
-            vals *= col
-        return vals
-
-    if M <= TENSOR_DIM_CAP:
-        pts, wts = _tensor_rule(scaled, nodes_per_axis)
-        kv = wts * kernel(pts)
-        kv = kv / kv.sum()
-
-        def smoothed(xi):
-            xi2 = np.atleast_2d(np.asarray(xi, dtype=float))
-            shifted = xi2[:, None, :] - pts[None, :, :]
-            vals = np.asarray(base(shifted.reshape(-1, M)), dtype=float).reshape(xi2.shape[0], -1)
-            out = vals @ kv
-            return float(out[0]) if np.asarray(xi).ndim == 1 else out
-
-        return smoothed
-
-    if mc_samples is None:
-        raise ValueError(
-            f"M={M} exceeds tensor-quadrature cap {TENSOR_DIM_CAP}; pass mc_samples for the Monte Carlo rule"
-        )
-    rng = np.random.default_rng(mc_seed)
-    pts = rng.uniform(-scaled, scaled, size=(mc_samples, M))
-    kv = kernel(pts)
-    kv = kv / kv.sum()
-
-    def smoothed_mc(xi):
-        xi2 = np.atleast_2d(np.asarray(xi, dtype=float))
-        shifted = xi2[:, None, :] - pts[None, :, :]
-        vals = np.asarray(base(shifted.reshape(-1, M)), dtype=float).reshape(xi2.shape[0], -1)
-        out = vals @ kv
-        # self-normalised importance-sampling standard error
-        se = np.sqrt(((vals - out[:, None]) ** 2) @ (kv**2))
-        smoothed_mc.last_std_error = se if np.asarray(xi).ndim > 1 else float(se[0])
+    def smoothed(xi):
+        out = _convolve(base, np.atleast_2d(np.asarray(xi, dtype=float)), pts, kernel)
         return float(out[0]) if np.asarray(xi).ndim == 1 else out
 
-    smoothed_mc.last_std_error = None
-    return smoothed_mc
+    return smoothed
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from .sde import NoiseBundle, SdeSpec, TrajectoryBatch, euler_markov, euler_path
 from .smoothing import (
     CylindricalFunctional,
     FourierBasis,
+    _convolve,
     _mollifier_rule,
     mollify,
     select_diagonal,
@@ -139,7 +140,6 @@ class ApproximationSchedule:
     indices: tuple[int, ...] = (4, 8, 16, 32)
     config: SolverConfig = field(default_factory=SolverConfig)
     mollifier_family: str = "exp"
-    mollify_coefficients: bool = True
     mollify_driver: bool = False
     quad_nodes: int = 12
 
@@ -188,14 +188,20 @@ class _Forward:
 
     Holds the noise bundle (the bridge maximum draws its child stream),
     the trajectories, the increments when a backward induction will read
-    them (None otherwise), and for a path problem the look-back windows at
-    the horizon, cut on first use.  The arrays are read-only: rungs that
-    share the path set must all see the same samples.
+    them (None otherwise), the regression basis, and, built on first use,
+    the regression features of the trajectories and for a path problem
+    the look-back windows at the horizon.  The arrays are read-only: rungs
+    that share the path set must all see the same samples.
     """
 
     noise: NoiseBundle
     dW: np.ndarray | None
     traj: TrajectoryBatch
+    basis: RegressionBasisSpec | None = None
+
+    @cached_property
+    def features(self):
+        return make_features(self.basis, self.traj)
 
     @cached_property
     def windows(self) -> WindowBatch:
@@ -235,7 +241,7 @@ def _simulate_point(
         dW = None
     else:
         dW.flags.writeable = False
-    return _Forward(noise, dW, traj)
+    return _Forward(noise, dW, traj, basis)
 
 
 def _terminal_samples(problem: ProblemSpec, fwd: _Forward, config: SolverConfig) -> np.ndarray:
@@ -269,10 +275,8 @@ def _point_value(problem: ProblemSpec, fwd: _Forward, config: SolverConfig) -> t
     xi = _terminal_samples(problem, fwd, config)
     if problem.driver.f is None:
         return _zero_driver_value(xi), float(xi.std(ddof=1) / np.sqrt(xi.size))
-    basis = config.resolved_basis(problem.mode)
-    features = make_features(basis, fwd.traj)
-    sol = solve_bsde(problem.driver, xi, features, fwd.traj, fwd.dW, basis=basis)
-    return sol.value, _pathwise_se(sol, problem.driver, features, xi)
+    sol = solve_bsde(problem.driver, xi, fwd.features, fwd.traj, fwd.dW)
+    return sol.value, _pathwise_se(sol, problem.driver, fwd.features, xi)
 
 
 def _terminal_time_value(problem: ProblemSpec, t: float, start) -> float | None:
@@ -286,7 +290,8 @@ def _terminal_time_value(problem: ProblemSpec, t: float, start) -> float | None:
         return None
     term = problem.terminal
     if problem.mode == "markov":
-        return float(np.asarray(term(np.atleast_1d(np.asarray(start, dtype=float))))[0])
+        # one row shaped as traj.terminal() shapes the start: (1,) or (1, d)
+        return float(np.asarray(term(np.asarray(start, dtype=float)[None, ...]))[0])
     if isinstance(term, SupTerminal):
         return float(np.max(start.values))
     if isinstance(term, CylindricalFunctional):
@@ -316,17 +321,14 @@ def evaluate_markov(
     return _evaluate_point(problem, t, x, config)
 
 
-def bridge_corrected_max(
-    values: np.ndarray, dt: float, sigma: float, noise: NoiseBundle | np.ndarray
-) -> np.ndarray:
+def bridge_corrected_max(values: np.ndarray, dt: float, sigma: float, noise: NoiseBundle) -> np.ndarray:
     """Running maximum with per-step Brownian-bridge maxima.
 
     Conditionally on the step endpoints, the in-step maximum of a constant
     diffusion bridge is (a + b + sqrt((b-a)^2 - 2 sigma^2 dt ln U)) / 2.
     The plain discrete maximum underestimates by O(sqrt(dt)); this
     estimator is exact in law for constant sigma.  ``noise`` supplies the
-    auxiliary uniforms, either as a bundle (streamed in path blocks) or as
-    a (n_paths, n_steps) array.
+    auxiliary uniforms, streamed in path blocks.
     """
     n_paths = values.shape[0]
     if sigma == 0.0:
@@ -335,10 +337,7 @@ def bridge_corrected_max(
     block = max(1, min(n_paths, 2**22 // max(1, values.shape[1])))
     for p0 in range(0, n_paths, block):
         p1 = min(p0 + block, n_paths)
-        if isinstance(noise, NoiseBundle):
-            u = noise.uniforms(p0, p1)[:, :, 0]
-        else:
-            u = np.array(noise[p0:p1], dtype=float)
+        u = noise.uniforms(p0, p1)[:, :, 0]
         np.log(u, out=u)
         u *= -2.0 * sigma**2 * dt
         diff = values[p0:p1, 1:] - values[p0:p1, :-1]
@@ -439,9 +438,9 @@ def _mollify_state_coefficient(coef, d: int, n: int, nodes: int, family: str):
 
     def smoothed(t, x):
         x_arr = np.asarray(x, dtype=float)
-        shifts = pts[:, 0] if d == 1 and x_arr.ndim == 1 else pts  # scalar states arrive as (m,)
-        vals = np.stack([np.asarray(coef(t, x_arr - dx), dtype=float) for dx in shifts], axis=-1)
-        return np.sum(vals * kernel, axis=-1)  # (m,) for a scalar coefficient, (m, d) for a vector drift
+        if d == 1 and x_arr.ndim == 1:  # scalar states arrive as (m,)
+            return _convolve(lambda rows: coef(t, rows[:, 0]), x_arr[:, None], pts, kernel)
+        return _convolve(lambda rows: coef(t, rows), x_arr, pts, kernel)  # (m,) or (m, d) for a drift
 
     return smoothed
 
@@ -454,6 +453,9 @@ def _mollify_driver_markov(driver: DriverSpec, d: int, n: int, nodes: int, famil
         raise ValueError("driver mollification supports d = 1 only (q = 3)")
     pts, kernel = _mollifier_rule(3, n, nodes, family)
     f = driver.f
+    # Accumulated node by node, not through _convolve: one call on every
+    # shifted (x, y, z) row would hold Q = nodes^3 copies of the paths
+    # (216 x n at the default 6 nodes, about 0.5 GB at 100k paths).
 
     def f_n(t, state, y, z):
         x = np.asarray(state, dtype=float)
@@ -498,16 +500,8 @@ def _smooth_rung(problem: ProblemSpec, n: int, schedule: ApproximationSchedule,
     fam = schedule.mollifier_family
     nodes = schedule.quad_nodes
     if problem.mode == "markov":
-        b_n = (
-            _mollify_state_coefficient(problem.b, problem.d, n, nodes, fam)
-            if schedule.mollify_coefficients
-            else problem.b
-        )
-        s_n = (
-            _mollify_state_coefficient(problem.sigma, problem.d, n, nodes, fam)
-            if schedule.mollify_coefficients
-            else problem.sigma
-        )
+        b_n = _mollify_state_coefficient(problem.b, problem.d, n, nodes, fam)
+        s_n = _mollify_state_coefficient(problem.sigma, problem.d, n, nodes, fam)
         h_n = mollify(problem.terminal, problem.d, n, nodes_per_axis=nodes, family=fam)
         drv = (
             _mollify_driver_markov(problem.driver, problem.d, n, max(4, nodes // 2), fam)
@@ -590,8 +584,8 @@ def strong_viscosity_pipeline(
 
     Every rung shares the probe's seed (common random numbers), so the
     Cauchy gaps between consecutive rungs isolate the smoothing effect.
-    The forward pass (noise, Euler paths, look-back windows) runs once per
-    probe and is reused by each following rung whose drift and diffusion
+    The forward pass (noise, Euler paths, look-back windows, regression
+    features) runs once per probe and is reused by each following rung whose drift and diffusion
     are the same objects; the values are those of one ``evaluate_*`` call
     per rung and probe, bit for bit.  A probe is flagged non-convergent
     when its last gap both grew and exceeds three joint standard errors.
@@ -684,9 +678,8 @@ def comparison_experiment(
     fwd = _simulate_point(problem, t, x, config, keep_increments=True)
     xi = _terminal_samples(problem, fwd, config)
     traj, dW, grid = fwd.traj, fwd.dW, fwd.traj.grid
-    basis = config.resolved_basis("markov")
-    features = make_features(basis, traj)
-    sol = solve_bsde(problem.driver, xi, features, traj, dW, basis=basis)
+    features = fwd.features
+    sol = solve_bsde(problem.driver, xi, features, traj, dW)
 
     tilt = slack * (problem.horizon - grid.times)[None, :]
     y_super = sol.Y + tilt

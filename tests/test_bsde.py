@@ -118,8 +118,7 @@ def test_rank_deficient_without_ridge_advises_ridge():
             return traj.values[:, k]
 
     with pytest.raises(RegressionError, match="ridge"):
-        solve_bsde(DriverSpec(None), traj.terminal(), CollinearFeatures(), traj, dW,
-                   basis=CollinearFeatures.spec)
+        solve_bsde(DriverSpec(None), traj.terminal(), CollinearFeatures(), traj, dW)
 
 
 def test_vector_state_solver_shapes():
@@ -143,7 +142,7 @@ def _solved_linear(n_paths=50_000, n_steps=50, seed=10):
     g, traj, dW = _brownian(n_paths, n_steps, seed=seed, x0=1.0)
     drv = DriverSpec(lambda t, s, y, z: -0.1 * y, lipschitz=0.1)
     features = make_features(BASIS, traj)
-    sol = solve_bsde(drv, traj.terminal(), features, traj, dW, basis=BASIS)
+    sol = solve_bsde(drv, traj.terminal(), features, traj, dW)
     return g, traj, dW, drv, features, sol
 
 
@@ -168,7 +167,7 @@ def _solved_martingale(n_paths=200_000, n_steps=10, seed=10):
     g, traj, dW = _brownian(n_paths, n_steps, seed=seed, x0=1.0)
     drv = DriverSpec(None)
     features = make_features(BASIS, traj)
-    sol = solve_bsde(drv, traj.terminal(), features, traj, dW, basis=BASIS)
+    sol = solve_bsde(drv, traj.terminal(), features, traj, dW)
     return g, traj, dW, drv, features, sol
 
 
@@ -392,7 +391,7 @@ REFERENCE_RTOL = 1e-9
 
 def _assert_matches_reference(driver, xi, basis, traj, dW):
     features = make_features(basis, traj)
-    sol = solve_bsde(driver, xi, features, traj, dW, basis=basis)
+    sol = solve_bsde(driver, xi, features, traj, dW)
     Y, Z = _reference_solve(driver, xi, features, traj, dW, basis.ridge)
     assert np.abs(sol.Y - Y).max() <= REFERENCE_RTOL * np.abs(Y).max()
     assert np.abs(sol.Z - Z).max() <= REFERENCE_RTOL * np.abs(Z).max()
@@ -581,7 +580,7 @@ def test_property_zero_driver_value_is_terminal_mean(seed, basis_case, ridge, te
     basis = RegressionBasisSpec(kind, degree, ridge=ridge)
     features = make_features(basis, traj)
     assert basis.n_features(d) == features.design_t(0).shape[0]
-    sol = solve_bsde(DriverSpec(None), xi, features, traj, dW, basis=basis)
+    sol = solve_bsde(DriverSpec(None), xi, features, traj, dW)
     mean = xi.mean()
     assert abs(sol.value - mean) <= 1e-12 * max(1.0, abs(mean))
     # the value the evaluations return in place of the induction

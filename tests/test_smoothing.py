@@ -377,9 +377,17 @@ def test_smooth_finite_dim_kink_regression_values():
 def test_smooth_finite_dim_dimension_cap():
     with pytest.raises(ValueError):
         smooth_finite_dim(lambda xi: xi[:, 0], 7, 1)
-    smoothed = smooth_finite_dim(lambda xi: xi[:, 0] + 1.0, 7, 1, mc_samples=4000)
-    val = smoothed(np.zeros(7))
-    assert val == pytest.approx(1.0, abs=5 * max(smoothed.last_std_error, 1e-3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 8), st.integers(1, 30), st.integers(1, 7),
+       st.integers(0, 2**32 - 1))
+def test_property_smooth_finite_dim_rows_do_not_depend_on_the_block(M, k, m, block, seed):
+    # a row's smoothed value must not depend on which rows are evaluated with it
+    x = np.random.default_rng(seed).normal(size=(m, M))
+    smoothed = smooth_finite_dim(lambda xi: np.sin(3.0 * xi).sum(axis=1), M, k, nodes_per_axis=6)
+    blocks = np.concatenate([smoothed(x[a:a + block]) for a in range(0, m, block)])
+    assert np.array_equal(smoothed(x), blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathpde import solver
+from pathpde import smoothing, solver
 from pathpde.bsde import DriverSpec, RegressionBasisSpec
 from pathpde.paths import Grid, Path
 from pathpde.sde import TrajectoryBatch
@@ -562,3 +562,83 @@ def test_property_path_features_equal_pipeline_batch_features(T, n_steps, n_pref
     (F,) = batches
     for i in range(n_paths):
         assert np.array_equal(cyl.features(T, fwd.windows.path(i)), F[i])
+
+
+# ---------------------------------------------------------------------------
+# one convolution evaluator for the vectorised mollifiers
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 30), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_property_mollified_vector_drift_rows_do_not_depend_on_the_block(n, m, block, seed):
+    drift = solver._mollify_state_coefficient(lambda t, x: np.sin(3.0 * x) * x[:, ::-1], 2, n, 6, "exp")
+    x = np.random.default_rng(seed).normal(size=(m, 2))
+    whole = drift(0.0, x)
+    assert whole.shape == (m, 2)
+    assert np.array_equal(whole, np.concatenate([drift(0.0, x[a:a + block]) for a in range(0, m, block)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 20))
+def test_property_each_smoother_calls_its_function_once_per_evaluation(q, n, m):
+    # g sees all m * Q shifted rows in one call, for the rule's Q = 4^q nodes
+    shapes = []
+
+    def g(y):
+        shapes.append(y.shape)
+        return np.cos(y) if y.ndim == 1 else np.cos(y).sum(axis=1)
+
+    x = np.linspace(-1.0, 1.0, m * q).reshape(m, q)
+    flat, rows = (x[:, 0], (m * 4**q,)) if q == 1 else (x, (m * 4**q, q))
+    coef = solver._mollify_state_coefficient(lambda t, y: g(y), q, n, 4, "exp")
+    smoothers = [
+        (smoothing.mollify(g, q, n, nodes_per_axis=4), flat, rows),
+        (lambda y: coef(0.0, y), flat, rows),
+        (smoothing.smooth_finite_dim(g, q, n, nodes_per_axis=4), x, (m * 4**q, q)),
+    ]
+    for smoothed, points, shape in smoothers:
+        shapes.clear()
+        assert smoothed(points).shape == (m,)
+        assert shapes == [shape]
+
+
+# ---------------------------------------------------------------------------
+# a vector state at the horizon, and one feature build per forward pass
+
+
+def _square_norm_problem():
+    return ProblemSpec("markov", 0.0, 1.0, DriverSpec(None), lambda x: np.sum(x**2, axis=1), horizon=1.0, d=2)
+
+
+def test_markov_vector_state_terminal_time_is_exact():
+    x0 = np.array([0.5, -1.5])
+    value, se = evaluate_markov(_square_norm_problem(), 1.0, x0, SolverConfig(2000, 10, seed=3))
+    assert value == float(x0 @ x0)
+    assert se == 0.0
+
+
+def test_pipeline_vector_state_probe_at_the_horizon():
+    x0 = np.array([0.5, -1.5])
+    schedule = ApproximationSchedule((2, 4), SolverConfig(2000, 10, seed=36))
+    report = strong_viscosity_pipeline(_square_norm_problem(), schedule, [(1.0, x0)])
+    assert np.all(report.std_errors == 0.0)
+    # the mollified |x|^2 exceeds |x|^2 by the kernel's second moment, below 1/n^2
+    shift = report.values[:, 0] - float(x0 @ x0)
+    assert np.all(shift > 0.0) and np.all(shift < 1.0 / np.array(schedule.indices, dtype=float) ** 2)
+
+
+def test_pipeline_builds_the_features_once_per_probe(monkeypatch):
+    calls = []
+    original = solver.make_features
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "make_features", spy)
+    problem = replace(_lookback_problem(), driver=DriverSpec(lambda t, s, y, z: -0.1 * y))
+    probes = _reuse_cases()["path-sup"][2]
+    schedule = ApproximationSchedule((2, 4, 8), SolverConfig(2000, 20, seed=37))
+    report = strong_viscosity_pipeline(problem, schedule, probes)
+    assert len(calls) == len(probes)
+    assert np.all(np.isfinite(report.values))
