@@ -88,7 +88,10 @@ class DriverSpec:
 
 @dataclass
 class BsdeSolution:
-    """Per-path value, gradient, and optional compensator arrays."""
+    """Per-path value, gradient, and optional compensator arrays.
+
+    A solve's Y and Z are path-major views of its one step-major buffer.
+    """
 
     grid: Grid
     Y: np.ndarray  # (n_paths, n_steps + 1)
@@ -115,23 +118,22 @@ class BsdeSolution:
 
 
 def _poly_features(x: np.ndarray, degree: int) -> np.ndarray:
-    """Monomial features of total degree <= degree, constant column first."""
-    if x.ndim == 1:
-        x = x[:, None]
-    m, d = x.shape
-    cols = [np.ones(m)]
+    """Monomial rows (B, n) of total degree <= degree of the state rows x, (d, n) or (n,)."""
+    x = np.atleast_2d(x)
+    d, n = x.shape
+    rows = [np.ones(n)]
     if degree >= 1:
-        cols.extend(x[:, j] for j in range(d))
+        rows.extend(x)
     if degree >= 2:
         for j in range(d):
             for l in range(j, d):
-                cols.append(x[:, j] * x[:, l])
+                rows.append(x[j] * x[l])
     if degree >= 3:
         for j in range(d):
             for l in range(j, d):
                 for r in range(l, d):
-                    cols.append(x[:, j] * x[:, l] * x[:, r])
-    return np.stack(cols, axis=1)
+                    rows.append(x[j] * x[l] * x[r])
+    return np.stack(rows)
 
 
 @dataclass(frozen=True)
@@ -168,21 +170,21 @@ class RegressionBasisSpec:
 
 
 class _MarkovFeatures:
-    """Step-major views of the state for fast per-step design assembly."""
+    """The state held step-major, (steps+1, d, n), so each step's rows are contiguous."""
 
     def __init__(self, spec: RegressionBasisSpec, traj: TrajectoryBatch):
         self.spec = spec
         self.traj = traj
         v = traj.values if traj.values.ndim == 3 else traj.values[:, :, None]
-        self._v_t = np.ascontiguousarray(v.transpose(1, 0, 2))  # (steps+1, n, d)
+        self._x = np.ascontiguousarray(v.transpose(1, 2, 0))  # (steps+1, d, n)
 
     def state(self, k: int) -> np.ndarray:
-        x = self._v_t[k]
-        return x[:, 0] if x.shape[1] == 1 else x
+        x = self._x[k]
+        return x[0] if x.shape[0] == 1 else x.T
 
     def design_t(self, k: int) -> np.ndarray:
         """Design matrix transposed: shape (B, n_paths), rows contiguous."""
-        return np.ascontiguousarray(_poly_features(self._v_t[k], self.spec.degree).T)
+        return _poly_features(self._x[k], self.spec.degree)
 
 
 class _PathFeatures:
@@ -412,7 +414,8 @@ def solve_bsde(
     methods and the ``spec`` it was built from, whose ridge the
     regressions use.  ``increments`` are the Brownian increments used by
     the forward simulation, shape (n_paths, n_steps, d).  The provider's
-    ``state`` is called only for a nonzero driver.
+    ``state`` is called only for a nonzero driver.  The returned Y and Z
+    are path-major views of the induction's step-major buffer, not copies.
     """
     if isinstance(features, RegressionBasisSpec):
         features = make_features(features, trajectories)
@@ -447,11 +450,9 @@ def solve_bsde(
             y_proj = W_t[k, d]
             y_proj += driver(times[k], features.state(k), y_proj, W_t[k, :d].T) * dt
 
-    Y = np.ascontiguousarray(W_t[:, d].T)
-    Z = np.ascontiguousarray(W_t[:-1, :d].transpose(2, 0, 1))
-    K = None
-    if with_compensator:
-        K = extract_compensator(Y, Z, driver, features, grid, increments, _zt=W_t[:-1, :d], _dwt=dW_t)
+    Y = W_t[:, d].T
+    Z = W_t[:-1, :d].transpose(2, 0, 1)
+    K = extract_compensator(Y, Z, driver, features, grid, increments) if with_compensator else None
     return BsdeSolution(grid, Y, Z, K)
 
 
@@ -462,8 +463,6 @@ def extract_compensator(
     features,
     grid: Grid,
     increments: np.ndarray,
-    _zt: np.ndarray | None = None,
-    _dwt: np.ndarray | None = None,
 ) -> np.ndarray:
     """Discrete nondecreasing-part residual of a (super)solution candidate.
 
@@ -472,25 +471,19 @@ def extract_compensator(
 
     so K vanishes identically when (Y, Z) satisfies the plain backward
     recursion, grows linearly for a field tilted by -c(s-t), and decreases
-    for the opposite tilt.  K[:, 0] is exactly zero.
+    for the opposite tilt.  K[:, 0] is exactly zero; K is path-major.
     """
-    n_paths, n1 = Y.shape
-    n_steps = n1 - 1
     dt = grid.dt
     times = grid.times
-    Y_t = np.ascontiguousarray(Y.T)
-    # step-major (steps, d, n), as solve_bsde holds them
-    Z_t = _zt if _zt is not None else np.ascontiguousarray(Z.transpose(1, 2, 0))
-    dW_t = _dwt if _dwt is not None else np.ascontiguousarray(increments.transpose(1, 2, 0))
-    K_t = np.empty_like(Y_t)
-    K_t[0] = 0.0
-    acc = np.zeros(n_paths)
-    for k in range(n_steps):
-        acc = acc + np.sum(Z_t[k] * dW_t[k], axis=0)
+    K = np.empty(Y.shape)
+    K[:, 0] = 0.0
+    acc = np.zeros(Y.shape[0])
+    for k in range(Y.shape[1] - 1):
+        acc = acc + np.sum(Z[:, k] * increments[:, k], axis=1)
         if driver.f is not None:
-            acc -= driver(times[k], features.state(k), Y_t[k], Z_t[k].T) * dt
-        K_t[k + 1] = Y_t[0] - Y_t[k + 1] + acc
-    return np.ascontiguousarray(K_t.T)
+            acc -= driver(times[k], features.state(k), Y[:, k], Z[:, k]) * dt
+        K[:, k + 1] = Y[:, 0] - Y[:, k + 1] + acc
+    return K
 
 
 def comparison_check(

@@ -446,8 +446,10 @@ def load_config(path: str) -> tuple[str, dict, int]:
         raise ConfigError(f"unknown experiment {name!r}; known: {known}")
     seed = _p(parser["experiment"], "seed", 2024, int)
     params = dict(parser["parameters"]) if "parameters" in parser else {}
-    for field in ("n_paths", "n_steps", "max_index", "n_rough"):
-        if field in params and _p(params, field, None, int) <= 0:
+    positive = {"n_paths": int, "n_steps": int, "max_index": int, "n_rough": int, "horizon": float,
+                "steps": lambda raw: min(_int_list(raw))}
+    for field, cast in positive.items():
+        if field in params and not _p(params, field, None, cast) > 0:
             raise ConfigError(f"parameter {field!r} must be positive, got {params[field]}")
     return name, params, seed
 

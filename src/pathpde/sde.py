@@ -359,10 +359,10 @@ def euler_path_dependent(
     return TrajectoryBatch(grid, values, prefix=eta)
 
 
-def _simulate(spec: SdeSpec, t, start, grid, noise, workers=1) -> TrajectoryBatch:
+def _simulate(spec: SdeSpec, t, start, grid, noise, workers=1, increments=None) -> TrajectoryBatch:
     if spec.path_dependent:
-        return euler_path_dependent(spec, t, start, grid, noise, workers)
-    return euler_markov(spec, t, start, grid, noise, workers)
+        return euler_path_dependent(spec, t, start, grid, noise, workers, increments=increments)
+    return euler_markov(spec, t, start, grid, noise, workers, increments=increments)
 
 
 def coupled_sup_error(
@@ -377,11 +377,12 @@ def coupled_sup_error(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E[sup_s |X^n_s - X_s|^p] under common noise.
 
-    Identical specs produce exactly zero: the two recursions consume
-    bit-identical increments.
+    Identical specs produce exactly zero: the increments are drawn once
+    and both recursions consume them.
     """
-    a = _simulate(spec_n, t, start, grid, noise, workers)
-    bb = _simulate(spec, t, start, grid, noise, workers)
+    dW = noise.increments(grid.dt)
+    a = _simulate(spec_n, t, start, grid, noise, workers, increments=dW)
+    bb = _simulate(spec, t, start, grid, noise, workers, increments=dW)
     gap = np.abs(a.values - bb.values)
     sup = gap.max(axis=tuple(range(1, gap.ndim)))
     samples = sup**p

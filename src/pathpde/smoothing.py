@@ -139,19 +139,25 @@ def _mollifier_rule(q: int, n: int, nodes_per_axis: int, family: str) -> tuple[n
     return pts, kernel / kernel.sum()
 
 
+_CONVOLVE_ROWS = 2**18  # the most shifted rows _convolve hands g in one call
+
+
 def _convolve(g: Callable, x2: np.ndarray, pts: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """The quadrature convolution sum_j kernel_j g(x - pts_j) at each row x of x2.
 
     ``x2`` holds m points as rows (m, q) and ``pts`` the Q nodes of the
-    rule (Q, q).  g is called once, on all shifted rows (m * Q, q), and
-    may return one value per row or a vector (a drift); the node axis is
-    moved last and the weights applied as ``np.sum(vals * kernel,
-    axis=-1)`` on a contiguous array.  Each row's value then does not
-    depend on how many rows are evaluated together, as it would with a
-    BLAS matrix-vector product, so forward paths split into worker blocks
-    stay bit-identical.
+    rule (Q, q).  g is called once per block of at most ``_CONVOLVE_ROWS
+    // Q`` points, on its shifted rows, and may return one value per
+    row or a vector (a drift); the node axis is moved last and the
+    weights applied as ``np.sum(vals * kernel, axis=-1)`` on a contiguous
+    array.  Each row's value then does not depend on how many rows are
+    evaluated together, as it would with a BLAS matrix-vector product, so
+    the blocks, and forward paths split into worker blocks, are bit-identical.
     """
     m, Q = x2.shape[0], pts.shape[0]
+    step = max(1, _CONVOLVE_ROWS // Q)
+    if m > step:
+        return np.concatenate([_convolve(g, x2[r0 : r0 + step], pts, kernel) for r0 in range(0, m, step)])
     vals = np.asarray(g((x2[:, None, :] - pts[None, :, :]).reshape(m * Q, -1)), dtype=float)
     vals = np.ascontiguousarray(np.moveaxis(vals.reshape(m, Q, *vals.shape[1:]), 1, -1))
     return np.sum(vals * kernel, axis=-1)

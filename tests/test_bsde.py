@@ -18,7 +18,7 @@ from pathpde.bsde import (
     make_features,
     solve_bsde,
 )
-from pathpde.sde import NoiseBundle, SdeSpec, euler_markov, euler_path_dependent
+from pathpde.sde import NoiseBundle, SdeSpec, TrajectoryBatch, euler_markov, euler_path_dependent
 from pathpde.smoothing import mollify
 from pathpde.solver import (
     ProblemSpec,
@@ -190,6 +190,19 @@ def test_compensator_downward_tilt_is_nondecreasing():
     expect = c * (times - times[0])
     assert np.abs(K.mean(axis=0) - expect).max() <= 2e-2
     assert np.mean(np.diff(K, axis=1) >= -1e-10) >= 0.99
+
+
+def test_solve_compensator_equals_extract_compensator_vector_state():
+    g = Grid(0.0, 1.0, 12)
+    nb = NoiseBundle(21, 4000, 12, d=2)
+    dW = nb.increments(g.dt)
+    traj = euler_markov(SdeSpec(lambda t, x: -0.2 * x, 1.0), 0.0, np.array([0.3, -0.4]), g, nb, increments=dW)
+    drv = DriverSpec(lambda t, s, y, z: -0.1 * y + 0.05 * np.sin(s[:, 0]) * z[:, 1] - 0.02 * z[:, 0])
+    features = make_features(BASIS, traj)
+    sol = solve_bsde(drv, np.sum(traj.terminal() ** 2, axis=1), features, traj, dW, with_compensator=True)
+    K = extract_compensator(sol.Y, sol.Z, drv, features, g, dW)
+    assert np.array_equal(sol.K, K)
+    assert K.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -585,3 +598,42 @@ def test_property_zero_driver_value_is_terminal_mean(seed, basis_case, ridge, te
     assert abs(sol.value - mean) <= 1e-12 * max(1.0, abs(mean))
     # the value the evaluations return in place of the induction
     assert abs(_zero_driver_value(xi) - sol.value) <= 1e-12 * max(1.0, abs(mean))
+
+
+# ---------------------------------------------------------------------------
+# the Markov design, built as rows
+
+
+def _column_poly_features(x: np.ndarray, degree: int) -> np.ndarray:
+    """Reference: the monomial design as columns (n, B), built from the state as (n, d)."""
+    if x.ndim == 1:
+        x = x[:, None]
+    m, d = x.shape
+    cols = [np.ones(m)]
+    if degree >= 1:
+        cols.extend(x[:, j] for j in range(d))
+    if degree >= 2:
+        for j in range(d):
+            for l in range(j, d):
+                cols.append(x[:, j] * x[:, l])
+    if degree >= 3:
+        for j in range(d):
+            for l in range(j, d):
+                for r in range(l, d):
+                    cols.append(x[:, j] * x[:, l] * x[:, r])
+    return np.stack(cols, axis=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_property_markov_design_rows_equal_transposed_columns(d, degree, n_paths, n_steps, seed):
+    shape = (n_paths, n_steps + 1) if d == 1 else (n_paths, n_steps + 1, d)
+    values = np.random.default_rng(seed).normal(size=shape)
+    traj = TrajectoryBatch(Grid(0.0, 1.0, n_steps), values)
+    spec = RegressionBasisSpec("markov", degree)
+    features = make_features(spec, traj)
+    for k in range(n_steps + 1):
+        design = features.design_t(k)
+        assert design.shape == (spec.n_features(d), n_paths)
+        assert np.array_equal(design, _column_poly_features(values[:, k], degree).T)
+        assert np.array_equal(features.state(k), values[:, k])

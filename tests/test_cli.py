@@ -109,6 +109,22 @@ def test_too_few_paths_for_the_basis_exits_2(tmp_path, capsys, name):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        ("markov-heat", "horizon", "0"),
+        ("markov-linear-driver", "horizon", "-1"),
+        ("fejer-sweep", "horizon", "0"),
+        ("ito-residual", "steps", "100,0"),
+    ],
+)
+def test_nonpositive_horizon_or_steps_exits_2(tmp_path, capsys, name, key, value):
+    cfg = _write_config(tmp_path, name, n_paths=1000, **{key: value})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_tolerance_failure_exits_1(tmp_path, capsys):
     cfg = _write_config(tmp_path, "markov-heat", n_paths=5000, n_steps=20, tolerance=1e-9)
     rc = main(["run", str(cfg), "--out", str(tmp_path / "out")])

@@ -149,6 +149,24 @@ def test_coupled_identical_specs_exactly_zero():
     assert est == 0.0
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_coupled_draws_the_noise_once(monkeypatch, workers):
+    calls = []
+    original = NoiseBundle.increments
+
+    def spy(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(NoiseBundle, "increments", spy)
+    g = Grid(0.0, 1.0, 20)
+    nb = NoiseBundle(15, 3000, 20)
+    est, _ = coupled_sup_error(SdeSpec(0.1, 1.0), SdeSpec(lambda t, x: -0.5 * x, 1.0), 0.0, 0.3, g, nb,
+                               workers=workers)
+    assert len(calls) == 1
+    assert est > 0.0
+
+
 def test_coupled_drift_gap_closed_form():
     # b_n = 1/n, b = 0, sigma common: gap is deterministic (T-t)/n, sup at T
     g = Grid(0.0, 1.0, 100)

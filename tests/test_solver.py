@@ -602,6 +602,25 @@ def test_property_each_smoother_calls_its_function_once_per_evaluation(q, n, m):
         assert shapes == [shape]
 
 
+@pytest.mark.parametrize("vector", [False, True])
+def test_convolve_hands_g_at_most_the_row_cap(vector):
+    # 12 nodes per axis in q = 2 give Q = 144 nodes: 4000 points are 576000 shifted rows
+    pts, kernel = smoothing._mollifier_rule(2, 3, 12, "exp")
+    x2 = np.random.default_rng(5).normal(size=(4000, 2))
+    sizes = []
+
+    def g(rows):
+        sizes.append(rows.shape[0])
+        return np.sin(rows) * rows[:, ::-1] if vector else np.cos(rows[:, 0]) * rows[:, 1]
+
+    whole = smoothing._convolve(g, x2, pts, kernel)
+    assert whole.shape == ((4000, 2) if vector else (4000,))
+    assert len(sizes) > 1 and max(sizes) <= smoothing._CONVOLVE_ROWS
+    assert sum(sizes) == 4000 * pts.shape[0]
+    parts = [smoothing._convolve(g, x2[a:a + 999], pts, kernel) for a in range(0, 4000, 999)]
+    assert np.array_equal(whole, np.concatenate(parts))
+
+
 # ---------------------------------------------------------------------------
 # a vector state at the horizon, and one feature build per forward pass
 
