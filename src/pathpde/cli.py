@@ -263,9 +263,9 @@ def run_sde_convergence(params, seed, workers, outdir):
     for n in indices:
         b_n = mollify(kinked, 1, n)
         spec_n = SdeSpec(lambda t, x, f=b_n: f(x), 1.0)
-        est, se = coupled_sup_error(spec_n, base, 0.0, 0.0, g, noise, p=2.0, workers=workers)
+        est, se = coupled_sup_error(spec_n, base, 0.0, g, noise, p=2.0, workers=workers)
         rows.append([n, est, se])
-    zero_est, _ = coupled_sup_error(base, base, 0.0, 0.0, g, noise, p=2.0, workers=workers)
+    zero_est, _ = coupled_sup_error(base, base, 0.0, g, noise, p=2.0, workers=workers)
     _write_csv(outdir / "sde_convergence.csv", ["n", "coupled_sup_error_p2", "std_error"], rows)
     errs = [r[1] for r in rows]
     checks = [
@@ -283,9 +283,8 @@ def run_bsde_limit(params, seed, workers, outdir):
     g = Grid(0.0, 1.0, n_steps)
     basis = RegressionBasisSpec("markov", 2)
     base_drv = DriverSpec(lambda t, s, y, z, r=rate: -r * y, lipschitz=rate)
-    noise = NoiseBundle(seed, n_paths, n_steps)
-    dW = noise.increments(g.dt)
-    traj = euler_markov(SdeSpec(0.0, 1.0), 0.0, 1.0, g, noise, workers=workers, increments=dW)
+    dW = NoiseBundle(seed, n_paths, n_steps).increments(g.dt)
+    traj = euler_markov(SdeSpec(0.0, 1.0), 1.0, g, dW, workers=workers)
     xi = traj.terminal()
     drivers = [DriverSpec(lambda t, s, y, z, r=rate, n=n: -r * y + 1.0 / n, lipschitz=rate) for n in indices]
     rows = limit_experiment(drivers, base_drv, [xi] * len(indices), xi, basis,
@@ -294,9 +293,8 @@ def run_bsde_limit(params, seed, workers, outdir):
 
     # solver noise floor: positional Z distance between two independent-seed
     # solves of the unperturbed problem (Z is deterministic for this benchmark)
-    noise2 = NoiseBundle(seed + 1, n_paths, n_steps)
-    dW2 = noise2.increments(g.dt)
-    traj2 = euler_markov(SdeSpec(0.0, 1.0), 0.0, 1.0, g, noise2, workers=workers, increments=dW2)
+    dW2 = NoiseBundle(seed + 1, n_paths, n_steps).increments(g.dt)
+    traj2 = euler_markov(SdeSpec(0.0, 1.0), 1.0, g, dW2, workers=workers)
     sol1 = solve_bsde(base_drv, xi, basis, traj, dW)
     sol2 = solve_bsde(base_drv, traj2.terminal(), basis, traj2, dW2)
     floor = float((np.sum(np.abs(sol1.Z - sol2.Z), axis=(1, 2)) * g.dt).mean())
@@ -337,8 +335,8 @@ def run_ito_residual(params, seed, workers, outdir):
         residuals = []
         for steps in steps_list:
             g = Grid(0.0, 1.0, steps)
-            nb = NoiseBundle(seed, n_paths, steps)
-            traj = euler_markov(SdeSpec(0.0, 1.0), 0.0, 0.0, g, nb, workers=workers)
+            dW = NoiseBundle(seed, n_paths, steps).increments(g.dt)
+            traj = euler_markov(SdeSpec(0.0, 1.0), 0.0, g, dW, workers=workers)
             mean_res, _ = ito_residual(spec, traj.values, g, sigma=1.0)
             residuals.append(mean_res)
             rows.append([name, 1.0 / steps, mean_res])
@@ -357,6 +355,10 @@ def run_ito_residual(params, seed, workers, outdir):
 def run_fejer_sweep(params, seed, workers, outdir):
     horizon = _p(params, "horizon", 1.0)
     max_index = _p(params, "max_index", 256, int)
+    contraction_order = 64
+    if max_index < contraction_order:
+        raise ConfigError(f"parameter 'max_index' must be >= {contraction_order}, the order of the "
+                          f"contraction check, got {max_index}")
     basis = FourierBasis(horizon, max_index)
     gram_err = float(np.abs(basis.gram_matrix() - np.eye(max_index + 1)).max())
 
@@ -387,7 +389,7 @@ def run_fejer_sweep(params, seed, workers, outdir):
         path = Path(horizon, vals)
         trend = linear_trend(path)
         residual = Path(horizon, path.values - trend.values)
-        proj = fejer_project(path, 64, basis)
+        proj = fejer_project(path, contraction_order, basis)
         fejer_part = proj.values - trend.values
         excess = float(np.max(np.abs(fejer_part)) - np.max(np.abs(residual.values)))
         worst_excess = max(worst_excess, excess)

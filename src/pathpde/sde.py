@@ -108,32 +108,26 @@ class NoiseBundle:
         """Brownian increments N(0, dt), shape (block, n_steps, d)."""
         return np.sqrt(dt) * self.normals(p0, p1)
 
-    def child(self, tag: int, n_steps: int | None = None, d: int | None = None) -> "NoiseBundle":
+    def child(self, tag: int, d: int | None = None) -> "NoiseBundle":
         if tag == self.tag:
             raise ValueError("child stream must use a distinct tag")
-        return NoiseBundle(
-            self.seed,
-            self.n_paths,
-            self.n_steps if n_steps is None else n_steps,
-            self.d if d is None else d,
-            tag=tag,
-        )
+        return NoiseBundle(self.seed, self.n_paths, self.n_steps, self.d if d is None else d, tag=tag)
 
 
 @dataclass(frozen=True)
 class SdeSpec:
     """Drift and diffusion, either state functions or path functionals.
 
-    Markovian callables map (t, x) -> array over paths with x of shape
-    (m,) or (m, d).  Path-dependent coefficients are either
-    CylindricalFunctional instances (evaluated through incrementally
-    tracked pathwise integrals) or callables (t, WindowBatch) -> (m,).
-    Scalars are accepted and treated as constants.
+    Which scheme reads them decides how: ``euler_markov`` calls them as
+    (t, x) -> array over paths with x of shape (m,) or (m, d);
+    ``euler_path_dependent`` takes CylindricalFunctional instances
+    (evaluated through incrementally tracked pathwise integrals) or
+    callables (t, WindowBatch) -> (m,).  Scalars are accepted and treated
+    as constants by both.
     """
 
     b: Callable | CylindricalFunctional | float
     sigma: Callable | CylindricalFunctional | float
-    path_dependent: bool = False
 
 
 @dataclass
@@ -218,45 +212,43 @@ def _guard(x: np.ndarray, step: int) -> None:
         raise DivergenceError(f"trajectory diverged at path {idx}, step {step}")
 
 
+def _check_increments(dW: np.ndarray, grid: Grid) -> None:
+    if dW.ndim != 3 or dW.shape[1] != grid.n_steps:
+        raise ValueError(f"increments of shape {dW.shape} do not match (n_paths, {grid.n_steps}, d)")
+
+
 def euler_markov(
-    spec: SdeSpec,
-    t: float,
-    x: float | np.ndarray,
-    grid: Grid,
-    noise: NoiseBundle,
-    workers: int = 1,
-    increments: np.ndarray | None = None,
+    spec: SdeSpec, x: float | np.ndarray, grid: Grid, dW: np.ndarray, workers: int = 1
 ) -> TrajectoryBatch:
-    """Euler-Maruyama recursion X_{k+1} = X_k + b dt + sigma dW per path."""
-    if abs(grid.t_start - t) > 1e-12 * max(1.0, abs(t)):
-        raise ValueError(f"grid starts at {grid.t_start}, expected {t}")
-    if noise.n_steps != grid.n_steps:
-        raise ValueError("noise bundle and grid disagree on the number of steps")
+    """Euler-Maruyama recursion X_{k+1} = X_k + b dt + sigma dW per path.
+
+    The increments dW, shape (n_paths, grid.n_steps, d), are the one noise
+    input: they set the path count and the state dimension, and the
+    recursion starts from x at ``grid.t_start``.  A scalar x needs d = 1,
+    a vector x needs d = x.size.
+    """
+    _check_increments(dW, grid)
+    n_paths, _, d = dW.shape
     b = _coef_markov(spec.b)
     sigma = _coef_markov(spec.sigma)
     dt = grid.dt
     times = grid.times
     x0 = np.asarray(x, dtype=float)
     vector_state = x0.ndim > 0
-    if vector_state and x0.size != noise.d:
-        raise ValueError(f"state dimension {x0.size} does not match noise d={noise.d}")
-
-    if vector_state:
-        values = np.empty((noise.n_paths, grid.n_steps + 1, noise.d))
-    else:
-        values = np.empty((noise.n_paths, grid.n_steps + 1))
+    if x0.size != d:
+        raise ValueError(f"state dimension {x0.size} does not match increments d={d}")
+    values = np.empty((n_paths, grid.n_steps + 1, d) if vector_state else (n_paths, grid.n_steps + 1))
 
     def simulate(p0: int, p1: int) -> None:
-        dW = increments[p0:p1] if increments is not None else noise.increments(dt, p0, p1)
-        X = np.broadcast_to(x0, (p1 - p0, noise.d)).copy() if vector_state else np.full(p1 - p0, float(x0))
+        X = np.broadcast_to(x0, (p1 - p0, d)).copy() if vector_state else np.full(p1 - p0, float(x0))
         values[p0:p1, 0] = X
         for k in range(grid.n_steps):
-            dw = dW[:, k, :] if vector_state else dW[:, k, 0]
+            dw = dW[p0:p1, k, :] if vector_state else dW[p0:p1, k, 0]
             X = X + np.asarray(b(times[k], X), dtype=float) * dt + _apply_sigma(sigma(times[k], X), dw)
             _guard(X, k + 1)
             values[p0:p1, k + 1] = X
 
-    _run_blocks(simulate, noise.n_paths, workers)
+    _run_blocks(simulate, n_paths, workers)
     return TrajectoryBatch(grid, values)
 
 
@@ -273,29 +265,25 @@ def _prefix_on_dt_layout(eta: Path, dt: float) -> tuple[np.ndarray, int]:
 
 
 def euler_path_dependent(
-    spec: SdeSpec,
-    t: float,
-    eta: Path,
-    grid: Grid,
-    noise: NoiseBundle,
-    workers: int = 1,
-    increments: np.ndarray | None = None,
+    spec: SdeSpec, eta: Path, grid: Grid, dW: np.ndarray, workers: int = 1
 ) -> TrajectoryBatch:
     """Euler recursion with coefficients reading the look-back window.
 
-    Cylindrical coefficients are evaluated through running pathwise
-    integrals (no window is built).  Generic callables receive a
-    WindowBatch view of a rolling buffer whose node spacing equals dt, so
-    each step's window is a zero-copy slice.
+    The increments dW, shape (n_paths, grid.n_steps, 1), are the one noise
+    input; the dynamics are scalar, and every path continues the history
+    eta from ``grid.t_start``.  Cylindrical coefficients are evaluated
+    through running pathwise integrals (no window is built).  Generic
+    callables receive a WindowBatch view of a rolling buffer whose node
+    spacing equals dt, so each step's window is a zero-copy slice.
     """
-    if abs(grid.t_start - t) > 1e-12 * max(1.0, abs(t)):
-        raise ValueError(f"grid starts at {grid.t_start}, expected {t}")
-    if noise.d != 1:
-        raise ValueError("path-dependent dynamics are scalar (d = 1)")
+    _check_increments(dW, grid)
+    if dW.shape[2] != 1:
+        raise ValueError(f"path-dependent dynamics are scalar (d = 1), got increments d={dW.shape[2]}")
+    n_paths = dW.shape[0]
     dt = grid.dt
     times = grid.times
     n_steps = grid.n_steps
-    values = np.empty((noise.n_paths, n_steps + 1))
+    values = np.empty((n_paths, n_steps + 1))
 
     needs_window = any(
         callable(c) and not isinstance(c, CylindricalFunctional) for c in (spec.b, spec.sigma)
@@ -318,14 +306,14 @@ def euler_path_dependent(
 
     def simulate(p0: int, p1: int) -> None:
         nb = p1 - p0
-        dW = increments[p0:p1, :, 0] if increments is not None else noise.increments(dt, p0, p1)[:, :, 0]
+        dw = dW[p0:p1, :, 0]
         X = np.full(nb, float(eta.values[-1]))
         values[p0:p1, 0] = X
 
         trackers = {}
         for kind, coef in (b_kind, s_kind):
             if kind == "cyl" and id(coef) not in trackers:
-                trackers[id(coef)] = (coef, coef.tracker(X, t0=t, prefix=eta))
+                trackers[id(coef)] = (coef, coef.tracker(X, t0=grid.t_start, prefix=eta))
 
         buf = None
         if needs_window:
@@ -346,7 +334,7 @@ def euler_path_dependent(
             s = times[k]
             bv = coef_at(b_kind, k, s)
             sv = coef_at(s_kind, k, s)
-            X_new = X + bv * dt + sv * dW[:, k]
+            X_new = X + bv * dt + sv * dw[:, k]
             _guard(X_new, k + 1)
             values[p0:p1, k + 1] = X_new
             if needs_window:
@@ -355,20 +343,13 @@ def euler_path_dependent(
                 tracker.advance(s, X, times[k + 1], X_new)
             X = X_new
 
-    _run_blocks(simulate, noise.n_paths, workers)
+    _run_blocks(simulate, n_paths, workers)
     return TrajectoryBatch(grid, values, prefix=eta)
-
-
-def _simulate(spec: SdeSpec, t, start, grid, noise, workers=1, increments=None) -> TrajectoryBatch:
-    if spec.path_dependent:
-        return euler_path_dependent(spec, t, start, grid, noise, workers, increments=increments)
-    return euler_markov(spec, t, start, grid, noise, workers, increments=increments)
 
 
 def coupled_sup_error(
     spec_n: SdeSpec,
     spec: SdeSpec,
-    t: float,
     start,
     grid: Grid,
     noise: NoiseBundle,
@@ -377,12 +358,15 @@ def coupled_sup_error(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E[sup_s |X^n_s - X_s|^p] under common noise.
 
+    Both recursions start at ``grid.t_start``; a history ``Path`` start
+    selects the path-dependent scheme, any other start the Markov one.
     Identical specs produce exactly zero: the increments are drawn once
     and both recursions consume them.
     """
     dW = noise.increments(grid.dt)
-    a = _simulate(spec_n, t, start, grid, noise, workers, increments=dW)
-    bb = _simulate(spec, t, start, grid, noise, workers, increments=dW)
+    euler = euler_path_dependent if isinstance(start, Path) else euler_markov
+    a = euler(spec_n, start, grid, dW, workers)
+    bb = euler(spec, start, grid, dW, workers)
     gap = np.abs(a.values - bb.values)
     sup = gap.max(axis=tuple(range(1, gap.ndim)))
     samples = sup**p

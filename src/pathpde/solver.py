@@ -221,16 +221,8 @@ def _simulate_point(
     grid = Grid(t, problem.horizon, config.n_steps)
     noise = NoiseBundle(config.seed, config.n_paths, config.n_steps, problem.d)
     dW = noise.increments(grid.dt)
-    if problem.mode == "markov":
-        traj = euler_markov(
-            SdeSpec(problem.b, problem.sigma), t, start, grid, noise,
-            workers=config.workers, increments=dW,
-        )
-    else:
-        traj = euler_path_dependent(
-            SdeSpec(problem.b, problem.sigma, path_dependent=True), t, start, grid, noise,
-            workers=config.workers, increments=dW,
-        )
+    euler = euler_markov if problem.mode == "markov" else euler_path_dependent
+    traj = euler(SdeSpec(problem.b, problem.sigma), start, grid, dW, workers=config.workers)
     traj.values.flags.writeable = False
     if problem.driver.f is None and not keep_increments:
         dW = None

@@ -157,7 +157,7 @@ def test_criterion_08_bsde_limit():
     base = DriverSpec(lambda t, s, y, z: -0.1 * y, lipschitz=0.1)
     noise = NoiseBundle(81, n_paths, 64)
     dW = noise.increments(g.dt)
-    traj = euler_markov(SdeSpec(0.0, 1.0), 0.0, 1.0, g, noise, increments=dW)
+    traj = euler_markov(SdeSpec(0.0, 1.0), 1.0, g, dW)
     xi = traj.terminal()
     ns = (1, 4, 16, 64)
     drivers = [DriverSpec(lambda t, s, y, z, n=n: -0.1 * y + 1.0 / n, lipschitz=0.1) for n in ns]
@@ -169,7 +169,7 @@ def test_criterion_08_bsde_limit():
     # solves of the unperturbed problem (its Z is deterministic here)
     noise2 = NoiseBundle(82, n_paths, 64)
     dW2 = noise2.increments(g.dt)
-    traj2 = euler_markov(SdeSpec(0.0, 1.0), 0.0, 1.0, g, noise2, increments=dW2)
+    traj2 = euler_markov(SdeSpec(0.0, 1.0), 1.0, g, dW2)
     sol1 = solve_bsde(base, xi, basis, traj, dW)
     sol2 = solve_bsde(base, traj2.terminal(), basis, traj2, dW2)
     floor = float((np.sum(np.abs(sol1.Z - sol2.Z), axis=(1, 2)) * g.dt).mean())
@@ -208,7 +208,7 @@ def test_criterion_09_ito_residual():
         steps = int(round(1.0 / dt))
         g = Grid(0.0, 1.0, steps)
         nb = NoiseBundle(91, 1000, steps)
-        paths = euler_markov(SdeSpec(0.0, 1.0), 0.0, 0.0, g, nb).values
+        paths = euler_markov(SdeSpec(0.0, 1.0), 0.0, g, nb.increments(g.dt)).values
         res["identity"].append(ito_residual(identity, paths, g, 1.0)[0])
         res["quadratic"].append(ito_residual(quadratic, paths, g, 1.0)[0])
         res["cylindrical"].append(ito_residual(cyl, paths, g, 1.0)[0])
@@ -232,9 +232,9 @@ def test_criterion_10_sde_convergence():
     for n in (2, 8, 32):
         b_n = mollify(kinked, 1, n)
         est, _ = coupled_sup_error(SdeSpec(lambda t, x, f=b_n: f(x), 1.0), base,
-                                   0.0, 0.0, g, noise)
+                                   0.0, g, noise)
         errs.append(est)
-    zero, _ = coupled_sup_error(base, base, 0.0, 0.0, g, noise)
+    zero, _ = coupled_sup_error(base, base, 0.0, g, noise)
     ok = errs[0] > errs[1] > errs[2] and zero == 0.0
     err_text = " ".join(f"{e:.1e}" for e in errs)
     _report("10 sde convergence", ok,

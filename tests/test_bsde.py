@@ -34,7 +34,7 @@ def _brownian(n_paths=100_000, n_steps=100, seed=11, x0=0.0):
     g = Grid(0.0, 1.0, n_steps)
     nb = NoiseBundle(seed, n_paths, n_steps)
     dW = nb.increments(g.dt)
-    traj = euler_markov(SdeSpec(0.0, 1.0), 0.0, x0, g, nb, increments=dW)
+    traj = euler_markov(SdeSpec(0.0, 1.0), x0, g, dW)
     return g, traj, dW
 
 
@@ -126,7 +126,7 @@ def test_vector_state_solver_shapes():
     nb = NoiseBundle(9, 5000, 20, d=2)
     dW = nb.increments(g.dt)
     traj = euler_markov(SdeSpec(lambda t, x: np.zeros_like(x), lambda t, x: np.ones_like(x)),
-                        0.0, np.array([0.0, 1.0]), g, nb, increments=dW)
+                        np.array([0.0, 1.0]), g, dW)
     xi = traj.terminal().sum(axis=1)
     sol = solve_bsde(DriverSpec(None), xi, RegressionBasisSpec("markov", 2), traj, dW)
     assert sol.Z.shape == (5000, 20, 2)
@@ -196,7 +196,7 @@ def test_solve_compensator_equals_extract_compensator_vector_state():
     g = Grid(0.0, 1.0, 12)
     nb = NoiseBundle(21, 4000, 12, d=2)
     dW = nb.increments(g.dt)
-    traj = euler_markov(SdeSpec(lambda t, x: -0.2 * x, 1.0), 0.0, np.array([0.3, -0.4]), g, nb, increments=dW)
+    traj = euler_markov(SdeSpec(lambda t, x: -0.2 * x, 1.0), np.array([0.3, -0.4]), g, dW)
     drv = DriverSpec(lambda t, s, y, z: -0.1 * y + 0.05 * np.sin(s[:, 0]) * z[:, 1] - 0.02 * z[:, 0])
     features = make_features(BASIS, traj)
     sol = solve_bsde(drv, np.sum(traj.terminal() ** 2, axis=1), features, traj, dW, with_compensator=True)
@@ -415,7 +415,7 @@ def test_fused_matches_reference_markov_degree2_d2():
     nb = NoiseBundle(19, 20_000, 20, d=2)
     dW = nb.increments(g.dt)
     traj = euler_markov(SdeSpec(lambda t, x: -0.3 * x, lambda t, x: np.ones_like(x)),
-                        0.0, np.array([0.0, 1.0]), g, nb, increments=dW)
+                        np.array([0.0, 1.0]), g, dW)
     xi = np.sin(traj.terminal()).sum(axis=1)
     drv = DriverSpec(lambda t, s, y, z: -0.1 * y + 0.05 * z[:, 0] - 0.02 * z[:, 1], lipschitz=0.2)
     _assert_matches_reference(drv, xi, RegressionBasisSpec("markov", 2), traj, dW)
@@ -426,8 +426,7 @@ def test_fused_matches_reference_path_sup_terminal():
     g = Grid(0.2, 1.0, 40)
     nb = NoiseBundle(20, 20_000, 40)
     dW = nb.increments(g.dt)
-    traj = euler_path_dependent(SdeSpec(0.0, 1.0, path_dependent=True), 0.2, eta, g, nb,
-                                increments=dW)
+    traj = euler_path_dependent(SdeSpec(0.0, 1.0), eta, g, dW)
     problem = ProblemSpec("path", 0.0, 1.0, DriverSpec(None), SupTerminal(), horizon=1.0)
     xi = _terminal_samples(problem, _Forward(nb, dW, traj), SolverConfig(20_000, 40, seed=20))
     _assert_matches_reference(DriverSpec(None), xi, RegressionBasisSpec("path", 2), traj, dW)
@@ -439,7 +438,7 @@ def test_fused_matches_reference_large_offset():
     g = Grid(0.0, 1.0, 20)
     nb = NoiseBundle(21, 20_000, 20)
     dW = nb.increments(g.dt)
-    traj = euler_markov(SdeSpec(0.0, 1e-2), 0.0, 1e3, g, nb, increments=dW)
+    traj = euler_markov(SdeSpec(0.0, 1e-2), 1e3, g, dW)
     xi = traj.terminal() ** 2
     drv = DriverSpec(lambda t, s, y, z: -0.1 * y, lipschitz=0.1)
     _assert_matches_reference(drv, xi, RegressionBasisSpec("markov", 2), traj, dW)
@@ -575,12 +574,11 @@ def test_property_zero_driver_value_is_terminal_mean(seed, basis_case, ridge, te
     nb = NoiseBundle(seed, n_paths, n_steps, d)
     dW = nb.increments(g.dt)
     if kind == "markov":
-        traj = euler_markov(SdeSpec(0.0, 1.0), 0.0, np.zeros(d) if d > 1 else 0.0, g, nb, increments=dW)
+        traj = euler_markov(SdeSpec(0.0, 1.0), np.zeros(d) if d > 1 else 0.0, g, dW)
         scalar = traj.values[:, :, 0] if d > 1 else traj.values
     else:
         eta = Path.from_function(lambda x: 0.2 * np.sin(4.0 * x), 1.0, 51)
-        traj = euler_path_dependent(SdeSpec(0.0, 1.0, path_dependent=True), 0.0, eta, g, nb,
-                                    increments=dW)
+        traj = euler_path_dependent(SdeSpec(0.0, 1.0), eta, g, dW)
         scalar = traj.values
     if terminal == "constant":
         xi = np.full(n_paths, 2.75)

@@ -125,6 +125,14 @@ def test_nonpositive_horizon_or_steps_exits_2(tmp_path, capsys, name, key, value
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("max_index", [2, 63])
+def test_fejer_max_index_below_the_contraction_order_exits_2(tmp_path, capsys, max_index):
+    cfg = _write_config(tmp_path, "fejer-sweep", max_index=max_index, n_rough=2)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "max_index" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_tolerance_failure_exits_1(tmp_path, capsys):
     cfg = _write_config(tmp_path, "markov-heat", n_paths=5000, n_steps=20, tolerance=1e-9)
     rc = main(["run", str(cfg), "--out", str(tmp_path / "out")])

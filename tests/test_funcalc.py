@@ -17,7 +17,7 @@ from pathpde.smoothing import CylindricalFunctional, Integrand
 def _brownian_paths(n_paths, n_steps, seed=5):
     g = Grid(0.0, 1.0, n_steps)
     nb = NoiseBundle(seed, n_paths, n_steps)
-    return g, euler_markov(SdeSpec(0.0, 1.0), 0.0, 0.0, g, nb).values
+    return g, euler_markov(SdeSpec(0.0, 1.0), 0.0, g, nb.increments(g.dt)).values
 
 
 def _cyl_example():
@@ -171,7 +171,7 @@ def test_ito_state_dependent_diffusion():
     g = Grid(0.0, 1.0, 2000)
     nb = NoiseBundle(6, 500, 2000)
     sigma = lambda t, x: 0.5 * x
-    traj = euler_markov(SdeSpec(0.0, sigma), 0.0, 1.0, g, nb)
+    traj = euler_markov(SdeSpec(0.0, sigma), 1.0, g, nb.increments(g.dt))
     quad = PresentFunctional(
         lambda t, x: x * x,
         lambda t, x: np.zeros_like(x),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathpde.paths import Grid, Path
 from pathpde.sde import (
@@ -31,6 +32,33 @@ def test_noise_block_regeneration_bit_identical():
     np.testing.assert_array_equal(full, parts)
 
 
+@st.composite
+def _bundles_and_cuts(draw):
+    n_paths = draw(st.integers(1, 300))
+    bundle = NoiseBundle(
+        seed=draw(st.integers(0, 2**64 - 1)),
+        n_paths=n_paths,
+        n_steps=draw(st.integers(1, 40)),
+        d=draw(st.integers(1, 3)),
+        tag=draw(st.integers(0, 2**64 - 1)),
+    )
+    inner = draw(st.lists(st.integers(1, n_paths - 1), max_size=6)) if n_paths > 1 else []
+    return bundle, [0, *sorted(set(inner)), n_paths]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_bundles_and_cuts())
+def test_property_noise_blocks_concatenate_to_the_one_call_arrays(case):
+    # counter-based streams: a path block's draws do not depend on where
+    # the blocks are cut, including word counts n_steps * d that are not
+    # a multiple of the 4-word Philox block
+    nb, cuts = case
+    blocks = list(zip(cuts[:-1], cuts[1:]))
+    dt = 0.05
+    assert np.array_equal(np.concatenate([nb.uniforms(a, b) for a, b in blocks]), nb.uniforms())
+    assert np.array_equal(np.concatenate([nb.increments(dt, a, b) for a, b in blocks]), nb.increments(dt))
+
+
 def test_noise_mean_within_bound():
     nb = NoiseBundle(seed=7, n_paths=2000, n_steps=50)
     z = nb.increments(1.0 / 50)
@@ -49,7 +77,7 @@ def test_noise_child_streams_differ():
 def test_euler_zero_coefficients_constant():
     g = Grid(0.0, 1.0, 50)
     nb = NoiseBundle(1, 200, 50)
-    traj = euler_markov(SdeSpec(0.0, 0.0), 0.0, 1.5, g, nb)
+    traj = euler_markov(SdeSpec(0.0, 0.0), 1.5, g, nb.increments(g.dt))
     assert np.all(traj.values == 1.5)
 
 
@@ -57,7 +85,7 @@ def test_euler_brownian_terminal_variance():
     g = Grid(0.0, 1.0, 100)
     n_paths = 100_000
     nb = NoiseBundle(3, n_paths, 100)
-    traj = euler_markov(SdeSpec(0.0, 1.0), 0.0, 0.0, g, nb)
+    traj = euler_markov(SdeSpec(0.0, 1.0), 0.0, g, nb.increments(g.dt))
     xT = traj.terminal()
     var = xT.var(ddof=1)
     # chi-square spread of the sample variance: se = var * sqrt(2/(n-1))
@@ -69,7 +97,7 @@ def test_euler_brownian_terminal_variance():
 def test_euler_constant_drift_exact():
     g = Grid(0.5, 1.5, 64)
     nb = NoiseBundle(5, 100, 64)
-    traj = euler_markov(SdeSpec(1.0, 0.0), 0.5, 2.0, g, nb)
+    traj = euler_markov(SdeSpec(1.0, 0.0), 2.0, g, nb.increments(g.dt))
     np.testing.assert_allclose(traj.terminal(), 3.0, atol=1e-12)
 
 
@@ -77,7 +105,7 @@ def test_euler_vector_state_martingale():
     g = Grid(0.0, 1.0, 50)
     nb = NoiseBundle(11, 20_000, 50, d=2)
     traj = euler_markov(SdeSpec(lambda t, x: np.zeros_like(x), lambda t, x: np.ones_like(x)),
-                        0.0, np.array([1.0, -1.0]), g, nb)
+                        np.array([1.0, -1.0]), g, nb.increments(g.dt))
     means = traj.terminal().mean(axis=0)
     assert np.all(np.abs(means - [1.0, -1.0]) <= 3.0 / np.sqrt(20_000))
 
@@ -86,25 +114,48 @@ def test_euler_divergence_guard():
     g = Grid(0.0, 1.0, 20)
     nb = NoiseBundle(5, 10, 20)
     with pytest.raises(DivergenceError, match="path"):
-        euler_markov(SdeSpec(lambda t, x: x * 1e13, 0.0), 0.0, 1.0, g, nb)
+        euler_markov(SdeSpec(lambda t, x: x * 1e13, 0.0), 1.0, g, nb.increments(g.dt))
 
 
 def test_euler_determinism_across_workers():
     g = Grid(0.0, 1.0, 60)
     nb = NoiseBundle(9, 5000, 60)
     spec = SdeSpec(lambda t, x: -0.5 * x, 1.0)
-    a = euler_markov(spec, 0.0, 0.3, g, nb, workers=1)
-    b = euler_markov(spec, 0.0, 0.3, g, nb, workers=4)
-    c = euler_markov(spec, 0.0, 0.3, g, nb, workers=8)
+    dW = nb.increments(g.dt)
+    a = euler_markov(spec, 0.3, g, dW, workers=1)
+    b = euler_markov(spec, 0.3, g, dW, workers=4)
+    c = euler_markov(spec, 0.3, g, dW, workers=8)
     np.testing.assert_array_equal(a.values, b.values)
     np.testing.assert_array_equal(a.values, c.values)
+
+
+def test_euler_rejects_increments_that_do_not_fit():
+    g = Grid(0.0, 1.0, 10)
+    eta = Path.constant(0.0, 1.0, 11)
+    wrong_steps = NoiseBundle(22, 50, 11).increments(g.dt)
+    with pytest.raises(ValueError, match="do not match"):
+        euler_markov(SdeSpec(0.0, 1.0), 0.0, g, wrong_steps)
+    with pytest.raises(ValueError, match="do not match"):
+        euler_path_dependent(SdeSpec(0.0, 1.0), eta, g, wrong_steps)
+    with pytest.raises(ValueError, match="state dimension 2"):
+        euler_markov(SdeSpec(0.0, 1.0), np.array([0.0, 1.0]), g, NoiseBundle(22, 50, 10).increments(g.dt))
+    with pytest.raises(ValueError, match="scalar"):
+        euler_path_dependent(SdeSpec(0.0, 1.0), eta, g, NoiseBundle(22, 50, 10, d=2).increments(g.dt))
+
+
+def test_euler_takes_its_size_from_the_increments():
+    g = Grid(0.0, 1.0, 10)
+    dW = NoiseBundle(23, 7, 10, d=2).increments(g.dt)
+    traj = euler_markov(SdeSpec(0.0, 1.0), np.array([0.5, -0.5]), g, dW)
+    assert traj.values.shape == (7, 11, 2)
+    np.testing.assert_allclose(traj.values[:, 1:] - traj.values[:, :-1], dW, rtol=0, atol=1e-12)
 
 
 def test_path_dependent_zero_coefficients_extend_history():
     eta = Path.from_function(lambda x: np.cos(x), 1.0, 101)
     g = Grid(0.0, 1.0, 100)
     nb = NoiseBundle(4, 50, 100)
-    traj = euler_path_dependent(SdeSpec(0.0, 0.0, path_dependent=True), 0.0, eta, g, nb)
+    traj = euler_path_dependent(SdeSpec(0.0, 0.0), eta, g, nb.increments(g.dt))
     assert np.all(traj.values == eta.values[-1])
 
 
@@ -112,8 +163,8 @@ def test_path_dependent_degenerate_matches_markov_bitwise():
     eta = Path.constant(0.0, 1.0, 101)
     g = Grid(0.0, 1.0, 100)
     nb = NoiseBundle(21, 500, 100)
-    pd = euler_path_dependent(SdeSpec(0.0, 1.0, path_dependent=True), 0.0, eta, g, nb)
-    mk = euler_markov(SdeSpec(0.0, 1.0), 0.0, 0.0, g, nb)
+    pd = euler_path_dependent(SdeSpec(0.0, 1.0), eta, g, nb.increments(g.dt))
+    mk = euler_markov(SdeSpec(0.0, 1.0), 0.0, g, nb.increments(g.dt))
     np.testing.assert_array_equal(pd.values, mk.values)
 
 
@@ -125,7 +176,7 @@ def test_path_dependent_exponential_growth_via_pathwise_integral():
     eta = Path.constant(1.0, 1.0, 1001)
     g = Grid(0.0, 1.0, 1000)
     nb = NoiseBundle(6, 8, 1000)
-    traj = euler_path_dependent(SdeSpec(b, 0.0, path_dependent=True), 0.0, eta, g, nb)
+    traj = euler_path_dependent(SdeSpec(b, 0.0), eta, g, nb.increments(g.dt))
     assert abs(traj.terminal()[0] - np.e) <= 5e-3
 
 
@@ -135,17 +186,34 @@ def test_path_dependent_window_callable_sees_rolling_slice():
     eta = Path.constant(1.0, 0.5, 51)
     g = Grid(0.0, 0.5, 50)
     nb = NoiseBundle(6, 4, 50)
-    traj = euler_path_dependent(SdeSpec(b, 0.0, path_dependent=True), 0.0, eta, g, nb)
+    traj = euler_path_dependent(SdeSpec(b, 0.0), eta, g, nb.increments(g.dt))
     # deterministic: dX = sup dt with sup starting at 1 -> X grows like exp
     assert np.all(np.diff(traj.values, axis=1) > 0)
     assert traj.terminal()[0] == pytest.approx(np.exp(0.5), abs=5e-3)
+
+
+@pytest.mark.parametrize("kind", ["cylindrical", "window"])
+def test_path_dependent_determinism_across_workers(kind):
+    # the window drift reads each block's own rolling buffer
+    if kind == "cylindrical":
+        one = Integrand(phi=lambda u: np.ones_like(np.asarray(u, dtype=float)),
+                        dphi=lambda u: np.zeros_like(np.asarray(u, dtype=float)))
+        b = CylindricalFunctional(base=lambda t, F: -0.5 * F[:, 0], integrands=(one,))
+    else:
+        b = lambda t, wb: -0.5 * wb.sup_norm()
+    eta = Path.from_function(lambda x: np.sin(3.0 * x), 0.5, 51)
+    g = Grid(0.0, 0.5, 50)
+    dW = NoiseBundle(24, 1000, 50).increments(g.dt)
+    runs = [euler_path_dependent(SdeSpec(b, 1.0), eta, g, dW, workers=w).values for w in (1, 3, 8)]
+    assert np.array_equal(runs[0], runs[1])
+    assert np.array_equal(runs[0], runs[2])
 
 
 def test_coupled_identical_specs_exactly_zero():
     g = Grid(0.0, 1.0, 50)
     nb = NoiseBundle(12, 2000, 50)
     spec = SdeSpec(lambda t, x: np.sin(x), 1.0)
-    est, se = coupled_sup_error(spec, spec, 0.0, 0.2, g, nb)
+    est, se = coupled_sup_error(spec, spec, 0.2, g, nb)
     assert est == 0.0
 
 
@@ -161,7 +229,7 @@ def test_coupled_draws_the_noise_once(monkeypatch, workers):
     monkeypatch.setattr(NoiseBundle, "increments", spy)
     g = Grid(0.0, 1.0, 20)
     nb = NoiseBundle(15, 3000, 20)
-    est, _ = coupled_sup_error(SdeSpec(0.1, 1.0), SdeSpec(lambda t, x: -0.5 * x, 1.0), 0.0, 0.3, g, nb,
+    est, _ = coupled_sup_error(SdeSpec(0.1, 1.0), SdeSpec(lambda t, x: -0.5 * x, 1.0), 0.3, g, nb,
                                workers=workers)
     assert len(calls) == 1
     assert est > 0.0
@@ -172,7 +240,7 @@ def test_coupled_drift_gap_closed_form():
     g = Grid(0.0, 1.0, 100)
     nb = NoiseBundle(13, 20_000, 100)
     n = 5.0
-    est, se = coupled_sup_error(SdeSpec(1.0 / n, 1.0), SdeSpec(0.0, 1.0), 0.0, 0.0, g, nb, p=2.0)
+    est, se = coupled_sup_error(SdeSpec(1.0 / n, 1.0), SdeSpec(0.0, 1.0), 0.0, g, nb, p=2.0)
     assert est == pytest.approx((1.0 / n) ** 2, abs=max(3.0 * se, 1e-12))
 
 
@@ -184,7 +252,7 @@ def test_coupled_mollified_sequence_decreasing():
     errs = []
     for n in (2, 8, 32):
         b_n = mollify(kinked, 1, n)
-        est, _ = coupled_sup_error(SdeSpec(lambda t, x, f=b_n: f(x), 1.0), base, 0.0, 0.0, g, nb)
+        est, _ = coupled_sup_error(SdeSpec(lambda t, x, f=b_n: f(x), 1.0), base, 0.0, g, nb)
         errs.append(est)
     assert errs[0] > errs[1] > errs[2] > 0.0
 
@@ -193,7 +261,7 @@ def test_moment_check_constant_history():
     eta = Path.constant(-2.0, 1.0, 51)
     g = Grid(0.0, 1.0, 50)
     nb = NoiseBundle(15, 100, 50)
-    traj = euler_path_dependent(SdeSpec(0.0, 0.0, path_dependent=True), 0.0, eta, g, nb)
+    traj = euler_path_dependent(SdeSpec(0.0, 0.0), eta, g, nb.increments(g.dt))
     for p in (1.0, 2.0, 3.0):
         est, se = moment_check(traj, p)
         assert est == pytest.approx(2.0**p, abs=1e-12)
@@ -207,7 +275,7 @@ def test_moment_check_scaling_in_history_norm():
     vals = []
     for c in (1.0, 2.0, 4.0):
         eta = Path.constant(c, 1.0, 51)
-        traj = euler_path_dependent(SdeSpec(0.0, 0.0, path_dependent=True), 0.0, eta, g, nb)
+        traj = euler_path_dependent(SdeSpec(0.0, 0.0), eta, g, nb.increments(g.dt))
         vals.append(moment_check(traj, p)[0])
     assert vals[1] / vals[0] == pytest.approx(2.0**p, rel=1e-12)
     assert vals[2] / vals[0] == pytest.approx(4.0**p, rel=1e-12)
@@ -217,7 +285,7 @@ def test_moment_check_brownian_sup_against_frozen_oracle():
     g = Grid(0.0, 1.0, 256)
     n_paths = 100_000
     nb = NoiseBundle(16, n_paths, 256)
-    traj = euler_markov(SdeSpec(0.0, 1.0), 0.0, 0.0, g, nb)
+    traj = euler_markov(SdeSpec(0.0, 1.0), 0.0, g, nb.increments(g.dt))
     est, se = moment_check(traj, 2.0)
     assert abs(est - SUP_W_SQUARED_256) <= 4.0 * se
     # hard cap from the maximal inequality: E sup |W|^2 <= 4 E W_1^2
@@ -233,7 +301,7 @@ def test_moment_growth_in_history_is_polynomial():
     ests = []
     for c in norms:
         eta = Path.constant(c, 1.0, 51)
-        traj = euler_path_dependent(SdeSpec(0.0, 1.0, path_dependent=True), 0.0, eta, g, nb)
+        traj = euler_path_dependent(SdeSpec(0.0, 1.0), eta, g, nb.increments(g.dt))
         ests.append(moment_check(traj, p)[0])
     slope = np.polyfit(np.log(norms), np.log(ests), 1)[0]
     assert slope <= p + 0.1
@@ -251,8 +319,8 @@ def test_strong_order_under_bridge_refinement():
         dW = nb.increments(g.dt)
         mid = nb.child(1).normals()
         dW2 = bridge_refine(dW, g.dt, mid)
-        coarse = euler_markov(spec, 0.0, 1.0, g, nb, increments=dW)
-        fine = euler_markov(spec, 0.0, 1.0, g2, NoiseBundle(18, n_paths, 2 * n_steps), increments=dW2)
+        coarse = euler_markov(spec, 1.0, g, dW)
+        fine = euler_markov(spec, 1.0, g2, dW2)
         gap = np.abs(coarse.values - fine.values[:, ::2]).max(axis=1)
         errs.append(np.sqrt((gap**2).mean()))
     order = np.polyfit(np.log([1 / 32, 1 / 64, 1 / 128]), np.log(errs), 1)[0]
@@ -270,7 +338,7 @@ def test_bridge_refine_halves_sum_to_parent():
 def test_trajectory_dumps_roundtrip(tmp_path):
     g = Grid(0.0, 1.0, 4)
     nb = NoiseBundle(20, 3, 4)
-    traj = euler_markov(SdeSpec(0.0, 1.0), 0.0, 0.0, g, nb)
+    traj = euler_markov(SdeSpec(0.0, 1.0), 0.0, g, nb.increments(g.dt))
     csv_file = tmp_path / "traj.csv"
     trajectories_to_csv(traj, csv_file)
     lines = csv_file.read_text().splitlines()
