@@ -41,7 +41,12 @@ _BINARY_MAGIC = b"PPDETRJ1"
 
 
 class DivergenceError(RuntimeError):
-    """A simulated path left the admissible range."""
+    """A simulated path left the admissible range; ``path`` is its index among all paths."""
+
+    def __init__(self, path: int, step: int):
+        super().__init__(f"trajectory diverged at path {path}, step {step}")
+        self.path = path
+        self.step = step
 
 
 def _path_blocks(n_paths: int, workers: int) -> list[tuple[int, int]]:
@@ -205,11 +210,12 @@ def _apply_sigma(sig_val: np.ndarray, dw: np.ndarray) -> np.ndarray:
     return sig * dw  # (m, d) diagonal or broadcastable scalar
 
 
-def _guard(x: np.ndarray, step: int) -> None:
+def _guard(x: np.ndarray, step: int, p0: int) -> None:
+    """Raise on the first bad path of a worker's block, which starts at path p0."""
     bad = ~np.isfinite(x) | (np.abs(x) > 1e12)
     if np.any(bad):
         idx = int(np.argmax(bad.reshape(bad.shape[0], -1).any(axis=1)))
-        raise DivergenceError(f"trajectory diverged at path {idx}, step {step}")
+        raise DivergenceError(p0 + idx, step)
 
 
 def _check_increments(dW: np.ndarray, grid: Grid) -> None:
@@ -245,7 +251,7 @@ def euler_markov(
         for k in range(grid.n_steps):
             dw = dW[p0:p1, k, :] if vector_state else dW[p0:p1, k, 0]
             X = X + np.asarray(b(times[k], X), dtype=float) * dt + _apply_sigma(sigma(times[k], X), dw)
-            _guard(X, k + 1)
+            _guard(X, k + 1, p0)
             values[p0:p1, k + 1] = X
 
     _run_blocks(simulate, n_paths, workers)
@@ -335,7 +341,7 @@ def euler_path_dependent(
             bv = coef_at(b_kind, k, s)
             sv = coef_at(s_kind, k, s)
             X_new = X + bv * dt + sv * dw[:, k]
-            _guard(X_new, k + 1)
+            _guard(X_new, k + 1, p0)
             values[p0:p1, k + 1] = X_new
             if needs_window:
                 buf[:, m_win + k] = X_new

@@ -9,7 +9,11 @@ data, so the point value is the terminal sample mean, with the samples'
 standard error.  That is the induction's own value: each of its
 projections keeps the mean of its target and all paths start from one
 state, so Y_0 is the terminal mean up to rounding.  No features or
-solution arrays are built.
+solution arrays are built, and the forward part streams: noise, Euler and
+terminal run on blocks of ``_FORWARD_BLOCK`` paths, and only the terminal
+samples outlive a block.  Philox regenerates any block bit for bit and the
+terminals act path by path, so the samples, and the mean and standard
+error taken once over all of them, do not depend on the block size.
 
 ``strong_viscosity_pipeline`` wraps them in the approximation loop:
 coefficients and terminal data are replaced by smoothed versions at
@@ -18,9 +22,9 @@ common random numbers, and the report tracks the Cauchy behaviour of the
 resulting value sequence.  Common random numbers make the forward part
 of a probe the same for every rung whose coefficients are the same, so it
 runs once per probe and those rungs evaluate only their terminals and
-values on it (all path-mode rungs, which smooth only the terminal, and
-Markov rungs with constant or unmollified coefficients).  The final rung
-defines the returned solution field.
+values on it, block by block (all path-mode rungs, which smooth only the
+terminal, and Markov rungs with constant or unmollified coefficients).
+The final rung defines the returned solution field.
 
 The lookback benchmark carries its own closed form: for unit-diffusion,
 driver-free dynamics the expected terminal running maximum is an explicit
@@ -35,7 +39,7 @@ import struct
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -52,7 +56,7 @@ from .bsde import (
     solve_bsde,
 )
 from .paths import Grid, Path, WindowBatch
-from .sde import NoiseBundle, SdeSpec, TrajectoryBatch, euler_markov, euler_path_dependent
+from .sde import DivergenceError, NoiseBundle, SdeSpec, TrajectoryBatch, euler_markov, euler_path_dependent
 from .smoothing import (
     CylindricalFunctional,
     FourierBasis,
@@ -177,22 +181,31 @@ def _pathwise_se(
     return float(comp.std(ddof=1) / np.sqrt(comp.size))
 
 
+# Paths per forward block of a zero-driver evaluation.  Only the terminal
+# samples outlive a block, so the forward part holds about this many paths
+# times the step count, plus one float per path and rung.
+_FORWARD_BLOCK = 4096
+
+
 @dataclass
 class _Forward:
-    """One simulated path set at a point, shared by every rung of a probe.
+    """One simulated block of paths at a point, shared by every rung of a probe.
 
-    Holds the noise bundle (the bridge maximum draws its child stream),
-    the trajectories, the increments when a backward induction will read
-    them (None otherwise), the regression basis, and, built on first use,
-    the regression features of the trajectories and for a path problem
-    the look-back windows at the horizon.  The arrays are read-only: rungs
-    that share the path set must all see the same samples.
+    ``offset`` is the index of the block's first path among all paths.
+    Holds the noise bundle of all paths (the bridge maximum draws its child
+    stream at the block's offset), the block's trajectories, its increments
+    when a backward induction will read them (None otherwise), the
+    regression basis, and, built on first use, the regression features of
+    the trajectories and for a path problem the look-back windows at the
+    horizon.  The arrays are read-only: rungs that share the block must all
+    see the same samples.
     """
 
     noise: NoiseBundle
     dW: np.ndarray | None
     traj: TrajectoryBatch
     basis: RegressionBasisSpec | None = None
+    offset: int = 0
 
     @cached_property
     def features(self):
@@ -209,57 +222,90 @@ class _Forward:
 
 def _simulate_point(
     problem: ProblemSpec, t: float, start, config: SolverConfig, keep_increments: bool = False
-) -> _Forward:
+) -> Iterator[_Forward]:
     """The forward part of a point evaluation: noise, increments and Euler.
 
-    The basis-size guard runs before any noise is drawn, whatever the
-    driver.  The increments are dropped after the Euler scheme for a zero
-    driver unless ``keep_increments`` asks for them.
+    Yields the path set in blocks.  A zero driver runs blocks of
+    ``_FORWARD_BLOCK`` paths and drops each block's increments after the
+    Euler scheme.  A nonzero driver, or ``keep_increments``, runs one block
+    of all paths and keeps its increments, because the backward induction
+    reads the whole arrays.  The basis-size guard runs before any noise is
+    drawn, whatever the driver.  A diverging path is reported by its index
+    among all paths.
     """
     basis = config.resolved_basis(problem.mode)
     _check_basis_size(basis.n_features(problem.d), config.n_paths)
     grid = Grid(t, problem.horizon, config.n_steps)
     noise = NoiseBundle(config.seed, config.n_paths, config.n_steps, problem.d)
-    dW = noise.increments(grid.dt)
+    spec = SdeSpec(problem.b, problem.sigma)
+    whole = keep_increments or problem.driver.f is not None
+    block = config.n_paths if whole else _FORWARD_BLOCK
     euler = euler_markov if problem.mode == "markov" else euler_path_dependent
-    traj = euler(SdeSpec(problem.b, problem.sigma), start, grid, dW, workers=config.workers)
-    traj.values.flags.writeable = False
-    if problem.driver.f is None and not keep_increments:
-        dW = None
-    else:
-        dW.flags.writeable = False
-    return _Forward(noise, dW, traj, basis)
+    for p0 in range(0, config.n_paths, block):
+        dW = noise.increments(grid.dt, p0, min(p0 + block, config.n_paths))
+        try:
+            traj = euler(spec, start, grid, dW, workers=config.workers)
+        except DivergenceError as err:
+            raise DivergenceError(p0 + err.path, err.step) from None
+        traj.values.flags.writeable = False
+        if whole:
+            dW.flags.writeable = False
+        else:
+            dW = None
+        yield _Forward(noise, dW, traj, basis, p0)
 
 
-def _terminal_samples(problem: ProblemSpec, fwd: _Forward, config: SolverConfig) -> np.ndarray:
-    """The problem's terminal samples on a simulated path set, checked.
+def _terminal_samples(
+    problems: Sequence[ProblemSpec], t: float, start, config: SolverConfig, keep_increments: bool = False
+) -> tuple[list[np.ndarray], _Forward]:
+    """Terminal samples of problems that share one forward pass, checked.
 
-    Samples of the wrong shape, or with a NaN or inf among them, raise a
-    ValueError.
+    The problems share their mode, coefficients, horizon and whether their
+    driver is zero; the returned list holds one (n_paths,) array of
+    samples per problem.  The second result is the last block of the
+    pass, which is all paths when the induction will run.  A block of
+    samples of the wrong shape raises a ValueError, and so does a NaN or
+    inf among a problem's samples.
     """
-    traj = fwd.traj
-    if problem.mode == "markov":
-        xi = np.asarray(problem.terminal(traj.terminal()), dtype=float)
-    else:
-        xi = _terminal_samples_path(problem, fwd, config)
-    n_paths = traj.n_paths
-    if xi.shape != (n_paths,):
-        raise ValueError(f"terminal samples shape {xi.shape} != ({n_paths},)")
-    n_bad = n_paths - int(np.count_nonzero(np.isfinite(xi)))
-    if n_bad:
-        raise ValueError(f"{n_bad} of {n_paths} terminal samples are not finite (NaN or inf)")
-    return xi
+    for problem in problems:
+        if config.bridge_max and isinstance(problem.terminal, SupTerminal) and not isinstance(
+            problem.sigma, (int, float)
+        ):
+            warnings.warn(
+                "bridge-corrected maxima need a constant diffusion; falling back to the discrete maximum",
+                stacklevel=2,
+            )
+    n_paths = config.n_paths
+    xi = [np.empty(n_paths) for _ in problems]
+    for fwd in _simulate_point(problems[0], t, start, config, keep_increments):
+        p0, p1 = fwd.offset, fwd.offset + fwd.traj.n_paths
+        for r, problem in enumerate(problems):
+            if problem.mode == "markov":
+                block = np.asarray(problem.terminal(fwd.traj.terminal()), dtype=float)
+            else:
+                block = _terminal_samples_path(problem, fwd, config)
+            if block.shape != (p1 - p0,):
+                raise ValueError(f"terminal samples shape {block.shape} != ({p1 - p0},)")
+            if p1 - p0 == n_paths:
+                xi[r] = block  # one block of all paths: no copy, and the untouched row is freed
+            else:
+                xi[r][p0:p1] = block  # a copy, so no block outlives its pass
+    for row in xi:
+        n_bad = n_paths - int(np.count_nonzero(np.isfinite(row)))
+        if n_bad:
+            raise ValueError(f"{n_bad} of {n_paths} terminal samples are not finite (NaN or inf)")
+    return xi, fwd
 
 
-def _point_value(problem: ProblemSpec, fwd: _Forward, config: SolverConfig) -> tuple[float, float]:
+def _point_value(problem: ProblemSpec, xi: np.ndarray, fwd: _Forward) -> tuple[float, float]:
     """The value part of a point evaluation: value and standard error.
 
-    A zero driver returns the terminal sample mean and builds no features:
-    every projection keeps the mean of its target (the intercept is never
-    penalised) and at the first step all paths share one state, so the
-    induction's Y_0 is that mean up to rounding.
+    A zero driver returns the mean of the terminal samples xi and builds
+    no features: every projection keeps the mean of its target (the
+    intercept is never penalised) and at the first step all paths share
+    one state, so the induction's Y_0 is that mean up to rounding.  A
+    nonzero driver runs the induction on ``fwd``, one block of all paths.
     """
-    xi = _terminal_samples(problem, fwd, config)
     if problem.driver.f is None:
         return _zero_driver_value(xi), float(xi.std(ddof=1) / np.sqrt(xi.size))
     sol = solve_bsde(problem.driver, xi, fwd.features, fwd.traj, fwd.dW)
@@ -291,7 +337,8 @@ def _evaluate_point(problem: ProblemSpec, t: float, start, config: SolverConfig)
     exact = _terminal_time_value(problem, t, start)
     if exact is not None:
         return exact, 0.0
-    return _point_value(problem, _simulate_point(problem, t, start, config), config)
+    (xi,), fwd = _terminal_samples([problem], t, start, config)
+    return _point_value(problem, xi, fwd)
 
 
 def evaluate_markov(
@@ -308,14 +355,18 @@ def evaluate_markov(
     return _evaluate_point(problem, t, x, config)
 
 
-def bridge_corrected_max(values: np.ndarray, dt: float, sigma: float, noise: NoiseBundle) -> np.ndarray:
+def bridge_corrected_max(
+    values: np.ndarray, dt: float, sigma: float, noise: NoiseBundle, offset: int = 0
+) -> np.ndarray:
     """Running maximum with per-step Brownian-bridge maxima.
 
     Conditionally on the step endpoints, the in-step maximum of a constant
     diffusion bridge is (a + b + sqrt((b-a)^2 - 2 sigma^2 dt ln U)) / 2.
     The plain discrete maximum underestimates by O(sqrt(dt)); this
     estimator is exact in law for constant sigma.  ``noise`` supplies the
-    auxiliary uniforms, streamed in path blocks.
+    auxiliary uniforms, streamed in path blocks: row i of ``values`` reads
+    path ``offset + i`` of that stream, so a block of a forward pass gets
+    the uniforms it would get in one pass over all paths.
     """
     n_paths = values.shape[0]
     if sigma == 0.0:
@@ -324,7 +375,7 @@ def bridge_corrected_max(values: np.ndarray, dt: float, sigma: float, noise: Noi
     block = max(1, min(n_paths, 2**22 // max(1, values.shape[1])))
     for p0 in range(0, n_paths, block):
         p1 = min(p0 + block, n_paths)
-        u = noise.uniforms(p0, p1)[:, :, 0]
+        u = noise.uniforms(offset + p0, offset + p1)[:, :, 0]
         np.log(u, out=u)
         u *= -2.0 * sigma**2 * dt
         diff = values[p0:p1, 1:] - values[p0:p1, :-1]
@@ -356,14 +407,10 @@ def _terminal_samples_path(problem: ProblemSpec, fwd: _Forward, config: SolverCo
     if isinstance(term, SupTerminal):
         past = _past_sup(traj.prefix, traj.grid.t_start)
         if config.bridge_max and isinstance(problem.sigma, (int, float)):
-            body = bridge_corrected_max(traj.values, traj.grid.dt, float(problem.sigma), fwd.noise.child(1))
-        else:
-            if config.bridge_max:
-                warnings.warn(
-                    "bridge-corrected maxima need a constant diffusion; "
-                    "falling back to the discrete maximum",
-                    stacklevel=2,
-                )
+            body = bridge_corrected_max(
+                traj.values, traj.grid.dt, float(problem.sigma), fwd.noise.child(1), fwd.offset
+            )
+        else:  # _terminal_samples warned once if the bridge maximum was asked for
             body = traj.values.max(axis=1)
         return np.maximum(past, body)
     wb = fwd.windows
@@ -460,10 +507,11 @@ class _LinearTerminalSmoother:
     """Batch form of the terminal smoothing ``smooth_terminal(inner, n, T)``.
 
     The smoothed argument (projection plus endpoint correction) is linear
-    in the window samples.  ``evaluate_batch`` builds its matrix on every
-    call, in closed form as ``argument_values`` of the identity, and
-    applies it to all windows in one product; the wrapped functional is
-    then applied row by row (vectorised for the running maximum).
+    in the window samples.  ``evaluate_batch`` builds its matrix once per
+    window node count, in closed form as ``argument_values`` of the
+    identity, and applies it to each batch of windows in one product; the
+    wrapped functional is then applied row by row (vectorised for the
+    running maximum).
     """
 
     def __init__(self, inner, n: int, horizon: float):
@@ -471,9 +519,13 @@ class _LinearTerminalSmoother:
         self.horizon = horizon
         H = (lambda p: float(np.max(p.values))) if isinstance(inner, SupTerminal) else inner
         self._smoothed = smooth_terminal(H, n, horizon)
+        self._matrices: dict[int, np.ndarray] = {}
 
     def evaluate_batch(self, wb: WindowBatch) -> np.ndarray:
-        smoothed_vals = wb.values @ self._smoothed.argument_values(np.eye(wb.xs.size))
+        m = wb.xs.size
+        if m not in self._matrices:
+            self._matrices[m] = self._smoothed.argument_values(np.eye(m))
+        smoothed_vals = wb.values @ self._matrices[m]
         if isinstance(self.inner, SupTerminal):
             return smoothed_vals.max(axis=1)
         return np.array([float(self.inner(Path(self.horizon, row))) for row in smoothed_vals])
@@ -571,11 +623,14 @@ def strong_viscosity_pipeline(
 
     Every rung shares the probe's seed (common random numbers), so the
     Cauchy gaps between consecutive rungs isolate the smoothing effect.
-    The forward pass (noise, Euler paths, look-back windows, regression
-    features) runs once per probe and is reused by each following rung whose drift and diffusion
-    are the same objects; the values are those of one ``evaluate_*`` call
-    per rung and probe, bit for bit.  A probe is flagged non-convergent
-    when its last gap both grew and exceeds three joint standard errors.
+    Consecutive rungs whose drift and diffusion are the same objects share
+    one forward pass per probe: for a zero driver it runs in path blocks,
+    and each block's look-back windows feed every rung's terminal before
+    the block is dropped; for a nonzero driver it is one block of all
+    paths, whose regression features the rungs share.  The values are
+    those of one ``evaluate_*`` call per rung and probe, bit for bit.  A
+    probe is flagged non-convergent when its last gap both grew and
+    exceeds three joint standard errors.
     """
     probes = list(probes)
     inner_k = None
@@ -586,21 +641,26 @@ def strong_viscosity_pipeline(
         _smooth_rung(problem, n, schedule, inner_k=None if inner_k is None else int(inner_k[r]))
         for r, n in enumerate(schedule.indices)
     ]
+    groups: list[list[int]] = []  # runs of rungs whose drift and diffusion are the same objects
+    for r, rung in enumerate(rungs):
+        if r and rung.b is rungs[r - 1].b and rung.sigma is rungs[r - 1].sigma:
+            groups[-1].append(r)
+        else:
+            groups.append([r])
     n_rungs = len(rungs)
     values = np.empty((n_rungs, len(probes)))
     errors = np.empty_like(values)
     for p, (t, probe) in enumerate(probes):
+        exact = [_terminal_time_value(rung, t, probe) for rung in rungs]
+        if exact[0] is not None:  # every rung has the same horizon
+            values[:, p], errors[:, p] = exact, 0.0
+            continue
         cfg = replace(schedule.config, seed=_probe_seed(schedule.config.seed, t, probe))
-        fwd = simulated = None
-        for r, rung in enumerate(rungs):
-            exact = _terminal_time_value(rung, t, probe)
-            if exact is not None:
-                values[r, p], errors[r, p] = exact, 0.0
-                continue
-            if fwd is None or rung.b is not simulated.b or rung.sigma is not simulated.sigma:
-                fwd = None  # release the previous path set before simulating the next
-                fwd, simulated = _simulate_point(rung, t, probe, cfg), rung
-            values[r, p], errors[r, p] = _point_value(rung, fwd, cfg)
+        for group in groups:
+            xi, fwd = _terminal_samples([rungs[r] for r in group], t, probe, cfg)
+            for r, row in zip(group, xi):
+                values[r, p], errors[r, p] = _point_value(rungs[r], row, fwd)
+            xi = fwd = None  # release the path set before the next group simulates
     gaps = np.abs(np.diff(values, axis=0))
     converged = np.ones(len(probes), dtype=bool)
     if n_rungs >= 3:
@@ -662,8 +722,7 @@ def comparison_experiment(
     """
     if problem.mode != "markov":
         raise ValueError("the comparison experiment runs on the Markovian benchmark family")
-    fwd = _simulate_point(problem, t, x, config, keep_increments=True)
-    xi = _terminal_samples(problem, fwd, config)
+    (xi,), fwd = _terminal_samples([problem], t, x, config, keep_increments=True)
     traj, dW, grid = fwd.traj, fwd.dW, fwd.traj.grid
     features = fwd.features
     sol = solve_bsde(problem.driver, xi, features, traj, dW)

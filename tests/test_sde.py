@@ -117,6 +117,17 @@ def test_euler_divergence_guard():
         euler_markov(SdeSpec(lambda t, x: x * 1e13, 0.0), 1.0, g, nb.increments(g.dt))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_divergence_names_the_path_among_all_increments(workers):
+    g = Grid(0.0, 1.0, 20)
+    dW = NoiseBundle(5, 10, 20).increments(g.dt)
+    dW[7, 3] = np.inf
+    with pytest.raises(DivergenceError, match="path 7, step 4$"):
+        euler_markov(SdeSpec(0.0, 1.0), 0.0, g, dW, workers=workers)
+    with pytest.raises(DivergenceError, match="path 7, step 4$"):
+        euler_path_dependent(SdeSpec(0.0, 1.0), Path.constant(0.0, 1.0, 21), g, dW, workers=workers)
+
+
 def test_euler_determinism_across_workers():
     g = Grid(0.0, 1.0, 60)
     nb = NoiseBundle(9, 5000, 60)

@@ -340,6 +340,22 @@ def test_property_smoother_batch_equals_row_by_row(n, T, m, seed, inner):
     np.testing.assert_allclose(batch, rows, rtol=0.0, atol=1e-12 * max(1.0, np.abs(rows).max()))
 
 
+def test_smoother_builds_its_matrix_once_per_node_count(monkeypatch):
+    smoother = _LinearTerminalSmoother(SupTerminal(), 16, 1.0)
+    original = smoother._smoothed.argument_values
+    built = []
+
+    def spy(V):
+        built.append(V.shape)
+        return original(V)
+
+    monkeypatch.setattr(smoother._smoothed, "argument_values", spy)
+    for m in (201, 201, 51, 201, 51):
+        wb = WindowBatch(np.linspace(-1.0, 0.0, m), np.cumsum(_rows(m, 9, m, scale=0.2), axis=1))
+        assert np.array_equal(smoother.evaluate_batch(wb), (wb.values @ original(np.eye(m))).max(axis=1))
+    assert built == [(201, 201), (51, 51)]
+
+
 # ---------------------------------------------------------------------------
 # finite-dimensional smoothing
 

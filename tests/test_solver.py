@@ -2,12 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pathpde import smoothing, solver
 from pathpde.bsde import DriverSpec, RegressionBasisSpec
 from pathpde.paths import Grid, Path
-from pathpde.sde import TrajectoryBatch
+from pathpde.sde import DivergenceError, TrajectoryBatch
 from pathpde.smoothing import CylindricalFunctional, Integrand
 from pathpde.solver import (
     ApproximationSchedule,
@@ -476,39 +476,155 @@ def test_pipeline_matches_one_evaluation_per_rung(name):
     assert np.array_equal(report.std_errors, errors)
 
 
-def _count_euler(monkeypatch):
-    calls = []
+def _euler_sizes(monkeypatch):
+    """Record (n_paths, n_steps) of the increments handed to each Euler call."""
+    sizes = []
     for name in ("euler_markov", "euler_path_dependent"):
         original = getattr(solver, name)
 
-        def spy(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
+        def spy(spec, start, grid, dW, *args, _original=original, **kwargs):
+            sizes.append(dW.shape[:2])
+            return _original(spec, start, grid, dW, *args, **kwargs)
 
         monkeypatch.setattr(solver, name, spy)
-    return calls
+    return sizes
 
 
 @pytest.mark.parametrize("name, shared", [("path-sup", True), ("path-cylindrical", True),
                                           ("markov-constant", True), ("markov-linear-driver", True),
                                           ("markov-mollified", False)])
 def test_pipeline_simulates_once_per_probe_when_rungs_share_coefficients(monkeypatch, name, shared):
+    # zero-driver passes stream in four blocks; one pass is 2000 x 20 path-steps whatever the blocks
+    monkeypatch.setattr(solver, "_FORWARD_BLOCK", 512)
     problem, options, probes = _reuse_cases()[name]
-    calls = _count_euler(monkeypatch)
+    sizes = _euler_sizes(monkeypatch)
     schedule = ApproximationSchedule((2, 4, 8), SolverConfig(2000, 20, seed=32), **options)
     strong_viscosity_pipeline(problem, schedule, probes)
-    assert len(calls) == len(probes) * (1 if shared else len(schedule.indices))
+    passes = len(probes) * (1 if shared else len(schedule.indices))
+    assert sum(n * k for n, k in sizes) == passes * 2000 * 20
 
 
 def test_shared_forward_arrays_are_read_only():
-    cfg = SolverConfig(2000, 20, seed=33)
-    fwd = solver._simulate_point(_lookback_problem(), 0.0, Path.constant(0.0, 1.0, 21), cfg)
-    assert fwd.dW is None  # a zero driver runs no induction
-    assert not fwd.traj.values.flags.writeable
-    assert not fwd.windows.values.flags.writeable
-    assert fwd.windows is fwd.windows  # cut once
-    fwd = solver._simulate_point(_linear_problem(), 0.0, 0.0, cfg)
-    assert fwd.dW.shape == (2000, 20, 1) and not fwd.dW.flags.writeable
+    cfg = SolverConfig(solver._FORWARD_BLOCK + 100, 20, seed=33)
+    blocks = list(solver._simulate_point(_lookback_problem(), 0.0, Path.constant(0.0, 1.0, 21), cfg))
+    assert [(fwd.offset, fwd.traj.n_paths) for fwd in blocks] == [(0, solver._FORWARD_BLOCK),
+                                                                   (solver._FORWARD_BLOCK, 100)]
+    for fwd in blocks:
+        assert fwd.dW is None  # a zero driver runs no induction
+        assert not fwd.traj.values.flags.writeable
+        assert not fwd.windows.values.flags.writeable
+        assert fwd.windows is fwd.windows  # cut once
+    (fwd,) = solver._simulate_point(_linear_problem(), 0.0, 0.0, cfg)
+    assert fwd.offset == 0 and fwd.traj.n_paths == cfg.n_paths
+    assert fwd.dW.shape == (cfg.n_paths, 20, 1) and not fwd.dW.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# zero-driver forward passes stream in path blocks
+
+
+N_BLOCKED = 2 * solver._FORWARD_BLOCK + 101  # three blocks, the last one partial
+
+
+@pytest.mark.parametrize("name", ["path-sup", "path-cylindrical", "markov-constant", "markov-linear-driver"])
+def test_euler_gets_at_most_a_block_of_paths_unless_the_driver_is_nonzero(monkeypatch, name):
+    problem, options, probes = _reuse_cases()[name]
+    sizes = _euler_sizes(monkeypatch)
+    cfg = SolverConfig(N_BLOCKED, 5, seed=38)
+    t, probe = probes[1]
+    (evaluate_markov if problem.mode == "markov" else evaluate_ppde)(problem, t, probe, cfg)
+    strong_viscosity_pipeline(problem, ApproximationSchedule((2, 4), cfg, **options), [(t, probe)])
+    paths = [n for n, _ in sizes]
+    assert sum(paths) == 2 * N_BLOCKED  # the evaluation and the pipeline's one shared pass
+    if problem.driver.f is None:
+        assert len(paths) == 6 and max(paths) <= solver._FORWARD_BLOCK
+    else:
+        assert paths == [N_BLOCKED, N_BLOCKED]
+
+
+def test_bridge_fallback_warns_once_per_evaluation():
+    problem = replace(_lookback_problem(), sigma=lambda t, wb: np.ones(wb.values.shape[0]))
+    with pytest.warns(UserWarning, match="constant diffusion") as record:
+        value, _ = evaluate_ppde(problem, 0.0, Path.constant(0.0, 1.0, 6), SolverConfig(N_BLOCKED, 5, seed=39))
+    assert len(record) == 1 and np.isfinite(value)
+
+
+def test_divergence_names_the_path_among_all_paths(monkeypatch):
+    class InfOnPath777(solver.NoiseBundle):
+        def increments(self, dt, p0=0, p1=None):
+            dW = super().increments(dt, p0, p1)
+            if p0 <= 777 < p1:
+                dW[777 - p0, 3] = np.inf
+            return dW
+
+    monkeypatch.setattr(solver, "NoiseBundle", InfOnPath777)
+    monkeypatch.setattr(solver, "_FORWARD_BLOCK", 64)
+    for workers in (1, 2):
+        for problem, start in ((_heat_problem(), 0.0), (_lookback_problem(), Path.constant(0.0, 1.0, 11))):
+            cfg = SolverConfig(1000, 10, seed=40, workers=workers)
+            with pytest.raises(DivergenceError, match="path 777, step 4$"):
+                solver._evaluate_point(problem, 0.0, start, cfg)
+
+
+class _MeanAbsWindow:
+    """A terminal with a batch form: the mean absolute window value."""
+
+    def evaluate_batch(self, wb):
+        return np.abs(wb.values).mean(axis=1)
+
+
+def _streaming_cases():
+    history = Path.from_function(lambda x: 0.2 * np.sin(3.0 * x), 1.0, 41)
+    cyl = CylindricalFunctional(base=lambda t, F: np.abs(F[:, 0]) + F[:, 1] ** 2,
+                                integrands=(_unit_integrand(), _sin_integrand()))
+
+    def path_problem(terminal):
+        return ProblemSpec("path", 0.1, 1.0, DriverSpec(None), terminal, horizon=1.0)
+
+    return {
+        "markov": (_heat_problem(terminal=lambda x: np.abs(x)), 0.3, True),
+        "sup-bridge": (path_problem(SupTerminal()), history, True),
+        "sup-discrete": (path_problem(SupTerminal()), history, False),
+        "cylindrical": (path_problem(cyl), history, True),
+        "evaluate-batch": (path_problem(_MeanAbsWindow()), history, True),
+        "path-callable": (path_problem(lambda eta: float(np.abs(eta.values[-1]) + eta.values[0])), history, True),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["markov", "sup-bridge", "sup-discrete", "cylindrical", "evaluate-batch", "path-callable"]),
+       st.integers(3, 97), st.integers(120, 400),
+       st.integers(1, 12), st.sampled_from([0.0, 0.25]), st.integers(0, 2**32 - 1))
+def test_property_streaming_changes_no_sample_value_or_error(name, block, n_paths, n_steps, t, seed):
+    assume(n_paths % block)
+    problem, start, bridge = _streaming_cases()[name]
+    cfg = SolverConfig(n_paths, n_steps, seed=seed, bridge_max=bridge)
+    results = []
+    for size in (block, 10 * n_paths):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_FORWARD_BLOCK", size)
+            (xi,), _ = solver._terminal_samples([problem], t, start, cfg)
+            results.append((xi, solver._evaluate_point(problem, t, start, cfg)))
+    (streamed, streamed_value), (whole, whole_value) = results
+    assert np.array_equal(streamed, whole)
+    assert streamed_value == whole_value
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["path-sup", "path-callable", "path-cylindrical", "markov-constant"]),
+       st.integers(3, 97), st.integers(120, 400), st.integers(0, 2**32 - 1))
+def test_property_streaming_changes_no_pipeline_value(name, block, n_paths, seed):
+    assume(n_paths % block)
+    problem, options, probes = _reuse_cases()[name]
+    schedule = ApproximationSchedule((2, 4, 8), SolverConfig(n_paths, 10, seed=seed), **options)
+    reports = []
+    for size in (block, 10 * n_paths):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_FORWARD_BLOCK", size)
+            reports.append(strong_viscosity_pipeline(problem, schedule, probes))
+    streamed, whole = reports
+    assert np.array_equal(streamed.values, whole.values)
+    assert np.array_equal(streamed.std_errors, whole.std_errors)
 
 
 # ---------------------------------------------------------------------------
