@@ -170,7 +170,11 @@ class RegressionBasisSpec:
 
 
 class _MarkovFeatures:
-    """The state held step-major, (steps+1, d, n), so each step's rows are contiguous."""
+    """The state held step-major, (steps+1, d, n), so each step's rows are contiguous.
+
+    Trajectories from the Euler schemes already are: the state is then a
+    view of their buffer, and a copy only for other layouts.
+    """
 
     def __init__(self, spec: RegressionBasisSpec, traj: TrajectoryBatch):
         self.spec = spec
@@ -413,9 +417,11 @@ def solve_bsde(
     trajectories) or an already-compiled provider with design/state
     methods and the ``spec`` it was built from, whose ridge the
     regressions use.  ``increments`` are the Brownian increments used by
-    the forward simulation, shape (n_paths, n_steps, d).  The provider's
-    ``state`` is called only for a nonzero driver.  The returned Y and Z
-    are path-major views of the induction's step-major buffer, not copies.
+    the forward simulation, shape (n_paths, n_steps, d), read as step
+    rows (without a copy when they come from ``NoiseBundle.increments``).
+    The provider's ``state`` is called only for a nonzero driver.  The
+    returned Y and Z are path-major views of the induction's step-major
+    buffer, not copies.
     """
     if isinstance(features, RegressionBasisSpec):
         features = make_features(features, trajectories)
@@ -434,7 +440,7 @@ def solve_bsde(
 
     dt = grid.dt
     times = grid.times
-    dW_t = np.ascontiguousarray(increments.transpose(1, 2, 0))  # (steps, d, n)
+    dW_t = np.ascontiguousarray(increments.transpose(1, 2, 0))  # (steps, d, n); no copy for NoiseBundle's
     # step-major solution: rows :d of W_t[k] are Z_k, row d is Y_k
     W_t = np.empty((n_steps + 1, d + 1, n_paths))
     W_t[-1, d] = terminal

@@ -6,6 +6,16 @@ normals are produced by inverse CDF, so the increment at (path, step,
 component) is a pure function of the key and its counter offset: any block
 of paths can be regenerated bit-identically, independent of how work is
 partitioned across workers.
+
+The forward pass is step-major.  Philox lays each path's words out
+contiguously, so ``NoiseBundle.increments`` turns them into increments
+in place, a cache-sized chunk of paths at a time, and writes them
+transposed into a (n_steps, d, n_paths) buffer, of which it returns the
+path-major view.  The Euler schemes step on contiguous rows of a
+(n_steps + 1[, d], n_paths) buffer, and ``TrajectoryBatch.values`` is its
+path-major view, so ``values.T`` (or ``values.transpose(1, 2, 0)``) gives
+the step rows back without a copy.  Every value is computed by the same
+arithmetic as on a path-major layout, so the layout moves no bit.
 """
 
 from __future__ import annotations
@@ -38,6 +48,9 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _BINARY_MAGIC = b"PPDETRJ1"
+# Philox words in one cache-sized chunk of paths (512 KB), the unit in which
+# increments and the solver's bridge maxima are formed and transposed
+_CHUNK_WORDS = 2**16
 
 
 class DivergenceError(RuntimeError):
@@ -89,6 +102,21 @@ class NoiseBundle:
         need = self.n_steps * self.d
         return ((need + 3) // 4) * 4  # Philox counter advances in 4-word blocks
 
+    def _words(self, p0: int, p1: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Clamped uniform words of paths p0..p1, shape (p1 - p0, words per path).
+
+        ``out``, when given, is a contiguous buffer of (p1 - p0) * words per
+        path doubles that receives them.
+        """
+        key = (self.seed & _MASK64) | ((self.tag & _MASK64) << 64)
+        bg = np.random.Philox(key=key)
+        wpp = self._words_per_path
+        bg.advance((p0 * wpp) // 4)
+        gen = np.random.Generator(bg)
+        u = gen.random((p1 - p0) * wpp) if out is None else gen.random(out=out)
+        np.maximum(u, 2.0**-54, out=u)
+        return u.reshape(p1 - p0, wpp)
+
     def uniforms(self, p0: int = 0, p1: int | None = None) -> np.ndarray:
         """Uniforms in (0, 1), shape (block, n_steps, d).
 
@@ -97,21 +125,35 @@ class NoiseBundle:
         are clamped away for the inverse-CDF step.
         """
         p1 = self.n_paths if p1 is None else p1
-        key = (self.seed & _MASK64) | ((self.tag & _MASK64) << 64)
-        bg = np.random.Philox(key=key)
-        wpp = self._words_per_path
-        bg.advance((p0 * wpp) // 4)
-        u = np.random.Generator(bg).random((p1 - p0) * wpp)
-        np.maximum(u, 2.0**-54, out=u)
-        u = u.reshape(p1 - p0, wpp)[:, : self.n_steps * self.d]
+        u = self._words(p0, p1)[:, : self.n_steps * self.d]
         return u.reshape(p1 - p0, self.n_steps, self.d)
 
     def normals(self, p0: int = 0, p1: int | None = None) -> np.ndarray:
         return ndtri(self.uniforms(p0, p1))
 
     def increments(self, dt: float, p0: int = 0, p1: int | None = None) -> np.ndarray:
-        """Brownian increments N(0, dt), shape (block, n_steps, d)."""
-        return np.sqrt(dt) * self.normals(p0, p1)
+        """Brownian increments N(0, dt), shape (block, n_steps, d).
+
+        The result is the path-major view of a step-major (n_steps, d,
+        block) buffer, so each step's increments are contiguous rows.  The
+        words are drawn a cache-sized chunk of paths at a time; ``ndtri``
+        and the sqrt(dt) scale run in place on them, and they are written
+        once, transposed, into the buffer.
+        """
+        p1 = self.n_paths if p1 is None else p1
+        n, d, steps = p1 - p0, self.d, self.n_steps
+        out = np.empty((steps, d, n))
+        wpp = self._words_per_path
+        chunk = max(1, _CHUNK_WORDS // wpp)
+        scratch = np.empty(min(n, chunk) * wpp)
+        scale = np.sqrt(dt)
+        for q0 in range(0, n, chunk):
+            q1 = min(q0 + chunk, n)
+            z = self._words(p0 + q0, p0 + q1, scratch[: (q1 - q0) * wpp])[:, : steps * d]
+            ndtri(z, out=z)
+            z *= scale
+            out[:, :, q0:q1] = z.reshape(q1 - q0, steps, d).transpose(1, 2, 0)
+        return out.transpose(2, 0, 1)
 
     def child(self, tag: int, d: int | None = None) -> "NoiseBundle":
         if tag == self.tag:
@@ -139,6 +181,13 @@ class SdeSpec:
 class TrajectoryBatch:
     """Forward values for many paths on one grid, with a shared history.
 
+    ``values`` is path-major, (n_paths, n_steps + 1[, d]).  The Euler
+    schemes return it as the view of a step-major (n_steps + 1[, d],
+    n_paths) buffer, so ``values.T`` (scalar) or
+    ``values.transpose(1, 2, 0)`` (vector) are contiguous step rows, and
+    the readers here and in the backward solver take those rows without
+    a copy.  Any other layout works too, only with strided reads.
+
     A history path covers [t - T, t] for the grid start t; continuity
     requires its present value to equal every path's first value exactly.
     """
@@ -163,28 +212,34 @@ class TrajectoryBatch:
         return self.values[:, -1]
 
     def window_values(self, k: int, xs: np.ndarray) -> np.ndarray:
-        """Materialised look-back slice at grid index k on node layout xs."""
+        """Materialised look-back slice at grid index k on node layout xs.
+
+        Shape (n_paths, xs.size), the path-major view of one step-major row
+        per node, each interpolated between two step rows of the values.
+        """
         if self.prefix is None:
             raise ValueError("window extraction requires a history path")
         if self.values.ndim != 2:
             raise ValueError("windows are defined for scalar trajectories only")
         t0 = self.grid.t_start
-        sk = self.grid.times[k]
-        taus = sk + xs
-        out = np.empty((self.n_paths, xs.size))
+        taus = self.grid.times[k] + xs
+        rows = self.values.T
+        out = np.empty((xs.size, self.n_paths))
+        tmp = np.empty(self.n_paths)
         pre_vals = self.prefix(np.clip(taus - t0, -self.prefix.horizon, 0.0))
-        times = self.grid.times
         dt = self.grid.dt
         for j, tau in enumerate(taus):
             if tau <= t0:
-                out[:, j] = pre_vals[j]
+                out[j] = pre_vals[j]
             else:
                 pos = min(max((tau - t0) / dt, 0.0), self.grid.n_steps)
                 i0 = min(int(pos), self.grid.n_steps - 1)
                 w = pos - i0
-                out[:, j] = (1.0 - w) * self.values[:, i0] + w * self.values[:, i0 + 1]
-        out[:, -1] = self.values[:, k]
-        return out
+                np.multiply(rows[i0], 1.0 - w, out=out[j])
+                np.multiply(rows[i0 + 1], w, out=tmp)
+                out[j] += tmp
+        out[-1] = rows[k]
+        return out.T
 
     def window_batch(self, k: int, n_nodes: int | None = None) -> WindowBatch:
         T = self.prefix.horizon
@@ -193,27 +248,26 @@ class TrajectoryBatch:
         return WindowBatch(xs, self.window_values(k, xs))
 
 
-def _coef_markov(c) -> Callable:
-    if callable(c):
-        return c
-    val = float(c)
-    return lambda t, x: np.broadcast_to(np.asarray(val), np.shape(x)).copy() if np.ndim(x) else val
+def _coef_markov(c) -> Callable | float:
+    """A state coefficient as given if callable, else as a float constant."""
+    return c if callable(c) else float(c)
 
 
-def _apply_sigma(sig_val: np.ndarray, dw: np.ndarray) -> np.ndarray:
+def _apply_sigma(sig_val, dw: np.ndarray) -> np.ndarray:
     """Diffusion contraction for one step: supports scalar, diagonal, full."""
-    sig = np.asarray(sig_val, dtype=float)
-    if dw.ndim == 1:  # scalar state
-        return sig * dw
-    if sig.ndim == 3:  # (m, d, d) matrix
-        return np.einsum("mij,mj->mi", sig, dw)
-    return sig * dw  # (m, d) diagonal or broadcastable scalar
+    if np.ndim(sig_val) == 3:  # (m, d, d) matrix
+        return np.einsum("mij,mj->mi", np.asarray(sig_val, dtype=float), dw)
+    return sig_val * dw  # a float, (m,) scalar state, (m, d) diagonal or broadcastable
 
 
 def _guard(x: np.ndarray, step: int, p0: int) -> None:
-    """Raise on the first bad path of a worker's block, which starts at path p0."""
-    bad = ~np.isfinite(x) | (np.abs(x) > 1e12)
-    if np.any(bad):
+    """Raise on the first bad path of a worker's block, which starts at path p0.
+
+    One reduction per step finds NaN, +-inf and values beyond 1e12; the
+    full mask is built only to name the failing path.
+    """
+    if not np.abs(x).max() <= 1e12:
+        bad = ~np.isfinite(x) | (np.abs(x) > 1e12)
         idx = int(np.argmax(bad.reshape(bad.shape[0], -1).any(axis=1)))
         raise DivergenceError(p0 + idx, step)
 
@@ -223,15 +277,34 @@ def _check_increments(dW: np.ndarray, grid: Grid) -> None:
         raise ValueError(f"increments of shape {dW.shape} do not match (n_paths, {grid.n_steps}, d)")
 
 
+def _step_rows(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """The step-major value buffer of an Euler scheme: ``out`` checked, or a new one."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape:
+        raise ValueError(f"value buffer of shape {out.shape} != {shape}")
+    return out
+
+
 def euler_markov(
-    spec: SdeSpec, x: float | np.ndarray, grid: Grid, dW: np.ndarray, workers: int = 1
+    spec: SdeSpec,
+    x: float | np.ndarray,
+    grid: Grid,
+    dW: np.ndarray,
+    workers: int = 1,
+    out: np.ndarray | None = None,
 ) -> TrajectoryBatch:
     """Euler-Maruyama recursion X_{k+1} = X_k + b dt + sigma dW per path.
 
     The increments dW, shape (n_paths, grid.n_steps, d), are the one noise
     input: they set the path count and the state dimension, and the
     recursion starts from x at ``grid.t_start``.  A scalar x needs d = 1,
-    a vector x needs d = x.size.
+    a vector x needs d = x.size.  Step k reads ``dW[:, k]`` as the rows
+    ``dW.transpose(1, 2, 0)[k]``, contiguous when dW came from
+    ``NoiseBundle.increments``.  The values go into the step-major buffer
+    ``out`` (a new one when None), shape (n_steps + 1, n_paths) for a
+    scalar x and (n_steps + 1, d, n_paths) for a vector one.  Constant
+    coefficients stay floats.
     """
     _check_increments(dW, grid)
     n_paths, _, d = dW.shape
@@ -243,19 +316,34 @@ def euler_markov(
     vector_state = x0.ndim > 0
     if x0.size != d:
         raise ValueError(f"state dimension {x0.size} does not match increments d={d}")
-    values = np.empty((n_paths, grid.n_steps + 1, d) if vector_state else (n_paths, grid.n_steps + 1))
+    n_steps = grid.n_steps
+    V = _step_rows(out, (n_steps + 1, d, n_paths) if vector_state else (n_steps + 1, n_paths))
+    dW_t = dW.transpose(1, 2, 0)  # (steps, d, n)
+
+    def coef(c, k, X):
+        return np.asarray(c(times[k], X), dtype=float) if callable(c) else c
 
     def simulate(p0: int, p1: int) -> None:
-        X = np.broadcast_to(x0, (p1 - p0, d)).copy() if vector_state else np.full(p1 - p0, float(x0))
-        values[p0:p1, 0] = X
-        for k in range(grid.n_steps):
-            dw = dW[p0:p1, k, :] if vector_state else dW[p0:p1, k, 0]
-            X = X + np.asarray(b(times[k], X), dtype=float) * dt + _apply_sigma(sigma(times[k], X), dw)
-            _guard(X, k + 1, p0)
-            values[p0:p1, k + 1] = X
+        if vector_state:
+            X = np.broadcast_to(x0, (p1 - p0, d)).copy()
+            V[0, :, p0:p1] = X.T
+            for k in range(n_steps):
+                dw = dW_t[k, :, p0:p1].T
+                X = X + coef(b, k, X) * dt + _apply_sigma(coef(sigma, k, X), dw)
+                _guard(X, k + 1, p0)
+                V[k + 1, :, p0:p1] = X.T
+            return
+        V[0, p0:p1] = x0
+        for k in range(n_steps):
+            X, row = V[k, p0:p1], V[k + 1, p0:p1]
+            b_dt = coef(b, k, X) * dt
+            noise = _apply_sigma(coef(sigma, k, X), dW_t[k, 0, p0:p1])
+            np.add(X, b_dt, out=row)
+            row += noise
+            _guard(row, k + 1, p0)
 
     _run_blocks(simulate, n_paths, workers)
-    return TrajectoryBatch(grid, values)
+    return TrajectoryBatch(grid, V.transpose(2, 0, 1) if vector_state else V.T)
 
 
 def _prefix_on_dt_layout(eta: Path, dt: float) -> tuple[np.ndarray, int]:
@@ -271,7 +359,12 @@ def _prefix_on_dt_layout(eta: Path, dt: float) -> tuple[np.ndarray, int]:
 
 
 def euler_path_dependent(
-    spec: SdeSpec, eta: Path, grid: Grid, dW: np.ndarray, workers: int = 1
+    spec: SdeSpec,
+    eta: Path,
+    grid: Grid,
+    dW: np.ndarray,
+    workers: int = 1,
+    out: np.ndarray | None = None,
 ) -> TrajectoryBatch:
     """Euler recursion with coefficients reading the look-back window.
 
@@ -280,7 +373,9 @@ def euler_path_dependent(
     eta from ``grid.t_start``.  Cylindrical coefficients are evaluated
     through running pathwise integrals (no window is built).  Generic
     callables receive a WindowBatch view of a rolling buffer whose node
-    spacing equals dt, so each step's window is a zero-copy slice.
+    spacing equals dt, so each step's window is a zero-copy slice.  The
+    values go into the step-major (n_steps + 1, n_paths) buffer ``out`` (a
+    new one when None).
     """
     _check_increments(dW, grid)
     if dW.shape[2] != 1:
@@ -289,7 +384,8 @@ def euler_path_dependent(
     dt = grid.dt
     times = grid.times
     n_steps = grid.n_steps
-    values = np.empty((n_paths, n_steps + 1))
+    V = _step_rows(out, (n_steps + 1, n_paths))
+    dW_t = dW[:, :, 0].T  # (steps, n)
 
     needs_window = any(
         callable(c) and not isinstance(c, CylindricalFunctional) for c in (spec.b, spec.sigma)
@@ -312,9 +408,8 @@ def euler_path_dependent(
 
     def simulate(p0: int, p1: int) -> None:
         nb = p1 - p0
-        dw = dW[p0:p1, :, 0]
-        X = np.full(nb, float(eta.values[-1]))
-        values[p0:p1, 0] = X
+        X = V[0, p0:p1]
+        X[...] = float(eta.values[-1])
 
         trackers = {}
         for kind, coef in (b_kind, s_kind):
@@ -338,11 +433,12 @@ def euler_path_dependent(
 
         for k in range(n_steps):
             s = times[k]
-            bv = coef_at(b_kind, k, s)
-            sv = coef_at(s_kind, k, s)
-            X_new = X + bv * dt + sv * dw[:, k]
+            b_dt = coef_at(b_kind, k, s) * dt
+            noise = coef_at(s_kind, k, s) * dW_t[k, p0:p1]
+            X_new = V[k + 1, p0:p1]
+            np.add(X, b_dt, out=X_new)
+            X_new += noise
             _guard(X_new, k + 1, p0)
-            values[p0:p1, k + 1] = X_new
             if needs_window:
                 buf[:, m_win + k] = X_new
             for cf, tracker in trackers.values():
@@ -350,7 +446,7 @@ def euler_path_dependent(
             X = X_new
 
     _run_blocks(simulate, n_paths, workers)
-    return TrajectoryBatch(grid, values, prefix=eta)
+    return TrajectoryBatch(grid, V.T, prefix=eta)
 
 
 def coupled_sup_error(

@@ -56,7 +56,15 @@ from .bsde import (
     solve_bsde,
 )
 from .paths import Grid, Path, WindowBatch
-from .sde import DivergenceError, NoiseBundle, SdeSpec, TrajectoryBatch, euler_markov, euler_path_dependent
+from .sde import (
+    _CHUNK_WORDS,
+    DivergenceError,
+    NoiseBundle,
+    SdeSpec,
+    TrajectoryBatch,
+    euler_markov,
+    euler_path_dependent,
+)
 from .smoothing import (
     CylindricalFunctional,
     FourierBasis,
@@ -227,7 +235,10 @@ def _simulate_point(
 
     Yields the path set in blocks.  A zero driver runs blocks of
     ``_FORWARD_BLOCK`` paths and drops each block's increments after the
-    Euler scheme.  A nonzero driver, or ``keep_increments``, runs one block
+    Euler scheme.  Euler writes every block into one step-major value
+    buffer that belongs to the pass: sized for a full block, its leading
+    part serves the last block, so a block lives until the next one is
+    simulated.  A nonzero driver, or ``keep_increments``, runs one block
     of all paths and keeps its increments, because the backward induction
     reads the whole arrays.  The basis-size guard runs before any noise is
     drawn, whatever the driver.  A diverging path is reported by its index
@@ -239,12 +250,18 @@ def _simulate_point(
     noise = NoiseBundle(config.seed, config.n_paths, config.n_steps, problem.d)
     spec = SdeSpec(problem.b, problem.sigma)
     whole = keep_increments or problem.driver.f is not None
-    block = config.n_paths if whole else _FORWARD_BLOCK
+    block = config.n_paths if whole else min(_FORWARD_BLOCK, config.n_paths)
     euler = euler_markov if problem.mode == "markov" else euler_path_dependent
+    # Euler's value rows: (steps + 1, n) for a scalar state, (steps + 1, d, n) for a vector one
+    rows = (config.n_steps + 1, *np.shape(start)) if problem.mode == "markov" else (config.n_steps + 1,)
+    per_path = int(np.prod(rows))
+    buf = np.empty(per_path * block)
     for p0 in range(0, config.n_paths, block):
-        dW = noise.increments(grid.dt, p0, min(p0 + block, config.n_paths))
+        nb = min(block, config.n_paths - p0)
+        dW = noise.increments(grid.dt, p0, p0 + nb)
+        values = buf[: per_path * nb].reshape(*rows, nb)  # contiguous for the last block too
         try:
-            traj = euler(spec, start, grid, dW, workers=config.workers)
+            traj = euler(spec, start, grid, dW, workers=config.workers, out=values)
         except DivergenceError as err:
             raise DivergenceError(p0 + err.path, err.step) from None
         traj.values.flags.writeable = False
@@ -257,15 +274,16 @@ def _simulate_point(
 
 def _terminal_samples(
     problems: Sequence[ProblemSpec], t: float, start, config: SolverConfig, keep_increments: bool = False
-) -> tuple[list[np.ndarray], _Forward]:
+) -> tuple[list[np.ndarray], _Forward | None]:
     """Terminal samples of problems that share one forward pass, checked.
 
     The problems share their mode, coefficients, horizon and whether their
     driver is zero; the returned list holds one (n_paths,) array of
-    samples per problem.  The second result is the last block of the
-    pass, which is all paths when the induction will run.  A block of
-    samples of the wrong shape raises a ValueError, and so does a NaN or
-    inf among a problem's samples.
+    samples per problem.  The second result is the one block of all
+    paths when the pass ran in one block, as it does when the induction
+    will run, and None otherwise, so that no block outlives its pass.  A
+    block of samples of the wrong shape raises a ValueError, and so does a
+    NaN or inf among a problem's samples.
     """
     for problem in problems:
         if config.bridge_max and isinstance(problem.terminal, SupTerminal) and not isinstance(
@@ -294,7 +312,7 @@ def _terminal_samples(
         n_bad = n_paths - int(np.count_nonzero(np.isfinite(row)))
         if n_bad:
             raise ValueError(f"{n_bad} of {n_paths} terminal samples are not finite (NaN or inf)")
-    return xi, fwd
+    return xi, fwd if fwd.traj.n_paths == n_paths else None
 
 
 def _point_value(problem: ProblemSpec, xi: np.ndarray, fwd: _Forward) -> tuple[float, float]:
@@ -366,26 +384,37 @@ def bridge_corrected_max(
     estimator is exact in law for constant sigma.  ``noise`` supplies the
     auxiliary uniforms, streamed in path blocks: row i of ``values`` reads
     path ``offset + i`` of that stream, so a block of a forward pass gets
-    the uniforms it would get in one pass over all paths.
+    the uniforms it would get in one pass over all paths.  The work runs
+    on cache-sized chunks of paths: the log and the scale act in place on
+    the chunk's uniforms in their path-major Philox layout, which are then
+    transposed once and combined with the step rows ``values.T``.
     """
     n_paths = values.shape[0]
     if sigma == 0.0:
         return values.max(axis=1)
+    rows = values.T  # (steps + 1, n)
+    n_steps = rows.shape[0] - 1
     out = np.empty(n_paths)
-    block = max(1, min(n_paths, 2**22 // max(1, values.shape[1])))
-    for p0 in range(0, n_paths, block):
-        p1 = min(p0 + block, n_paths)
-        u = noise.uniforms(offset + p0, offset + p1)[:, :, 0]
+    chunk = max(1, min(n_paths, _CHUNK_WORDS // n_steps))
+    scale = -2.0 * sigma**2 * dt
+    bridge = np.empty((n_steps, chunk))
+    sq = np.empty_like(bridge)
+    for q0 in range(0, n_paths, chunk):
+        q1 = min(q0 + chunk, n_paths)
+        u = noise.uniforms(offset + q0, offset + q1)[:, :, 0]
         np.log(u, out=u)
-        u *= -2.0 * sigma**2 * dt
-        diff = values[p0:p1, 1:] - values[p0:p1, :-1]
-        np.square(diff, out=diff)
-        u += diff
-        np.sqrt(u, out=u)
-        u += values[p0:p1, 1:]
-        u += values[p0:p1, :-1]
-        u *= 0.5
-        out[p0:p1] = u.max(axis=1)
+        u *= scale
+        m, d2 = bridge[:, : q1 - q0], sq[:, : q1 - q0]
+        a, b = rows[:-1, q0:q1], rows[1:, q0:q1]
+        m[...] = u.T
+        np.subtract(b, a, out=d2)
+        np.square(d2, out=d2)
+        m += d2
+        np.sqrt(m, out=m)
+        m += b
+        m += a
+        m *= 0.5
+        m.max(axis=0, out=out[q0:q1])
     return out
 
 
@@ -597,21 +626,6 @@ class PipelineReport:
     cauchy_gaps: np.ndarray  # (n_rungs - 1, n_probes)
     converged: np.ndarray  # per probe
     field: SolutionField
-
-    def rows(self) -> list[dict]:
-        out = []
-        for r, n in enumerate(self.indices):
-            for p in range(len(self.probes)):
-                out.append(
-                    {
-                        "n": n,
-                        "probe": p,
-                        "value": float(self.values[r, p]),
-                        "std_error": float(self.std_errors[r, p]),
-                        "cauchy_gap": float(self.cauchy_gaps[r - 1, p]) if r > 0 else float("nan"),
-                    }
-                )
-        return out
 
 
 def strong_viscosity_pipeline(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathpde.paths import Grid, Path
+from pathpde.paths import Grid, Path, WindowBatch
 from pathpde.sde import (
     DivergenceError,
     NoiseBundle,
@@ -359,3 +359,128 @@ def test_trajectory_dumps_roundtrip(tmp_path):
     trajectories_to_binary(traj, bin_file)
     back = trajectories_from_binary(bin_file)
     np.testing.assert_array_equal(back, traj.values)
+
+
+# ---------------------------------------------------------------------------
+# the step-major forward pass
+
+
+def _euler_markov_path_major(spec, x0, grid, dW):
+    """Reference Euler on path-major arrays, one whole-array update per step."""
+    X = np.full(dW.shape[0], float(x0))
+    out = np.empty((dW.shape[0], grid.n_steps + 1))
+    out[:, 0] = X
+    for k in range(grid.n_steps):
+        t = grid.times[k]
+        X = X + np.asarray(spec.b(t, X), dtype=float) * grid.dt + np.asarray(spec.sigma(t, X), dtype=float) * dW[:, k, 0]
+        out[:, k + 1] = X
+    return out
+
+
+def _euler_path_path_major(cyl_b, window_sigma, eta, grid, dW):
+    """Reference path Euler: cylindrical drift through a tracker, window diffusion."""
+    n, dt = dW.shape[0], grid.dt
+    m = int(round(eta.horizon / dt)) + 1
+    xs = np.linspace(-eta.horizon, 0.0, m)
+    buf = np.empty((n, m + grid.n_steps))
+    buf[:, :m] = eta(xs)[None, :]
+    X = np.full(n, float(eta.values[-1]))
+    tracker = cyl_b.tracker(X, t0=grid.t_start, prefix=eta)
+    out = np.empty((n, grid.n_steps + 1))
+    out[:, 0] = X
+    for k in range(grid.n_steps):
+        s = grid.times[k]
+        bv = np.asarray(cyl_b.base(s, tracker.features(s, X)), dtype=float)
+        sv = np.asarray(window_sigma(s, WindowBatch(xs, buf[:, k : k + m])), dtype=float)
+        X_new = X + bv * dt + sv * dW[:, k, 0]
+        out[:, k + 1] = buf[:, m + k] = X_new
+        tracker.advance(s, X, grid.times[k + 1], X_new)
+        X = X_new
+    return out
+
+
+def test_increments_are_step_major_rows_of_the_path_major_normals():
+    # 1500 paths of 50 x 2 words span three chunks of the transposed write
+    nb = NoiseBundle(seed=41, n_paths=1500, n_steps=50, d=2)
+    dW = nb.increments(0.02)
+    assert dW.shape == (1500, 50, 2)
+    assert dW.transpose(1, 2, 0).flags.c_contiguous
+    assert np.array_equal(dW, np.sqrt(0.02) * nb.normals())
+
+
+def test_euler_writes_the_step_major_buffer_it_is_given():
+    g = Grid(0.0, 1.0, 30)
+    dW = NoiseBundle(42, 300, 30).increments(g.dt)
+    buf = np.empty((31, 300))
+    traj = euler_markov(SdeSpec(ZERO, 1.0), 0.5, g, dW, out=buf)
+    assert np.shares_memory(traj.values, buf) and traj.values.T.flags.c_contiguous
+    path = euler_path_dependent(SdeSpec(0.0, 1.0), Path.constant(0.5, 1.0, 31), g, dW, out=buf)
+    assert np.shares_memory(path.values, buf) and path.values.T.flags.c_contiguous
+    vector = euler_markov(SdeSpec(0.0, 1.0), np.zeros(2), g, NoiseBundle(42, 300, 30, d=2).increments(g.dt))
+    assert vector.values.shape == (300, 31, 2) and vector.values.transpose(1, 2, 0).flags.c_contiguous
+    with pytest.raises(ValueError, match="value buffer"):
+        euler_markov(SdeSpec(0.0, 1.0), 0.5, g, dW, out=np.empty((30, 300)))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_euler_on_step_rows_equals_a_path_major_reference(workers):
+    g = Grid(0.25, 1.0, 40)
+    dW = NoiseBundle(43, 700, 40).increments(g.dt)
+    markov = SdeSpec(lambda t, x: np.sin(x) - t, lambda t, x: 1.0 + 0.2 * np.cos(x))
+    got = euler_markov(markov, 0.3, g, dW, workers=workers).values
+    assert np.array_equal(got, _euler_markov_path_major(markov, 0.3, g, np.ascontiguousarray(dW)))
+
+    one = Integrand(phi=lambda u: np.ones_like(np.asarray(u, dtype=float)),
+                    dphi=lambda u: np.zeros_like(np.asarray(u, dtype=float)))
+    wave = Integrand(phi=np.sin, dphi=np.cos)
+    cyl_b = CylindricalFunctional(base=lambda t, F: -0.5 * F[:, 0] + np.tanh(F[:, 1]), integrands=(one, wave))
+    window_sigma = lambda t, wb: 1.0 + 0.1 * np.tanh(wb.values.mean(axis=1))
+    eta = Path.from_function(lambda x: 0.3 * np.sin(4.0 * x), 0.75, 61)
+    got = euler_path_dependent(SdeSpec(cyl_b, window_sigma), eta, g, dW, workers=workers).values
+    assert np.array_equal(got, _euler_path_path_major(cyl_b, window_sigma, eta, g, np.ascontiguousarray(dW)))
+
+
+def _window_values_path_major(traj, k, xs):
+    """Reference window cut, column by column on path-major values."""
+    values = np.ascontiguousarray(traj.values)
+    t0, dt, n_steps = traj.grid.t_start, traj.grid.dt, traj.grid.n_steps
+    taus = traj.grid.times[k] + xs
+    out = np.empty((values.shape[0], xs.size))
+    pre_vals = traj.prefix(np.clip(taus - t0, -traj.prefix.horizon, 0.0))
+    for j, tau in enumerate(taus):
+        if tau <= t0:
+            out[:, j] = pre_vals[j]
+        else:
+            pos = min(max((tau - t0) / dt, 0.0), n_steps)
+            i0 = min(int(pos), n_steps - 1)
+            w = pos - i0
+            out[:, j] = (1.0 - w) * values[:, i0] + w * values[:, i0 + 1]
+    out[:, -1] = values[:, k]
+    return out
+
+
+def test_windows_on_step_rows_equal_the_path_major_cut():
+    # an interior k whose window reaches back into the history, on nodes off the grid
+    eta = Path.from_function(lambda x: np.cos(5.0 * x), 1.0, 33)
+    g = Grid(0.4, 1.4, 50)
+    traj = euler_path_dependent(SdeSpec(0.0, 1.0), eta, g, NoiseBundle(44, 250, 50).increments(g.dt))
+    xs = np.linspace(-1.0, 0.0, 37)
+    for k in (0, 7, 23, 50):
+        got = traj.window_values(k, xs)
+        assert np.array_equal(got, _window_values_path_major(traj, k, xs))
+        assert got.T.flags.c_contiguous  # one row per node
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 11), st.sampled_from([np.nan, np.inf, -np.inf, 2e12, -5e12]),
+       st.sampled_from(["markov", "path"]), st.sampled_from([1, 2]))
+def test_property_divergence_names_the_path_and_step(path, k, bad, scheme, workers):
+    g = Grid(0.0, 1.0, 12)
+    dW = NoiseBundle(45, 61, 12).increments(g.dt)
+    dW[path, k, 0] = bad  # the state at step k + 1 is the first bad one
+    with pytest.raises(DivergenceError) as err:
+        if scheme == "markov":
+            euler_markov(SdeSpec(0.0, 1.0), 0.0, g, dW, workers=workers)
+        else:
+            euler_path_dependent(SdeSpec(0.0, 1.0), Path.constant(0.0, 1.0, 13), g, dW, workers=workers)
+    assert (err.value.path, err.value.step) == (path, k + 1)
