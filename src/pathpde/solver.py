@@ -315,14 +315,15 @@ def _terminal_samples(
     return xi, fwd if fwd.traj.n_paths == n_paths else None
 
 
-def _point_value(problem: ProblemSpec, xi: np.ndarray, fwd: _Forward) -> tuple[float, float]:
+def _point_value(problem: ProblemSpec, xi: np.ndarray, fwd: _Forward | None) -> tuple[float, float]:
     """The value part of a point evaluation: value and standard error.
 
     A zero driver returns the mean of the terminal samples xi and builds
     no features: every projection keeps the mean of its target (the
     intercept is never penalised) and at the first step all paths share
     one state, so the induction's Y_0 is that mean up to rounding.  A
-    nonzero driver runs the induction on ``fwd``, one block of all paths.
+    nonzero driver runs the induction on ``fwd``, one block of all paths;
+    a zero driver reads no ``fwd``, which is None for a streamed pass.
     """
     if problem.driver.f is None:
         return _zero_driver_value(xi), float(xi.std(ddof=1) / np.sqrt(xi.size))
