@@ -154,11 +154,9 @@ def forward_integral(psi0: float, dpsi: np.ndarray, xs: np.ndarray, values: np.n
     psi(0) * eta(0) - int psi'(x) eta(x) dx, the Lebesgue integral by
     composite trapezoid on the nodes, one value per row.  The convention
     carries the initial point mass at xs[0], so psi == 1 returns eta(0) and
-    a constant path returns c * psi(xs[0]).  The integrand is formed in C
-    order, so a row sums the same way whatever the layout of ``values``
-    (a window batch is the transposed view of step-major rows).
+    a constant path returns c * psi(xs[0]).
     """
-    return psi0 * values[..., -1] - np.trapezoid(np.multiply(dpsi, values, order="C"), xs, axis=-1)
+    return psi0 * values[..., -1] - np.trapezoid(dpsi * values, xs, axis=-1)
 
 
 def extend_canonical(times: np.ndarray, values: np.ndarray, s) -> np.ndarray | float:

@@ -15,7 +15,9 @@ path-major view.  The Euler schemes step on contiguous rows of a
 (n_steps + 1[, d], n_paths) buffer, and ``TrajectoryBatch.values`` is its
 path-major view, so ``values.T`` (or ``values.transpose(1, 2, 0)``) gives
 the step rows back without a copy.  Every value is computed by the same
-arithmetic as on a path-major layout, so the layout moves no bit.
+arithmetic as on a path-major layout, so the layout moves no bit; where
+numpy's order of summation depends on the layout (a row reduction, an
+einsum contraction), the operands are C-ordered, as they were.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "DivergenceError",
     "euler_markov",
     "euler_path_dependent",
+    "value_buffer_size",
     "coupled_sup_error",
     "moment_check",
     "bridge_refine",
@@ -214,32 +217,42 @@ class TrajectoryBatch:
     def window_values(self, k: int, xs: np.ndarray) -> np.ndarray:
         """Materialised look-back slice at grid index k on node layout xs.
 
-        Shape (n_paths, xs.size), the path-major view of one step-major row
-        per node, each interpolated between two step rows of the values.
+        Shape (n_paths, xs.size), C-ordered: row i is path i's window, as
+        on a path-major layout, so a terminal reducing rows adds them in
+        the same order whatever the layout of the values.  Each node
+        interpolates between two step rows.  The cut runs on cache-sized
+        chunks of paths, forming a chunk's tile of one row per node from
+        the step rows and writing it transposed into the result.
         """
         if self.prefix is None:
             raise ValueError("window extraction requires a history path")
         if self.values.ndim != 2:
             raise ValueError("windows are defined for scalar trajectories only")
-        t0 = self.grid.t_start
+        t0, dt, n_steps = self.grid.t_start, self.grid.dt, self.grid.n_steps
         taus = self.grid.times[k] + xs
+        history = taus <= t0
+        pre_vals = self.prefix(np.clip(taus - t0, -self.prefix.horizon, 0.0))[history, None]
+        pos = np.minimum(np.maximum((taus - t0) / dt, 0.0), n_steps)
+        i0 = np.minimum(pos.astype(int), n_steps - 1)
+        i1 = i0 + 1
+        w = (pos - i0)[:, None]
+        w0 = 1.0 - w
         rows = self.values.T
-        out = np.empty((xs.size, self.n_paths))
-        tmp = np.empty(self.n_paths)
-        pre_vals = self.prefix(np.clip(taus - t0, -self.prefix.horizon, 0.0))
-        dt = self.grid.dt
-        for j, tau in enumerate(taus):
-            if tau <= t0:
-                out[j] = pre_vals[j]
-            else:
-                pos = min(max((tau - t0) / dt, 0.0), self.grid.n_steps)
-                i0 = min(int(pos), self.grid.n_steps - 1)
-                w = pos - i0
-                np.multiply(rows[i0], 1.0 - w, out=out[j])
-                np.multiply(rows[i0 + 1], w, out=tmp)
-                out[j] += tmp
-        out[-1] = rows[k]
-        return out.T
+        n, m = self.n_paths, xs.size
+        out = np.empty((n, m))
+        chunk = max(1, _CHUNK_WORDS // m)
+        tile = np.empty((m, min(n, chunk)))
+        tmp = np.empty_like(tile)
+        for q0 in range(0, n, chunk):
+            q1 = min(q0 + chunk, n)
+            a, b, block = tile[:, : q1 - q0], tmp[:, : q1 - q0], rows[:, q0:q1]
+            np.multiply(block[i0], w0, out=a)
+            np.multiply(block[i1], w, out=b)
+            a += b
+            a[history] = pre_vals
+            a[-1] = block[k]
+            out[q0:q1] = a.T
+        return out
 
     def window_batch(self, k: int, n_nodes: int | None = None) -> WindowBatch:
         T = self.prefix.horizon
@@ -254,9 +267,13 @@ def _coef_markov(c) -> Callable | float:
 
 
 def _apply_sigma(sig_val, dw: np.ndarray) -> np.ndarray:
-    """Diffusion contraction for one step: supports scalar, diagonal, full."""
+    """Diffusion contraction for one step: supports scalar, diagonal, full.
+
+    A full matrix contracts with C-ordered increments: einsum rounds a sum
+    over the rows of a transposed step row differently.
+    """
     if np.ndim(sig_val) == 3:  # (m, d, d) matrix
-        return np.einsum("mij,mj->mi", np.asarray(sig_val, dtype=float), dw)
+        return np.einsum("mij,mj->mi", np.asarray(sig_val, dtype=float), np.ascontiguousarray(dw))
     return sig_val * dw  # a float, (m,) scalar state, (m, d) diagonal or broadcastable
 
 
@@ -277,13 +294,20 @@ def _check_increments(dW: np.ndarray, grid: Grid) -> None:
         raise ValueError(f"increments of shape {dW.shape} do not match (n_paths, {grid.n_steps}, d)")
 
 
-def _step_rows(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
-    """The step-major value buffer of an Euler scheme: ``out`` checked, or a new one."""
+def value_buffer_size(n_steps: int, d: int, n_paths: int) -> int:
+    """Doubles in the step-major (n_steps + 1, d, n_paths) value buffer of the Euler schemes."""
+    return (n_steps + 1) * d * n_paths
+
+
+def _step_rows(out: np.ndarray | None, n_steps: int, d: int, n_paths: int) -> np.ndarray:
+    """The (n_steps + 1, d, n_paths) value buffer: the leading part of ``out``, or a new one."""
+    shape = (n_steps + 1, d, n_paths)
     if out is None:
         return np.empty(shape)
-    if out.shape != shape:
-        raise ValueError(f"value buffer of shape {out.shape} != {shape}")
-    return out
+    need = value_buffer_size(n_steps, d, n_paths)
+    if out.dtype != np.float64 or not out.flags.c_contiguous or out.size < need:
+        raise ValueError(f"value buffer of {out.size} {out.dtype} cannot hold {need} contiguous doubles")
+    return out.reshape(-1)[:need].reshape(shape)
 
 
 def euler_markov(
@@ -301,10 +325,12 @@ def euler_markov(
     recursion starts from x at ``grid.t_start``.  A scalar x needs d = 1,
     a vector x needs d = x.size.  Step k reads ``dW[:, k]`` as the rows
     ``dW.transpose(1, 2, 0)[k]``, contiguous when dW came from
-    ``NoiseBundle.increments``.  The values go into the step-major buffer
-    ``out`` (a new one when None), shape (n_steps + 1, n_paths) for a
-    scalar x and (n_steps + 1, d, n_paths) for a vector one.  Constant
-    coefficients stay floats.
+    ``NoiseBundle.increments``.  The values go into the step-major
+    (n_steps + 1, d, n_paths) buffer held by the leading
+    ``value_buffer_size`` doubles of ``out`` (a new one when None).
+    Callable coefficients see a C-ordered copy of a step's rows as the
+    state, (m,) for a scalar x and (m, d) for a vector one, so they round
+    as on a path-major layout; constant ones stay floats.
     """
     _check_increments(dW, grid)
     n_paths, _, d = dW.shape
@@ -313,37 +339,31 @@ def euler_markov(
     dt = grid.dt
     times = grid.times
     x0 = np.asarray(x, dtype=float)
-    vector_state = x0.ndim > 0
     if x0.size != d:
         raise ValueError(f"state dimension {x0.size} does not match increments d={d}")
+    vector_state = x0.ndim > 0
+    state = slice(None) if vector_state else 0  # a step's state rows in the d axis
     n_steps = grid.n_steps
-    V = _step_rows(out, (n_steps + 1, d, n_paths) if vector_state else (n_steps + 1, n_paths))
+    V = _step_rows(out, n_steps, d, n_paths)
     dW_t = dW.transpose(1, 2, 0)  # (steps, d, n)
+    callables = callable(b) or callable(sigma)
 
     def coef(c, k, X):
         return np.asarray(c(times[k], X), dtype=float) if callable(c) else c
 
     def simulate(p0: int, p1: int) -> None:
-        if vector_state:
-            X = np.broadcast_to(x0, (p1 - p0, d)).copy()
-            V[0, :, p0:p1] = X.T
-            for k in range(n_steps):
-                dw = dW_t[k, :, p0:p1].T
-                X = X + coef(b, k, X) * dt + _apply_sigma(coef(sigma, k, X), dw)
-                _guard(X, k + 1, p0)
-                V[k + 1, :, p0:p1] = X.T
-            return
-        V[0, p0:p1] = x0
+        V[0, state, p0:p1].T[...] = x0
         for k in range(n_steps):
-            X, row = V[k, p0:p1], V[k + 1, p0:p1]
-            b_dt = coef(b, k, X) * dt
-            noise = _apply_sigma(coef(sigma, k, X), dW_t[k, 0, p0:p1])
+            X, row = V[k, state, p0:p1].T, V[k + 1, state, p0:p1].T
+            Xc = np.ascontiguousarray(X) if callables else X  # row sums round as on a path-major state
+            b_dt = coef(b, k, Xc) * dt
+            noise = _apply_sigma(coef(sigma, k, Xc), dW_t[k, state, p0:p1].T)
             np.add(X, b_dt, out=row)
             row += noise
             _guard(row, k + 1, p0)
 
     _run_blocks(simulate, n_paths, workers)
-    return TrajectoryBatch(grid, V.transpose(2, 0, 1) if vector_state else V.T)
+    return TrajectoryBatch(grid, V.transpose(2, 0, 1) if vector_state else V[:, 0].T)
 
 
 def _prefix_on_dt_layout(eta: Path, dt: float) -> tuple[np.ndarray, int]:
@@ -374,8 +394,8 @@ def euler_path_dependent(
     through running pathwise integrals (no window is built).  Generic
     callables receive a WindowBatch view of a rolling buffer whose node
     spacing equals dt, so each step's window is a zero-copy slice.  The
-    values go into the step-major (n_steps + 1, n_paths) buffer ``out`` (a
-    new one when None).
+    values go into the step-major buffer held by the leading
+    ``value_buffer_size`` doubles of ``out`` (a new one when None).
     """
     _check_increments(dW, grid)
     if dW.shape[2] != 1:
@@ -384,7 +404,7 @@ def euler_path_dependent(
     dt = grid.dt
     times = grid.times
     n_steps = grid.n_steps
-    V = _step_rows(out, (n_steps + 1, n_paths))
+    V = _step_rows(out, n_steps, 1, n_paths)[:, 0]
     dW_t = dW[:, :, 0].T  # (steps, n)
 
     needs_window = any(

@@ -64,6 +64,7 @@ from .sde import (
     TrajectoryBatch,
     euler_markov,
     euler_path_dependent,
+    value_buffer_size,
 )
 from .smoothing import (
     CylindricalFunctional,
@@ -206,7 +207,9 @@ class _Forward:
     regression basis, and, built on first use, the regression features of
     the trajectories and for a path problem the look-back windows at the
     horizon.  The arrays are read-only: rungs that share the block must all
-    see the same samples.
+    see the same samples.  A block of a streamed pass is valid only until
+    the pass advances, which writes the next block into the same value
+    buffer.
     """
 
     noise: NoiseBundle
@@ -235,14 +238,13 @@ def _simulate_point(
 
     Yields the path set in blocks.  A zero driver runs blocks of
     ``_FORWARD_BLOCK`` paths and drops each block's increments after the
-    Euler scheme.  Euler writes every block into one step-major value
-    buffer that belongs to the pass: sized for a full block, its leading
-    part serves the last block, so a block lives until the next one is
-    simulated.  A nonzero driver, or ``keep_increments``, runs one block
-    of all paths and keeps its increments, because the backward induction
-    reads the whole arrays.  The basis-size guard runs before any noise is
-    drawn, whatever the driver.  A diverging path is reported by its index
-    among all paths.
+    Euler scheme.  Euler writes every block into the leading part of one
+    value buffer that belongs to the pass, sized for a full block, so a
+    block lives until the next one is simulated.  A nonzero driver, or
+    ``keep_increments``, runs one block of all paths and keeps its
+    increments, because the backward induction reads the whole arrays.
+    The basis-size guard runs before any noise is drawn, whatever the
+    driver.  A diverging path is reported by its index among all paths.
     """
     basis = config.resolved_basis(problem.mode)
     _check_basis_size(basis.n_features(problem.d), config.n_paths)
@@ -252,16 +254,11 @@ def _simulate_point(
     whole = keep_increments or problem.driver.f is not None
     block = config.n_paths if whole else min(_FORWARD_BLOCK, config.n_paths)
     euler = euler_markov if problem.mode == "markov" else euler_path_dependent
-    # Euler's value rows: (steps + 1, n) for a scalar state, (steps + 1, d, n) for a vector one
-    rows = (config.n_steps + 1, *np.shape(start)) if problem.mode == "markov" else (config.n_steps + 1,)
-    per_path = int(np.prod(rows))
-    buf = np.empty(per_path * block)
+    buf = np.empty(value_buffer_size(config.n_steps, problem.d, block))
     for p0 in range(0, config.n_paths, block):
-        nb = min(block, config.n_paths - p0)
-        dW = noise.increments(grid.dt, p0, p0 + nb)
-        values = buf[: per_path * nb].reshape(*rows, nb)  # contiguous for the last block too
+        dW = noise.increments(grid.dt, p0, min(p0 + block, config.n_paths))
         try:
-            traj = euler(spec, start, grid, dW, workers=config.workers, out=values)
+            traj = euler(spec, start, grid, dW, workers=config.workers, out=buf)
         except DivergenceError as err:
             raise DivergenceError(p0 + err.path, err.step) from None
         traj.values.flags.writeable = False

@@ -418,6 +418,11 @@ def test_euler_writes_the_step_major_buffer_it_is_given():
     assert np.shares_memory(path.values, buf) and path.values.T.flags.c_contiguous
     vector = euler_markov(SdeSpec(0.0, 1.0), np.zeros(2), g, NoiseBundle(42, 300, 30, d=2).increments(g.dt))
     assert vector.values.shape == (300, 31, 2) and vector.values.transpose(1, 2, 0).flags.c_contiguous
+    flat = np.empty(2 * 31 * 300)  # a larger buffer serves through its leading part
+    vector = euler_markov(SdeSpec(0.0, 1.0), np.zeros(2), g, NoiseBundle(42, 300, 30, d=2).increments(g.dt), out=flat)
+    assert np.shares_memory(vector.values, flat[: 31 * 2 * 300])
+    traj = euler_markov(SdeSpec(ZERO, 1.0), 0.5, g, dW, out=flat)
+    assert np.shares_memory(traj.values, flat[: 31 * 300]) and traj.values.T.flags.c_contiguous
     with pytest.raises(ValueError, match="value buffer"):
         euler_markov(SdeSpec(0.0, 1.0), 0.5, g, dW, out=np.empty((30, 300)))
 
@@ -438,6 +443,48 @@ def test_euler_on_step_rows_equals_a_path_major_reference(workers):
     eta = Path.from_function(lambda x: 0.3 * np.sin(4.0 * x), 0.75, 61)
     got = euler_path_dependent(SdeSpec(cyl_b, window_sigma), eta, g, dW, workers=workers).values
     assert np.array_equal(got, _euler_path_path_major(cyl_b, window_sigma, eta, g, np.ascontiguousarray(dW)))
+
+
+def _euler_vector_path_major(spec, x0, grid, dW):
+    """Reference vector Euler on path-major arrays, C-ordered (m, d) states."""
+    X = np.broadcast_to(np.asarray(x0, dtype=float), (dW.shape[0], dW.shape[2])).copy()
+    out = np.empty((dW.shape[0], grid.n_steps + 1, dW.shape[2]))
+    out[:, 0] = X
+    for k in range(grid.n_steps):
+        t = grid.times[k]
+        sig = np.asarray(spec.sigma(t, X), dtype=float)
+        X = X + np.asarray(spec.b(t, X), dtype=float) * grid.dt + np.einsum("mij,mj->mi", sig, dW[:, k])
+        out[:, k + 1] = X
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_vector_euler_on_step_rows_equals_a_path_major_reference(workers):
+    # d = 9: numpy sums 9 or more columns of a row in an order that depends on the layout
+    d = 9
+    g = Grid(0.0, 1.0, 25)
+    dW = NoiseBundle(49, 500, 25, d=d).increments(g.dt)
+
+    def sigma(t, x):  # a full (m, d, d) matrix that reads the state
+        s = np.empty((x.shape[0], d, d))
+        s[...] = 0.3 * np.eye(d) + 0.05 * t
+        s[:, 0, 1] += 0.1 * np.tanh(x[:, 2])
+        s[:, 2, 0] -= 0.2 * np.sin(x.sum(axis=1))
+        return s
+
+    spec = SdeSpec(lambda t, x: -0.5 * x + np.cos(x[:, ::-1]), sigma)
+    x0 = np.linspace(-0.4, 0.7, d)
+    got = euler_markov(spec, x0, g, dW, workers=workers).values
+    assert np.array_equal(got, _euler_vector_path_major(spec, x0, g, np.ascontiguousarray(dW)))
+
+
+def test_a_one_by_one_start_is_a_vector_state():
+    g = Grid(0.0, 1.0, 20)
+    dW = NoiseBundle(50, 200, 20).increments(g.dt)
+    spec = SdeSpec(lambda t, x: -x, 1.0)
+    got = euler_markov(spec, np.full((1, 1), 0.3), g, dW, out=np.empty(21 * 200))
+    assert got.values.shape == (200, 21, 1)
+    assert np.array_equal(got.values, euler_markov(spec, np.array([0.3]), g, dW).values)
 
 
 def _window_values_path_major(traj, k, xs):
@@ -467,8 +514,15 @@ def test_windows_on_step_rows_equal_the_path_major_cut():
     xs = np.linspace(-1.0, 0.0, 37)
     for k in (0, 7, 23, 50):
         got = traj.window_values(k, xs)
-        assert np.array_equal(got, _window_values_path_major(traj, k, xs))
-        assert got.T.flags.c_contiguous  # one row per node
+        ref = _window_values_path_major(traj, k, xs)
+        assert np.array_equal(got, ref)
+        assert got.flags.c_contiguous  # one row per path
+        # a terminal reducing rows adds them as on the path-major cut
+        assert np.array_equal(np.abs(got).mean(axis=1), np.abs(ref).mean(axis=1))
+    # nodes that span several cache-sized chunks of paths, the last partial
+    traj = euler_path_dependent(SdeSpec(0.0, 1.0), eta, g, NoiseBundle(44, 5000, 50).increments(g.dt))
+    xs = np.linspace(-1.0, 0.0, 51)
+    assert np.array_equal(traj.window_values(31, xs), _window_values_path_major(traj, 31, xs))
 
 
 @settings(max_examples=40, deadline=None)

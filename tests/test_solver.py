@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pathpde import smoothing, solver
 from pathpde.bsde import DriverSpec, RegressionBasisSpec
-from pathpde.paths import Grid, Path, WindowBatch
+from pathpde.paths import Grid, Path
 from pathpde.sde import DivergenceError, SdeSpec, TrajectoryBatch
 from pathpde.smoothing import CylindricalFunctional, Integrand
 from pathpde.solver import (
@@ -508,14 +508,19 @@ def test_pipeline_simulates_once_per_probe_when_rungs_share_coefficients(monkeyp
 
 def test_shared_forward_arrays_are_read_only():
     cfg = SolverConfig(solver._FORWARD_BLOCK + 100, 20, seed=33)
-    blocks = list(solver._simulate_point(_lookback_problem(), 0.0, Path.constant(0.0, 1.0, 21), cfg))
-    assert [(fwd.offset, fwd.traj.n_paths) for fwd in blocks] == [(0, solver._FORWARD_BLOCK),
-                                                                   (solver._FORWARD_BLOCK, 100)]
-    for fwd in blocks:
+    blocks = []
+    for fwd in solver._simulate_point(_lookback_problem(), 0.0, Path.constant(0.0, 1.0, 21), cfg):
+        # a block is read before the pass advances
         assert fwd.dW is None  # a zero driver runs no induction
         assert not fwd.traj.values.flags.writeable
         assert not fwd.windows.values.flags.writeable
         assert fwd.windows is fwd.windows  # cut once
+        assert np.array_equal(fwd.windows.values[:, -1], fwd.traj.terminal())
+        blocks.append(fwd)
+    assert [(fwd.offset, fwd.traj.n_paths) for fwd in blocks] == [(0, solver._FORWARD_BLOCK),
+                                                                   (solver._FORWARD_BLOCK, 100)]
+    # advancing the pass writes the next block into the same value buffer
+    assert np.shares_memory(blocks[0].traj.values, blocks[1].traj.values)
     (fwd,) = solver._simulate_point(_linear_problem(), 0.0, 0.0, cfg)
     assert fwd.offset == 0 and fwd.traj.n_paths == cfg.n_paths
     assert fwd.dW.shape == (cfg.n_paths, 20, 1) and not fwd.dW.flags.writeable
@@ -810,20 +815,6 @@ def test_bridge_max_on_step_rows_equals_the_path_major_reference():
     got = solver.bridge_corrected_max(traj.values, g.dt, 0.7, noise.child(1), offset=1234)
     assert np.array_equal(got, _bridge_max_path_major(traj.values, g.dt, 0.7, noise.child(1), 1234))
     assert not np.array_equal(got, solver.bridge_corrected_max(traj.values, g.dt, 0.7, noise.child(1)))
-
-
-def test_smoother_reads_step_major_windows_bit_for_bit():
-    # the pipeline's windows are transposed views of step rows; the smoother's
-    # product must round them as it rounds the same windows in C order
-    g = Grid(0.0, 1.0, 200)
-    traj = solver.euler_path_dependent(SdeSpec(0.0, 1.0), Path.constant(0.0, 1.0, 201), g,
-                                       solver.NoiseBundle(47, 3000, 200).increments(g.dt))
-    wb = traj.window_batch(200, n_nodes=201)
-    assert wb.values.T.flags.c_contiguous
-    for n in (4, 64):
-        smoother = solver._LinearTerminalSmoother(SupTerminal(), n, 1.0)
-        c_order = smoother.evaluate_batch(WindowBatch(wb.xs, np.ascontiguousarray(wb.values)))
-        assert np.array_equal(smoother.evaluate_batch(wb), c_order)
 
 
 def test_a_streamed_pass_returns_no_block():
