@@ -323,10 +323,10 @@ class _Factor:
     are reproduced exactly: a constant target row is zero after its shift,
     so its moments vanish and gamma is the constant on the intercept
     alone.  The mean of the fitted values equals the target mean, and
-    feature rows that are (numerically) constant over the first 4096 paths
-    are zeroed and left out.  When the solve fails or returns non-finite
-    coefficients, a positive ridge retries with ``lstsq`` on the centred
-    kept rows.  A zero ridge raises ``RegressionError`` instead, and also
+    feature rows that are (numerically) constant over all paths, by the
+    diagonal of C, are left out and zeroed before the fitted values.  When
+    the solve fails or returns non-finite coefficients, a positive ridge
+    retries with ``lstsq`` on the centred kept rows.  A zero ridge raises ``RegressionError`` instead, and also
     when the kept Gram is singular up to its rounding error, so an
     exactly collinear design fails however the moments round.
     """
@@ -351,16 +351,17 @@ class _Factor:
             raise ValueError(f"design shape {At.shape} != ({B}, {n})")
         head = At[:, : min(n, 4096)]
         scale = np.abs(head).max(axis=1)
-        keep = np.zeros(B, dtype=bool)
-        keep[1:] = head[1:].std(axis=1) > 1e-13 * np.maximum(1.0, scale[1:])
         np.subtract(At[1:], head[1:].mean(axis=1, keepdims=True), out=buf[1:B])
-        buf[1:B][~keep[1:]] = 0.0
         shift = self.targets[:, 0].copy()
         self.targets -= shift[:, None]
 
         M = buf @ buf.T
         mean = M[0] / n
         C = M - np.outer(M[0], mean)
+        keep = np.zeros(B, dtype=bool)
+        spread = np.sqrt(np.maximum(np.diagonal(C)[1:B], 0.0) / n)  # each feature's std over all paths
+        keep[1:] = spread > 1e-13 * np.maximum(1.0, scale[1:])
+        buf[1:B][~keep[1:]] = 0.0
         kept = np.flatnonzero(keep)
         G = C[np.ix_(kept, kept)]
         rhs = C[kept, B:]

@@ -219,15 +219,19 @@ class TrajectoryBatch:
 
         Shape (n_paths, xs.size), C-ordered: row i is path i's window, as
         on a path-major layout, so a terminal reducing rows adds them in
-        the same order whatever the layout of the values.  Each node
-        interpolates between two step rows.  The cut runs on cache-sized
-        chunks of paths, forming a chunk's tile of one row per node from
-        the step rows and writing it transposed into the result.
+        the same order whatever the layout of the values.  An aligned
+        window (see ``step_window``) is a copy of its step rows.  Otherwise
+        each node interpolates between two step rows: the cut runs on
+        cache-sized chunks of paths, forming a chunk's tile of one row per
+        node from the step rows and writing it transposed into the result.
         """
         if self.prefix is None:
             raise ValueError("window extraction requires a history path")
         if self.values.ndim != 2:
             raise ValueError("windows are defined for scalar trajectories only")
+        aligned = self.step_window(k, xs)
+        if aligned is not None:
+            return np.ascontiguousarray(aligned)
         t0, dt, n_steps = self.grid.t_start, self.grid.dt, self.grid.n_steps
         taus = self.grid.times[k] + xs
         history = taus <= t0
@@ -253,6 +257,23 @@ class TrajectoryBatch:
             a[-1] = block[k]
             out[q0:q1] = a.T
         return out
+
+    def step_window(self, k: int, xs: np.ndarray) -> np.ndarray | None:
+        """The window at grid index k on nodes xs as a view of the values, if aligned; else None.
+
+        A window is aligned when xs are the uniform nodes of [xs[0], 0] at
+        spacing ``grid.dt`` (the test of ``_prefix_on_dt_layout``) and it
+        lies inside the simulated grid (k >= m - 1 for m nodes).  Its
+        samples are then the values at steps k - m + 1..k, and the result
+        is the (n_paths, m) view ``values[:, k - m + 1 : k + 1]``, whose
+        transpose is m contiguous step rows of the step-major buffer.
+        """
+        m = xs.size
+        if self.values.ndim != 2 or m < 2 or k < m - 1 or _dt_node_count(-xs[0], self.grid.dt) != m:
+            return None
+        if not np.array_equal(xs, np.linspace(xs[0], 0.0, m)):
+            return None
+        return self.values[:, k - m + 1 : k + 1]
 
     def window_batch(self, k: int, n_nodes: int | None = None) -> WindowBatch:
         T = self.prefix.horizon
@@ -366,10 +387,16 @@ def euler_markov(
     return TrajectoryBatch(grid, V.transpose(2, 0, 1) if vector_state else V[:, 0].T)
 
 
+def _dt_node_count(horizon: float, dt: float) -> int | None:
+    """Nodes of a uniform layout of [-horizon, 0] at spacing dt, or None when dt does not divide it."""
+    m = int(round(horizon / dt)) + 1
+    return m if abs((m - 1) * dt - horizon) <= 1e-9 * max(1.0, horizon) else None
+
+
 def _prefix_on_dt_layout(eta: Path, dt: float) -> tuple[np.ndarray, int]:
     """Resample the history onto dt spacing; returns (values, n_window_nodes)."""
-    m = int(round(eta.horizon / dt)) + 1
-    if abs((m - 1) * dt - eta.horizon) > 1e-9 * max(1.0, eta.horizon):
+    m = _dt_node_count(eta.horizon, dt)
+    if m is None:
         raise ValueError(
             f"the loop's rolling window needs dt to divide the horizon; "
             f"got dt={dt}, T={eta.horizon}"

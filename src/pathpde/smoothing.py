@@ -379,13 +379,19 @@ def smooth_terminal(
     This is the form obtained by direct substitution of the endpoint
     average into the projected coordinates; it is valid for every horizon.
 
-    The argument of H is linear in the path samples.  The returned callable
-    exposes it as ``argument(eta)`` (a Path) and, for a stack of sample
-    rows V of shape (..., m) on the uniform nodes, as ``argument_values(V)``
-    (same shape): the Fejer coefficients of all rows take one matrix
-    product, I_n one more.  The nodes, the sampled basis, the edge-bump
-    weights and the correction are built once per node count m.  An order
-    n above ``basis.max_index`` is rejected here, not at evaluation.
+    The argument of H is linear in the path samples, of rank n + 3 on m
+    uniform nodes: its coordinates are the n + 1 Fejer coefficients of the
+    detrended path, the trend's slope (eta(0) - eta(-T)) / T and I_n.
+    ``factors(m)`` returns the map as two factors, A of shape (m, n + 3)
+    taking the samples to those coordinates and B of shape (n + 3, m)
+    taking them to the argument's samples: the weighted basis with the
+    slope's share taken out, then the Fejer-weighted basis, the nodes
+    and the correction.  The factors are built once per node count m.
+    The returned callable exposes the argument as ``argument(eta)`` (a
+    Path) and, for a stack of sample rows V of shape (..., m) on the
+    uniform nodes, as ``argument_values(V) = (V @ A) @ B`` (same shape).
+    An order n above ``basis.max_index`` is rejected here, not at
+    evaluation.
     """
     if n < 1:
         raise ValueError(f"smoothing index must be >= 1, got {n}")
@@ -394,23 +400,29 @@ def smooth_terminal(
         basis = FourierBasis(T, max_index=max(n, 1))
     if n > basis.max_index:
         raise ValueError(f"order {n} exceeds basis max_index {basis.max_index}")
-    layouts: dict[int, tuple[_FejerLayout, np.ndarray, np.ndarray]] = {}
+    built: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def layout(m: int) -> tuple[_FejerLayout, np.ndarray, np.ndarray]:
-        if m not in layouts:
+    def factors(m: int) -> tuple[np.ndarray, np.ndarray]:
+        if m not in built:
             fejer = _FejerLayout.build(n, basis, T, m)
             xs = fejer.xs
+            slope = np.zeros(m)  # the samples' functional (eta(0) - eta(-T)) / T
+            slope[-1] += 1.0 / T
+            slope[0] -= 1.0 / T
             bump = _trapezoid_weights(xs) * edge_bump(T, n, xs + T)
+            inner = bump.copy()  # I_n: the bump sum of eta - eta(-T)
+            inner[0] -= bump.sum()
             moments = np.array([basis.x_moment(i) for i in range(n + 1)]) / T
             correction = moments @ fejer.fejer - xs / T
-            layouts[m] = (fejer, bump, correction)
-        return layouts[m]
+            A = np.column_stack([fejer.weighted.T - np.outer(slope, fejer.weighted @ xs), slope, inner])
+            B = np.vstack([fejer.fejer, xs, correction])
+            built[m] = (A, B)
+        return built[m]
 
     def argument_values(V) -> np.ndarray:
         V = np.asarray(V, dtype=float)
-        fejer, bump, correction = layout(V.shape[-1])
-        inner = (V - V[..., :1]) @ bump
-        return fejer.project(V) + inner[..., None] * correction
+        A, B = factors(V.shape[-1])
+        return (V @ A) @ B
 
     def argument(eta: Path) -> Path:
         if abs(eta.horizon - T) > 1e-12 * max(1.0, T):
@@ -422,6 +434,7 @@ def smooth_terminal(
 
     smoothed.argument = argument
     smoothed.argument_values = argument_values
+    smoothed.factors = factors
     return smoothed
 
 

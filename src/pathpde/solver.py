@@ -24,6 +24,9 @@ of a probe the same for every rung whose coefficients are the same, so it
 runs once per probe and those rungs evaluate only their terminals and
 values on it, block by block (all path-mode rungs, which smooth only the
 terminal, and Markov rungs with constant or unmollified coefficients).
+A path-mode rung's smoothed terminal applies its rank-(n + 3) factors to
+the block's windows; when the windows lie on the grid (a probe at t = 0)
+they are a view of Euler's step rows, neither copied nor interpolated.
 The final rung defines the returned solution field.
 
 The lookback benchmark carries its own closed form: for unit-diffusion,
@@ -206,10 +209,11 @@ class _Forward:
     when a backward induction will read them (None otherwise), the
     regression basis, and, built on first use, the regression features of
     the trajectories and for a path problem the look-back windows at the
-    horizon.  The arrays are read-only: rungs that share the block must all
-    see the same samples.  A block of a streamed pass is valid only until
-    the pass advances, which writes the next block into the same value
-    buffer.
+    horizon (``windows``, cut, and ``smoother_windows``, a view of the step
+    rows where the windows lie on the grid).  The arrays are read-only:
+    rungs that share the block must all see the same samples.  A block of
+    a streamed pass is valid only until the pass advances, which writes
+    the next block into the same value buffer.
     """
 
     noise: NoiseBundle
@@ -222,13 +226,30 @@ class _Forward:
     def features(self):
         return make_features(self.basis, self.traj)
 
-    @cached_property
-    def windows(self) -> WindowBatch:
+    @property
+    def _window_nodes(self) -> np.ndarray:
         grid = self.traj.grid
         m = int(round(self.traj.prefix.horizon / grid.dt)) + 1
-        wb = self.traj.window_batch(grid.n_steps, n_nodes=m)
+        return np.linspace(-self.traj.prefix.horizon, 0.0, m)
+
+    @cached_property
+    def windows(self) -> WindowBatch:
+        xs = self._window_nodes
+        wb = WindowBatch(xs, self.traj.window_values(self.traj.grid.n_steps, xs))
         wb.values.flags.writeable = False
         return wb
+
+    @cached_property
+    def smoother_windows(self) -> WindowBatch:
+        """The windows the linear terminal smoother reads.
+
+        An aligned window batch is the read-only view of its step rows
+        (``TrajectoryBatch.step_window``): nothing is copied or
+        interpolated.  Otherwise it is ``windows``, the C-ordered cut.
+        """
+        xs = self._window_nodes
+        view = self.traj.step_window(self.traj.grid.n_steps, xs)
+        return self.windows if view is None else WindowBatch(xs, view)
 
 
 def _simulate_point(
@@ -440,6 +461,8 @@ def _terminal_samples_path(problem: ProblemSpec, fwd: _Forward, config: SolverCo
         else:  # _terminal_samples warned once if the bridge maximum was asked for
             body = traj.values.max(axis=1)
         return np.maximum(past, body)
+    if isinstance(term, _LinearTerminalSmoother):
+        return term.evaluate_batch(fwd.smoother_windows)
     wb = fwd.windows
     if isinstance(term, CylindricalFunctional):
         F = term._integrals(problem.horizon, wb.xs, wb.values)
@@ -534,11 +557,14 @@ class _LinearTerminalSmoother:
     """Batch form of the terminal smoothing ``smooth_terminal(inner, n, T)``.
 
     The smoothed argument (projection plus endpoint correction) is linear
-    in the window samples.  ``evaluate_batch`` builds its matrix once per
-    window node count, in closed form as ``argument_values`` of the
-    identity, and applies it to each batch of windows in one product; the
-    wrapped functional is then applied row by row (vectorised for the
-    running maximum).
+    in the window samples, of rank n + 3 on m nodes.  ``evaluate_batch``
+    takes its factors A (m, n + 3) and B (n + 3, m) from
+    ``smooth_terminal`` once per window node count and applies them to a
+    batch of windows as ``B.T @ (A.T @ values.T)``: the arguments come out
+    as m step rows, one column per path, and a window batch that is a view
+    of the step-major values (``TrajectoryBatch.step_window``) is read
+    with no copy.  The running maximum then reduces over the rows; any
+    other wrapped functional is applied path by path.
     """
 
     def __init__(self, inner, n: int, horizon: float):
@@ -546,16 +572,17 @@ class _LinearTerminalSmoother:
         self.horizon = horizon
         H = (lambda p: float(np.max(p.values))) if isinstance(inner, SupTerminal) else inner
         self._smoothed = smooth_terminal(H, n, horizon)
-        self._matrices: dict[int, np.ndarray] = {}
+        self._factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def evaluate_batch(self, wb: WindowBatch) -> np.ndarray:
         m = wb.xs.size
-        if m not in self._matrices:
-            self._matrices[m] = self._smoothed.argument_values(np.eye(m))
-        smoothed_vals = wb.values @ self._matrices[m]
+        if m not in self._factors:
+            self._factors[m] = self._smoothed.factors(m)
+        A, B = self._factors[m]
+        rows = B.T @ (A.T @ wb.values.T)  # (m, n_paths)
         if isinstance(self.inner, SupTerminal):
-            return smoothed_vals.max(axis=1)
-        return np.array([float(self.inner(Path(self.horizon, row))) for row in smoothed_vals])
+            return rows.max(axis=0)
+        return np.array([float(self.inner(Path(self.horizon, row))) for row in rows.T])
 
     def __call__(self, eta: Path) -> float:
         return self._smoothed(eta)

@@ -522,6 +522,22 @@ def test_property_constant_feature_row_is_dropped(design, value, data):
     np.testing.assert_allclose(fitted, _fused_fit(At, targets, ridge=0.0), rtol=1e-10, atol=1e-10)
 
 
+def test_degenerate_features_are_decided_on_all_paths():
+    rng = np.random.default_rng(61)
+    n = 6000
+    x = rng.standard_normal(n)
+    late = np.zeros(n)
+    late[4096:] = rng.standard_normal(n - 4096)  # constant on the first 4096 paths only
+    targets = (2.0 * late + 0.5 * x + 0.1 * rng.standard_normal(n))[None, :]
+    At = np.vstack([np.ones(n), x, late])
+    beta, *_ = np.linalg.lstsq(At.T, targets[0], rcond=None)
+    fitted = _fused_fit(At, targets, ridge=0.0)
+    np.testing.assert_allclose(fitted[0], At.T @ beta, rtol=0.0, atol=1e-9)  # the late feature is kept
+    # a feature constant on all paths is still dropped: without a ridge it would make the Gram singular
+    with_const = np.insert(At, 2, 3.7, axis=0)
+    np.testing.assert_allclose(_fused_fit(with_const, targets, ridge=0.0), fitted, rtol=0.0, atol=1e-10)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.integers(40, 300), st.lists(_constants, min_size=4, max_size=4),
        st.integers(0, 2**32 - 1))

@@ -523,6 +523,28 @@ def test_windows_on_step_rows_equal_the_path_major_cut():
     traj = euler_path_dependent(SdeSpec(0.0, 1.0), eta, g, NoiseBundle(44, 5000, 50).increments(g.dt))
     xs = np.linspace(-1.0, 0.0, 51)
     assert np.array_equal(traj.window_values(31, xs), _window_values_path_major(traj, 31, xs))
+    # an aligned window, at spacing dt and inside the grid, is a copy of the simulated steps 20..50
+    xs = np.linspace(-0.6, 0.0, 31)
+    got = traj.window_values(50, xs)
+    assert np.array_equal(got, traj.values[:, 20:51]) and got.flags.c_contiguous
+
+
+def test_aligned_windows_are_views_of_the_step_rows():
+    eta = Path.from_function(lambda x: np.cos(5.0 * x), 1.0, 33)
+    g = Grid(0.0, 1.0, 50)
+    traj = euler_path_dependent(SdeSpec(0.0, 1.0), eta, g, NoiseBundle(45, 300, 50).increments(g.dt))
+    for k, m in ((50, 51), (50, 11), (10, 11)):
+        view = traj.step_window(k, np.linspace(-(m - 1) * g.dt, 0.0, m))
+        assert np.shares_memory(view, traj.values) and view.T.flags.c_contiguous
+        assert np.array_equal(view, traj.values[:, k - m + 1 : k + 1])
+    # not aligned: a window reaching into the history, a spacing other than dt, other nodes
+    assert traj.step_window(9, np.linspace(-0.2, 0.0, 11)) is None
+    assert traj.step_window(50, np.linspace(-1.0, 0.0, 101)) is None
+    assert traj.step_window(50, np.linspace(-1.0, 0.0, 51) ** 3) is None
+    # a dt that does not divide the window's horizon
+    g = Grid(0.0, 1.0, 30)
+    traj = euler_path_dependent(SdeSpec(0.0, 1.0), eta, g, NoiseBundle(46, 300, 30).increments(g.dt))
+    assert traj.step_window(30, np.linspace(-0.51, 0.0, 16)) is None
 
 
 @settings(max_examples=40, deadline=None)

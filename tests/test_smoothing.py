@@ -9,6 +9,8 @@ from pathpde.smoothing import (
     Integrand,
     Mollifier,
     NonConvergenceError,
+    _FejerLayout,
+    _trapezoid_weights,
     edge_bump,
     fejer_project,
     fourier_coeff,
@@ -340,20 +342,45 @@ def test_property_smoother_batch_equals_row_by_row(n, T, m, seed, inner):
     np.testing.assert_allclose(batch, rows, rtol=0.0, atol=1e-12 * max(1.0, np.abs(rows).max()))
 
 
-def test_smoother_builds_its_matrix_once_per_node_count(monkeypatch):
+def test_smoother_builds_its_factors_once_per_node_count(monkeypatch):
     smoother = _LinearTerminalSmoother(SupTerminal(), 16, 1.0)
-    original = smoother._smoothed.argument_values
+    original = smoother._smoothed.factors
     built = []
 
-    def spy(V):
-        built.append(V.shape)
-        return original(V)
+    def spy(m):
+        built.append(m)
+        return original(m)
 
-    monkeypatch.setattr(smoother._smoothed, "argument_values", spy)
+    monkeypatch.setattr(smoother._smoothed, "factors", spy)
     for m in (201, 201, 51, 201, 51):
         wb = WindowBatch(np.linspace(-1.0, 0.0, m), np.cumsum(_rows(m, 9, m, scale=0.2), axis=1))
-        assert np.array_equal(smoother.evaluate_batch(wb), (wb.values @ original(np.eye(m))).max(axis=1))
-    assert built == [(201, 201), (51, 51)]
+        rows = np.array([smoother(wb.path(i)) for i in range(9)])
+        np.testing.assert_allclose(smoother.evaluate_batch(wb), rows, rtol=0.0,
+                                   atol=1e-12 * max(1.0, np.abs(rows).max()))
+    assert built == [201, 51]
+
+
+def _closed_form_argument(n, T, m):
+    """The argument map on the unit rows: projection plus ``inner * correction``."""
+    basis = FourierBasis(T, n)
+    fejer = _FejerLayout.build(n, basis, T, m)
+    xs = fejer.xs
+    bump = _trapezoid_weights(xs) * edge_bump(T, n, xs + T)
+    moments = np.array([basis.x_moment(i) for i in range(n + 1)]) / T
+    correction = moments @ fejer.fejer - xs / T
+    V = np.eye(m)
+    inner = (V - V[:, :1]) @ bump
+    return fejer.project(V) + inner[:, None] * correction
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 4, 16, 64]), st.integers(2, 201), st.floats(0.1, 5.0))
+def test_property_factors_give_the_argument_map(n, m, T):
+    smoothed = smooth_terminal(lambda p: 0.0, n, T)
+    A, B = smoothed.factors(m)
+    assert A.shape == (m, n + 3) and B.shape == (n + 3, m)
+    np.testing.assert_allclose(A @ B, smoothed.argument_values(np.eye(m)), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(A @ B, _closed_form_argument(n, T, m), rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -526,6 +526,41 @@ def test_shared_forward_arrays_are_read_only():
     assert fwd.dW.shape == (cfg.n_paths, 20, 1) and not fwd.dW.flags.writeable
 
 
+def test_smoother_reads_aligned_windows_as_views_of_the_step_rows():
+    cfg = SolverConfig(solver._FORWARD_BLOCK + 100, 20, seed=35)
+    history = Path.constant(0.0, 1.0, 21)
+    for fwd in solver._simulate_point(_lookback_problem(), 0.0, history, cfg):
+        wb = fwd.smoother_windows
+        assert np.shares_memory(wb.values, fwd.traj.values) and not wb.values.flags.writeable
+        assert np.array_equal(wb.values, fwd.traj.values)  # 21 nodes at spacing dt: every simulated step
+        assert "windows" not in vars(fwd)  # nothing was cut
+    # at t = 0.5 the window reaches back into the history: the cut
+    for fwd in solver._simulate_point(_lookback_problem(), 0.5, history, cfg):
+        assert fwd.smoother_windows is fwd.windows
+        assert not np.shares_memory(fwd.windows.values, fwd.traj.values)
+
+
+def _present_abs(eta):
+    return float(np.abs(eta.values[-1]))
+
+
+@pytest.mark.parametrize("terminal", [SupTerminal(), _present_abs])
+def test_pipeline_values_from_the_step_row_view_match_the_cut(terminal):
+    problem = replace(_lookback_problem(), terminal=terminal)
+    schedule = ApproximationSchedule((4, 16, 64), SolverConfig(3000, 50, seed=36, bridge_max=False))
+    probes = [(0.0, Path.constant(0.0, 1.0, 51)), (0.3, Path.from_function(lambda x: 0.2 * np.sin(3.0 * x), 1.0, 41))]
+    view = strong_viscosity_pipeline(problem, schedule, probes).values
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver._Forward, "smoother_windows", property(lambda fwd: fwd.windows))
+        cut = strong_viscosity_pipeline(problem, schedule, probes).values
+    np.testing.assert_allclose(view, cut, rtol=1e-12, atol=0.0)
+    for block in (97, 1000):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_FORWARD_BLOCK", block)
+            blocked = strong_viscosity_pipeline(problem, schedule, probes).values
+        np.testing.assert_allclose(blocked, view, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # zero-driver forward passes stream in path blocks
 
