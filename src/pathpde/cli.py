@@ -464,6 +464,8 @@ def config_digest(name: str, params: dict, seed: int) -> str:
 def run(config_path: str, seed_override: int | None, workers: int, outdir: str) -> int:
     try:
         name, params, seed = load_config(config_path)
+        if workers < 1:
+            raise ConfigError(f"--threads must be positive, got {workers}")
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,11 @@ the step rows back without a copy.  Every value is computed by the same
 arithmetic as on a path-major layout, so the layout moves no bit; where
 numpy's order of summation depends on the layout (a row reduction, an
 einsum contraction), the operands are C-ordered, as they were.
+
+Both schemes run one recursion, ``_euler``, on the step rows of each
+worker block.  They differ only in the coefficients they build: floats,
+or step functions (k, X) -> array that read a C-ordered copy of the
+state, a feature tracker or a rolling window kept per block.
 """
 
 from __future__ import annotations
@@ -275,17 +280,6 @@ class TrajectoryBatch:
             return None
         return self.values[:, k - m + 1 : k + 1]
 
-    def window_batch(self, k: int, n_nodes: int | None = None) -> WindowBatch:
-        T = self.prefix.horizon
-        m = self.prefix.n_nodes if n_nodes is None else n_nodes
-        xs = np.linspace(-T, 0.0, m)
-        return WindowBatch(xs, self.window_values(k, xs))
-
-
-def _coef_markov(c) -> Callable | float:
-    """A state coefficient as given if callable, else as a float constant."""
-    return c if callable(c) else float(c)
-
 
 def _apply_sigma(sig_val, dw: np.ndarray) -> np.ndarray:
     """Diffusion contraction for one step: supports scalar, diagonal, full.
@@ -293,8 +287,8 @@ def _apply_sigma(sig_val, dw: np.ndarray) -> np.ndarray:
     A full matrix contracts with C-ordered increments: einsum rounds a sum
     over the rows of a transposed step row differently.
     """
-    if np.ndim(sig_val) == 3:  # (m, d, d) matrix
-        return np.einsum("mij,mj->mi", np.asarray(sig_val, dtype=float), np.ascontiguousarray(dw))
+    if not isinstance(sig_val, float) and sig_val.ndim == 3:  # (m, d, d) matrix
+        return np.einsum("mij,mj->mi", sig_val, np.ascontiguousarray(dw))
     return sig_val * dw  # a float, (m,) scalar state, (m, d) diagonal or broadcastable
 
 
@@ -331,6 +325,46 @@ def _step_rows(out: np.ndarray | None, n_steps: int, d: int, n_paths: int) -> np
     return out.reshape(-1)[:need].reshape(shape)
 
 
+def _euler(x0: np.ndarray, grid: Grid, dW: np.ndarray, coefficients: Callable, workers: int,
+           out: np.ndarray | None) -> np.ndarray:
+    """The Euler recursion X_{k+1} = X_k + b dt + sigma dW of both schemes.
+
+    Returns the step-major (n_steps + 1, d, n_paths) value buffer held by
+    ``out`` (a new one when None).  The state is a value per path for a
+    0-d x0 and a d-vector per path otherwise; step k reads the state X_k
+    and the increments as rows of that buffer and of dW, (m,) or (m, d)
+    for a worker block of m paths.  ``coefficients(X0)`` runs once per
+    block, given its start row X0, and returns (b, sigma, after): each
+    coefficient a float or a step function (k, X) -> array, and ``after``
+    None or a hook (k, X, row) that advances the block's state once the
+    row of X_{k+1} is written.
+    """
+    n_paths, n_steps, d = dW.shape
+    V = _step_rows(out, n_steps, d, n_paths)
+    if x0.ndim:
+        rows, noise = V.transpose(0, 2, 1), dW.transpose(1, 0, 2)  # (steps, n, d)
+    else:
+        rows, noise = V[:, 0], dW[:, :, 0].T  # (steps, n)
+    dt = grid.dt
+
+    def simulate(p0: int, p1: int) -> None:
+        R, N = rows[:, p0:p1], noise[:, p0:p1]
+        R[0] = x0
+        b, sigma, after = coefficients(R[0])
+        for k in range(n_steps):
+            X, row = R[k], R[k + 1]
+            b_dt = (b(k, X) if callable(b) else b) * dt
+            dX = _apply_sigma(sigma(k, X) if callable(sigma) else sigma, N[k])
+            np.add(X, b_dt, out=row)
+            row += dX
+            _guard(row, k + 1, p0)
+            if after is not None:
+                after(k, X, row)
+
+    _run_blocks(simulate, n_paths, workers)
+    return V
+
+
 def euler_markov(
     spec: SdeSpec,
     x: float | np.ndarray,
@@ -354,37 +388,19 @@ def euler_markov(
     as on a path-major layout; constant ones stay floats.
     """
     _check_increments(dW, grid)
-    n_paths, _, d = dW.shape
-    b = _coef_markov(spec.b)
-    sigma = _coef_markov(spec.sigma)
-    dt = grid.dt
     times = grid.times
+
+    def step(c):
+        if not callable(c):
+            return float(c)
+        return lambda k, X: np.asarray(c(times[k], np.ascontiguousarray(X)), dtype=float)
+
+    coefficients = (step(spec.b), step(spec.sigma), None)
     x0 = np.asarray(x, dtype=float)
-    if x0.size != d:
-        raise ValueError(f"state dimension {x0.size} does not match increments d={d}")
-    vector_state = x0.ndim > 0
-    state = slice(None) if vector_state else 0  # a step's state rows in the d axis
-    n_steps = grid.n_steps
-    V = _step_rows(out, n_steps, d, n_paths)
-    dW_t = dW.transpose(1, 2, 0)  # (steps, d, n)
-    callables = callable(b) or callable(sigma)
-
-    def coef(c, k, X):
-        return np.asarray(c(times[k], X), dtype=float) if callable(c) else c
-
-    def simulate(p0: int, p1: int) -> None:
-        V[0, state, p0:p1].T[...] = x0
-        for k in range(n_steps):
-            X, row = V[k, state, p0:p1].T, V[k + 1, state, p0:p1].T
-            Xc = np.ascontiguousarray(X) if callables else X  # row sums round as on a path-major state
-            b_dt = coef(b, k, Xc) * dt
-            noise = _apply_sigma(coef(sigma, k, Xc), dW_t[k, state, p0:p1].T)
-            np.add(X, b_dt, out=row)
-            row += noise
-            _guard(row, k + 1, p0)
-
-    _run_blocks(simulate, n_paths, workers)
-    return TrajectoryBatch(grid, V.transpose(2, 0, 1) if vector_state else V[:, 0].T)
+    if x0.size != dW.shape[2]:
+        raise ValueError(f"state dimension {x0.size} does not match increments d={dW.shape[2]}")
+    V = _euler(x0, grid, dW, lambda X0: coefficients, workers, out)
+    return TrajectoryBatch(grid, V.transpose(2, 0, 1) if x0.ndim else V[:, 0].T)
 
 
 def _dt_node_count(horizon: float, dt: float) -> int | None:
@@ -393,8 +409,8 @@ def _dt_node_count(horizon: float, dt: float) -> int | None:
     return m if abs((m - 1) * dt - horizon) <= 1e-9 * max(1.0, horizon) else None
 
 
-def _prefix_on_dt_layout(eta: Path, dt: float) -> tuple[np.ndarray, int]:
-    """Resample the history onto dt spacing; returns (values, n_window_nodes)."""
+def _prefix_on_dt_layout(eta: Path, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Resample the history onto dt spacing; returns (nodes, values)."""
     m = _dt_node_count(eta.horizon, dt)
     if m is None:
         raise ValueError(
@@ -402,7 +418,7 @@ def _prefix_on_dt_layout(eta: Path, dt: float) -> tuple[np.ndarray, int]:
             f"got dt={dt}, T={eta.horizon}"
         )
     xs = np.linspace(-eta.horizon, 0.0, m)
-    return np.asarray(eta(xs), dtype=float), m
+    return xs, np.asarray(eta(xs), dtype=float)
 
 
 def euler_path_dependent(
@@ -418,82 +434,48 @@ def euler_path_dependent(
     The increments dW, shape (n_paths, grid.n_steps, 1), are the one noise
     input; the dynamics are scalar, and every path continues the history
     eta from ``grid.t_start``.  Cylindrical coefficients are evaluated
-    through running pathwise integrals (no window is built).  Generic
-    callables receive a WindowBatch view of a rolling buffer whose node
-    spacing equals dt, so each step's window is a zero-copy slice.  The
-    values go into the step-major buffer held by the leading
-    ``value_buffer_size`` doubles of ``out`` (a new one when None).
+    through running pathwise integrals (no window is built), one tracker
+    per coefficient object and worker block.  Generic callables receive a
+    WindowBatch view of a rolling buffer whose node spacing equals dt, so
+    each step's window is a zero-copy slice.  The values go into the
+    step-major buffer held by the leading ``value_buffer_size`` doubles of
+    ``out`` (a new one when None).
     """
     _check_increments(dW, grid)
     if dW.shape[2] != 1:
         raise ValueError(f"path-dependent dynamics are scalar (d = 1), got increments d={dW.shape[2]}")
-    n_paths = dW.shape[0]
-    dt = grid.dt
     times = grid.times
-    n_steps = grid.n_steps
-    V = _step_rows(out, n_steps, 1, n_paths)[:, 0]
-    dW_t = dW[:, :, 0].T  # (steps, n)
+    cylindrical = {id(c): c for c in (spec.b, spec.sigma) if isinstance(c, CylindricalFunctional)}
+    windowed = any(callable(c) and id(c) not in cylindrical for c in (spec.b, spec.sigma))
+    xs, pre_vals = _prefix_on_dt_layout(eta, grid.dt) if windowed else (None, None)
+    b, sigma = (c if callable(c) or id(c) in cylindrical else float(c) for c in (spec.b, spec.sigma))
 
-    needs_window = any(
-        callable(c) and not isinstance(c, CylindricalFunctional) for c in (spec.b, spec.sigma)
-    )
-    pre_vals, m_win = (None, 0)
-    xs_win = None
-    if needs_window:
-        pre_vals, m_win = _prefix_on_dt_layout(eta, dt)
-        xs_win = np.linspace(-eta.horizon, 0.0, m_win)
+    def coefficients(X0: np.ndarray):
+        """Step functions of one worker block, which starts at X0, and its after-step hook."""
+        trackers = {key: c.tracker(X0, t0=grid.t_start, prefix=eta) for key, c in cylindrical.items()}
+        if windowed:
+            m = xs.size
+            buf = np.empty((X0.size, m + grid.n_steps))
+            buf[:, :m] = pre_vals
 
-    def make_eval(coef):
-        if isinstance(coef, CylindricalFunctional):
-            return ("cyl", coef)
-        if callable(coef):
-            return ("win", coef)
-        return ("const", float(coef))
+        def step(c):
+            if id(c) in trackers:
+                tracker = trackers[id(c)]
+                return lambda k, X: np.asarray(c.base(times[k], tracker.features(times[k], X)), dtype=float)
+            if callable(c):
+                return lambda k, X: np.asarray(c(times[k], WindowBatch(xs, buf[:, k : k + m])), dtype=float)
+            return c
 
-    b_kind = make_eval(spec.b)
-    s_kind = make_eval(spec.sigma)
+        def after(k: int, X: np.ndarray, row: np.ndarray) -> None:
+            if windowed:
+                buf[:, m + k] = row
+            for tracker in trackers.values():
+                tracker.advance(times[k], X, times[k + 1], row)
 
-    def simulate(p0: int, p1: int) -> None:
-        nb = p1 - p0
-        X = V[0, p0:p1]
-        X[...] = float(eta.values[-1])
+        return step(b), step(sigma), after if trackers or windowed else None
 
-        trackers = {}
-        for kind, coef in (b_kind, s_kind):
-            if kind == "cyl" and id(coef) not in trackers:
-                trackers[id(coef)] = (coef, coef.tracker(X, t0=grid.t_start, prefix=eta))
-
-        buf = None
-        if needs_window:
-            buf = np.empty((nb, m_win - 1 + n_steps + 1))
-            buf[:, :m_win] = pre_vals[None, :]
-
-        def coef_at(kind_coef, k, s):
-            kind, coef = kind_coef
-            if kind == "const":
-                return coef
-            if kind == "cyl":
-                cf, tracker = trackers[id(coef)]
-                return np.asarray(coef.base(s, tracker.features(s, X)), dtype=float)
-            wb = WindowBatch(xs_win, buf[:, k : k + m_win])
-            return np.asarray(coef(s, wb), dtype=float)
-
-        for k in range(n_steps):
-            s = times[k]
-            b_dt = coef_at(b_kind, k, s) * dt
-            noise = coef_at(s_kind, k, s) * dW_t[k, p0:p1]
-            X_new = V[k + 1, p0:p1]
-            np.add(X, b_dt, out=X_new)
-            X_new += noise
-            _guard(X_new, k + 1, p0)
-            if needs_window:
-                buf[:, m_win + k] = X_new
-            for cf, tracker in trackers.values():
-                tracker.advance(s, X, times[k + 1], X_new)
-            X = X_new
-
-    _run_blocks(simulate, n_paths, workers)
-    return TrajectoryBatch(grid, V.T, prefix=eta)
+    V = _euler(np.asarray(eta.values[-1], dtype=float), grid, dW, coefficients, workers, out)
+    return TrajectoryBatch(grid, V[:, 0].T, prefix=eta)
 
 
 def coupled_sup_error(

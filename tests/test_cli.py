@@ -67,6 +67,14 @@ def test_malformed_config_reports_line(tmp_path, capsys):
     assert "line" in err.lower()
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_nonpositive_threads_exits_2(tmp_path, capsys, threads):
+    cfg = _write_config(tmp_path, "markov-heat", n_paths=1000, n_steps=10)
+    assert main(["run", str(cfg), "--threads", threads, "--out", str(tmp_path / "out")]) == 2
+    assert "config error: --threads" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_invalid_parameter_exits_2(tmp_path):
     cfg = _write_config(tmp_path, "markov-heat", n_paths=-5)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2

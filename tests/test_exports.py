@@ -29,3 +29,34 @@ def test_package_imports_resolve():
         source = importlib.import_module(f"pathpde.{module}")
         assert hasattr(source, name), f"pathpde.{module} has no {name}"
         assert getattr(pathpde, name) is getattr(source, name)
+
+
+def _private_helpers_never_referenced(sources: list[str]) -> list[str]:
+    """Functions and methods named ``_x`` (dunders excluded) that no source names.
+
+    A reference is a Name, an Attribute or an imported alias anywhere in
+    the sources; the definition itself does not count.
+    """
+    defined, used = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(defined - used)
+
+
+def test_no_private_helper_is_dead():
+    sources = [p.read_text() for p in sorted(FsPath(pathpde.__file__).parent.glob("*.py"))]
+    assert _private_helpers_never_referenced(sources) == []
+
+
+def test_dead_helper_guard_flags_an_unreferenced_helper():
+    source = "def _used():\n    pass\n\n\ndef _dead():\n    pass\n\n\nx = _used()\n"
+    assert _private_helpers_never_referenced([source]) == ["_dead"]

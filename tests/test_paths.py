@@ -51,7 +51,8 @@ def _make_traj(prefix_fn, body_fn, T=1.0, t0=0.0, t1=1.0, n_pre=101, n_steps=100
 
 def window(traj, s):
     """The one path's look-back slice at time s, on the history's node layout."""
-    return traj.window_batch(traj.grid.nearest_index(s)).path(0)
+    k = traj.grid.nearest_index(s)
+    return Path(traj.prefix.horizon, traj.window_values(k, traj.prefix.nodes)[0])
 
 
 def test_window_constant_trajectory():

@@ -15,6 +15,7 @@ from pathpde.sde import (
     trajectories_from_binary,
     trajectories_to_binary,
     trajectories_to_csv,
+    value_buffer_size,
 )
 from pathpde.smoothing import CylindricalFunctional, Integrand, mollify
 
@@ -170,13 +171,19 @@ def test_path_dependent_zero_coefficients_extend_history():
     assert np.all(traj.values == eta.values[-1])
 
 
-def test_path_dependent_degenerate_matches_markov_bitwise():
-    eta = Path.constant(0.0, 1.0, 101)
-    g = Grid(0.0, 1.0, 100)
-    nb = NoiseBundle(21, 500, 100)
-    pd = euler_path_dependent(SdeSpec(0.0, 1.0), eta, g, nb.increments(g.dt))
-    mk = euler_markov(SdeSpec(0.0, 1.0), 0.0, g, nb.increments(g.dt))
-    np.testing.assert_array_equal(pd.values, mk.values)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 30), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+       st.floats(-3.0, 3.0), st.sampled_from([1, 2, 3]), st.booleans(), st.integers(0, 5))
+def test_path_dependent_degenerate_matches_markov_bitwise(n_paths, n_steps, b, sigma, x0, workers,
+                                                         given_out, slack):
+    # constant coefficients: both schemes run the one recursion on the same rows
+    g = Grid(0.0, 1.0, n_steps)
+    dW = NoiseBundle(21, n_paths, n_steps).increments(g.dt)
+    size = value_buffer_size(n_steps, 1, n_paths) + slack
+    out_pd, out_mk = (np.empty(size), np.empty(size)) if given_out else (None, None)
+    pd = euler_path_dependent(SdeSpec(b, sigma), Path.constant(x0, 1.0, 11), g, dW, workers, out_pd)
+    mk = euler_markov(SdeSpec(b, sigma), x0, g, dW, workers, out_mk)
+    assert np.array_equal(pd.values, mk.values)
 
 
 def test_path_dependent_exponential_growth_via_pathwise_integral():
