@@ -563,8 +563,12 @@ class _LinearTerminalSmoother:
     batch of windows as ``B.T @ (A.T @ values.T)``: the arguments come out
     as m step rows, one column per path, and a window batch that is a view
     of the step-major values (``TrajectoryBatch.step_window``) is read
-    with no copy.  The running maximum then reduces over the rows; any
-    other wrapped functional is applied path by path.
+    with no copy.  A single window is doubled before the products, so
+    that it too goes through BLAS gemm: numpy hands a one-column product
+    to gemv, which sums in another order, and a streamed pass whose last
+    block holds one path would then round that path differently.  The
+    running maximum then reduces over the rows; any other wrapped
+    functional is applied path by path.
     """
 
     def __init__(self, inner, n: int, horizon: float):
@@ -579,7 +583,10 @@ class _LinearTerminalSmoother:
         if m not in self._factors:
             self._factors[m] = self._smoothed.factors(m)
         A, B = self._factors[m]
-        rows = B.T @ (A.T @ wb.values.T)  # (m, n_paths)
+        values = wb.values
+        if values.shape[0] == 1:  # numpy hands one column to gemv, which rounds unlike gemm
+            values = np.repeat(values, 2, axis=0)
+        rows = (B.T @ (A.T @ values.T))[:, : wb.values.shape[0]]  # (m, n_paths)
         if isinstance(self.inner, SupTerminal):
             return rows.max(axis=0)
         return np.array([float(self.inner(Path(self.horizon, row))) for row in rows.T])

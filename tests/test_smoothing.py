@@ -342,6 +342,20 @@ def test_property_smoother_batch_equals_row_by_row(n, T, m, seed, inner):
     np.testing.assert_allclose(batch, rows, rtol=0.0, atol=1e-12 * max(1.0, np.abs(rows).max()))
 
 
+@pytest.mark.parametrize("m", [11, 41, 201])
+@pytest.mark.parametrize("n", [2, 8, 16])
+def test_smoother_rounds_a_path_alike_in_any_batch(n, m):
+    # a streamed pass may end on a one-path block: each path's smoothed
+    # terminal must be bit-identical whatever batch it is evaluated in
+    smoother = _LinearTerminalSmoother(_present_plus_spread, n, 1.0)
+    xs = np.linspace(-1.0, 0.0, m)
+    values = np.cumsum(_rows(m + n, 40, m, scale=0.2), axis=1)
+    whole = smoother.evaluate_batch(WindowBatch(xs, values))
+    for size in (1, 2, 3, 7):
+        parts = [smoother.evaluate_batch(WindowBatch(xs, values[i : i + size])) for i in range(0, 40, size)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
 def test_smoother_builds_its_factors_once_per_node_count(monkeypatch):
     smoother = _LinearTerminalSmoother(SupTerminal(), 16, 1.0)
     original = smoother._smoothed.factors
