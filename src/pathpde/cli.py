@@ -35,7 +35,7 @@ from .bsde import (
 )
 from .funcalc import CylindricalIto, PresentFunctional, ito_residual
 from .paths import Grid, Path
-from .sde import NoiseBundle, SdeSpec, coupled_sup_error, euler_markov
+from .sde import NoiseBundle, SdeSpec, _usable_cores, coupled_sup_error, euler_markov
 from .smoothing import (
     CylindricalFunctional,
     FourierBasis,
@@ -283,8 +283,8 @@ def run_bsde_limit(params, seed, workers, outdir):
     g = Grid(0.0, 1.0, n_steps)
     basis = RegressionBasisSpec("markov", 2)
     base_drv = DriverSpec(lambda t, s, y, z, r=rate: -r * y, lipschitz=rate)
-    dW = NoiseBundle(seed, n_paths, n_steps).increments(g.dt)
-    traj = euler_markov(SdeSpec(0.0, 1.0), 1.0, g, dW, workers=workers)
+    dW = NoiseBundle(seed, n_paths, n_steps).increments(g.dt, workers=workers)
+    traj = euler_markov(SdeSpec(0.0, 1.0), 1.0, g, dW)
     xi = traj.terminal()
     drivers = [DriverSpec(lambda t, s, y, z, r=rate, n=n: -r * y + 1.0 / n, lipschitz=rate) for n in indices]
     rows = limit_experiment(drivers, base_drv, [xi] * len(indices), xi, basis,
@@ -293,8 +293,8 @@ def run_bsde_limit(params, seed, workers, outdir):
 
     # solver noise floor: positional Z distance between two independent-seed
     # solves of the unperturbed problem (Z is deterministic for this benchmark)
-    dW2 = NoiseBundle(seed + 1, n_paths, n_steps).increments(g.dt)
-    traj2 = euler_markov(SdeSpec(0.0, 1.0), 1.0, g, dW2, workers=workers)
+    dW2 = NoiseBundle(seed + 1, n_paths, n_steps).increments(g.dt, workers=workers)
+    traj2 = euler_markov(SdeSpec(0.0, 1.0), 1.0, g, dW2)
     sol1 = solve_bsde(base_drv, xi, basis, traj, dW)
     sol2 = solve_bsde(base_drv, traj2.terminal(), basis, traj2, dW2)
     floor = float((np.sum(np.abs(sol1.Z - sol2.Z), axis=(1, 2)) * g.dt).mean())
@@ -335,8 +335,8 @@ def run_ito_residual(params, seed, workers, outdir):
         residuals = []
         for steps in steps_list:
             g = Grid(0.0, 1.0, steps)
-            dW = NoiseBundle(seed, n_paths, steps).increments(g.dt)
-            traj = euler_markov(SdeSpec(0.0, 1.0), 0.0, g, dW, workers=workers)
+            dW = NoiseBundle(seed, n_paths, steps).increments(g.dt, workers=workers)
+            traj = euler_markov(SdeSpec(0.0, 1.0), 0.0, g, dW)
             mean_res, _ = ito_residual(spec, traj.values, g, sigma=1.0)
             residuals.append(mean_res)
             rows.append([name, 1.0 / steps, mean_res])
@@ -525,7 +525,8 @@ def main(argv: list[str] | None = None) -> int:
     run_p = sub.add_parser("run", help="run one experiment from a config file")
     run_p.add_argument("config")
     run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--threads", type=int, default=1)
+    run_p.add_argument("--threads", type=int, default=_usable_cores(),
+                       help="threads that draw the noise (default: the usable cores)")
     run_p.add_argument("--out", default="pathpde_out")
     list_p = sub.add_parser("list", help="list available experiments")
     list_p.add_argument("--json", action="store_true")

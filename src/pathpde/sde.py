@@ -5,28 +5,32 @@ plus a stream tag.  Uniform draws consume exactly one 64-bit word each and
 normals are produced by inverse CDF, so the increment at (path, step,
 component) is a pure function of the key and its counter offset: any block
 of paths can be regenerated bit-identically, independent of how work is
-partitioned across workers.
+partitioned across threads.
 
 The forward pass is step-major.  Philox lays each path's words out
 contiguously, so ``NoiseBundle.increments`` turns them into increments
 in place, a cache-sized chunk of paths at a time, and writes them
 transposed into a (n_steps, d, n_paths) buffer, of which it returns the
-path-major view.  The Euler schemes step on contiguous rows of a
-(n_steps + 1[, d], n_paths) buffer, and ``TrajectoryBatch.values`` is its
-path-major view, so ``values.T`` (or ``values.transpose(1, 2, 0)``) gives
-the step rows back without a copy.  Every value is computed by the same
-arithmetic as on a path-major layout, so the layout moves no bit; where
-numpy's order of summation depends on the layout (a row reduction, an
-einsum contraction), the operands are C-ordered, as they were.
+path-major view.  Those chunks are the one parallel axis: ``_lanes``
+deals them to up to ``workers`` threads, and as each chunk writes only
+its own paths, no bit depends on how many.  The Euler schemes step on
+contiguous rows of a (n_steps + 1[, d], n_paths) buffer, and
+``TrajectoryBatch.values`` is its path-major view, so ``values.T`` (or
+``values.transpose(1, 2, 0)``) gives the step rows back without a copy.
+Every value is computed by the same arithmetic as on a path-major
+layout, so the layout moves no bit; where numpy's order of summation
+depends on the layout (a row reduction, an einsum contraction), the
+operands are C-ordered, as they were.
 
-Both schemes run one recursion, ``_euler``, on the step rows of each
-worker block.  They differ only in the coefficients they build: floats,
-or step functions (k, X) -> array that read a C-ordered copy of the
-state, a feature tracker or a rolling window kept per block.
+Both schemes run one recursion, ``_euler``, on the step rows of all
+their paths, on the calling thread.  They differ only in the coefficients
+they build: floats, or step functions (k, X) -> array that read a
+C-ordered copy of the state, a feature tracker or a rolling window.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -70,19 +74,30 @@ class DivergenceError(RuntimeError):
         self.step = step
 
 
-def _path_blocks(n_paths: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, int(workers))
-    edges = np.linspace(0, n_paths, workers + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity, where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run_blocks(fn: Callable[[int, int], None], n_paths: int, workers: int) -> None:
-    blocks = _path_blocks(n_paths, workers)
-    if len(blocks) == 1:
-        fn(*blocks[0])
-        return
-    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-        list(pool.map(lambda blk: fn(*blk), blocks))
+def _lanes(work: Callable[[int, int, np.ndarray], None], n: int, chunk: int, workers: int, width: int) -> None:
+    """Run ``work(q0, q1, scratch)`` on the chunks [q0, q1) of ``chunk`` paths among n.
+
+    The chunks are dealt round-robin to up to ``workers`` lanes, each with
+    one scratch buffer of ``width`` doubles; only more than one lane takes
+    a thread pool.  ``work`` calls ``NoiseBundle._words`` and ufuncs only:
+    perfbench's layer trace keeps one span stack.
+    """
+    scratch = [np.empty(width) for _ in range(max(1, min(workers, -(-n // chunk))))]
+
+    def lane(i: int) -> None:
+        for q0 in range(i * chunk, n, len(scratch) * chunk):
+            work(q0, min(q0 + chunk, n), scratch[i])
+
+    if len(scratch) == 1:
+        lane(0)
+    else:
+        with ThreadPoolExecutor(max_workers=len(scratch)) as pool:
+            list(pool.map(lane, range(len(scratch))))
 
 
 @dataclass(frozen=True)
@@ -139,28 +154,31 @@ class NoiseBundle:
     def normals(self, p0: int = 0, p1: int | None = None) -> np.ndarray:
         return ndtri(self.uniforms(p0, p1))
 
-    def increments(self, dt: float, p0: int = 0, p1: int | None = None) -> np.ndarray:
+    def increments(self, dt: float, p0: int = 0, p1: int | None = None, out: np.ndarray | None = None,
+                   workers: int = 1) -> np.ndarray:
         """Brownian increments N(0, dt), shape (block, n_steps, d).
 
         The result is the path-major view of a step-major (n_steps, d,
-        block) buffer, so each step's increments are contiguous rows.  The
-        words are drawn a cache-sized chunk of paths at a time; ``ndtri``
-        and the sqrt(dt) scale run in place on them, and they are written
-        once, transposed, into the buffer.
+        block) buffer, ``out`` when given (say rows 1..n_steps of an Euler
+        value buffer), so each step's increments are contiguous rows.  The
+        words are drawn a cache-sized chunk of paths at a time on up to
+        ``workers`` threads; ``ndtri`` and the sqrt(dt) scale run in place
+        on them, and they are written once, transposed, into the buffer.
         """
         p1 = self.n_paths if p1 is None else p1
         n, d, steps = p1 - p0, self.d, self.n_steps
-        out = np.empty((steps, d, n))
+        out = np.empty((steps, d, n)) if out is None else out
         wpp = self._words_per_path
         chunk = max(1, _CHUNK_WORDS // wpp)
-        scratch = np.empty(min(n, chunk) * wpp)
         scale = np.sqrt(dt)
-        for q0 in range(0, n, chunk):
-            q1 = min(q0 + chunk, n)
+
+        def work(q0: int, q1: int, scratch: np.ndarray) -> None:
             z = self._words(p0 + q0, p0 + q1, scratch[: (q1 - q0) * wpp])[:, : steps * d]
             ndtri(z, out=z)
             z *= scale
             out[:, :, q0:q1] = z.reshape(q1 - q0, steps, d).transpose(1, 2, 0)
+
+        _lanes(work, n, chunk, workers, min(n, chunk) * wpp)
         return out.transpose(2, 0, 1)
 
     def child(self, tag: int, d: int | None = None) -> "NoiseBundle":
@@ -292,8 +310,8 @@ def _apply_sigma(sig_val, dw: np.ndarray) -> np.ndarray:
     return sig_val * dw  # a float, (m,) scalar state, (m, d) diagonal or broadcastable
 
 
-def _guard(x: np.ndarray, step: int, p0: int) -> None:
-    """Raise on the first bad path of a worker's block, which starts at path p0.
+def _guard(x: np.ndarray, step: int) -> None:
+    """Raise on the first bad path of the state row x.
 
     One reduction per step finds NaN, +-inf and values beyond 1e12; the
     full mask is built only to name the failing path.
@@ -301,7 +319,7 @@ def _guard(x: np.ndarray, step: int, p0: int) -> None:
     if not np.abs(x).max() <= 1e12:
         bad = ~np.isfinite(x) | (np.abs(x) > 1e12)
         idx = int(np.argmax(bad.reshape(bad.shape[0], -1).any(axis=1)))
-        raise DivergenceError(p0 + idx, step)
+        raise DivergenceError(idx, step)
 
 
 def _check_increments(dW: np.ndarray, grid: Grid) -> None:
@@ -325,43 +343,38 @@ def _step_rows(out: np.ndarray | None, n_steps: int, d: int, n_paths: int) -> np
     return out.reshape(-1)[:need].reshape(shape)
 
 
-def _euler(x0: np.ndarray, grid: Grid, dW: np.ndarray, coefficients: Callable, workers: int,
-           out: np.ndarray | None) -> np.ndarray:
+def _euler(x0: np.ndarray, grid: Grid, dW: np.ndarray, coefficients: Callable, out: np.ndarray | None) -> np.ndarray:
     """The Euler recursion X_{k+1} = X_k + b dt + sigma dW of both schemes.
 
     Returns the step-major (n_steps + 1, d, n_paths) value buffer held by
     ``out`` (a new one when None).  The state is a value per path for a
     0-d x0 and a d-vector per path otherwise; step k reads the state X_k
     and the increments as rows of that buffer and of dW, (m,) or (m, d)
-    for a worker block of m paths.  ``coefficients(X0)`` runs once per
-    block, given its start row X0, and returns (b, sigma, after): each
-    coefficient a float or a step function (k, X) -> array, and ``after``
-    None or a hook (k, X, row) that advances the block's state once the
-    row of X_{k+1} is written.
+    for m paths.  ``coefficients(X0)`` runs once, given the start row X0,
+    and returns (b, sigma, after): each coefficient a float or a step
+    function (k, X) -> array, and ``after`` None or a hook (k, X, row)
+    that advances the coefficients' state once the row of X_{k+1} is
+    written.  The increments may be rows 1..n_steps of the value buffer
+    itself: step k forms sigma dW_k before it overwrites their row.
     """
     n_paths, n_steps, d = dW.shape
     V = _step_rows(out, n_steps, d, n_paths)
     if x0.ndim:
-        rows, noise = V.transpose(0, 2, 1), dW.transpose(1, 0, 2)  # (steps, n, d)
+        R, N = V.transpose(0, 2, 1), dW.transpose(1, 0, 2)  # (steps, n, d)
     else:
-        rows, noise = V[:, 0], dW[:, :, 0].T  # (steps, n)
+        R, N = V[:, 0], dW[:, :, 0].T  # (steps, n)
     dt = grid.dt
-
-    def simulate(p0: int, p1: int) -> None:
-        R, N = rows[:, p0:p1], noise[:, p0:p1]
-        R[0] = x0
-        b, sigma, after = coefficients(R[0])
-        for k in range(n_steps):
-            X, row = R[k], R[k + 1]
-            b_dt = (b(k, X) if callable(b) else b) * dt
-            dX = _apply_sigma(sigma(k, X) if callable(sigma) else sigma, N[k])
-            np.add(X, b_dt, out=row)
-            row += dX
-            _guard(row, k + 1, p0)
-            if after is not None:
-                after(k, X, row)
-
-    _run_blocks(simulate, n_paths, workers)
+    R[0] = x0
+    b, sigma, after = coefficients(R[0])
+    for k in range(n_steps):
+        X, row = R[k], R[k + 1]
+        b_dt = (b(k, X) if callable(b) else b) * dt
+        dX = _apply_sigma(sigma(k, X) if callable(sigma) else sigma, N[k])
+        np.add(X, b_dt, out=row)
+        row += dX
+        _guard(row, k + 1)
+        if after is not None:
+            after(k, X, row)
     return V
 
 
@@ -370,7 +383,6 @@ def euler_markov(
     x: float | np.ndarray,
     grid: Grid,
     dW: np.ndarray,
-    workers: int = 1,
     out: np.ndarray | None = None,
 ) -> TrajectoryBatch:
     """Euler-Maruyama recursion X_{k+1} = X_k + b dt + sigma dW per path.
@@ -399,7 +411,7 @@ def euler_markov(
     x0 = np.asarray(x, dtype=float)
     if x0.size != dW.shape[2]:
         raise ValueError(f"state dimension {x0.size} does not match increments d={dW.shape[2]}")
-    V = _euler(x0, grid, dW, lambda X0: coefficients, workers, out)
+    V = _euler(x0, grid, dW, lambda X0: coefficients, out)
     return TrajectoryBatch(grid, V.transpose(2, 0, 1) if x0.ndim else V[:, 0].T)
 
 
@@ -426,7 +438,6 @@ def euler_path_dependent(
     eta: Path,
     grid: Grid,
     dW: np.ndarray,
-    workers: int = 1,
     out: np.ndarray | None = None,
 ) -> TrajectoryBatch:
     """Euler recursion with coefficients reading the look-back window.
@@ -435,7 +446,7 @@ def euler_path_dependent(
     input; the dynamics are scalar, and every path continues the history
     eta from ``grid.t_start``.  Cylindrical coefficients are evaluated
     through running pathwise integrals (no window is built), one tracker
-    per coefficient object and worker block.  Generic callables receive a
+    per coefficient object.  Generic callables receive a
     WindowBatch view of a rolling buffer whose node spacing equals dt, so
     each step's window is a zero-copy slice.  The values go into the
     step-major buffer held by the leading ``value_buffer_size`` doubles of
@@ -451,7 +462,7 @@ def euler_path_dependent(
     b, sigma = (c if callable(c) or id(c) in cylindrical else float(c) for c in (spec.b, spec.sigma))
 
     def coefficients(X0: np.ndarray):
-        """Step functions of one worker block, which starts at X0, and its after-step hook."""
+        """Step functions of the paths, which start at X0, and their after-step hook."""
         trackers = {key: c.tracker(X0, t0=grid.t_start, prefix=eta) for key, c in cylindrical.items()}
         if windowed:
             m = xs.size
@@ -474,7 +485,7 @@ def euler_path_dependent(
 
         return step(b), step(sigma), after if trackers or windowed else None
 
-    V = _euler(np.asarray(eta.values[-1], dtype=float), grid, dW, coefficients, workers, out)
+    V = _euler(np.asarray(eta.values[-1], dtype=float), grid, dW, coefficients, out)
     return TrajectoryBatch(grid, V[:, 0].T, prefix=eta)
 
 
@@ -491,13 +502,13 @@ def coupled_sup_error(
 
     Both recursions start at ``grid.t_start``; a history ``Path`` start
     selects the path-dependent scheme, any other start the Markov one.
-    Identical specs produce exactly zero: the increments are drawn once
-    and both recursions consume them.
+    Identical specs produce exactly zero: the increments are drawn once,
+    on up to ``workers`` threads, and both recursions consume them.
     """
-    dW = noise.increments(grid.dt)
+    dW = noise.increments(grid.dt, workers=workers)
     euler = euler_path_dependent if isinstance(start, Path) else euler_markov
-    a = euler(spec_n, start, grid, dW, workers)
-    bb = euler(spec, start, grid, dW, workers)
+    a = euler(spec_n, start, grid, dW)
+    bb = euler(spec, start, grid, dW)
     gap = np.abs(a.values - bb.values)
     sup = gap.max(axis=tuple(range(1, gap.ndim)))
     samples = sup**p

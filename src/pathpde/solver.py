@@ -14,6 +14,9 @@ terminal run on blocks of ``_FORWARD_BLOCK`` paths, and only the terminal
 samples outlive a block.  Philox regenerates any block bit for bit and the
 terminals act path by path, so the samples, and the mean and standard
 error taken once over all of them, do not depend on the block size.
+Inside a block, noise and bridge maximum spread their chunks of paths
+over ``SolverConfig.workers`` threads, which join before Euler runs; no
+value depends on their number.
 
 ``strong_viscosity_pipeline`` wraps them in the approximation loop:
 coefficients and terminal data are replaced by smoothed versions at
@@ -65,6 +68,9 @@ from .sde import (
     NoiseBundle,
     SdeSpec,
     TrajectoryBatch,
+    _lanes,
+    _step_rows,
+    _usable_cores,
     euler_markov,
     euler_path_dependent,
     value_buffer_size,
@@ -136,8 +142,12 @@ class SolverConfig:
     n_steps: int = 100
     seed: int = 2024
     basis: RegressionBasisSpec | None = None
-    workers: int = 1
+    workers: int = field(default_factory=_usable_cores)  # threads of the noise and bridge maxima
     bridge_max: bool = True
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def resolved_basis(self, mode: str) -> RegressionBasisSpec:
         if self.basis is not None:
@@ -258,14 +268,15 @@ def _simulate_point(
     """The forward part of a point evaluation: noise, increments and Euler.
 
     Yields the path set in blocks.  A zero driver runs blocks of
-    ``_FORWARD_BLOCK`` paths and drops each block's increments after the
-    Euler scheme.  Euler writes every block into the leading part of one
-    value buffer that belongs to the pass, sized for a full block, so a
-    block lives until the next one is simulated.  A nonzero driver, or
-    ``keep_increments``, runs one block of all paths and keeps its
-    increments, because the backward induction reads the whole arrays.
-    The basis-size guard runs before any noise is drawn, whatever the
-    driver.  A diverging path is reported by its index among all paths.
+    ``_FORWARD_BLOCK`` paths.  Every block goes into the leading part of
+    one value buffer that belongs to the pass, sized for a full block, so a
+    block lives until the next one is simulated: its increments are drawn
+    into the buffer's rows 1..n_steps, which Euler overwrites with the
+    values.  A nonzero driver, or ``keep_increments``, runs one block of
+    all paths and keeps its increments, because the backward induction
+    reads the whole arrays.  The basis-size guard runs before any noise is
+    drawn, whatever the driver.  A diverging path is reported by its index
+    among all paths.
     """
     basis = config.resolved_basis(problem.mode)
     _check_basis_size(basis.n_features(problem.d), config.n_paths)
@@ -277,9 +288,11 @@ def _simulate_point(
     euler = euler_markov if problem.mode == "markov" else euler_path_dependent
     buf = np.empty(value_buffer_size(config.n_steps, problem.d, block))
     for p0 in range(0, config.n_paths, block):
-        dW = noise.increments(grid.dt, p0, min(p0 + block, config.n_paths))
+        p1 = min(p0 + block, config.n_paths)
+        rows = None if whole else _step_rows(buf, config.n_steps, problem.d, p1 - p0)[1:]
+        dW = noise.increments(grid.dt, p0, p1, out=rows, workers=config.workers)
         try:
-            traj = euler(spec, start, grid, dW, workers=config.workers, out=buf)
+            traj = euler(spec, start, grid, dW, out=buf)
         except DivergenceError as err:
             raise DivergenceError(p0 + err.path, err.step) from None
         traj.values.flags.writeable = False
@@ -393,7 +406,7 @@ def evaluate_markov(
 
 
 def bridge_corrected_max(
-    values: np.ndarray, dt: float, sigma: float, noise: NoiseBundle, offset: int = 0
+    values: np.ndarray, dt: float, sigma: float, noise: NoiseBundle, offset: int = 0, workers: int = 1
 ) -> np.ndarray:
     """Running maximum with per-step Brownian-bridge maxima.
 
@@ -404,9 +417,11 @@ def bridge_corrected_max(
     auxiliary uniforms, streamed in path blocks: row i of ``values`` reads
     path ``offset + i`` of that stream, so a block of a forward pass gets
     the uniforms it would get in one pass over all paths.  The work runs
-    on cache-sized chunks of paths: the log and the scale act in place on
-    the chunk's uniforms in their path-major Philox layout, which are then
-    transposed once and combined with the step rows ``values.T``.
+    on cache-sized chunks of paths on up to ``workers`` threads: the log
+    and the scale act in place on the chunk's uniforms in their path-major
+    Philox layout, which are then transposed once and combined with the
+    step rows ``values.T``, (b - a)^2 taking their place.  The maximum is
+    halved once, which rounds as halving every value: x -> x / 2 is monotone.
     """
     n_paths = values.shape[0]
     if sigma == 0.0:
@@ -415,25 +430,28 @@ def bridge_corrected_max(
     n_steps = rows.shape[0] - 1
     out = np.empty(n_paths)
     chunk = max(1, min(n_paths, _CHUNK_WORDS // n_steps))
+    wpp, d = noise._words_per_path, noise.d
     scale = -2.0 * sigma**2 * dt
-    bridge = np.empty((n_steps, chunk))
-    sq = np.empty_like(bridge)
-    for q0 in range(0, n_paths, chunk):
-        q1 = min(q0 + chunk, n_paths)
-        u = noise.uniforms(offset + q0, offset + q1)[:, :, 0]
+
+    def work(q0: int, q1: int, scratch: np.ndarray) -> None:
+        q = q1 - q0
+        words, m = scratch[: q * wpp], scratch[chunk * wpp : chunk * wpp + n_steps * q].reshape(n_steps, q)
+        u = noise._words(offset + q0, offset + q1, words)[:, : n_steps * d : d]
         np.log(u, out=u)
         u *= scale
-        m, d2 = bridge[:, : q1 - q0], sq[:, : q1 - q0]
-        a, b = rows[:-1, q0:q1], rows[1:, q0:q1]
         m[...] = u.T
+        d2 = words[: n_steps * q].reshape(n_steps, q)
+        a, b = rows[:-1, q0:q1], rows[1:, q0:q1]
         np.subtract(b, a, out=d2)
         np.square(d2, out=d2)
         m += d2
         np.sqrt(m, out=m)
         m += b
         m += a
-        m *= 0.5
         m.max(axis=0, out=out[q0:q1])
+
+    _lanes(work, n_paths, chunk, workers, chunk * (wpp + n_steps))
+    out *= 0.5
     return out
 
 
@@ -456,7 +474,7 @@ def _terminal_samples_path(problem: ProblemSpec, fwd: _Forward, config: SolverCo
         past = _past_sup(traj.prefix, traj.grid.t_start)
         if config.bridge_max and isinstance(problem.sigma, (int, float)):
             body = bridge_corrected_max(
-                traj.values, traj.grid.dt, float(problem.sigma), fwd.noise.child(1), fwd.offset
+                traj.values, traj.grid.dt, float(problem.sigma), fwd.noise.child(1), fwd.offset, config.workers
             )
         else:  # _terminal_samples warned once if the bridge maximum was asked for
             body = traj.values.max(axis=1)

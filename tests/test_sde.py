@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
 from pathpde.paths import Grid, Path, WindowBatch
 from pathpde.sde import (
@@ -120,25 +121,38 @@ def test_euler_divergence_guard():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_divergence_names_the_path_among_all_increments(workers):
+    # 4000 paths of 20 steps are 2 chunks of the noise; path 3500 lies in the second
     g = Grid(0.0, 1.0, 20)
-    dW = NoiseBundle(5, 10, 20).increments(g.dt)
-    dW[7, 3] = np.inf
-    with pytest.raises(DivergenceError, match="path 7, step 4$"):
-        euler_markov(SdeSpec(0.0, 1.0), 0.0, g, dW, workers=workers)
-    with pytest.raises(DivergenceError, match="path 7, step 4$"):
-        euler_path_dependent(SdeSpec(0.0, 1.0), Path.constant(0.0, 1.0, 21), g, dW, workers=workers)
+    dW = NoiseBundle(5, 4000, 20).increments(g.dt, workers=workers)
+    dW[3500, 3] = np.inf
+    with pytest.raises(DivergenceError, match="path 3500, step 4$"):
+        euler_markov(SdeSpec(0.0, 1.0), 0.0, g, dW)
+    with pytest.raises(DivergenceError, match="path 3500, step 4$"):
+        euler_path_dependent(SdeSpec(0.0, 1.0), Path.constant(0.0, 1.0, 21), g, dW)
 
 
 def test_euler_determinism_across_workers():
+    # 5000 paths of 60 steps are 5 chunks of the noise: 3 lanes take 2, 2 and 1
     g = Grid(0.0, 1.0, 60)
     nb = NoiseBundle(9, 5000, 60)
     spec = SdeSpec(lambda t, x: -0.5 * x, 1.0)
-    dW = nb.increments(g.dt)
-    a = euler_markov(spec, 0.3, g, dW, workers=1)
-    b = euler_markov(spec, 0.3, g, dW, workers=4)
-    c = euler_markov(spec, 0.3, g, dW, workers=8)
+    a, b, c = (euler_markov(spec, 0.3, g, nb.increments(g.dt, workers=w)) for w in (1, 2, 3))
     np.testing.assert_array_equal(a.values, b.values)
     np.testing.assert_array_equal(a.values, c.values)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_increments_equal_at_any_worker_count(d):
+    # 3 lanes get uneven chunk counts; at d = 1, 8 lanes outnumber the 5 chunks
+    nb = NoiseBundle(10, 6001, 45, d=d, tag=3)
+    ref = nb.increments(0.02, 17, 6001)
+    assert np.array_equal(ref, ndtri(nb.uniforms(17, 6001)) * np.sqrt(0.02))
+    for w in (2, 3, 8):
+        assert np.array_equal(nb.increments(0.02, 17, 6001, workers=w), ref)
+    rows = np.empty((45, d, 5984))
+    got = nb.increments(0.02, 17, 6001, out=rows, workers=3)
+    assert np.shares_memory(got, rows) and np.array_equal(got, ref)
+    assert nb.increments(0.02, 9, 9, workers=3).shape == (0, 45, d)  # an empty range takes one idle lane
 
 
 def test_euler_rejects_increments_that_do_not_fit():
@@ -178,11 +192,11 @@ def test_path_dependent_degenerate_matches_markov_bitwise(n_paths, n_steps, b, s
                                                          given_out, slack):
     # constant coefficients: both schemes run the one recursion on the same rows
     g = Grid(0.0, 1.0, n_steps)
-    dW = NoiseBundle(21, n_paths, n_steps).increments(g.dt)
     size = value_buffer_size(n_steps, 1, n_paths) + slack
     out_pd, out_mk = (np.empty(size), np.empty(size)) if given_out else (None, None)
-    pd = euler_path_dependent(SdeSpec(b, sigma), Path.constant(x0, 1.0, 11), g, dW, workers, out_pd)
-    mk = euler_markov(SdeSpec(b, sigma), x0, g, dW, workers, out_mk)
+    dW = NoiseBundle(21, n_paths, n_steps).increments(g.dt, workers=workers)
+    pd = euler_path_dependent(SdeSpec(b, sigma), Path.constant(x0, 1.0, 11), g, dW, out_pd)
+    mk = euler_markov(SdeSpec(b, sigma), x0, g, dW, out_mk)
     assert np.array_equal(pd.values, mk.values)
 
 
@@ -221,8 +235,9 @@ def test_path_dependent_determinism_across_workers(kind):
         b = lambda t, wb: -0.5 * wb.sup_norm()
     eta = Path.from_function(lambda x: np.sin(3.0 * x), 0.5, 51)
     g = Grid(0.0, 0.5, 50)
-    dW = NoiseBundle(24, 1000, 50).increments(g.dt)
-    runs = [euler_path_dependent(SdeSpec(b, 1.0), eta, g, dW, workers=w).values for w in (1, 3, 8)]
+    noise = NoiseBundle(24, 3000, 50)  # 3 chunks of the noise
+    runs = [euler_path_dependent(SdeSpec(b, 1.0), eta, g, noise.increments(g.dt, workers=w)).values
+            for w in (1, 2, 8)]
     assert np.array_equal(runs[0], runs[1])
     assert np.array_equal(runs[0], runs[2])
 
@@ -437,9 +452,9 @@ def test_euler_writes_the_step_major_buffer_it_is_given():
 @pytest.mark.parametrize("workers", [1, 3])
 def test_euler_on_step_rows_equals_a_path_major_reference(workers):
     g = Grid(0.25, 1.0, 40)
-    dW = NoiseBundle(43, 700, 40).increments(g.dt)
+    dW = NoiseBundle(43, 7000, 40).increments(g.dt, workers=workers)  # 5 chunks of the noise
     markov = SdeSpec(lambda t, x: np.sin(x) - t, lambda t, x: 1.0 + 0.2 * np.cos(x))
-    got = euler_markov(markov, 0.3, g, dW, workers=workers).values
+    got = euler_markov(markov, 0.3, g, dW).values
     assert np.array_equal(got, _euler_markov_path_major(markov, 0.3, g, np.ascontiguousarray(dW)))
 
     one = Integrand(phi=lambda u: np.ones_like(np.asarray(u, dtype=float)),
@@ -448,7 +463,7 @@ def test_euler_on_step_rows_equals_a_path_major_reference(workers):
     cyl_b = CylindricalFunctional(base=lambda t, F: -0.5 * F[:, 0] + np.tanh(F[:, 1]), integrands=(one, wave))
     window_sigma = lambda t, wb: 1.0 + 0.1 * np.tanh(wb.values.mean(axis=1))
     eta = Path.from_function(lambda x: 0.3 * np.sin(4.0 * x), 0.75, 61)
-    got = euler_path_dependent(SdeSpec(cyl_b, window_sigma), eta, g, dW, workers=workers).values
+    got = euler_path_dependent(SdeSpec(cyl_b, window_sigma), eta, g, dW).values
     assert np.array_equal(got, _euler_path_path_major(cyl_b, window_sigma, eta, g, np.ascontiguousarray(dW)))
 
 
@@ -470,7 +485,7 @@ def test_vector_euler_on_step_rows_equals_a_path_major_reference(workers):
     # d = 9: numpy sums 9 or more columns of a row in an order that depends on the layout
     d = 9
     g = Grid(0.0, 1.0, 25)
-    dW = NoiseBundle(49, 500, 25, d=d).increments(g.dt)
+    dW = NoiseBundle(49, 500, 25, d=d).increments(g.dt, workers=workers)  # 2 chunks of the noise
 
     def sigma(t, x):  # a full (m, d, d) matrix that reads the state
         s = np.empty((x.shape[0], d, d))
@@ -481,7 +496,7 @@ def test_vector_euler_on_step_rows_equals_a_path_major_reference(workers):
 
     spec = SdeSpec(lambda t, x: -0.5 * x + np.cos(x[:, ::-1]), sigma)
     x0 = np.linspace(-0.4, 0.7, d)
-    got = euler_markov(spec, x0, g, dW, workers=workers).values
+    got = euler_markov(spec, x0, g, dW).values
     assert np.array_equal(got, _euler_vector_path_major(spec, x0, g, np.ascontiguousarray(dW)))
 
 
@@ -559,11 +574,11 @@ def test_aligned_windows_are_views_of_the_step_rows():
        st.sampled_from(["markov", "path"]), st.sampled_from([1, 2]))
 def test_property_divergence_names_the_path_and_step(path, k, bad, scheme, workers):
     g = Grid(0.0, 1.0, 12)
-    dW = NoiseBundle(45, 61, 12).increments(g.dt)
+    dW = NoiseBundle(45, 61, 12).increments(g.dt, workers=workers)
     dW[path, k, 0] = bad  # the state at step k + 1 is the first bad one
     with pytest.raises(DivergenceError) as err:
         if scheme == "markov":
-            euler_markov(SdeSpec(0.0, 1.0), 0.0, g, dW, workers=workers)
+            euler_markov(SdeSpec(0.0, 1.0), 0.0, g, dW)
         else:
-            euler_path_dependent(SdeSpec(0.0, 1.0), Path.constant(0.0, 1.0, 13), g, dW, workers=workers)
+            euler_path_dependent(SdeSpec(0.0, 1.0), Path.constant(0.0, 1.0, 13), g, dW)
     assert (err.value.path, err.value.step) == (path, k + 1)

@@ -1,3 +1,5 @@
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -593,8 +595,8 @@ def test_bridge_fallback_warns_once_per_evaluation():
 
 def test_divergence_names_the_path_among_all_paths(monkeypatch):
     class InfOnPath777(solver.NoiseBundle):
-        def increments(self, dt, p0=0, p1=None):
-            dW = super().increments(dt, p0, p1)
+        def increments(self, dt, p0=0, p1=None, **kwargs):
+            dW = super().increments(dt, p0, p1, **kwargs)
             if p0 <= 777 < p1:
                 dW[777 - p0, 3] = np.inf
             return dW
@@ -849,7 +851,57 @@ def test_bridge_max_on_step_rows_equals_the_path_major_reference():
                                        noise.increments(g.dt, 1234, 2134))
     got = solver.bridge_corrected_max(traj.values, g.dt, 0.7, noise.child(1), offset=1234)
     assert np.array_equal(got, _bridge_max_path_major(traj.values, g.dt, 0.7, noise.child(1), 1234))
+    for w in (2, 3):  # 2 lanes take 2 chunks and 1
+        assert np.array_equal(solver.bridge_corrected_max(traj.values, g.dt, 0.7, noise.child(1), 1234, w), got)
     assert not np.array_equal(got, solver.bridge_corrected_max(traj.values, g.dt, 0.7, noise.child(1)))
+
+
+def test_values_do_not_depend_on_the_workers():
+    # a block of 4096 paths at 200 steps is 13 chunks of the noise and the bridge: 3 lanes take 5, 4 and 4
+    history = Path.constant(0.0, 1.0, 201)
+
+    def values(workers):
+        cfg = SolverConfig(5000, 200, seed=2719, workers=workers)
+        bridge = evaluate_ppde(_lookback_problem(), 0.0, history, cfg)
+        schedule = ApproximationSchedule((4, 16), replace(cfg, bridge_max=False))
+        report = strong_viscosity_pipeline(_lookback_problem(), schedule, [(0.0, history)])
+        return bridge, report.values.tolist(), report.std_errors.tolist()
+
+    ref = values(1)
+    assert values(2) == ref and values(3) == ref
+
+
+def test_lanes_enter_no_trace_point_and_leave_no_thread(monkeypatch):
+    entered, lanes = [], set()
+
+    def spy(owner, name, record):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            record(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    on_main = lambda name: entered.append((name, threading.current_thread() is threading.main_thread()))
+    for owner, name in ((solver.NoiseBundle, "uniforms"), (solver.NoiseBundle, "increments"),
+                        (solver, "bridge_corrected_max"), (solver, "euler_markov"), (solver, "euler_path_dependent")):
+        spy(owner, name, on_main)
+    spy(solver.NoiseBundle, "_words", lambda name: lanes.add(threading.get_ident()))
+    before = threading.active_count()
+    evaluate_ppde(_lookback_problem(), 0.0, Path.constant(0.0, 1.0, 201), SolverConfig(5000, 200, seed=7, workers=3))
+    assert threading.active_count() == before
+    assert {name for name, _ in entered} == {"increments", "bridge_corrected_max", "euler_path_dependent"}
+    assert all(main for _, main in entered)
+    assert len(lanes) >= 2 and threading.main_thread().ident not in lanes  # the words were drawn in lanes
+
+
+def test_workers_default_to_the_usable_cores_and_must_be_positive():
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert SolverConfig().workers == cores
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            SolverConfig(workers=bad)
 
 
 def test_a_streamed_pass_returns_no_block():
