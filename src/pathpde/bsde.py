@@ -14,9 +14,10 @@ shifted by their means over the first 4096 paths, and the target rows
 sit in one buffer, one product of that buffer with its transpose gives
 every sum and second moment, and centring and the ridge-regularised
 normal equations are solved in the small (features + targets)^2 space.
-A failed solve retries with ``lstsq`` when the ridge is positive and
-raises ``RegressionError`` when it is zero.  The terminal entry of Y is
-the supplied sample array, untouched.
+NaN or inf data and a failed solve raise ``RegressionError``, with no
+retry; a driver value that is NaN or inf raises a ``ValueError`` naming
+its step.  The terminal entry of Y is the supplied sample array,
+untouched.
 
 On top of the solver sit the analytics used by the comparison and limit
 experiments: extraction of the nondecreasing compensator of a
@@ -27,15 +28,15 @@ convergence table for sequences of drivers and terminals.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .paths import Grid
-from .sde import NoiseBundle, TrajectoryBatch
-from .smoothing import FourierBasis, Integrand
+from .sde import TrajectoryBatch
+from .smoothing import FourierBasis
 
 __all__ = [
     "DriverSpec",
@@ -324,11 +325,12 @@ class _Factor:
     so its moments vanish and gamma is the constant on the intercept
     alone.  The mean of the fitted values equals the target mean, and
     feature rows that are (numerically) constant over all paths, by the
-    diagonal of C, are left out and zeroed before the fitted values.  When
-    the solve fails or returns non-finite coefficients, a positive ridge
-    retries with ``lstsq`` on the centred kept rows.  A zero ridge raises ``RegressionError`` instead, and also
-    when the kept Gram is singular up to its rounding error, so an
-    exactly collinear design fails however the moments round.
+    diagonal of C, are left out and zeroed before the fitted values.  NaN
+    or inf data, a failed solve and non-finite coefficients raise
+    ``RegressionError`` at any ridge (with a positive ridge and finite
+    data the ridged Gram is positive definite).  A zero ridge also raises
+    when the kept Gram is singular up to its rounding error, so an exactly
+    collinear design fails however the moments round.
     """
 
     def __init__(self, n_features: int, n_targets: int, n_paths: int, ridge: float):
@@ -356,6 +358,8 @@ class _Factor:
         self.targets -= shift[:, None]
 
         M = buf @ buf.T
+        if not np.all(np.isfinite(M)):  # else a NaN feature row would be dropped as constant
+            raise RegressionError("the design or the targets hold NaN or inf")
         mean = M[0] / n
         C = M - np.outer(M[0], mean)
         keep = np.zeros(B, dtype=bool)
@@ -371,13 +375,10 @@ class _Factor:
             raise RegressionError(_RANK_DEFICIENT)
         try:
             beta = np.linalg.solve(G, rhs) if kept.size else rhs
-            if not np.all(np.isfinite(beta)):
-                raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
-            if self.ridge == 0:
-                raise RegressionError(_RANK_DEFICIENT) from None
-            A = buf[kept] - mean[kept, None]
-            beta, *_ = np.linalg.lstsq(A.T, (self.targets - mean[B:, None]).T, rcond=None)
+            raise RegressionError(_RANK_DEFICIENT) from None
+        if not np.all(np.isfinite(beta)):
+            raise RegressionError("regression coefficients are not finite")
         gamma = np.zeros((B, buf.shape[0] - B))
         gamma[kept] = beta
         gamma[0] = shift + mean[B:] - mean[kept] @ beta
@@ -455,7 +456,10 @@ def solve_bsde(
         factor.fit(features.design_t(k), out=W_t[k])
         if driver.f is not None:
             y_proj = W_t[k, d]
-            y_proj += driver(times[k], features.state(k), y_proj, W_t[k, :d].T) * dt
+            f_k = driver(times[k], features.state(k), y_proj, W_t[k, :d].T)
+            if not np.all(np.isfinite(f_k)):
+                raise ValueError(f"driver values are not finite (NaN or inf) at step {k} (t = {times[k]:g})")
+            y_proj += f_k * dt
 
     Y = W_t[:, d].T
     Z = W_t[:-1, :d].transpose(2, 0, 1)

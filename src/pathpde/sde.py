@@ -34,7 +34,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
@@ -105,9 +105,10 @@ class NoiseBundle:
     """Reproducible Gaussian increments for n_paths x n_steps x d.
 
     The stream for path p occupies a fixed block of counter words, so
-    ``normals(p0, p1)`` returns the same values whether generated in one
-    call or many.  ``child(tag)`` derives an independent stream from the
-    same seed (used for bridge refinement and maximum sampling).
+    ``uniforms(p0, p1)`` and ``increments(dt, p0, p1)`` return the same
+    values whether generated in one call or many.  ``child(tag)`` derives
+    an independent stream from the same seed (used for bridge refinement
+    and maximum sampling).
     """
 
     seed: int
@@ -150,9 +151,6 @@ class NoiseBundle:
         p1 = self.n_paths if p1 is None else p1
         u = self._words(p0, p1)[:, : self.n_steps * self.d]
         return u.reshape(p1 - p0, self.n_steps, self.d)
-
-    def normals(self, p0: int = 0, p1: int | None = None) -> np.ndarray:
-        return ndtri(self.uniforms(p0, p1))
 
     def increments(self, dt: float, p0: int = 0, p1: int | None = None, out: np.ndarray | None = None,
                    workers: int = 1) -> np.ndarray:

@@ -387,11 +387,15 @@ def smooth_terminal(
     taking them to the argument's samples: the weighted basis with the
     slope's share taken out, then the Fejer-weighted basis, the nodes
     and the correction.  The factors are built once per node count m.
-    The returned callable exposes the argument as ``argument(eta)`` (a
-    Path) and, for a stack of sample rows V of shape (..., m) on the
-    uniform nodes, as ``argument_values(V) = (V @ A) @ B`` (same shape).
-    An order n above ``basis.max_index`` is rejected here, not at
-    evaluation.
+    ``argument_rows(values)`` is the one product of the factors with
+    samples, ``B.T @ (A.T @ values.T)``: k sample rows (k, m) on the
+    uniform nodes in, their arguments out as m step rows (m, k), one
+    column per path.  A single row is doubled so that it too runs through
+    BLAS gemm and rounds like its column in any batch.  The returned
+    callable exposes the argument as ``argument(eta)`` (a Path) and
+    ``argument_values(V)`` for a stack V of shape (..., m), both through
+    ``argument_rows``.  An order n above ``basis.max_index`` is rejected
+    here, not at evaluation.
     """
     if n < 1:
         raise ValueError(f"smoothing index must be >= 1, got {n}")
@@ -419,10 +423,16 @@ def smooth_terminal(
             built[m] = (A, B)
         return built[m]
 
+    def argument_rows(values: np.ndarray) -> np.ndarray:
+        A, B = factors(values.shape[1])
+        k = values.shape[0]
+        if k == 1:  # numpy hands one column to gemv, which rounds unlike gemm
+            values = np.repeat(values, 2, axis=0)
+        return (B.T @ (A.T @ values.T))[:, :k]
+
     def argument_values(V) -> np.ndarray:
         V = np.asarray(V, dtype=float)
-        A, B = factors(V.shape[-1])
-        return (V @ A) @ B
+        return argument_rows(V.reshape(-1, V.shape[-1])).T.reshape(V.shape)
 
     def argument(eta: Path) -> Path:
         if abs(eta.horizon - T) > 1e-12 * max(1.0, T):
@@ -433,6 +443,7 @@ def smooth_terminal(
         return float(H(argument(eta)))
 
     smoothed.argument = argument
+    smoothed.argument_rows = argument_rows
     smoothed.argument_values = argument_values
     smoothed.factors = factors
     return smoothed

@@ -77,7 +77,6 @@ from .sde import (
 )
 from .smoothing import (
     CylindricalFunctional,
-    FourierBasis,
     _convolve,
     _mollifier_rule,
     mollify,
@@ -576,17 +575,11 @@ class _LinearTerminalSmoother:
 
     The smoothed argument (projection plus endpoint correction) is linear
     in the window samples, of rank n + 3 on m nodes.  ``evaluate_batch``
-    takes its factors A (m, n + 3) and B (n + 3, m) from
-    ``smooth_terminal`` once per window node count and applies them to a
-    batch of windows as ``B.T @ (A.T @ values.T)``: the arguments come out
-    as m step rows, one column per path, and a window batch that is a view
-    of the step-major values (``TrajectoryBatch.step_window``) is read
-    with no copy.  A single window is doubled before the products, so
-    that it too goes through BLAS gemm: numpy hands a one-column product
-    to gemv, which sums in another order, and a streamed pass whose last
-    block holds one path would then round that path differently.  The
-    running maximum then reduces over the rows; any other wrapped
-    functional is applied path by path.
+    takes the arguments of a batch of windows from ``smooth_terminal``'s
+    ``argument_rows`` as m step rows, one column per path (a view of the
+    step-major values, ``TrajectoryBatch.step_window``, is read with no
+    copy), then reduces them: the running maximum over the rows, any other
+    wrapped functional path by path.
     """
 
     def __init__(self, inner, n: int, horizon: float):
@@ -594,17 +587,9 @@ class _LinearTerminalSmoother:
         self.horizon = horizon
         H = (lambda p: float(np.max(p.values))) if isinstance(inner, SupTerminal) else inner
         self._smoothed = smooth_terminal(H, n, horizon)
-        self._factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def evaluate_batch(self, wb: WindowBatch) -> np.ndarray:
-        m = wb.xs.size
-        if m not in self._factors:
-            self._factors[m] = self._smoothed.factors(m)
-        A, B = self._factors[m]
-        values = wb.values
-        if values.shape[0] == 1:  # numpy hands one column to gemv, which rounds unlike gemm
-            values = np.repeat(values, 2, axis=0)
-        rows = (B.T @ (A.T @ values.T))[:, : wb.values.shape[0]]  # (m, n_paths)
+        rows = self._smoothed.argument_rows(wb.values)  # (m, n_paths)
         if isinstance(self.inner, SupTerminal):
             return rows.max(axis=0)
         return np.array([float(self.inner(Path(self.horizon, row))) for row in rows.T])

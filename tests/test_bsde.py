@@ -561,6 +561,23 @@ def test_property_collinear_design_without_ridge_raises(design, factor, data):
         _fused_fit(collinear, targets, ridge=0.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_designs(), st.sampled_from([np.nan, np.inf, -np.inf]), st.sampled_from(["target", "feature"]), st.data())
+def test_property_non_finite_data_raises_without_lstsq(design, bad, where, data):
+    # at a positive ridge the fit has no retry: NaN or inf data, in a target
+    # or in a feature row (which would otherwise be dropped as constant), raises
+    At, rng = design
+    targets = rng.standard_normal((2, At.shape[1]))
+    row = data.draw(st.integers(0, 1) if where == "target" else st.integers(1, At.shape[0] - 1))
+    (targets if where == "target" else At)[row, data.draw(st.integers(0, At.shape[1] - 1))] = bad
+    with pytest.MonkeyPatch.context() as mp:
+        calls = []
+        mp.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a))
+        with pytest.raises(RegressionError, match="NaN or inf"), np.errstate(invalid="ignore"):
+            _fused_fit(At, targets, ridge=1e-8)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # the zero-driver value is the terminal sample mean
 

@@ -60,3 +60,39 @@ def test_no_private_helper_is_dead():
 def test_dead_helper_guard_flags_an_unreferenced_helper():
     source = "def _used():\n    pass\n\n\ndef _dead():\n    pass\n\n\nx = _used()\n"
     assert _private_helpers_never_referenced([source]) == ["_dead"]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither references nor lists in ``__all__``.
+
+    A reference is a Name anywhere in the module (``np.foo`` names ``np``);
+    ``from __future__`` imports are not names.
+    """
+    imported, used = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_no_module_imports_an_unused_name():
+    # the package __init__ is left out: its imports are the package's namespace
+    modules = [p for p in sorted(FsPath(pathpde.__file__).parent.glob("*.py")) if p.name != "__init__.py"]
+    unused = {p.name: _unused_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_unused_import_guard_flags_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport numpy as np\nfrom typing import Callable, Sequence\n"
+        "from .paths import Grid, Path\n\n"
+        "__all__ = ['Path']\n\n\ndef f(x: Callable) -> float:\n    return np.sum(x) + os.path.sep\n"
+    )
+    assert _unused_imports(source) == ["Grid", "Sequence"]

@@ -29,8 +29,8 @@ ONE = lambda t, x: np.ones_like(x)
 
 def test_noise_block_regeneration_bit_identical():
     nb = NoiseBundle(seed=42, n_paths=1000, n_steps=37, d=2)
-    full = nb.normals()
-    parts = np.concatenate([nb.normals(0, 1), nb.normals(1, 450), nb.normals(450, 1000)])
+    full = ndtri(nb.uniforms())
+    parts = np.concatenate([ndtri(nb.uniforms(0, 1)), ndtri(nb.uniforms(1, 450)), ndtri(nb.uniforms(450, 1000))])
     np.testing.assert_array_equal(full, parts)
 
 
@@ -71,7 +71,7 @@ def test_noise_mean_within_bound():
 def test_noise_child_streams_differ():
     nb = NoiseBundle(seed=7, n_paths=10, n_steps=8)
     child = nb.child(1)
-    assert not np.allclose(nb.normals(), child.normals())
+    assert not np.allclose(ndtri(nb.uniforms()), ndtri(child.uniforms()))
     with pytest.raises(ValueError):
         nb.child(0)
 
@@ -350,7 +350,7 @@ def test_strong_order_under_bridge_refinement():
         g2 = Grid(0.0, 1.0, 2 * n_steps)
         nb = NoiseBundle(18, n_paths, n_steps)
         dW = nb.increments(g.dt)
-        mid = nb.child(1).normals()
+        mid = ndtri(nb.child(1).uniforms())
         dW2 = bridge_refine(dW, g.dt, mid)
         coarse = euler_markov(spec, 1.0, g, dW)
         fine = euler_markov(spec, 1.0, g2, dW2)
@@ -363,7 +363,7 @@ def test_strong_order_under_bridge_refinement():
 def test_bridge_refine_halves_sum_to_parent():
     nb = NoiseBundle(19, 100, 16)
     dW = nb.increments(0.25)
-    mid = nb.child(1).normals()
+    mid = ndtri(nb.child(1).uniforms())
     fine = bridge_refine(dW, 0.25, mid)
     np.testing.assert_allclose(fine[:, 0::2] + fine[:, 1::2], dW, atol=1e-14)
 
@@ -427,7 +427,7 @@ def test_increments_are_step_major_rows_of_the_path_major_normals():
     dW = nb.increments(0.02)
     assert dW.shape == (1500, 50, 2)
     assert dW.transpose(1, 2, 0).flags.c_contiguous
-    assert np.array_equal(dW, np.sqrt(0.02) * nb.normals())
+    assert np.array_equal(dW, np.sqrt(0.02) * ndtri(nb.uniforms()))
 
 
 def test_euler_writes_the_step_major_buffer_it_is_given():

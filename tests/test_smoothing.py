@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathpde import smoothing
 from pathpde.paths import Path, WindowBatch, sup_norm
 from pathpde.smoothing import (
     CylindricalFunctional,
@@ -339,7 +340,7 @@ def test_property_smoother_batch_equals_row_by_row(n, T, m, seed, inner):
     wb = WindowBatch(np.linspace(-T, 0.0, m), np.cumsum(_rows(seed, 6, m, scale=0.2), axis=1))
     batch = smoother.evaluate_batch(wb)
     rows = np.array([smoother(wb.path(i)) for i in range(6)])
-    np.testing.assert_allclose(batch, rows, rtol=0.0, atol=1e-12 * max(1.0, np.abs(rows).max()))
+    assert np.array_equal(batch, rows)
 
 
 @pytest.mark.parametrize("m", [11, 41, 201])
@@ -358,19 +359,18 @@ def test_smoother_rounds_a_path_alike_in_any_batch(n, m):
 
 def test_smoother_builds_its_factors_once_per_node_count(monkeypatch):
     smoother = _LinearTerminalSmoother(SupTerminal(), 16, 1.0)
-    original = smoother._smoothed.factors
+    original = smoothing._FejerLayout.build
     built = []
 
-    def spy(m):
+    def spy(n, basis, horizon, m):
         built.append(m)
-        return original(m)
+        return original(n, basis, horizon, m)
 
-    monkeypatch.setattr(smoother._smoothed, "factors", spy)
+    monkeypatch.setattr(smoothing._FejerLayout, "build", spy)
     for m in (201, 201, 51, 201, 51):
         wb = WindowBatch(np.linspace(-1.0, 0.0, m), np.cumsum(_rows(m, 9, m, scale=0.2), axis=1))
         rows = np.array([smoother(wb.path(i)) for i in range(9)])
-        np.testing.assert_allclose(smoother.evaluate_batch(wb), rows, rtol=0.0,
-                                   atol=1e-12 * max(1.0, np.abs(rows).max()))
+        assert np.array_equal(smoother.evaluate_batch(wb), rows)
     assert built == [201, 51]
 
 

@@ -51,6 +51,14 @@ def test_markov_heat_benchmark():
     assert abs(value - exact) <= 0.01 * exact
 
 
+def test_non_finite_driver_raises_naming_the_step():
+    # log(y) is NaN wherever the projected value is negative; that must not reach Y_0
+    prob = ProblemSpec("markov", 0.0, 1.0, DriverSpec(lambda t, x, y, z: np.log(y)), lambda x: x, horizon=1.0)
+    message = r"driver values are not finite \(NaN or inf\) at step 9 "
+    with pytest.raises(ValueError, match=message), np.errstate(invalid="ignore"):
+        evaluate_markov(prob, 0.0, 0.0, SolverConfig(5000, 10, seed=3))
+
+
 def test_markov_linear_driver_probes():
     prob = _linear_problem()
     for t0 in (0.0, 0.5):
