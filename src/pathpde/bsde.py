@@ -9,11 +9,12 @@ process is the projection of Y_{k+1} plus one explicit driver step,
     Y_k = P_k[ Y_{k+1} ] + F(t_k, S_k, P_k[Y_{k+1}], Z_k) dt,
 
 with P_k the least-squares projection onto the span of the step-k
-features.  Both regressions share one pass per step: the design rows,
-shifted by their means over the first 4096 paths, and the target rows
-sit in one buffer, one product of that buffer with its transpose gives
-every sum and second moment, and centring and the ridge-regularised
-normal equations are solved in the small (features + targets)^2 space.
+features.  Both regressions share one pass per step: the feature
+provider writes the design rows straight into the buffer that holds the
+target rows, they are shifted in place by their means over the first
+4096 paths, one product of that buffer with its transpose gives every
+sum and second moment, and centring and the ridge-regularised normal
+equations are solved in the small (features + targets)^2 space.
 NaN or inf data and a failed solve raise ``RegressionError``, with no
 retry; a driver value that is NaN or inf raises a ``ValueError`` naming
 its step.  The terminal entry of Y is the supplied sample array,
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, Sequence
 
@@ -118,23 +120,16 @@ class BsdeSolution:
 # Feature maps
 
 
-def _poly_features(x: np.ndarray, degree: int) -> np.ndarray:
-    """Monomial rows (B, n) of total degree <= degree of the state rows x, (d, n) or (n,)."""
+def _poly_features(x: np.ndarray, degree: int, out: np.ndarray) -> np.ndarray:
+    """Write the monomial rows (B, n) of total degree <= degree of the state rows x, (d, n) or (n,)."""
     x = np.atleast_2d(x)
-    d, n = x.shape
-    rows = [np.ones(n)]
-    if degree >= 1:
-        rows.extend(x)
-    if degree >= 2:
-        for j in range(d):
-            for l in range(j, d):
-                rows.append(x[j] * x[l])
-    if degree >= 3:
-        for j in range(d):
-            for l in range(j, d):
-                for r in range(l, d):
-                    rows.append(x[j] * x[l] * x[r])
-    return np.stack(rows)
+    out[0] = 1.0
+    rows = {(): out[0]}  # monomial rows by factor indices; each is its leading factors' row times the last
+    for deg in range(1, degree + 1):
+        for idx in combinations_with_replacement(range(x.shape[0]), deg):
+            row = out[len(rows)]
+            rows[idx] = np.multiply(rows[idx[:-1]], x[idx[-1]], out=row)
+    return out
 
 
 @dataclass(frozen=True)
@@ -179,7 +174,6 @@ class _MarkovFeatures:
 
     def __init__(self, spec: RegressionBasisSpec, traj: TrajectoryBatch):
         self.spec = spec
-        self.traj = traj
         v = traj.values if traj.values.ndim == 3 else traj.values[:, :, None]
         self._x = np.ascontiguousarray(v.transpose(1, 2, 0))  # (steps+1, d, n)
 
@@ -187,9 +181,9 @@ class _MarkovFeatures:
         x = self._x[k]
         return x[0] if x.shape[0] == 1 else x.T
 
-    def design_t(self, k: int) -> np.ndarray:
-        """Design matrix transposed: shape (B, n_paths), rows contiguous."""
-        return _poly_features(self._x[k], self.spec.degree)
+    def design_t(self, k: int, out: np.ndarray) -> np.ndarray:
+        """Write the transposed design, (B, n_paths), into the rows ``out`` and return them."""
+        return _poly_features(self._x[k], self.spec.degree, out)
 
 
 class _PathFeatures:
@@ -207,7 +201,6 @@ class _PathFeatures:
         if traj.prefix is None:
             raise ValueError("path-dependent features need the history path")
         self.spec = spec
-        self.traj = traj
         # step-major float32 throughout: these arrays only feed least squares
         v = np.ascontiguousarray(traj.values.T, dtype=np.float32)  # (steps+1, n)
         self._v_t = v
@@ -257,15 +250,12 @@ class _PathFeatures:
             "fourier": np.stack([f[k] for f in self.fourier], axis=1).astype(np.float64),
         }
 
-    def design_t(self, k: int) -> np.ndarray:
-        """Design matrix transposed: shape (B, n_paths), rows contiguous."""
-        x = self._v_t[k]
-        m = self.run_max[k]
-        out = np.empty((self.spec.n_features(), x.size))
+    def design_t(self, k: int, out: np.ndarray) -> np.ndarray:
+        """Write the transposed design, (B, n_paths), into the rows ``out`` and return them."""
         n_base = out.shape[0] - len(self.fourier)
         out[0] = 1.0
-        out[1] = x
-        out[2] = m
+        out[1] = self._v_t[k]
+        out[2] = self.run_max[k]
         out[3] = self.run_int[k]
         if self.spec.degree >= 2:
             np.square(out[1], out=out[4])
@@ -303,13 +293,14 @@ class _Factor:
     """One-pass least squares for the per-step regressions of one solve.
 
     The factor owns a (B + t, n) buffer, allocated once per solve: rows
-    0..B-1 hold the design (row 0 the intercept of ones), rows B.. the t
-    targets, which the caller writes into ``targets`` before each ``fit``.
-    A fit makes one pass over its data.  It writes the design rows shifted
-    by their means over the first 4096 paths, shifts each target row by its
-    first sample, and takes every sum and second moment from the single
-    product ``buf @ buf.T``.  Centring then happens in the small
-    (B + t)^2 space:
+    0..B-1 hold the transposed design (row 0 the intercept of ones), rows
+    B.. the t targets.  Before each ``fit`` the caller writes the design
+    into ``design`` and the targets into ``targets``, so a step's design
+    lives nowhere else.  A fit makes one pass over its data.  It shifts the
+    design rows in place by their means over the first 4096 paths, shifts
+    each target row by its first sample, and takes every sum and second
+    moment from the single product ``buf @ buf.T``.  Centring then happens
+    in the small (B + t)^2 space:
 
         C = M - M[0]' M[0] / n,
 
@@ -337,23 +328,20 @@ class _Factor:
         self.n_features = n_features
         self.ridge = ridge
         self.buf = np.empty((n_features + n_targets, n_paths))
-        self.buf[0] = 1.0
+        self.design = self.buf[:n_features]
         self.targets = self.buf[n_features:]
 
-    def fit(self, At: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Fitted values (t, n) of the projection of ``targets`` onto the rows of ``At``.
+    def fit(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Fitted values (t, n) of the projection of ``targets`` onto the rows of ``design``.
 
-        ``At`` is the transposed design, shape (B, n), with the intercept in
-        row 0.  ``targets`` is consumed (shifted in place).
+        ``design`` and ``targets`` are both consumed (shifted in place).
         """
         B = self.n_features
         buf = self.buf
         n = buf.shape[1]
-        if At.shape != (B, n):
-            raise ValueError(f"design shape {At.shape} != ({B}, {n})")
-        head = At[:, : min(n, 4096)]
+        head = self.design[:, : min(n, 4096)]
         scale = np.abs(head).max(axis=1)
-        np.subtract(At[1:], head[1:].mean(axis=1, keepdims=True), out=buf[1:B])
+        self.design[1:] -= head[1:].mean(axis=1, keepdims=True)
         shift = self.targets[:, 0].copy()
         self.targets -= shift[:, None]
 
@@ -401,8 +389,9 @@ def _zero_driver_value(terminal: np.ndarray) -> float:
     workloads, ``terminal.mean()`` should replace this function.
     """
     factor = _Factor(1, 1, terminal.size, 0.0)
+    factor.design[0] = 1.0
     factor.targets[0] = terminal
-    return float(factor.fit(factor.buf[:1])[0, 0])
+    return float(factor.fit()[0, 0])
 
 
 def solve_bsde(
@@ -416,14 +405,17 @@ def solve_bsde(
     """Backward induction from the terminal samples along the trajectories.
 
     ``features`` is either a RegressionBasisSpec (compiled here against the
-    trajectories) or an already-compiled provider with design/state
-    methods and the ``spec`` it was built from, whose ridge the
-    regressions use.  ``increments`` are the Brownian increments used by
-    the forward simulation, shape (n_paths, n_steps, d), read as step
-    rows (without a copy when they come from ``NoiseBundle.increments``).
-    The provider's ``state`` is called only for a nonzero driver.  The
-    returned Y and Z are path-major views of the induction's step-major
-    buffer, not copies.
+    trajectories) or an already-compiled provider: the ``spec`` it was
+    built from, whose ``n_features(d)`` sizes the design and whose ridge
+    the regressions use; ``design_t(k, out)``, called once per step, which
+    writes step k's transposed design, (B, n_paths) with the intercept of
+    ones in row 0, into the regression buffer's rows ``out`` and returns
+    them; and ``state(k)``, called only for a nonzero driver.
+    ``increments`` are the Brownian increments used by the forward
+    simulation, shape (n_paths, n_steps, d), read as step rows (without a
+    copy when they come from ``NoiseBundle.increments``).  The returned Y
+    and Z are path-major views of the induction's step-major buffer, not
+    copies.
     """
     if isinstance(features, RegressionBasisSpec):
         features = make_features(features, trajectories)
@@ -437,7 +429,7 @@ def solve_bsde(
     if increments.shape[0] != n_paths or increments.shape[1] != n_steps:
         raise ValueError(f"increments shape {increments.shape} mismatches trajectories")
     d = increments.shape[2]
-    n_features = features.design_t(0).shape[0]
+    n_features = features.spec.n_features(trajectories.d)
     _check_basis_size(n_features, n_paths)
 
     dt = grid.dt
@@ -453,7 +445,8 @@ def solve_bsde(
         np.multiply(dW_t[k], y_next, out=targets[:d])
         targets[:d] /= dt
         targets[d] = y_next
-        factor.fit(features.design_t(k), out=W_t[k])
+        features.design_t(k, factor.design)
+        factor.fit(out=W_t[k])
         if driver.f is not None:
             y_proj = W_t[k, d]
             f_k = driver(times[k], features.state(k), y_proj, W_t[k, :d].T)

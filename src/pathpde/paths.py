@@ -58,14 +58,6 @@ class Grid:
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_steps + 1)
 
-    def nearest_index(self, s: float, tol: float = 1e-9) -> int:
-        """Snap s to the nearest grid node; error if s lies outside the grid."""
-        span = self.t_end - self.t_start
-        if s < self.t_start - tol * max(1.0, span) or s > self.t_end + tol * max(1.0, span):
-            raise ValueError(f"time {s} outside grid [{self.t_start}, {self.t_end}]")
-        k = int(round((s - self.t_start) / self.dt))
-        return min(max(k, 0), self.n_steps)
-
 
 @dataclass(frozen=True)
 class Path:

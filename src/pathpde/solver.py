@@ -313,16 +313,17 @@ def _terminal_samples(
     paths when the pass ran in one block, as it does when the induction
     will run, and None otherwise, so that no block outlives its pass.  A
     block of samples of the wrong shape raises a ValueError, and so does a
-    NaN or inf among a problem's samples.
+    NaN or inf among a problem's samples.  Where ``bridge_max`` cannot take
+    effect (a non-constant diffusion, a smoothed running maximum) it warns.
     """
-    for problem in problems:
-        if config.bridge_max and isinstance(problem.terminal, SupTerminal) and not isinstance(
-            problem.sigma, (int, float)
-        ):
-            warnings.warn(
-                "bridge-corrected maxima need a constant diffusion; falling back to the discrete maximum",
-                stacklevel=2,
-            )
+    if config.bridge_max and any(isinstance(p.terminal, SupTerminal) and not isinstance(p.sigma, (int, float))
+                                 for p in problems):
+        warnings.warn("bridge-corrected maxima need a constant diffusion; falling back to the discrete maximum",
+                      stacklevel=2)
+    if config.bridge_max and any(isinstance(p.terminal, _LinearTerminalSmoother)
+                                 and isinstance(p.terminal.inner, SupTerminal) for p in problems):
+        warnings.warn("a smoothed running maximum is the discrete maximum of its smoothed argument; "
+                      "bridge_max has no effect on it", stacklevel=2)
     n_paths = config.n_paths
     xi = [np.empty(n_paths) for _ in problems]
     for fwd in _simulate_point(problems[0], t, start, config, keep_increments):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pathpde import bsde
 from pathpde.paths import Grid, Path
 from pathpde.bsde import (
     BsdeSolution,
@@ -108,11 +109,12 @@ def test_rank_deficient_without_ridge_advises_ridge():
     g, traj, dW = _brownian(500, 5, seed=8)
 
     class CollinearFeatures:
-        spec = RegressionBasisSpec("markov", 1, ridge=0.0)
+        spec = RegressionBasisSpec("markov", 2, ridge=0.0)  # three design rows
 
-        def design_t(self, k):
+        def design_t(self, k, out):
             x = traj.values[:, k]
-            return np.stack([np.ones_like(x), x, 2.0 * x])
+            out[:] = np.stack([np.ones_like(x), x, 2.0 * x])
+            return out
 
         def state(self, k):
             return traj.values[:, k]
@@ -384,8 +386,9 @@ def _reference_solve(driver, terminal, features, traj, dW, ridge):
     Z = np.empty((n_paths, n_steps, d))
     Y[:, -1] = terminal
     targets = np.empty((n_paths, d + 1))
+    design = np.empty((features.spec.n_features(traj.d), n_paths))
     for k in range(n_steps - 1, -1, -1):
-        factor = _TwoPassFactor(features.design_t(k), ridge)
+        factor = _TwoPassFactor(features.design_t(k, design), ridge)
         y_next = Y[:, k + 1]
         np.multiply(dW[:, k], y_next[:, None], out=targets[:, :d])
         targets[:, :d] /= dt
@@ -451,8 +454,8 @@ def test_zero_driver_never_reads_the_state():
     class NoState:
         spec = BASIS
 
-        def design_t(self, k):
-            return features.design_t(k)
+        def design_t(self, k, out):
+            return features.design_t(k, out)
 
         def state(self, k):
             raise AssertionError("state read for the zero driver")
@@ -469,8 +472,9 @@ def test_zero_driver_never_reads_the_state():
 
 def _fused_fit(At, targets, ridge=1e-8):
     factor = _Factor(At.shape[0], targets.shape[0], At.shape[1], ridge)
+    factor.design[:] = At
     factor.targets[:] = targets
-    return factor.fit(At)
+    return factor.fit()
 
 
 @st.composite
@@ -623,7 +627,6 @@ def test_property_zero_driver_value_is_terminal_mean(seed, basis_case, ridge, te
         xi = scalar.max(axis=1)
     basis = RegressionBasisSpec(kind, degree, ridge=ridge)
     features = make_features(basis, traj)
-    assert basis.n_features(d) == features.design_t(0).shape[0]
     sol = solve_bsde(DriverSpec(None), xi, features, traj, dW)
     mean = xi.mean()
     assert abs(sol.value - mean) <= 1e-12 * max(1.0, abs(mean))
@@ -664,7 +667,68 @@ def test_property_markov_design_rows_equal_transposed_columns(d, degree, n_paths
     spec = RegressionBasisSpec("markov", degree)
     features = make_features(spec, traj)
     for k in range(n_steps + 1):
-        design = features.design_t(k)
+        design = features.design_t(k, np.empty((spec.n_features(d), n_paths)))
         assert design.shape == (spec.n_features(d), n_paths)
         assert np.array_equal(design, _column_poly_features(values[:, k], degree).T)
         assert np.array_equal(features.state(k), values[:, k])
+
+
+# ---------------------------------------------------------------------------
+# the providers write each step's design into the regression's buffer
+
+
+def _path_case(n_paths=2000, n_steps=10, seed=24):
+    eta = Path.from_function(lambda x: 0.2 * np.sin(4.0 * x), 1.0, 51)
+    g = Grid(0.0, 1.0, n_steps)
+    dW = NoiseBundle(seed, n_paths, n_steps).increments(g.dt)
+    return euler_path_dependent(SdeSpec(0.0, 1.0), eta, g, dW), dW
+
+
+@pytest.mark.parametrize("kind", ["markov", "path"])
+def test_one_design_per_step_written_into_the_factor_buffer(monkeypatch, kind):
+    if kind == "markov":
+        _, traj, dW = _brownian(2000, 10, seed=23)
+    else:
+        traj, dW = _path_case()
+    features = make_features(RegressionBasisSpec(kind, 2), traj)
+    factors, outs = [], []
+
+    class RecordingFactor(_Factor):
+        def __init__(self, *args):
+            super().__init__(*args)
+            factors.append(self)
+
+    design_t = type(features).design_t
+
+    def spy(self, k, out):
+        outs.append(out)
+        return design_t(self, k, out)
+
+    monkeypatch.setattr(bsde, "_Factor", RecordingFactor)
+    monkeypatch.setattr(type(features), "design_t", spy)
+    drv = DriverSpec(lambda t, s, y, z: -0.1 * y)
+    solve_bsde(drv, np.sin(traj.terminal()), features, traj, dW)
+    assert len(factors) == 1 and len(outs) == traj.grid.n_steps
+    assert all(np.shares_memory(out, factors[0].buf) for out in outs)
+
+
+_PROVIDER_BASES = [("markov", deg, d) for d in (1, 2, 3) for deg in range(4)] + [
+    ("path", deg, 1) for deg in (1, 2)
+]
+
+
+@pytest.mark.parametrize("kind, degree, d", _PROVIDER_BASES)
+def test_spec_row_count_is_what_each_provider_writes(kind, degree, d):
+    # the solve sizes the regression buffer from the spec alone: every row of it must be written
+    n_paths, n_steps = 64, 4
+    if kind == "markov":
+        values = np.random.default_rng(25).normal(size=(n_paths, n_steps + 1) + ((d,) if d > 1 else ()))
+        traj = TrajectoryBatch(Grid(0.0, 1.0, n_steps), values)
+    else:
+        traj, _ = _path_case(n_paths, n_steps)
+    spec = RegressionBasisSpec(kind, degree)
+    features = make_features(spec, traj)
+    for k in range(n_steps + 1):
+        out = np.full((spec.n_features(d), n_paths), np.nan)
+        assert features.design_t(k, out) is out
+        assert not np.isnan(out).any()

@@ -51,7 +51,8 @@ def _make_traj(prefix_fn, body_fn, T=1.0, t0=0.0, t1=1.0, n_pre=101, n_steps=100
 
 def window(traj, s):
     """The one path's look-back slice at time s, on the history's node layout."""
-    k = traj.grid.nearest_index(s)
+    g = traj.grid
+    k = int(round((s - g.t_start) / g.dt))
     return Path(traj.prefix.horizon, traj.window_values(k, traj.prefix.nodes)[0])
 
 
@@ -76,15 +77,8 @@ def test_window_mid_time_against_direct_indexing():
     expect = np.where(xs <= -0.5, (0.5 + xs) + 1.0, 0.5 + xs)
     np.testing.assert_allclose(w.values, expect, atol=1e-12)
     # query point 0 equals the trajectory at s, exactly
-    assert w.values[-1] == traj.values[0, traj.grid.nearest_index(0.5)]
-
-
-def test_window_outside_domain_raises():
-    traj = _make_traj(lambda x: x, lambda s: s - 1.0)
-    with pytest.raises(ValueError):
-        traj.grid.nearest_index(1.5)
-    with pytest.raises(ValueError):
-        traj.grid.nearest_index(-0.5)
+    g = traj.grid
+    assert w.values[-1] == traj.values[0, int(round((0.5 - g.t_start) / g.dt))]
 
 
 def _integral(psi, dpsi, eta):
@@ -184,8 +178,6 @@ def test_grid_validation():
         Grid(0.0, 1.0, 0)
     g = Grid(0.25, 1.25, 40)
     assert g.dt == pytest.approx(0.025)
-    assert g.nearest_index(0.25) == 0
-    assert g.nearest_index(1.25) == 40
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import os
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -599,6 +600,21 @@ def test_bridge_fallback_warns_once_per_evaluation():
     with pytest.warns(UserWarning, match="constant diffusion") as record:
         value, _ = evaluate_ppde(problem, 0.0, Path.constant(0.0, 1.0, 6), SolverConfig(N_BLOCKED, 5, seed=39))
     assert len(record) == 1 and np.isfinite(value)
+
+
+def test_pipeline_on_a_running_maximum_warns_that_bridge_max_has_no_effect():
+    # a smoothed running maximum reduces its smoothed argument's rows by their discrete maximum
+    probes = [(0.0, Path.constant(0.0, 1.0, 11))]
+    config = SolverConfig(2000, 10, seed=41)
+    with pytest.warns(UserWarning, match="bridge_max has no effect") as record:
+        warned = strong_viscosity_pipeline(_lookback_problem(), ApproximationSchedule((2, 4), config), probes)
+    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        silent = strong_viscosity_pipeline(
+            _lookback_problem(), ApproximationSchedule((2, 4), replace(config, bridge_max=False)), probes
+        )
+    np.testing.assert_array_equal(warned.values, silent.values)
 
 
 def test_divergence_names_the_path_among_all_paths(monkeypatch):
