@@ -4,7 +4,7 @@ Configs are flat INI files: an ``[experiment]`` section with ``name`` and
 ``seed``, and a ``[parameters]`` section of overrides.  Every experiment
 writes CSV tables plus ``summary.json`` into the output directory and
 returns exit status 0 when all declared tolerances hold, 1 on a tolerance
-failure, 2 on usage or config errors.
+failure, 2 on usage or config errors (a diverging path among them).
 
 Artifacts are byte-deterministic functions of (config, seed): floats are
 formatted with %.17g, JSON keys are sorted, and wall-clock time goes to
@@ -35,7 +35,7 @@ from .bsde import (
 )
 from .funcalc import CylindricalIto, PresentFunctional, ito_residual
 from .paths import Grid, Path
-from .sde import NoiseBundle, SdeSpec, _usable_cores, coupled_sup_error, euler_markov
+from .sde import DivergenceError, NoiseBundle, SdeSpec, _usable_cores, coupled_sup_error, euler_markov
 from .smoothing import (
     CylindricalFunctional,
     FourierBasis,
@@ -110,9 +110,12 @@ def _p(params: dict, key: str, default, cast=float):
     if raw is None:
         return default
     try:
-        return cast(raw)
+        value = cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"parameter {key!r}: cannot parse {raw!r}") from exc
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"parameter {key!r} must be finite, got {raw!r}")
+    return value
 
 
 def _int_list(raw) -> tuple[int, ...]:
@@ -120,10 +123,10 @@ def _int_list(raw) -> tuple[int, ...]:
 
 
 def _index_list(params: dict, default: tuple[int, ...]) -> tuple[int, ...]:
-    """The ``indices`` parameter: smoothing or perturbation indices, each >= 1."""
+    """The ``indices`` parameter: smoothing or perturbation indices, each >= 1, strictly increasing."""
     indices = _p(params, "indices", default, _int_list)
-    if min(indices) < 1:
-        raise ConfigError(f"parameter 'indices': smoothing indices must be >= 1, got {min(indices)}")
+    if min(indices) < 1 or any(b <= a for a, b in zip(indices, indices[1:])):
+        raise ConfigError(f"parameter 'indices': smoothing indices must be >= 1 and strictly increasing, got {indices}")
     return indices
 
 
@@ -169,13 +172,9 @@ def run_markov_kinked_terminal(params, seed, workers, outdir):
     n_paths = _p(params, "n_paths", 100_000, int)
     n_steps = _p(params, "n_steps", 100, int)
     tol = _p(params, "tolerance", 0.02)
-    indices = _p(params, "indices", (4, 8, 16, 32), _int_list)
+    indices = _index_list(params, (4, 8, 16, 32))
     prob = ProblemSpec("markov", 0.0, 1.0, DriverSpec(None), lambda x: np.abs(x), horizon=1.0)
-    cfg = SolverConfig(n_paths, n_steps, seed=seed, workers=workers)
-    try:
-        sched = ApproximationSchedule(indices, cfg)
-    except ValueError as exc:
-        raise ConfigError(f"parameter 'indices': {exc}") from exc
+    sched = ApproximationSchedule(indices, SolverConfig(n_paths, n_steps, seed=seed, workers=workers))
     report = strong_viscosity_pipeline(prob, sched, [(0.0, 0.0)])
     rows = [[n, report.values[r, 0], report.std_errors[r, 0],
              report.cauchy_gaps[r - 1, 0] if r > 0 else float("nan")]
@@ -310,6 +309,8 @@ def run_bsde_limit(params, seed, workers, outdir):
 def run_ito_residual(params, seed, workers, outdir):
     n_paths = _p(params, "n_paths", 1000, int)
     steps_list = _p(params, "steps", (100, 1000, 10000), _int_list)
+    if len(set(steps_list)) < 2:
+        raise ConfigError(f"parameter 'steps': the rate slope needs two distinct step counts, got {params['steps']}")
     identity = PresentFunctional(
         lambda t, x: x, lambda t, x: np.zeros_like(x), lambda t, x: np.ones_like(x),
         lambda t, x: np.zeros_like(x),
@@ -477,7 +478,7 @@ def run(config_path: str, seed_override: int | None, workers: int, outdir: str) 
     started = time.time()
     try:
         metrics, checks = runner(params, seed, workers, out)
-    except (ConfigError, BasisSizeError) as exc:  # too few paths for the basis is bad config
+    except (ConfigError, BasisSizeError, DivergenceError) as exc:  # too few paths or diverging input is bad config
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.time() - started

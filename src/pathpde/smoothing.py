@@ -314,6 +314,8 @@ class _FejerLayout:
     def build(cls, n: int, basis: FourierBasis, horizon: float, m: int) -> "_FejerLayout":
         if n > basis.max_index:
             raise ValueError(f"order {n} exceeds basis max_index {basis.max_index}")
+        if abs(basis.horizon - horizon) > 1e-12 * max(1.0, horizon):
+            raise ValueError(f"basis horizon {basis.horizon} differs from path horizon {horizon}")
         xs = np.linspace(-horizon, 0.0, m)
         E = np.stack([basis.evaluate(i, xs) for i in range(n + 1)])
         return cls(horizon, xs, E * _trapezoid_weights(xs), _fejer_weights(n)[:, None] * E)
@@ -356,12 +358,7 @@ def edge_bump(T: float, m: int, u) -> np.ndarray:
     return out
 
 
-def smooth_terminal(
-    H: Callable,
-    n: int,
-    horizon: float,
-    basis: FourierBasis | None = None,
-) -> Callable:
+def smooth_terminal(H: Callable, n: int, horizon: float) -> Callable:
     """Smooth a path functional H by projection and endpoint mollification.
 
     Returns the functional
@@ -376,8 +373,9 @@ def smooth_terminal(
         correction = sum_{i=0}^n w_i a_i e_i + a_{-1} e_{-1},
         a_{-1} = -1/T,  a_i = (1/T) int x e_i dx.
 
-    This is the form obtained by direct substitution of the endpoint
-    average into the projected coordinates; it is valid for every horizon.
+    This is the form obtained by direct substitution of the endpoint average
+    into the projected coordinates of ``FourierBasis(horizon, n)``; it is
+    valid for every horizon.
 
     The argument of H is linear in the path samples, of rank n + 3 on m
     uniform nodes: its coordinates are the n + 1 Fejer coefficients of the
@@ -391,19 +389,13 @@ def smooth_terminal(
     samples, ``B.T @ (A.T @ values.T)``: k sample rows (k, m) on the
     uniform nodes in, their arguments out as m step rows (m, k), one
     column per path.  A single row is doubled so that it too runs through
-    BLAS gemm and rounds like its column in any batch.  The returned
-    callable exposes the argument as ``argument(eta)`` (a Path) and
-    ``argument_values(V)`` for a stack V of shape (..., m), both through
-    ``argument_rows``.  An order n above ``basis.max_index`` is rejected
-    here, not at evaluation.
+    BLAS gemm and rounds like its column in any batch.  ``argument(eta)``,
+    the argument of one path as a Path, is ``argument_rows`` on one row.
     """
     if n < 1:
         raise ValueError(f"smoothing index must be >= 1, got {n}")
     T = horizon
-    if basis is None:
-        basis = FourierBasis(T, max_index=max(n, 1))
-    if n > basis.max_index:
-        raise ValueError(f"order {n} exceeds basis max_index {basis.max_index}")
+    basis = FourierBasis(T, max_index=n)
     built: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def factors(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -430,21 +422,16 @@ def smooth_terminal(
             values = np.repeat(values, 2, axis=0)
         return (B.T @ (A.T @ values.T))[:, :k]
 
-    def argument_values(V) -> np.ndarray:
-        V = np.asarray(V, dtype=float)
-        return argument_rows(V.reshape(-1, V.shape[-1])).T.reshape(V.shape)
-
     def argument(eta: Path) -> Path:
         if abs(eta.horizon - T) > 1e-12 * max(1.0, T):
             raise ValueError(f"path horizon {eta.horizon} does not match functional horizon {T}")
-        return Path(T, argument_values(eta.values))
+        return Path(T, argument_rows(eta.values[None])[:, 0])
 
     def smoothed(eta: Path) -> float:
         return float(H(argument(eta)))
 
     smoothed.argument = argument
     smoothed.argument_rows = argument_rows
-    smoothed.argument_values = argument_values
     smoothed.factors = factors
     return smoothed
 

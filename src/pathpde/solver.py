@@ -28,9 +28,11 @@ runs once per probe and those rungs evaluate only their terminals and
 values on it, block by block (all path-mode rungs, which smooth only the
 terminal, and Markov rungs with constant or unmollified coefficients).
 A path-mode rung's smoothed terminal applies its rank-(n + 3) factors to
-the block's windows; when the windows lie on the grid (a probe at t = 0)
-they are a view of Euler's step rows, neither copied nor interpolated.
-The final rung defines the returned solution field.
+the block's windows (at t = 0 a view of Euler's step rows, neither copied
+nor interpolated) and hands the arguments to ``_window_samples``, the one
+evaluator of a path terminal on windows, which the forward samples and
+the value at the horizon use too.  The final rung defines the returned
+solution field.
 
 The lookback benchmark carries its own closed form: for unit-diffusion,
 driver-free dynamics the expected terminal running maximum is an explicit
@@ -114,8 +116,9 @@ class ProblemSpec:
     ``terminal`` maps terminal states to samples.  mode "path": the
     dynamics are scalar, coefficients read the look-back window (constants,
     CylindricalFunctional, or (t, WindowBatch) callables) and ``terminal``
-    is a path functional: a SupTerminal marker, a CylindricalFunctional, or
-    a plain Path -> float callable.
+    is a path functional: a SupTerminal marker, a CylindricalFunctional, an
+    object with a batch form ``evaluate_batch(WindowBatch) -> (m,)``, or a
+    plain Path -> float callable.
     """
 
     mode: str
@@ -302,6 +305,27 @@ def _simulate_point(
         yield _Forward(noise, dW, traj, basis, p0)
 
 
+def _constant(coef) -> bool:
+    """Whether Euler treats a coefficient as a constant: not callable, not cylindrical."""
+    return not callable(coef) and not isinstance(coef, CylindricalFunctional)
+
+
+def _checked(block, n: int) -> np.ndarray:
+    """A block of terminal samples as floats; a ValueError unless it holds n of them."""
+    block = np.asarray(block, dtype=float)
+    if block.shape != (n,):
+        raise ValueError(f"terminal samples shape {block.shape} != ({n},)")
+    return block
+
+
+def _finite(xi: np.ndarray) -> np.ndarray:
+    """Terminal samples, checked to be finite; a ValueError counts the others."""
+    n_bad = xi.size - int(np.count_nonzero(np.isfinite(xi)))
+    if n_bad:
+        raise ValueError(f"{n_bad} of {xi.size} terminal samples are not finite (NaN or inf)")
+    return xi
+
+
 def _terminal_samples(
     problems: Sequence[ProblemSpec], t: float, start, config: SolverConfig, keep_increments: bool = False
 ) -> tuple[list[np.ndarray], _Forward | None]:
@@ -316,8 +340,7 @@ def _terminal_samples(
     NaN or inf among a problem's samples.  Where ``bridge_max`` cannot take
     effect (a non-constant diffusion, a smoothed running maximum) it warns.
     """
-    if config.bridge_max and any(isinstance(p.terminal, SupTerminal) and not isinstance(p.sigma, (int, float))
-                                 for p in problems):
+    if config.bridge_max and any(isinstance(p.terminal, SupTerminal) and not _constant(p.sigma) for p in problems):
         warnings.warn("bridge-corrected maxima need a constant diffusion; falling back to the discrete maximum",
                       stacklevel=2)
     if config.bridge_max and any(isinstance(p.terminal, _LinearTerminalSmoother)
@@ -329,20 +352,14 @@ def _terminal_samples(
     for fwd in _simulate_point(problems[0], t, start, config, keep_increments):
         p0, p1 = fwd.offset, fwd.offset + fwd.traj.n_paths
         for r, problem in enumerate(problems):
-            if problem.mode == "markov":
-                block = np.asarray(problem.terminal(fwd.traj.terminal()), dtype=float)
-            else:
-                block = _terminal_samples_path(problem, fwd, config)
-            if block.shape != (p1 - p0,):
-                raise ValueError(f"terminal samples shape {block.shape} != ({p1 - p0},)")
+            block = _checked(problem.terminal(fwd.traj.terminal()) if problem.mode == "markov"
+                             else _terminal_samples_path(problem, fwd, config), p1 - p0)
             if p1 - p0 == n_paths:
                 xi[r] = block  # one block of all paths: no copy, and the untouched row is freed
             else:
                 xi[r][p0:p1] = block  # a copy, so no block outlives its pass
     for row in xi:
-        n_bad = n_paths - int(np.count_nonzero(np.isfinite(row)))
-        if n_bad:
-            raise ValueError(f"{n_bad} of {n_paths} terminal samples are not finite (NaN or inf)")
+        _finite(row)
     return xi, fwd if fwd.traj.n_paths == n_paths else None
 
 
@@ -363,7 +380,7 @@ def _point_value(problem: ProblemSpec, xi: np.ndarray, fwd: _Forward | None) -> 
 
 
 def _terminal_time_value(problem: ProblemSpec, t: float, start) -> float | None:
-    """Check the point against the problem; its exact value when t is the horizon."""
+    """Check the point against the problem; at the horizon, its exact value: the checked sample of the start."""
     T = problem.horizon
     if problem.mode == "path" and abs(start.horizon - T) > 1e-12 * max(1.0, T):
         raise ValueError(f"history horizon {start.horizon} differs from problem horizon {T}")
@@ -371,15 +388,12 @@ def _terminal_time_value(problem: ProblemSpec, t: float, start) -> float | None:
         raise ValueError(f"evaluation time {t} beyond horizon {T}")
     if abs(t - T) >= 1e-12:
         return None
-    term = problem.terminal
     if problem.mode == "markov":
         # one row shaped as traj.terminal() shapes the start: (1,) or (1, d)
-        return float(np.asarray(term(np.asarray(start, dtype=float)[None, ...]))[0])
-    if isinstance(term, SupTerminal):
-        return float(np.max(start.values))
-    if isinstance(term, CylindricalFunctional):
-        return term.value(T, start)
-    return float(term(start))
+        xi = problem.terminal(np.asarray(start, dtype=float)[None, ...])
+    else:
+        xi = _window_samples(problem.terminal, T, WindowBatch(start.nodes, start.values[None]))
+    return float(_finite(_checked(xi, 1))[0])
 
 
 def _evaluate_point(problem: ProblemSpec, t: float, start, config: SolverConfig) -> tuple[float, float]:
@@ -467,27 +481,31 @@ def _past_sup(eta: Path, lookback: float) -> float:
     return max(cand, float(eta(-lookback)))
 
 
+def _window_samples(term, horizon: float, wb: WindowBatch) -> np.ndarray:
+    """A path terminal on a batch of look-back windows: the running maximum, a cylindrical
+    functional's base at the horizon, a batch form, else the callable path by path."""
+    if isinstance(term, SupTerminal):
+        return wb.values.max(axis=1)
+    if isinstance(term, CylindricalFunctional):
+        return np.asarray(term.base(horizon, term._integrals(horizon, wb.xs, wb.values)), dtype=float)
+    if hasattr(term, "evaluate_batch"):
+        return np.asarray(term.evaluate_batch(wb), dtype=float)
+    return np.array([float(term(wb.path(i))) for i in range(wb.values.shape[0])])
+
+
 def _terminal_samples_path(problem: ProblemSpec, fwd: _Forward, config: SolverConfig) -> np.ndarray:
-    term = problem.terminal
-    traj = fwd.traj
+    term, traj = problem.terminal, fwd.traj
     if isinstance(term, SupTerminal):
         past = _past_sup(traj.prefix, traj.grid.t_start)
-        if config.bridge_max and isinstance(problem.sigma, (int, float)):
+        if config.bridge_max and _constant(problem.sigma):
             body = bridge_corrected_max(
                 traj.values, traj.grid.dt, float(problem.sigma), fwd.noise.child(1), fwd.offset, config.workers
             )
         else:  # _terminal_samples warned once if the bridge maximum was asked for
             body = traj.values.max(axis=1)
         return np.maximum(past, body)
-    if isinstance(term, _LinearTerminalSmoother):
-        return term.evaluate_batch(fwd.smoother_windows)
-    wb = fwd.windows
-    if isinstance(term, CylindricalFunctional):
-        F = term._integrals(problem.horizon, wb.xs, wb.values)
-        return np.asarray(term.base(problem.horizon, F), dtype=float)
-    if hasattr(term, "evaluate_batch"):
-        return np.asarray(term.evaluate_batch(wb), dtype=float)
-    return np.array([float(term(wb.path(i))) for i in range(wb.values.shape[0])])
+    wb = fwd.smoother_windows if isinstance(term, _LinearTerminalSmoother) else fwd.windows
+    return _window_samples(term, problem.horizon, wb)
 
 
 def evaluate_ppde(
@@ -534,7 +552,7 @@ def lookback_oracle(t: float, eta: Path, horizon: float) -> float:
 
 def _mollify_state_coefficient(coef, d: int, n: int, nodes: int, family: str):
     """Convolve a (t, x)-callable with the index-n state mollifier."""
-    if isinstance(coef, (int, float)):
+    if _constant(coef):
         return coef  # constants are fixed points of the convolution
     pts, kernel = _mollifier_rule(d, n, nodes, family)
 
@@ -574,29 +592,22 @@ def _mollify_driver_markov(driver: DriverSpec, d: int, n: int, nodes: int, famil
 class _LinearTerminalSmoother:
     """Batch form of the terminal smoothing ``smooth_terminal(inner, n, T)``.
 
-    The smoothed argument (projection plus endpoint correction) is linear
-    in the window samples, of rank n + 3 on m nodes.  ``evaluate_batch``
-    takes the arguments of a batch of windows from ``smooth_terminal``'s
+    ``evaluate_batch`` takes the smoothed arguments of a batch of windows,
+    linear of rank n + 3 in the samples, from ``smooth_terminal``'s
     ``argument_rows`` as m step rows, one column per path (a view of the
     step-major values, ``TrajectoryBatch.step_window``, is read with no
-    copy), then reduces them: the running maximum over the rows, any other
-    wrapped functional path by path.
+    copy), and hands their transpose to ``_window_samples`` as the windows
+    of the wrapped terminal.
     """
 
     def __init__(self, inner, n: int, horizon: float):
         self.inner = inner
         self.horizon = horizon
-        H = (lambda p: float(np.max(p.values))) if isinstance(inner, SupTerminal) else inner
-        self._smoothed = smooth_terminal(H, n, horizon)
+        self._argument_rows = smooth_terminal(inner, n, horizon).argument_rows
 
     def evaluate_batch(self, wb: WindowBatch) -> np.ndarray:
-        rows = self._smoothed.argument_rows(wb.values)  # (m, n_paths)
-        if isinstance(self.inner, SupTerminal):
-            return rows.max(axis=0)
-        return np.array([float(self.inner(Path(self.horizon, row))) for row in rows.T])
-
-    def __call__(self, eta: Path) -> float:
-        return self._smoothed(eta)
+        rows = self._argument_rows(wb.values)  # (m, n_paths): one column per window
+        return _window_samples(self.inner, self.horizon, WindowBatch(wb.xs, rows.T))
 
 
 def _smooth_rung(problem: ProblemSpec, n: int, schedule: ApproximationSchedule,

@@ -101,9 +101,17 @@ def test_bad_smoothing_indices_exit_2(tmp_path, capsys, indices):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
-@pytest.mark.parametrize("name", ["sde-convergence", "bsde-limit"])
-def test_index_below_one_exits_2(tmp_path, capsys, name):
-    cfg = _write_config(tmp_path, name, n_paths=1000, n_steps=10, indices="0,2")
+@pytest.mark.parametrize(
+    "name, indices",
+    [
+        pytest.param("sde-convergence", "0,2", id="sde-convergence"),
+        pytest.param("bsde-limit", "0,2", id="bsde-limit"),
+        pytest.param("sde-convergence", "4,2", id="sde-convergence-4,2"),
+        pytest.param("bsde-limit", "2,2", id="bsde-limit-2,2"),
+    ],
+)
+def test_index_below_one_exits_2(tmp_path, capsys, name, indices):
+    cfg = _write_config(tmp_path, name, n_paths=1000, n_steps=10, indices=indices)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "indices" in capsys.readouterr().err
     assert not (tmp_path / "out" / "summary.json").exists()
@@ -124,12 +132,31 @@ def test_too_few_paths_for_the_basis_exits_2(tmp_path, capsys, name):
         ("markov-linear-driver", "horizon", "-1"),
         ("fejer-sweep", "horizon", "0"),
         ("ito-residual", "steps", "100,0"),
+        ("ito-residual", "steps", "100"),
+        ("ito-residual", "steps", "100,100"),
     ],
 )
 def test_nonpositive_horizon_or_steps_exits_2(tmp_path, capsys, name, key, value):
     cfg = _write_config(tmp_path, name, n_paths=1000, **{key: value})
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("key", ["x", "horizon"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_number_exits_2(tmp_path, capsys, key, value):
+    cfg = _write_config(tmp_path, "markov-heat", n_paths=1000, n_steps=10, **{key: value})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"parameter {key!r} must be finite" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_diverging_paths_exit_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "markov-linear-driver", n_paths=1000, n_steps=10, horizon="1e300")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: " in capsys.readouterr().err
     assert not (tmp_path / "out" / "summary.json").exists()
 
 

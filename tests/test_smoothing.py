@@ -164,6 +164,12 @@ def test_fejer_pure_mode_weight():
     np.testing.assert_allclose(proj.values, 0.75 * eta.values, atol=1e-10)
 
 
+def test_fejer_project_rejects_a_basis_on_another_horizon():
+    eta = Path.from_function(lambda x: np.sin(2 * np.pi * x), 1.0, 2049)
+    with pytest.raises(ValueError, match="basis horizon 2.0 differs from path horizon 1.0"):
+        fejer_project(eta, 16, FourierBasis(2.0, 16))
+
+
 def test_fejer_sweep_converges_uniformly():
     basis = FourierBasis(1.0, 300)
     for name, eta in smooth_corpus(1.0).items():
@@ -202,11 +208,10 @@ def test_fejer_uniform_bound():
 
 def test_smooth_terminal_present_value_converges():
     T = 1.0
-    basis = FourierBasis(T, 160)
     rng = np.random.default_rng(6)
     max_errs = {}
     for n in (8, 32, 128):
-        H_n = smooth_terminal(lambda p: float(p.values[-1]), n, T, basis)
+        H_n = smooth_terminal(lambda p: float(p.values[-1]), n, T)
         errs = []
         for _ in range(20):
             c = rng.normal(0.0, 0.3, 5)
@@ -229,17 +234,11 @@ def test_smooth_terminal_constant_fixed_point():
 def test_smooth_terminal_parabola_sup():
     # sup of -x(x+1) on [-1, 0] is 1/4; the smoothed values approach it
     T = 1.0
-    basis = FourierBasis(T, 160)
     eta = Path.from_function(lambda x: -x * (x + 1.0), T, 4097)
     H = lambda p: float(np.max(p.values))
-    vals = {n: smooth_terminal(H, n, T, basis)(eta) for n in (8, 64)}
+    vals = {n: smooth_terminal(H, n, T)(eta) for n in (8, 64)}
     assert abs(vals[64] - 0.25) < abs(vals[8] - 0.25)
     assert vals[64] == pytest.approx(0.25, abs=1e-2)
-
-
-def test_smooth_terminal_rejects_small_basis_at_construction():
-    with pytest.raises(ValueError, match="order 8 exceeds basis max_index 4"):
-        smooth_terminal(lambda p: 0.0, 8, 1.0, FourierBasis(1.0, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +283,7 @@ def _probe_matrix(n, T, m):
 @pytest.mark.parametrize("n", [1, 4, 16, 64])
 def test_argument_values_matches_probe_matrix(n, m):
     for T in (0.5, 1.0, 2.0):
-        got = smooth_terminal(lambda p: 0.0, n, T).argument_values(np.eye(m))
+        got = smooth_terminal(lambda p: 0.0, n, T).argument_rows(np.eye(m)).T
         np.testing.assert_allclose(got, _probe_matrix(n, T, m).T, rtol=0.0, atol=1e-12)
 
 
@@ -301,7 +300,8 @@ _seeds = st.integers(0, 2**32 - 1)
 @given(_orders, _horizons, st.integers(2, 257), _seeds,
        st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
 def test_property_argument_values_is_linear(n, T, m, seed, a, b):
-    A = smooth_terminal(lambda p: 0.0, n, T).argument_values
+    rows = smooth_terminal(lambda p: 0.0, n, T).argument_rows
+    A = lambda V: rows(V).T
     U, V = _rows(seed, 3, m), _rows(seed + 1, 3, m)
     scale = max(1.0, abs(a) + abs(b)) * max(np.abs(U).max(), np.abs(V).max())
     np.testing.assert_allclose(A(a * U + b * V), a * A(U) + b * A(V), rtol=0.0, atol=1e-12 * scale)
@@ -313,7 +313,7 @@ def test_property_argument_values_fixes_constants(n, T, data, c):
     # once the nodes resolve every cosine of the basis (m - 1 > n // 2), the
     # trapezoid sums of the nonconstant modes of a constant path vanish
     m = data.draw(st.integers(n // 2 + 2, 257))
-    got = smooth_terminal(lambda p: 0.0, n, T).argument_values(np.full((2, m), c))
+    got = smooth_terminal(lambda p: 0.0, n, T).argument_rows(np.full((2, m), c)).T
     np.testing.assert_allclose(got, c, rtol=0.0, atol=1e-12 * max(1.0, abs(c)))
 
 
@@ -322,10 +322,14 @@ def test_property_argument_values_fixes_constants(n, T, data, c):
 def test_property_batch_rows_equal_single_path_argument(n, T, m, seed):
     smoothed = smooth_terminal(lambda p: 0.0, n, T)
     V = _rows(seed, 4, m, scale=3.0)
-    batch = smoothed.argument_values(V)
+    batch = smoothed.argument_rows(V).T
     for row, want in zip(V, batch):
         got = smoothed.argument(Path(T, row)).values
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+
+def _path_max(p):
+    return float(np.max(p.values))
 
 
 def _present_plus_spread(p):
@@ -337,9 +341,10 @@ def _present_plus_spread(p):
        st.sampled_from(["sup", "callable"]))
 def test_property_smoother_batch_equals_row_by_row(n, T, m, seed, inner):
     smoother = _LinearTerminalSmoother(SupTerminal() if inner == "sup" else _present_plus_spread, n, T)
+    scalar = smooth_terminal(_path_max if inner == "sup" else _present_plus_spread, n, T)
     wb = WindowBatch(np.linspace(-T, 0.0, m), np.cumsum(_rows(seed, 6, m, scale=0.2), axis=1))
     batch = smoother.evaluate_batch(wb)
-    rows = np.array([smoother(wb.path(i)) for i in range(6)])
+    rows = np.array([scalar(wb.path(i)) for i in range(6)])
     assert np.array_equal(batch, rows)
 
 
@@ -359,6 +364,11 @@ def test_smoother_rounds_a_path_alike_in_any_batch(n, m):
 
 def test_smoother_builds_its_factors_once_per_node_count(monkeypatch):
     smoother = _LinearTerminalSmoother(SupTerminal(), 16, 1.0)
+    scalar = smooth_terminal(_path_max, 16, 1.0)
+    batches = []
+    for m in (201, 201, 51, 201, 51):
+        wb = WindowBatch(np.linspace(-1.0, 0.0, m), np.cumsum(_rows(m, 9, m, scale=0.2), axis=1))
+        batches.append((wb, np.array([scalar(wb.path(i)) for i in range(9)])))
     original = smoothing._FejerLayout.build
     built = []
 
@@ -366,10 +376,8 @@ def test_smoother_builds_its_factors_once_per_node_count(monkeypatch):
         built.append(m)
         return original(n, basis, horizon, m)
 
-    monkeypatch.setattr(smoothing._FejerLayout, "build", spy)
-    for m in (201, 201, 51, 201, 51):
-        wb = WindowBatch(np.linspace(-1.0, 0.0, m), np.cumsum(_rows(m, 9, m, scale=0.2), axis=1))
-        rows = np.array([smoother(wb.path(i)) for i in range(9)])
+    monkeypatch.setattr(smoothing._FejerLayout, "build", spy)  # counts the smoother's builds only
+    for wb, rows in batches:
         assert np.array_equal(smoother.evaluate_batch(wb), rows)
     assert built == [201, 51]
 
@@ -393,7 +401,7 @@ def test_property_factors_give_the_argument_map(n, m, T):
     smoothed = smooth_terminal(lambda p: 0.0, n, T)
     A, B = smoothed.factors(m)
     assert A.shape == (m, n + 3) and B.shape == (n + 3, m)
-    np.testing.assert_allclose(A @ B, smoothed.argument_values(np.eye(m)), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(A @ B, smoothed.argument_rows(np.eye(m)).T, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(A @ B, _closed_form_argument(n, T, m), rtol=0.0, atol=1e-12)
 
 

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pathpde import smoothing, solver
 from pathpde.bsde import DriverSpec, RegressionBasisSpec
-from pathpde.paths import Grid, Path
+from pathpde.paths import Grid, Path, WindowBatch
 from pathpde.sde import DivergenceError, SdeSpec, TrajectoryBatch
 from pathpde.smoothing import CylindricalFunctional, Integrand
 from pathpde.solver import (
@@ -934,3 +934,74 @@ def test_a_streamed_pass_returns_no_block():
     assert fwd is None and xi.shape == (N_BLOCKED,)
     (xi,), fwd = solver._terminal_samples([_linear_problem()], 0.0, 0.0, SolverConfig(N_BLOCKED, 5, seed=48))
     assert fwd.traj.n_paths == N_BLOCKED and fwd.dW.shape == (N_BLOCKED, 5, 1)
+
+
+# ---------------------------------------------------------------------------
+# one evaluator for path terminals
+
+
+def _batch_history():
+    return Path.from_function(lambda x: 0.2 * np.sin(3.0 * x), 1.0, 41)
+
+
+def test_batch_only_terminal_at_the_horizon_is_its_batch_form_on_the_history():
+    history = _batch_history()
+    problem = ProblemSpec("path", 0.0, 1.0, DriverSpec(None), _MeanAbsWindow(), horizon=1.0)
+    value, se = evaluate_ppde(problem, 1.0, history, SolverConfig(100, 10, seed=49))
+    assert value == _MeanAbsWindow().evaluate_batch(WindowBatch(history.nodes, history.values[None]))[0]
+    assert se == 0.0
+
+
+def test_pipeline_over_a_batch_only_terminal_runs_at_zero_and_the_horizon():
+    history = _batch_history()
+    problem = ProblemSpec("path", 0.0, 1.0, DriverSpec(None), _MeanAbsWindow(), horizon=1.0)
+    schedule = ApproximationSchedule((2, 4), SolverConfig(2000, 10, seed=50))
+    report = strong_viscosity_pipeline(problem, schedule, [(0.0, history), (1.0, history)])
+    assert np.all(np.isfinite(report.values)) and np.all(report.std_errors[:, 0] > 0.0)
+    assert np.all(report.std_errors[:, 1] == 0.0)
+    for r, n in enumerate(schedule.indices):  # at the horizon: the batch form of the smoothed argument
+        want = smoothing.smooth_terminal(lambda p: np.abs(p.values).mean(), n, 1.0)(history)
+        assert report.values[r, 1] == pytest.approx(want, rel=1e-14)
+
+
+def test_a_numpy_scalar_diffusion_keeps_the_bridge_maximum():
+    eta0 = Path.constant(0.0, 1.0, 11)
+    cfg = SolverConfig(2000, 10, seed=51)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [evaluate_ppde(replace(_lookback_problem(), sigma=sigma), 0.0, eta0, cfg)
+                  for sigma in (1.0, np.float32(1.0), np.int64(1), np.array(1.0))]
+    assert values[1:] == values[:1] * 3
+
+
+def test_a_numpy_scalar_coefficient_is_a_constant_of_the_markov_pipeline():
+    schedule = ApproximationSchedule((2, 4), SolverConfig(2000, 10, seed=53))
+    want = strong_viscosity_pipeline(_heat_problem(), schedule, [(0.0, 0.3)]).values
+    for sigma in (np.float32(1.0), np.int64(1), np.array(1.0)):
+        got = strong_viscosity_pipeline(replace(_heat_problem(), sigma=sigma), schedule, [(0.0, 0.3)]).values
+        np.testing.assert_array_equal(got, want)
+
+
+class _ThreeSamples:
+    """A batch terminal that returns three samples whatever the batch."""
+
+    def evaluate_batch(self, wb):
+        return np.ones(3)
+
+
+_HORIZON_CASES = {  # a problem, a start, a NaN terminal and a terminal of the wrong shape
+    "markov": (_heat_problem(), 0.0, lambda x: np.full_like(x, np.nan), lambda x: np.ones(3)),
+    "path": (_lookback_problem(), _batch_history(), lambda eta: np.nan, _ThreeSamples()),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_HORIZON_CASES))
+def test_the_value_at_the_horizon_checks_its_sample(mode):
+    problem, start, nan, wide = _HORIZON_CASES[mode]
+    cfg = SolverConfig(100, 10, seed=52)
+    with pytest.raises(ValueError, match=r"^1 of 1 terminal samples are not finite"):
+        solver._evaluate_point(replace(problem, terminal=nan), 1.0, start, cfg)
+    with pytest.raises(ValueError, match=r"^1 of 1 terminal samples are not finite"):
+        strong_viscosity_pipeline(replace(problem, terminal=nan), ApproximationSchedule((2, 4), cfg), [(1.0, start)])
+    with pytest.raises(ValueError, match=r"^terminal samples shape \(3,\) != \(1,\)"):
+        solver._evaluate_point(replace(problem, terminal=wide), 1.0, start, cfg)
