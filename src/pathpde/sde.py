@@ -13,7 +13,10 @@ in place, a cache-sized chunk of paths at a time, and writes them
 transposed into a (n_steps, d, n_paths) buffer, of which it returns the
 path-major view.  Those chunks are the one parallel axis: ``_lanes``
 deals them to up to ``workers`` threads, and as each chunk writes only
-its own paths, no bit depends on how many.  The Euler schemes step on
+its own paths, no bit depends on how many.  The noise draw and
+``bridge_corrected_max``, which reads the uniforms of a child stream in
+the same Philox layout, are the two passes on the lanes; nothing outside
+this module knows the word layout.  The Euler schemes step on
 contiguous rows of a (n_steps + 1[, d], n_paths) buffer, and
 ``TrajectoryBatch.values`` is its path-major view, so ``values.T`` (or
 ``values.transpose(1, 2, 0)``) gives the step rows back without a copy.
@@ -44,6 +47,7 @@ from .smoothing import CylindricalFunctional
 
 __all__ = [
     "NoiseBundle",
+    "bridge_corrected_max",
     "SdeSpec",
     "TrajectoryBatch",
     "DivergenceError",
@@ -61,7 +65,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _BINARY_MAGIC = b"PPDETRJ1"
 # Philox words in one cache-sized chunk of paths (512 KB), the unit in which
-# increments and the solver's bridge maxima are formed and transposed
+# increments and bridge maxima are formed and transposed
 _CHUNK_WORDS = 2**16
 
 
@@ -183,6 +187,56 @@ class NoiseBundle:
         if tag == self.tag:
             raise ValueError("child stream must use a distinct tag")
         return NoiseBundle(self.seed, self.n_paths, self.n_steps, self.d if d is None else d, tag=tag)
+
+
+def bridge_corrected_max(
+    values: np.ndarray, dt: float, sigma: float, noise: NoiseBundle, offset: int = 0, workers: int = 1
+) -> np.ndarray:
+    """Running maximum with per-step Brownian-bridge maxima.
+
+    Conditionally on the step endpoints, the in-step maximum of a constant
+    diffusion bridge is (a + b + sqrt((b-a)^2 - 2 sigma^2 dt ln U)) / 2.
+    The plain discrete maximum underestimates by O(sqrt(dt)); this
+    estimator is exact in law for constant sigma.  ``noise`` supplies the
+    auxiliary uniforms, streamed in path blocks: row i of ``values`` reads
+    path ``offset + i`` of that stream, so a block of a forward pass gets
+    the uniforms it would get in one pass over all paths.  The work runs
+    on cache-sized chunks of paths on up to ``workers`` threads: the log
+    and the scale act in place on the chunk's uniforms in their path-major
+    Philox layout, which are then transposed once and combined with the
+    step rows ``values.T``, (b - a)^2 taking their place.  The maximum is
+    halved once, which rounds as halving every value: x -> x / 2 is monotone.
+    """
+    n_paths = values.shape[0]
+    if sigma == 0.0:
+        return values.max(axis=1)
+    rows = values.T  # (steps + 1, n)
+    n_steps = rows.shape[0] - 1
+    out = np.empty(n_paths)
+    chunk = max(1, min(n_paths, _CHUNK_WORDS // n_steps))
+    wpp, d = noise._words_per_path, noise.d
+    scale = -2.0 * sigma**2 * dt
+
+    def work(q0: int, q1: int, scratch: np.ndarray) -> None:
+        q = q1 - q0
+        words, m = scratch[: q * wpp], scratch[chunk * wpp : chunk * wpp + n_steps * q].reshape(n_steps, q)
+        u = noise._words(offset + q0, offset + q1, words)[:, : n_steps * d : d]
+        np.log(u, out=u)
+        u *= scale
+        m[...] = u.T
+        d2 = words[: n_steps * q].reshape(n_steps, q)
+        a, b = rows[:-1, q0:q1], rows[1:, q0:q1]
+        np.subtract(b, a, out=d2)
+        np.square(d2, out=d2)
+        m += d2
+        np.sqrt(m, out=m)
+        m += b
+        m += a
+        m.max(axis=0, out=out[q0:q1])
+
+    _lanes(work, n_paths, chunk, workers, chunk * (wpp + n_steps))
+    out *= 0.5
+    return out
 
 
 @dataclass(frozen=True)

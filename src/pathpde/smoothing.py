@@ -278,6 +278,8 @@ def fourier_coeff(path: Path, i: int, basis: FourierBasis) -> float:
     """
     if i > basis.max_index:
         raise ValueError(f"index {i} exceeds basis max_index {basis.max_index}")
+    if abs(basis.horizon - path.horizon) > 1e-12 * max(1.0, path.horizon):
+        raise ValueError(f"basis horizon {basis.horizon} differs from path horizon {path.horizon}")
     # psi(x) = e~_i(0) - e~_i(x): psi(0) = 0 and psi' = -e_i
     return float(forward_integral(0.0, -basis.evaluate(i, path.nodes), path.nodes, path.values))
 

@@ -16,17 +16,27 @@ terminals act path by path, so the samples, and the mean and standard
 error taken once over all of them, do not depend on the block size.
 Inside a block, noise and bridge maximum spread their chunks of paths
 over ``SolverConfig.workers`` threads, which join before Euler runs; no
-value depends on their number.
+value depends on their number.  Both passes live in ``sde``, the one
+module that knows the Philox word layout; ``bridge_corrected_max`` is
+imported from there.
 
-``strong_viscosity_pipeline`` wraps them in the approximation loop:
+One loop, ``_evaluate_point``, evaluates a list of problems that share
+one forward pass at one point: the exact values at the horizon, else the
+forward part once and the value part per problem.  ``evaluate_markov``,
+``evaluate_ppde``, ``SolutionField.evaluate`` and each rung group of the
+pipeline call it.  A problem is posed on [0, T]: a time below 0 or
+beyond T raises ``ValueError``.
+
+``strong_viscosity_pipeline`` wraps that loop in the approximation loop:
 coefficients and terminal data are replaced by smoothed versions at
 increasing index n, each rung is evaluated at the requested probes under
 common random numbers, and the report tracks the Cauchy behaviour of the
 resulting value sequence.  Common random numbers make the forward part
-of a probe the same for every rung whose coefficients are the same, so it
-runs once per probe and those rungs evaluate only their terminals and
-values on it, block by block (all path-mode rungs, which smooth only the
-terminal, and Markov rungs with constant or unmollified coefficients).
+of a probe the same for every rung whose coefficients are the same, so
+those rungs form a group, one ``_evaluate_point`` call per probe, and
+evaluate only their terminals and values on the shared pass, block by
+block (all path-mode rungs, which smooth only the terminal, and Markov
+rungs with constant or unmollified coefficients).
 A path-mode rung's smoothed terminal applies its rank-(n + 3) factors to
 the block's windows (at t = 0 a view of Euler's step rows, neither copied
 nor interpolated) and hands the arguments to ``_window_samples``, the one
@@ -65,14 +75,13 @@ from .bsde import (
 )
 from .paths import Grid, Path, WindowBatch
 from .sde import (
-    _CHUNK_WORDS,
     DivergenceError,
     NoiseBundle,
     SdeSpec,
     TrajectoryBatch,
-    _lanes,
     _step_rows,
     _usable_cores,
+    bridge_corrected_max,
     euler_markov,
     euler_path_dependent,
     value_buffer_size,
@@ -136,6 +145,13 @@ class ProblemSpec:
             raise ValueError("path-dependent problems are scalar (d = 1)")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
+        term = self.terminal
+        if self.mode == "markov" and not callable(term):
+            raise ValueError(f"a markov-mode terminal must be callable on terminal states, got {term!r}")
+        if self.mode == "path" and not (isinstance(term, (SupTerminal, CylindricalFunctional))
+                                        or hasattr(term, "evaluate_batch") or callable(term)):
+            raise ValueError("a path-mode terminal must be a SupTerminal, a CylindricalFunctional, "
+                             f"have evaluate_batch or be callable on paths, got {term!r}")
 
 
 @dataclass(frozen=True)
@@ -363,27 +379,13 @@ def _terminal_samples(
     return xi, fwd if fwd.traj.n_paths == n_paths else None
 
 
-def _point_value(problem: ProblemSpec, xi: np.ndarray, fwd: _Forward | None) -> tuple[float, float]:
-    """The value part of a point evaluation: value and standard error.
-
-    A zero driver returns the mean of the terminal samples xi and builds
-    no features: every projection keeps the mean of its target (the
-    intercept is never penalised) and at the first step all paths share
-    one state, so the induction's Y_0 is that mean up to rounding.  A
-    nonzero driver runs the induction on ``fwd``, one block of all paths;
-    a zero driver reads no ``fwd``, which is None for a streamed pass.
-    """
-    if problem.driver.f is None:
-        return _zero_driver_value(xi), float(xi.std(ddof=1) / np.sqrt(xi.size))
-    sol = solve_bsde(problem.driver, xi, fwd.features, fwd.traj, fwd.dW)
-    return sol.value, _pathwise_se(sol, problem.driver, fwd.features, xi)
-
-
 def _terminal_time_value(problem: ProblemSpec, t: float, start) -> float | None:
     """Check the point against the problem; at the horizon, its exact value: the checked sample of the start."""
     T = problem.horizon
     if problem.mode == "path" and abs(start.horizon - T) > 1e-12 * max(1.0, T):
         raise ValueError(f"history horizon {start.horizon} differs from problem horizon {T}")
+    if t < 0:
+        raise ValueError(f"evaluation time {t} is negative: the problem is posed on [0, {T}]")
     if t > T + 1e-12:
         raise ValueError(f"evaluation time {t} beyond horizon {T}")
     if abs(t - T) >= 1e-12:
@@ -396,13 +398,29 @@ def _terminal_time_value(problem: ProblemSpec, t: float, start) -> float | None:
     return float(_finite(_checked(xi, 1))[0])
 
 
-def _evaluate_point(problem: ProblemSpec, t: float, start, config: SolverConfig) -> tuple[float, float]:
-    """One point: exact at the horizon, else the forward part, then the value part."""
-    exact = _terminal_time_value(problem, t, start)
-    if exact is not None:
-        return exact, 0.0
-    (xi,), fwd = _terminal_samples([problem], t, start, config)
-    return _point_value(problem, xi, fwd)
+def _evaluate_point(
+    problems: Sequence[ProblemSpec], t: float, start, config: SolverConfig
+) -> list[tuple[float, float]]:
+    """Problems that share one forward pass at one point: each one's value and standard error.
+
+    At the horizon, the exact values (the problems share their horizon).
+    Otherwise the forward part runs once; then a zero driver gives the
+    terminal sample mean, the induction's Y_0 up to rounding (see the
+    module docstring), and a nonzero driver runs the induction on ``fwd``,
+    one block of all paths.  The path set dies with this call.
+    """
+    exact = [_terminal_time_value(problem, t, start) for problem in problems]
+    if exact[0] is not None:
+        return [(value, 0.0) for value in exact]
+    xi, fwd = _terminal_samples(problems, t, start, config)
+    results = []
+    for problem, row in zip(problems, xi):
+        if problem.driver.f is None:
+            results.append((_zero_driver_value(row), float(row.std(ddof=1) / np.sqrt(row.size))))
+        else:
+            sol = solve_bsde(problem.driver, row, fwd.features, fwd.traj, fwd.dW)
+            results.append((sol.value, _pathwise_se(sol, problem.driver, fwd.features, row)))
+    return results
 
 
 def evaluate_markov(
@@ -416,57 +434,7 @@ def evaluate_markov(
     """
     if problem.mode != "markov":
         raise ValueError("evaluate_markov needs a problem in markov mode")
-    return _evaluate_point(problem, t, x, config)
-
-
-def bridge_corrected_max(
-    values: np.ndarray, dt: float, sigma: float, noise: NoiseBundle, offset: int = 0, workers: int = 1
-) -> np.ndarray:
-    """Running maximum with per-step Brownian-bridge maxima.
-
-    Conditionally on the step endpoints, the in-step maximum of a constant
-    diffusion bridge is (a + b + sqrt((b-a)^2 - 2 sigma^2 dt ln U)) / 2.
-    The plain discrete maximum underestimates by O(sqrt(dt)); this
-    estimator is exact in law for constant sigma.  ``noise`` supplies the
-    auxiliary uniforms, streamed in path blocks: row i of ``values`` reads
-    path ``offset + i`` of that stream, so a block of a forward pass gets
-    the uniforms it would get in one pass over all paths.  The work runs
-    on cache-sized chunks of paths on up to ``workers`` threads: the log
-    and the scale act in place on the chunk's uniforms in their path-major
-    Philox layout, which are then transposed once and combined with the
-    step rows ``values.T``, (b - a)^2 taking their place.  The maximum is
-    halved once, which rounds as halving every value: x -> x / 2 is monotone.
-    """
-    n_paths = values.shape[0]
-    if sigma == 0.0:
-        return values.max(axis=1)
-    rows = values.T  # (steps + 1, n)
-    n_steps = rows.shape[0] - 1
-    out = np.empty(n_paths)
-    chunk = max(1, min(n_paths, _CHUNK_WORDS // n_steps))
-    wpp, d = noise._words_per_path, noise.d
-    scale = -2.0 * sigma**2 * dt
-
-    def work(q0: int, q1: int, scratch: np.ndarray) -> None:
-        q = q1 - q0
-        words, m = scratch[: q * wpp], scratch[chunk * wpp : chunk * wpp + n_steps * q].reshape(n_steps, q)
-        u = noise._words(offset + q0, offset + q1, words)[:, : n_steps * d : d]
-        np.log(u, out=u)
-        u *= scale
-        m[...] = u.T
-        d2 = words[: n_steps * q].reshape(n_steps, q)
-        a, b = rows[:-1, q0:q1], rows[1:, q0:q1]
-        np.subtract(b, a, out=d2)
-        np.square(d2, out=d2)
-        m += d2
-        np.sqrt(m, out=m)
-        m += b
-        m += a
-        m.max(axis=0, out=out[q0:q1])
-
-    _lanes(work, n_paths, chunk, workers, chunk * (wpp + n_steps))
-    out *= 0.5
-    return out
+    return _evaluate_point([problem], t, x, config)[0]
 
 
 def _past_sup(eta: Path, lookback: float) -> float:
@@ -519,7 +487,7 @@ def evaluate_ppde(
     """
     if problem.mode != "path":
         raise ValueError("evaluate_ppde needs a problem in path mode")
-    return _evaluate_point(problem, t, eta, config)
+    return _evaluate_point([problem], t, eta, config)[0]
 
 
 def lookback_oracle(t: float, eta: Path, horizon: float) -> float:
@@ -533,10 +501,15 @@ def lookback_oracle(t: float, eta: Path, horizon: float) -> float:
                + sqrt(2 tau / pi) exp(-m^2 / (2 tau)),
 
     by the reflection principle.  Only the last t units of history matter:
-    older values have left the look-back window by time T.
+    older values have left the look-back window by time T, so the history
+    must cover [-t, 0].
     """
+    if t < 0:
+        raise ValueError(f"evaluation time {t} is negative: the problem is posed on [0, {horizon}]")
     if t > horizon + 1e-12:
         raise ValueError(f"evaluation time {t} beyond horizon {horizon}")
+    if t > eta.horizon + 1e-12:
+        raise ValueError(f"history of horizon {eta.horizon} does not cover [-{t}, 0]")
     tau = max(horizon - t, 0.0)
     if tau == 0.0:
         return float(np.max(eta.values))
@@ -659,9 +632,7 @@ class SolutionField:
 
     def evaluate(self, t: float, probe) -> tuple[float, float]:
         cfg = replace(self.config, seed=_probe_seed(self.config.seed, t, probe))
-        if self.problem.mode == "markov":
-            return evaluate_markov(self.problem, t, probe, cfg)
-        return evaluate_ppde(self.problem, t, probe, cfg)
+        return _evaluate_point([self.problem], t, probe, cfg)[0]
 
 
 @dataclass
@@ -712,16 +683,9 @@ def strong_viscosity_pipeline(
     values = np.empty((n_rungs, len(probes)))
     errors = np.empty_like(values)
     for p, (t, probe) in enumerate(probes):
-        exact = [_terminal_time_value(rung, t, probe) for rung in rungs]
-        if exact[0] is not None:  # every rung has the same horizon
-            values[:, p], errors[:, p] = exact, 0.0
-            continue
         cfg = replace(schedule.config, seed=_probe_seed(schedule.config.seed, t, probe))
         for group in groups:
-            xi, fwd = _terminal_samples([rungs[r] for r in group], t, probe, cfg)
-            for r, row in zip(group, xi):
-                values[r, p], errors[r, p] = _point_value(rungs[r], row, fwd)
-            xi = fwd = None  # release the path set before the next group simulates
+            values[group, p], errors[group, p] = zip(*_evaluate_point([rungs[r] for r in group], t, probe, cfg))
     gaps = np.abs(np.diff(values, axis=0))
     converged = np.ones(len(probes), dtype=bool)
     if n_rungs >= 3:

@@ -231,6 +231,26 @@ def test_comparison_swapped_negative_control():
     assert rep["violation_fraction"] >= 0.9
 
 
+_FIELDS = st.tuples(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1)).map(
+    lambda a: np.random.default_rng(a[2]).uniform(-1e3, 1e3, size=a[:2]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_FIELDS, st.floats(0.0, 1e3), st.floats(0.0, 10.0), st.floats(1e-6, 10.0))
+def test_property_comparison_check_orders(y, c, tol, margin):
+    raised = comparison_check(y, y + c, tol)
+    assert raised["violation_fraction"] == 0.0
+    assert raised["worst_violation"] == (y - (y + c)).max()
+    assert raised["n_entries"] == y.size
+    gap = tol + margin  # a lift above the tolerance by more than rounding at |y| <= 2e3
+    swapped = comparison_check(y + gap, y, tol)
+    assert swapped["violation_fraction"] == 1.0
+    assert swapped["worst_violation"] == ((y + gap) - y).max()
+    assert swapped["n_entries"] == y.size
+    with pytest.raises(ValueError, match="share one grid"):
+        comparison_check(y, np.append(y, 0.0), tol)
+
+
 # ---------------------------------------------------------------------------
 # norms
 

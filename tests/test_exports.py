@@ -31,20 +31,31 @@ def test_package_imports_resolve():
         assert getattr(pathpde, name) is getattr(source, name)
 
 
-def _private_helpers_never_referenced(sources: list[str]) -> list[str]:
-    """Functions and methods named ``_x`` (dunders excluded) that no source names.
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
 
-    A reference is a Name, an Attribute or an imported alias anywhere in
-    the sources; the definition itself does not count.
+
+def _private_helpers_never_referenced(sources: list[str]) -> list[str]:
+    """Private functions, methods, classes and module-level constants that no source names.
+
+    Private means named ``_x``, dunders excluded.  A reference is a Name
+    read anywhere in the sources, an Attribute or an
+    imported alias; the definition itself (a def, a class or the module-level
+    assignment) does not count.
     """
     defined, used = set(), set()
     for source in sources:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name.startswith("_") and not node.name.startswith("__"):
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name) and _private(t.id))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if _private(node.name):
                     defined.add(node.name)
             elif isinstance(node, ast.Name):
-                used.add(node.id)
+                if not isinstance(node.ctx, ast.Store):
+                    used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
@@ -60,6 +71,9 @@ def test_no_private_helper_is_dead():
 def test_dead_helper_guard_flags_an_unreferenced_helper():
     source = "def _used():\n    pass\n\n\ndef _dead():\n    pass\n\n\nx = _used()\n"
     assert _private_helpers_never_referenced([source]) == ["_dead"]
+    source = ("class _Used:\n    pass\n\n\nclass _DeadClass:\n    pass\n\n\n"
+              "_LIMIT = 2\n_DEAD: int = 3\nx = _Used(_LIMIT)\n")
+    assert _private_helpers_never_referenced([source]) == ["_DEAD", "_DeadClass"]
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -368,6 +368,21 @@ def test_bridge_refine_halves_sum_to_parent():
     np.testing.assert_allclose(fine[:, 0::2] + fine[:, 1::2], dW, atol=1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 12), st.integers(1, 3), st.floats(1e-4, 2.0),
+       st.integers(0, 2**32 - 1), st.data())
+def test_property_bridge_refine_blocks_and_halves(n_paths, n_steps, d, dt, seed, data):
+    nb = NoiseBundle(seed, n_paths, n_steps, d)
+    dW = nb.increments(dt)
+    mid = ndtri(nb.child(1).uniforms())
+    fine = bridge_refine(dW, dt, mid)
+    p0 = data.draw(st.integers(0, n_paths - 1))
+    p1 = data.draw(st.integers(p0 + 1, n_paths))
+    assert np.array_equal(bridge_refine(dW[p0:p1], dt, mid[p0:p1]), fine[p0:p1])
+    first, second = fine[:, 0::2], fine[:, 1::2]
+    assert np.all(np.abs(first + second - dW) <= 2 * np.spacing(np.maximum(np.abs(dW), np.abs(first))))
+
+
 def test_trajectory_dumps_roundtrip(tmp_path):
     g = Grid(0.0, 1.0, 4)
     nb = NoiseBundle(20, 3, 4)

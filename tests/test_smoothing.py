@@ -518,3 +518,10 @@ def test_cylindrical_tracker_matches_window_evaluation():
     window = Path.from_function(lambda y: np.sin(3 * (y + 1.0)), 1.0, 501)
     want = cyl.features(1.0, window)
     np.testing.assert_allclose(feats[0], want, atol=1e-5)
+
+
+def test_fourier_coeff_rejects_a_basis_on_another_horizon():
+    eta = Path.from_function(lambda x: np.sin(2 * np.pi * x), 1.0, 2049)
+    assert abs(fourier_coeff(eta, 1, FourierBasis(1.0, 4))) > 0.7
+    with pytest.raises(ValueError, match="basis horizon 2.0 differs from path horizon 1.0"):
+        fourier_coeff(eta, 1, FourierBasis(2.0, 4))

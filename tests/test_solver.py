@@ -631,7 +631,7 @@ def test_divergence_names_the_path_among_all_paths(monkeypatch):
         for problem, start in ((_heat_problem(), 0.0), (_lookback_problem(), Path.constant(0.0, 1.0, 11))):
             cfg = SolverConfig(1000, 10, seed=40, workers=workers)
             with pytest.raises(DivergenceError, match="path 777, step 4$"):
-                solver._evaluate_point(problem, 0.0, start, cfg)
+                solver._evaluate_point([problem], 0.0, start, cfg)
 
 
 class _MeanAbsWindow:
@@ -672,7 +672,7 @@ def test_property_streaming_changes_no_sample_value_or_error(name, block, n_path
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_FORWARD_BLOCK", size)
             (xi,), _ = solver._terminal_samples([problem], t, start, cfg)
-            results.append((xi, solver._evaluate_point(problem, t, start, cfg)))
+            results.append((xi, solver._evaluate_point([problem], t, start, cfg)[0]))
     (streamed, streamed_value), (whole, whole_value) = results
     assert np.array_equal(streamed, whole)
     assert streamed_value == whole_value
@@ -1000,8 +1000,59 @@ def test_the_value_at_the_horizon_checks_its_sample(mode):
     problem, start, nan, wide = _HORIZON_CASES[mode]
     cfg = SolverConfig(100, 10, seed=52)
     with pytest.raises(ValueError, match=r"^1 of 1 terminal samples are not finite"):
-        solver._evaluate_point(replace(problem, terminal=nan), 1.0, start, cfg)
+        solver._evaluate_point([replace(problem, terminal=nan)], 1.0, start, cfg)
     with pytest.raises(ValueError, match=r"^1 of 1 terminal samples are not finite"):
         strong_viscosity_pipeline(replace(problem, terminal=nan), ApproximationSchedule((2, 4), cfg), [(1.0, start)])
     with pytest.raises(ValueError, match=r"^terminal samples shape \(3,\) != \(1,\)"):
-        solver._evaluate_point(replace(problem, terminal=wide), 1.0, start, cfg)
+        solver._evaluate_point([replace(problem, terminal=wide)], 1.0, start, cfg)
+
+
+# the problem is posed on [0, T], and its terminal must suit its mode
+
+
+def _no_noise(*args, **kwargs):
+    raise AssertionError("noise was drawn for a point outside [0, T]")
+
+
+@pytest.mark.parametrize("mode", sorted(_HORIZON_CASES))
+def test_a_time_below_zero_raises_before_any_noise(mode, monkeypatch):
+    problem, start, _, _ = _HORIZON_CASES[mode]
+    cfg = SolverConfig(200, 10, seed=54, bridge_max=False)
+    field = strong_viscosity_pipeline(problem, ApproximationSchedule((2, 4), cfg), [(1.0, start)]).field
+    evaluate = evaluate_markov if mode == "markov" else evaluate_ppde
+    monkeypatch.setattr(solver, "NoiseBundle", _no_noise)
+    for call in (lambda: evaluate(problem, -0.5, start, cfg),
+                 lambda: strong_viscosity_pipeline(problem, ApproximationSchedule((2, 4), cfg), [(-0.5, start)]),
+                 lambda: field.evaluate(-0.5, start)):
+        with pytest.raises(ValueError, match=r"^evaluation time -0.5 is negative: the problem is posed on \[0, 1.0\]"):
+            call()
+
+
+def test_oracle_rejects_a_negative_time():
+    with pytest.raises(ValueError, match="evaluation time -0.5 is negative"):
+        lookback_oracle(-0.5, Path.constant(0.0, 1.0), 1.0)
+
+
+def test_oracle_rejects_a_history_that_does_not_cover_the_time():
+    eta = Path.from_function(lambda x: np.sin(4.0 * x), 0.5, 51)
+    with pytest.raises(ValueError, match=r"history of horizon 0.5 does not cover \[-0.8, 0\]"):
+        lookback_oracle(0.8, eta, 1.0)
+    assert np.isfinite(lookback_oracle(0.5, eta, 1.0))
+
+
+_CYLINDRICAL = CylindricalFunctional(base=lambda t, F: F[:, 0], integrands=(_unit_integrand(),))
+
+
+@pytest.mark.parametrize("terminal", [SupTerminal(), _CYLINDRICAL], ids=["sup", "cylindrical"])
+def test_a_markov_terminal_must_be_callable(terminal):
+    with pytest.raises(ValueError, match="a markov-mode terminal must be callable"):
+        _heat_problem(terminal=terminal)
+    with pytest.raises(ValueError, match="a markov-mode terminal must be callable"):
+        replace(_heat_problem(), terminal=terminal)  # a rung is made by replace()
+
+
+def test_a_path_terminal_must_be_a_path_functional():
+    with pytest.raises(ValueError, match="a path-mode terminal must be a SupTerminal"):
+        replace(_lookback_problem(), terminal=3.0)
+    for terminal in (SupTerminal(), _CYLINDRICAL, _MeanAbsWindow(), _present_abs):
+        assert replace(_lookback_problem(), terminal=terminal).terminal is terminal
