@@ -22,13 +22,13 @@ untouched.
 
 On top of the solver sit the analytics used by the comparison and limit
 experiments: extraction of the nondecreasing compensator of a
-supersolution, order checks between two fields, and the coupled
-convergence table for sequences of drivers and terminals.
+supersolution (``extract_compensator``, the one producer of K), order
+checks between two fields, and the coupled convergence table for
+sequences of drivers and terminals.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
@@ -51,7 +51,6 @@ __all__ = [
     "comparison_check",
     "bsde_norms",
     "limit_experiment",
-    "limit_table_to_csv",
 ]
 
 
@@ -91,25 +90,20 @@ class DriverSpec:
 
 @dataclass
 class BsdeSolution:
-    """Per-path value, gradient, and optional compensator arrays.
+    """Per-path value and gradient arrays.
 
     A solve's Y and Z are path-major views of its one step-major buffer.
+    The compensator of a field is ``extract_compensator``'s.
     """
 
     grid: Grid
     Y: np.ndarray  # (n_paths, n_steps + 1)
     Z: np.ndarray  # (n_paths, n_steps, d)
-    K: np.ndarray | None = None  # (n_paths, n_steps + 1), K[:, 0] == 0
 
     def __post_init__(self) -> None:
         n, m = self.Y.shape
         if self.Z.shape[0] != n or self.Z.shape[1] != m - 1:
             raise ValueError(f"Z shape {self.Z.shape} inconsistent with Y {self.Y.shape}")
-        if self.K is not None:
-            if self.K.shape != self.Y.shape:
-                raise ValueError(f"K shape {self.K.shape} inconsistent with Y {self.Y.shape}")
-            if np.any(self.K[:, 0] != 0.0):
-                raise ValueError("the compensator must start at zero")
 
     @property
     def value(self) -> float:
@@ -400,7 +394,6 @@ def solve_bsde(
     features,
     trajectories: TrajectoryBatch,
     increments: np.ndarray,
-    with_compensator: bool = False,
 ) -> BsdeSolution:
     """Backward induction from the terminal samples along the trajectories.
 
@@ -415,7 +408,8 @@ def solve_bsde(
     simulation, shape (n_paths, n_steps, d), read as step rows (without a
     copy when they come from ``NoiseBundle.increments``).  The returned Y
     and Z are path-major views of the induction's step-major buffer, not
-    copies.
+    copies; their compensator is ``extract_compensator``'s, from the same
+    provider.
     """
     if isinstance(features, RegressionBasisSpec):
         features = make_features(features, trajectories)
@@ -456,8 +450,7 @@ def solve_bsde(
 
     Y = W_t[:, d].T
     Z = W_t[:-1, :d].transpose(2, 0, 1)
-    K = extract_compensator(Y, Z, driver, features, grid, increments) if with_compensator else None
-    return BsdeSolution(grid, Y, Z, K)
+    return BsdeSolution(grid, Y, Z)
 
 
 def extract_compensator(
@@ -507,11 +500,12 @@ def comparison_check(
     }
 
 
-def bsde_norms(solution: BsdeSolution, p: float = 2.0) -> dict:
+def bsde_norms(solution: BsdeSolution, p: float = 2.0, K: np.ndarray | None = None) -> dict:
     """Monte Carlo estimates of the value, gradient, and compensator norms.
 
-    Returns E[sup_k |Y_k|^p], E[sum_k |Z_k|^2 dt], and E[K_T^2] (zero when
-    no compensator is attached), each with its standard error.
+    Returns E[sup_k |Y_k|^p], E[sum_k |Z_k|^2 dt], and E[K_T^2] of the
+    compensator ``K`` (zero when none is given), each with its standard
+    error.
     """
     if p < 1:
         raise ValueError(f"norm order must be >= 1, got {p}")
@@ -526,8 +520,8 @@ def bsde_norms(solution: BsdeSolution, p: float = 2.0) -> dict:
         "s2_norm_K": 0.0,
         "s2_norm_K_se": 0.0,
     }
-    if solution.K is not None:
-        kT = solution.K[:, -1] ** 2
+    if K is not None:
+        kT = K[:, -1] ** 2
         out["s2_norm_K"] = float(kT.mean())
         out["s2_norm_K_se"] = float(kT.std(ddof=1) / np.sqrt(kT.size))
     return out
@@ -550,18 +544,25 @@ def limit_experiment(
     Each row solves the perturbed problem under the same increments and
     reports E int |Z^n - Z|^q dt, E sup |Y^n - Y|^2, and max_k E|K^n - K|,
     plus the S^p diagnostics of Y^n for p in {2, 4} (logged, not asserted:
-    only finite p is observable).
+    only finite p is observable).  Each solve's compensator is
+    ``extract_compensator``'s, from the feature provider of its solve.
     """
     if not 1 <= q < 2:
         raise ValueError(f"q must lie in [1, 2), got {q}")
-    base = solve_bsde(driver, terminal, features_spec, trajectories, increments, with_compensator=True)
+
+    def solve(drv, term, traj):
+        features = make_features(features_spec, traj)
+        sol = solve_bsde(drv, term, features, traj, increments)
+        return sol, extract_compensator(sol.Y, sol.Z, drv, features, traj.grid, increments)
+
+    base, base_K = solve(driver, terminal, trajectories)
     dt = trajectories.grid.dt
     rows: list[dict] = []
     for idx, (drv_n, term_n, traj_n) in enumerate(zip(driver_seq, terminal_seq, trajectories_seq)):
-        sol_n = solve_bsde(drv_n, term_n, features_spec, traj_n, increments, with_compensator=True)
+        sol_n, K_n = solve(drv_n, term_n, traj_n)
         z_gap_paths = np.sum(np.abs(sol_n.Z - base.Z) ** q, axis=(1, 2)) * dt
         y_gap_paths = np.max(np.abs(sol_n.Y - base.Y), axis=1) ** 2
-        k_gap = np.abs(sol_n.K - base.K).mean(axis=0).max()
+        k_gap = np.abs(K_n - base_K).mean(axis=0).max()
         sup_y2 = np.abs(sol_n.Y).max(axis=1)
         rows.append(
             {
@@ -576,21 +577,3 @@ def limit_experiment(
             }
         )
     return rows
-
-
-def limit_table_to_csv(rows: list[dict], filename) -> None:
-    header = ["n", "z_gap_q", "y_gap_sup2", "k_gap_max", "se_z_gap_q", "se_y_gap_sup2"]
-    with open(filename, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in rows:
-            writer.writerow(
-                [
-                    r["n"],
-                    f"{r['z_gap_q']:.17g}",
-                    f"{r['y_gap_sup2']:.17g}",
-                    f"{r['k_gap_max']:.17g}",
-                    f"{r['z_gap_q_se']:.17g}",
-                    f"{r['y_gap_sup2_se']:.17g}",
-                ]
-            )

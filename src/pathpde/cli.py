@@ -30,7 +30,6 @@ from .bsde import (
     DriverSpec,
     RegressionBasisSpec,
     limit_experiment,
-    limit_table_to_csv,
     solve_bsde,
 )
 from .funcalc import CylindricalIto, PresentFunctional, ito_residual
@@ -288,7 +287,10 @@ def run_bsde_limit(params, seed, workers, outdir):
     drivers = [DriverSpec(lambda t, s, y, z, r=rate, n=n: -r * y + 1.0 / n, lipschitz=rate) for n in indices]
     rows = limit_experiment(drivers, base_drv, [xi] * len(indices), xi, basis,
                             [traj] * len(indices), traj, dW, q=1.0, n_labels=indices)
-    limit_table_to_csv(rows, outdir / "bsde_limit.csv")
+    _write_csv(outdir / "bsde_limit.csv",
+               ["n", "z_gap_q", "y_gap_sup2", "k_gap_max", "se_z_gap_q", "se_y_gap_sup2"],
+               [[r["n"], r["z_gap_q"], r["y_gap_sup2"], r["k_gap_max"], r["z_gap_q_se"], r["y_gap_sup2_se"]]
+                for r in rows])
 
     # solver noise floor: positional Z distance between two independent-seed
     # solves of the unperturbed problem (Z is deterministic for this benchmark)
@@ -450,10 +452,12 @@ def load_config(path: str) -> tuple[str, dict, int]:
     seed = _p(parser["experiment"], "seed", 2024, int)
     params = dict(parser["parameters"]) if "parameters" in parser else {}
     positive = {"n_paths": int, "n_steps": int, "max_index": int, "n_rough": int, "horizon": float,
-                "steps": lambda raw: min(_int_list(raw))}
+                "slack": float, "steps": lambda raw: min(_int_list(raw))}
     for field, cast in positive.items():
         if field in params and not _p(params, field, None, cast) > 0:
             raise ConfigError(f"parameter {field!r} must be positive, got {params[field]}")
+    if "tolerance" in params and not _p(params, "tolerance", None) >= 0:
+        raise ConfigError(f"parameter 'tolerance' must be nonnegative, got {params['tolerance']}")
     return name, params, seed
 
 

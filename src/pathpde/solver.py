@@ -56,7 +56,7 @@ import hashlib
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -705,7 +705,11 @@ def strong_viscosity_pipeline(
 
 
 def _select_terminal_inner_index(problem, schedule, probes) -> np.ndarray:
-    """Diagonal choice of the base-mollification scale for cylindrical terminals."""
+    """Diagonal choice of the base-mollification scale for cylindrical terminals.
+
+    The smoothed base depends on k alone, so each k is built once, however
+    many stages n ask for it.
+    """
     term: CylindricalFunctional = problem.terminal
     T = problem.horizon
     probe_paths = [p for (_, p) in probes if isinstance(p, Path)]
@@ -713,7 +717,8 @@ def _select_terminal_inner_index(problem, schedule, probes) -> np.ndarray:
         probe_paths = [Path.constant(0.0, T)]
     feats = np.stack([term.features(T, p) for p in probe_paths])
 
-    def family(n, k):
+    @cache
+    def smoothed_values(k):
         if k < 1:
             return np.full(len(probe_paths), np.inf)
         smoothed = smooth_finite_dim(lambda F: term.base(T, F), term.n_features, k)
@@ -723,7 +728,7 @@ def _select_terminal_inner_index(problem, schedule, probes) -> np.ndarray:
         return np.array([float(np.asarray(term.base(T, f[None, :]))[0]) for f in feats])
 
     n_max = max(schedule.indices)
-    ks = select_diagonal(family, targets, probe_paths, n_max=n_max, k_max=512)
+    ks = select_diagonal(lambda n, k: smoothed_values(k), targets, probe_paths, n_max=n_max, k_max=512)
     return np.array([ks[n - 1] for n in schedule.indices])
 
 
@@ -743,10 +748,13 @@ def comparison_experiment(
     Solves the problem once, then adds +- slack * (T - s) to the value
     field.  The raised field must dominate the lowered one, and their
     compensators must be nondecreasing (raised) and nonincreasing
-    (lowered) step by step.
+    (lowered) step by step.  The point is checked as an evaluation's,
+    before any noise is drawn, and must lie before the horizon.
     """
     if problem.mode != "markov":
         raise ValueError("the comparison experiment runs on the Markovian benchmark family")
+    if _terminal_time_value(problem, t, x) is not None:
+        raise ValueError(f"the comparison needs t < T: evaluation time {t} is the horizon {problem.horizon}")
     (xi,), fwd = _terminal_samples([problem], t, x, config, keep_increments=True)
     traj, dW, grid = fwd.traj, fwd.dW, fwd.traj.grid
     features = fwd.features

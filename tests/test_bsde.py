@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pathpde import bsde
+from pathpde.cli import main
 from pathpde.paths import Grid, Path
 from pathpde.bsde import (
     BsdeSolution,
@@ -15,7 +18,6 @@ from pathpde.bsde import (
     comparison_check,
     extract_compensator,
     limit_experiment,
-    limit_table_to_csv,
     make_features,
     solve_bsde,
 )
@@ -96,7 +98,7 @@ def test_solution_shape_validation():
     with pytest.raises(ValueError):
         BsdeSolution(g, np.zeros((3, 5)), np.zeros((3, 3, 1)))
     with pytest.raises(ValueError):
-        BsdeSolution(g, np.zeros((3, 5)), np.zeros((3, 4, 1)), K=np.ones((3, 5)))
+        BsdeSolution(g, np.zeros((3, 5)), np.zeros((2, 4, 1)))
 
 
 def test_basis_size_guard():
@@ -194,17 +196,36 @@ def test_compensator_downward_tilt_is_nondecreasing():
     assert np.mean(np.diff(K, axis=1) >= -1e-10) >= 0.99
 
 
-def test_solve_compensator_equals_extract_compensator_vector_state():
-    g = Grid(0.0, 1.0, 12)
-    nb = NoiseBundle(21, 4000, 12, d=2)
-    dW = nb.increments(g.dt)
-    traj = euler_markov(SdeSpec(lambda t, x: -0.2 * x, 1.0), np.array([0.3, -0.4]), g, dW)
-    drv = DriverSpec(lambda t, s, y, z: -0.1 * y + 0.05 * np.sin(s[:, 0]) * z[:, 1] - 0.02 * z[:, 0])
-    features = make_features(BASIS, traj)
-    sol = solve_bsde(drv, np.sum(traj.terminal() ** 2, axis=1), features, traj, dW, with_compensator=True)
-    K = extract_compensator(sol.Y, sol.Z, drv, features, g, dW)
-    assert np.array_equal(sol.K, K)
-    assert K.flags.c_contiguous
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 12), st.sampled_from([1, 2]), st.floats(-1.0, 1.0),
+       st.floats(-1.0, 1.0), st.floats(0.0, 5.0), st.integers(0, 2**32 - 1))
+def test_property_extract_compensator(n_paths, n_steps, d, a, b, c, seed):
+    # a field built forward by Y_{k+1} = Y_k - F dt + Z.dW has no compensator, up to rounding
+    rng = np.random.default_rng(seed)
+    g = Grid(0.3, 1.3, n_steps)
+    dW = rng.normal(0.0, np.sqrt(g.dt), (n_paths, n_steps, d))
+    Z = rng.uniform(-3.0, 3.0, (n_paths, n_steps, d))
+    S = rng.uniform(-2.0, 2.0, (n_steps + 1, n_paths))
+    features = SimpleNamespace(state=S.__getitem__)  # the driver reads the state rows S[k]
+    eps = np.finfo(float).eps
+    for driver in (DriverSpec(None), DriverSpec(lambda t, s, y, z: a * y + b * z[:, -1] + s * t)):
+        Y = np.empty((n_paths, n_steps + 1))
+        Y[:, 0] = rng.uniform(-10.0, 10.0, n_paths)
+        flow = np.abs(Y[:, 0])  # per path, a bound on every partial sum's size
+        for k in range(n_steps):
+            f_dt = driver(g.times[k], S[k], Y[:, k], Z[:, k]) * g.dt
+            z_dw = np.sum(Z[:, k] * dW[:, k], axis=1)
+            Y[:, k + 1] = Y[:, k] - f_dt + z_dw
+            flow = flow + np.abs(f_dt) + np.abs(z_dw) + np.abs(Y[:, k + 1])
+        K = extract_compensator(Y, Z, driver, features, g, dW)
+        assert K.shape == Y.shape and K.flags.c_contiguous
+        assert np.all(K[:, 0] == 0.0)
+        assert np.all(np.abs(K) <= 4 * (n_steps + 1) * eps * flow[:, None])
+        if driver.f is None:  # a tilt by -c (s - t0) adds c dt to every increment
+            tilted = extract_compensator(Y - c * (g.times - g.times[0]), Z, driver, features, g, dW)
+            assert np.all(tilted[:, 0] == 0.0)
+            bound = 8 * (n_steps + 1) * eps * (flow + c)[:, None]
+            assert np.all(np.abs(np.diff(tilted, axis=1) - c * g.dt) <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +280,8 @@ def test_norms_constant_solution():
     g = Grid(0.0, 1.0, 10)
     Y = np.full((50, 11), -1.5)
     Z = np.zeros((50, 10, 1))
-    K = np.zeros((50, 11))
-    sol = BsdeSolution(g, Y, Z, K)
-    out = bsde_norms(sol, p=3.0)
+    sol = BsdeSolution(g, Y, Z)
+    out = bsde_norms(sol, p=3.0, K=np.zeros((50, 11)))
     assert out["sp_norm_Y"] == pytest.approx(1.5**3, abs=1e-14)
     assert out["h2_norm_Z"] == 0.0
     assert out["s2_norm_K"] == 0.0
@@ -282,9 +302,10 @@ def test_norm_ratio_bounded_across_terminal_scalings():
     g, traj, dW = _brownian(20_000, 50, seed=13, x0=1.0)
     drv = DriverSpec(lambda t, s, y, z: -0.1 * y, lipschitz=0.1)
     ratios = []
+    features = make_features(BASIS, traj)
     for lam in (1.0, 2.0, 4.0):
-        sol = solve_bsde(drv, lam * traj.terminal(), BASIS, traj, dW, with_compensator=True)
-        out = bsde_norms(sol, p=2.0)
+        sol = solve_bsde(drv, lam * traj.terminal(), features, traj, dW)
+        out = bsde_norms(sol, p=2.0, K=extract_compensator(sol.Y, sol.Z, drv, features, g, dW))
         ratios.append((out["h2_norm_Z"] + out["s2_norm_K"]) / out["sp_norm_Y"])
     assert max(ratios) <= 1.2 * min(ratios)
     assert max(ratios) < 10.0
@@ -343,14 +364,14 @@ def test_limit_experiment_rejects_bad_order():
 
 
 def test_limit_table_csv_header(tmp_path):
-    g, traj, dW = _brownian(2000, 10, seed=18, x0=1.0)
-    drv = DriverSpec(lambda t, s, y, z: -0.1 * y, lipschitz=0.1)
-    xi = traj.terminal()
-    rows = limit_experiment([drv], drv, [xi], xi, BASIS, [traj], traj, dW, n_labels=[1])
-    out = tmp_path / "table.csv"
-    limit_table_to_csv(rows, out)
-    header = out.read_text().splitlines()[0]
-    assert header == "n,z_gap_q,y_gap_sup2,k_gap_max,se_z_gap_q,se_y_gap_sup2"
+    # the table goes through the CLI's one CSV writer, one row per index
+    cfg = tmp_path / "limit.cfg"
+    cfg.write_text("[experiment]\nname = bsde-limit\nseed = 18\n\n[parameters]\nn_paths = 2000\n"
+                   "n_steps = 10\nindices = 1,4\n")
+    main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    lines = (tmp_path / "out" / "bsde_limit.csv").read_text().splitlines()
+    assert lines[0] == "n,z_gap_q,y_gap_sup2,k_gap_max,se_z_gap_q,se_y_gap_sup2"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "4"]
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +501,11 @@ def test_zero_driver_never_reads_the_state():
         def state(self, k):
             raise AssertionError("state read for the zero driver")
 
-    sol = solve_bsde(DriverSpec(None), traj.terminal(), NoState(), traj, dW, with_compensator=True)
-    ref = solve_bsde(DriverSpec(None), traj.terminal(), features, traj, dW, with_compensator=True)
+    sol = solve_bsde(DriverSpec(None), traj.terminal(), NoState(), traj, dW)
+    ref = solve_bsde(DriverSpec(None), traj.terminal(), features, traj, dW)
     np.testing.assert_array_equal(sol.Y, ref.Y)
-    np.testing.assert_array_equal(sol.K, ref.K)
+    np.testing.assert_array_equal(extract_compensator(sol.Y, sol.Z, DriverSpec(None), NoState(), g, dW),
+                                  extract_compensator(ref.Y, ref.Z, DriverSpec(None), features, g, dW))
 
 
 # ---------------------------------------------------------------------------

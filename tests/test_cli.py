@@ -143,6 +143,23 @@ def test_nonpositive_horizon_or_steps_exits_2(tmp_path, capsys, name, key, value
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        ("markov-heat", "tolerance", "-1"),
+        ("ppde-lookback", "tolerance", "-0.015"),
+        ("comparison", "slack", "-0.5"),
+        ("comparison", "slack", "0"),
+    ],
+)
+def test_a_bound_that_can_never_hold_exits_2(tmp_path, capsys, name, key, value):
+    cfg = _write_config(tmp_path, name, n_paths=1000, n_steps=10, **{key: value})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: parameter {key!r} must be" in err and "tolerance failure" not in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 @pytest.mark.parametrize("key", ["x", "horizon"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_number_exits_2(tmp_path, capsys, key, value):

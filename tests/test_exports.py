@@ -110,3 +110,36 @@ def test_unused_import_guard_flags_an_unused_import():
         "__all__ = ['Path']\n\n\ndef f(x: Callable) -> float:\n    return np.sum(x) + os.path.sep\n"
     )
     assert _unused_imports(source) == ["Grid", "Sequence"]
+
+
+# Each private name that one module imports from another, with why it crosses.
+PRIVATE_CROSSINGS = {
+    ("cli", "sde", "_usable_cores"): "the --threads default is the noise layer's core count",
+    ("solver", "bsde", "_check_basis_size"): "the basis-size guard runs before any noise is drawn",
+    ("solver", "bsde", "_zero_driver_value"): "one traced regression per zero-driver evaluation (ROADMAP item 4)",
+    ("solver", "sde", "_step_rows"): "a streamed block's increments are drawn into its value buffer's step rows",
+    ("solver", "sde", "_usable_cores"): "SolverConfig.workers defaults to the noise layer's core count",
+    ("solver", "smoothing", "_convolve"): "mollified state coefficients use the one convolution evaluator",
+    ("solver", "smoothing", "_mollifier_rule"): "mollified coefficients and drivers use the one quadrature rule",
+}
+
+
+def _private_imports(sources: dict[str, str]) -> set[tuple[str, str, str]]:
+    """(importer, module, name) for each private name a module imports from a sibling."""
+    found = set()
+    for importer, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found.update((importer, node.module, alias.name) for alias in node.names if _private(alias.name))
+    return found
+
+
+def test_private_names_cross_modules_only_where_listed():
+    sources = {p.stem: p.read_text() for p in sorted(FsPath(pathpde.__file__).parent.glob("*.py"))}
+    assert _private_imports(sources) == set(PRIVATE_CROSSINGS)
+
+
+def test_private_import_guard_flags_a_crossing():
+    sources = {"solver": "from .sde import NoiseBundle, _words\nfrom . import __version__\n",
+               "cli": "from .solver import evaluate_markov\n"}
+    assert _private_imports(sources) == {("solver", "sde", "_words")}

@@ -266,6 +266,23 @@ def test_pipeline_cylindrical_terminal_uses_diagonal_index():
     assert errs[-1] <= errs[0]
 
 
+def test_diagonal_index_builds_each_smoothed_base_once(monkeypatch):
+    # select_diagonal asks for every k at every stage n; the base depends on k alone
+    term = CylindricalFunctional(base=lambda t, F: np.abs(F[:, 0]), integrands=(_unit_integrand(),))
+    prob = ProblemSpec("path", 0.0, 1.0, DriverSpec(None), term, horizon=1.0)
+    builds = []
+
+    def spy(g, m, k, *args, **kwargs):
+        builds.append(k)
+        return smoothing.smooth_finite_dim(g, m, k, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "smooth_finite_dim", spy)
+    sched = ApproximationSchedule((4, 16, 64), SolverConfig(1000, 10))
+    ks = solver._select_terminal_inner_index(prob, sched, [(0.0, Path.constant(0.0, 1.0, 101))])
+    assert ks.tolist() == [1, 2, 6]  # the k selected when every (n, k) built its own base, 209 builds
+    assert sorted(builds) == [1, 2, 3, 4, 5, 6]
+
+
 def test_pipeline_rejects_generic_window_coefficients():
     prob = ProblemSpec("path", lambda t, wb: wb.present, 1.0, DriverSpec(None),
                        SupTerminal(), horizon=1.0)
@@ -423,6 +440,14 @@ def test_comparison_rejects_non_finite_terminal_samples():
     problem = replace(_linear_problem(), terminal=_nan_above_zero)
     with pytest.raises(ValueError, match=r"^\d+ of 2000 terminal samples are not finite"):
         comparison_experiment(problem, 0.5, 0.0, 0.0, SolverConfig(2000, 10, seed=30))
+
+
+@pytest.mark.parametrize("t, message", [(-0.5, r"^evaluation time -0.5 is negative: the problem is posed on \[0, 1.0\]"),
+                                        (1.0, r"^the comparison needs t < T")], ids=["below-zero", "horizon"])
+def test_comparison_checks_the_time_before_any_noise(monkeypatch, t, message):
+    monkeypatch.setattr(solver, "NoiseBundle", _no_noise)
+    with pytest.raises(ValueError, match=message):
+        comparison_experiment(_linear_problem(), 0.05, t, 0.2, SolverConfig(2000, 10, seed=30))
 
 
 # ---------------------------------------------------------------------------
