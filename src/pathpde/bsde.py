@@ -545,13 +545,19 @@ def limit_experiment(
     reports E int |Z^n - Z|^q dt, E sup |Y^n - Y|^2, and max_k E|K^n - K|,
     plus the S^p diagnostics of Y^n for p in {2, 4} (logged, not asserted:
     only finite p is observable).  Each solve's compensator is
-    ``extract_compensator``'s, from the feature provider of its solve.
+    ``extract_compensator``'s, from the feature provider of its solve.  The
+    features are built once per distinct trajectory set, by identity, and
+    kept for the call: rows that share the base trajectories share its
+    provider.
     """
     if not 1 <= q < 2:
         raise ValueError(f"q must lie in [1, 2), got {q}")
+    providers: dict[int, object] = {}
 
     def solve(drv, term, traj):
-        features = make_features(features_spec, traj)
+        if id(traj) not in providers:
+            providers[id(traj)] = make_features(features_spec, traj)
+        features = providers[id(traj)]
         sol = solve_bsde(drv, term, features, traj, increments)
         return sol, extract_compensator(sol.Y, sol.Z, drv, features, traj.grid, increments)
 

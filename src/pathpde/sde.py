@@ -11,12 +11,16 @@ The forward pass is step-major.  Philox lays each path's words out
 contiguously, so ``NoiseBundle.increments`` turns them into increments
 in place, a cache-sized chunk of paths at a time, and writes them
 transposed into a (n_steps, d, n_paths) buffer, of which it returns the
-path-major view.  Those chunks are the one parallel axis: ``_lanes``
-deals them to up to ``workers`` threads, and as each chunk writes only
-its own paths, no bit depends on how many.  The noise draw and
-``bridge_corrected_max``, which reads the uniforms of a child stream in
-the same Philox layout, are the two passes on the lanes; nothing outside
-this module knows the word layout.  The Euler schemes step on
+path-major view; ``bridge_corrected_max`` reads the uniforms of a child
+stream in the same layout, and nothing outside this module knows it.
+``_lanes`` is the one parallel axis: it deals units of paths to up to
+``workers`` threads, and as each unit writes only its own paths, no bit
+depends on how many.  A streamed forward pass (``solver``) deals it whole
+blocks, and each lane draws, steps and evaluates its blocks on its own
+value buffer, with the noise and bridge maximum inside on that lane
+alone; a pass of all paths deals it the chunks of its noise and bridge
+maximum.  While more than one lane runs, OpenBLAS is held to one thread
+(``_BlasThreads``), process-wide.  The Euler schemes step on
 contiguous rows of a (n_steps + 1[, d], n_paths) buffer, and
 ``TrajectoryBatch.values`` is its path-major view, so ``values.T`` (or
 ``values.transpose(1, 2, 0)``) gives the step rows back without a copy.
@@ -26,17 +30,21 @@ depends on the layout (a row reduction, an einsum contraction), the
 operands are C-ordered, as they were.
 
 Both schemes run one recursion, ``_euler``, on the step rows of all
-their paths, on the calling thread.  They differ only in the coefficients
-they build: floats, or step functions (k, X) -> array that read a
-C-ordered copy of the state, a feature tracker or a rolling window.
+their paths, on the thread that calls them (a lane, in a streamed pass).
+They differ only in the coefficients they build: floats, or step
+functions (k, X) -> array that read a C-ordered copy of the state, a
+feature tracker or a rolling window.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -83,25 +91,90 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+class _BlasThreads:
+    """OpenBLAS's thread count, and a hold of it at one thread while lanes run.
+
+    numpy's bundled OpenBLAS is reached through ctypes on first use; where
+    its ``scipy_openblas_{get,set}_num_threads64_`` symbols are absent,
+    ``get`` returns None and the hold does nothing.  The count is
+    process-wide, so the holds of concurrent evaluations share it: the
+    first saves the caller's setting and the last restores it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._prior = 0
+
+    @cached_property
+    def _calls(self) -> tuple[Callable, Callable] | None:
+        try:
+            lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (AttributeError, OSError):
+            return None
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+
+    def get(self) -> int | None:
+        return None if self._calls is None else self._calls[0]()
+
+    def set(self, threads: int) -> None:
+        if self._calls is not None:
+            self._calls[1](threads)
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._holders == 0 and self._calls is not None:
+                self._prior = self.get()
+                self.set(1)
+            self._holders += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0 and self._calls is not None:
+                self.set(self._prior)
+
+
+_BLAS = _BlasThreads()
+
+
 def _lanes(work: Callable[[int, int, np.ndarray], None], n: int, chunk: int, workers: int, width: int) -> None:
     """Run ``work(q0, q1, scratch)`` on the chunks [q0, q1) of ``chunk`` paths among n.
 
     The chunks are dealt round-robin to up to ``workers`` lanes, each with
     one scratch buffer of ``width`` doubles; only more than one lane takes
-    a thread pool.  ``work`` calls ``NoiseBundle._words`` and ufuncs only:
-    perfbench's layer trace keeps one span stack.
+    a thread pool, and while it runs OpenBLAS is held to one thread
+    (``_BLAS``), so that its own threads do not contend with the lanes.  A
+    lane runs its chunks in order and stops at one that raises, or before
+    any chunk past one that raised on another lane; the error of the lowest
+    chunk that raised is raised, so the error does not depend on ``workers``.
     """
     scratch = [np.empty(width) for _ in range(max(1, min(workers, -(-n // chunk))))]
+    lock = threading.Lock()
+    failed: list = [n, None]  # the lowest chunk that raised, and its error
 
     def lane(i: int) -> None:
         for q0 in range(i * chunk, n, len(scratch) * chunk):
-            work(q0, min(q0 + chunk, n), scratch[i])
+            if failed[0] < q0:
+                return
+            try:
+                work(q0, min(q0 + chunk, n), scratch[i])
+            except Exception as err:
+                with lock:
+                    if q0 < failed[0]:
+                        failed[:] = q0, err
+                return
 
     if len(scratch) == 1:
         lane(0)
     else:
-        with ThreadPoolExecutor(max_workers=len(scratch)) as pool:
+        with _BLAS, ThreadPoolExecutor(max_workers=len(scratch)) as pool:
             list(pool.map(lane, range(len(scratch))))
+    if failed[1] is not None:
+        raise failed[1]
 
 
 @dataclass(frozen=True)

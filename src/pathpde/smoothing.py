@@ -19,6 +19,7 @@ constants are reproduced exactly and affine functions up to rounding.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -386,7 +387,8 @@ def smooth_terminal(H: Callable, n: int, horizon: float) -> Callable:
     taking the samples to those coordinates and B of shape (n + 3, m)
     taking them to the argument's samples: the weighted basis with the
     slope's share taken out, then the Fejer-weighted basis, the nodes
-    and the correction.  The factors are built once per node count m.
+    and the correction.  The factors are built once per node count m,
+    also when the lanes of a forward pass ask for them together.
     ``argument_rows(values)`` is the one product of the factors with
     samples, ``B.T @ (A.T @ values.T)``: k sample rows (k, m) on the
     uniform nodes in, their arguments out as m step rows (m, k), one
@@ -399,23 +401,25 @@ def smooth_terminal(H: Callable, n: int, horizon: float) -> Callable:
     T = horizon
     basis = FourierBasis(T, max_index=n)
     built: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    lock = threading.Lock()
 
     def factors(m: int) -> tuple[np.ndarray, np.ndarray]:
-        if m not in built:
-            fejer = _FejerLayout.build(n, basis, T, m)
-            xs = fejer.xs
-            slope = np.zeros(m)  # the samples' functional (eta(0) - eta(-T)) / T
-            slope[-1] += 1.0 / T
-            slope[0] -= 1.0 / T
-            bump = _trapezoid_weights(xs) * edge_bump(T, n, xs + T)
-            inner = bump.copy()  # I_n: the bump sum of eta - eta(-T)
-            inner[0] -= bump.sum()
-            moments = np.array([basis.x_moment(i) for i in range(n + 1)]) / T
-            correction = moments @ fejer.fejer - xs / T
-            A = np.column_stack([fejer.weighted.T - np.outer(slope, fejer.weighted @ xs), slope, inner])
-            B = np.vstack([fejer.fejer, xs, correction])
-            built[m] = (A, B)
-        return built[m]
+        with lock:
+            if m not in built:
+                fejer = _FejerLayout.build(n, basis, T, m)
+                xs = fejer.xs
+                slope = np.zeros(m)  # the samples' functional (eta(0) - eta(-T)) / T
+                slope[-1] += 1.0 / T
+                slope[0] -= 1.0 / T
+                bump = _trapezoid_weights(xs) * edge_bump(T, n, xs + T)
+                inner = bump.copy()  # I_n: the bump sum of eta - eta(-T)
+                inner[0] -= bump.sum()
+                moments = np.array([basis.x_moment(i) for i in range(n + 1)]) / T
+                correction = moments @ fejer.fejer - xs / T
+                A = np.column_stack([fejer.weighted.T - np.outer(slope, fejer.weighted @ xs), slope, inner])
+                B = np.vstack([fejer.fejer, xs, correction])
+                built[m] = (A, B)
+            return built[m]
 
     def argument_rows(values: np.ndarray) -> np.ndarray:
         A, B = factors(values.shape[1])

@@ -14,11 +14,20 @@ terminal run on blocks of ``_FORWARD_BLOCK`` paths, and only the terminal
 samples outlive a block.  Philox regenerates any block bit for bit and the
 terminals act path by path, so the samples, and the mean and standard
 error taken once over all of them, do not depend on the block size.
-Inside a block, noise and bridge maximum spread their chunks of paths
-over ``SolverConfig.workers`` threads, which join before Euler runs; no
-value depends on their number.  Both passes live in ``sde``, the one
-module that knows the Philox word layout; ``bridge_corrected_max`` is
-imported from there.
+The blocks are the parallel axis: ``sde._lanes`` deals them to up to
+``SolverConfig.workers`` threads, and each lane draws, steps and
+evaluates its blocks whole on its own value buffer, so a streamed pass
+holds workers x ``_FORWARD_BLOCK`` x (n_steps + 1) x 8 bytes of paths
+(d times that for a d-dimensional state).  Each block writes only its
+own rows of the samples, so no value depends on the number of lanes;
+user terminals and coefficients are called from lane threads, at the
+same time, on disjoint blocks of paths.  While the lanes run, OpenBLAS
+is held to one thread; the setting is process-wide, so other threads'
+numpy products run single-threaded meanwhile.  A nonzero driver runs one
+block of all paths on the calling thread, whose noise and bridge
+maximum spread their chunks of paths over the workers.  Both passes
+live in ``sde``, the one module that knows the Philox word layout;
+``bridge_corrected_max`` is imported from there.
 
 One loop, ``_evaluate_point``, evaluates a list of problems that share
 one forward pass at one point: the exact values at the horizon, else the
@@ -57,7 +66,7 @@ import struct
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -79,6 +88,7 @@ from .sde import (
     NoiseBundle,
     SdeSpec,
     TrajectoryBatch,
+    _lanes,
     _step_rows,
     _usable_cores,
     bridge_corrected_max,
@@ -128,6 +138,11 @@ class ProblemSpec:
     is a path functional: a SupTerminal marker, a CylindricalFunctional, an
     object with a batch form ``evaluate_batch(WindowBatch) -> (m,)``, or a
     plain Path -> float callable.
+
+    With a zero driver the forward blocks run on ``SolverConfig.workers``
+    lane threads, so the terminal and callable coefficients may be called
+    from several threads at once, each call on its own disjoint block of
+    paths; they must not write state that another call reads.
     """
 
     mode: str
@@ -160,7 +175,7 @@ class SolverConfig:
     n_steps: int = 100
     seed: int = 2024
     basis: RegressionBasisSpec | None = None
-    workers: int = field(default_factory=_usable_cores)  # threads of the noise and bridge maxima
+    workers: int = field(default_factory=_usable_cores)  # lanes of a forward pass
     bridge_max: bool = True
 
     def __post_init__(self) -> None:
@@ -221,10 +236,11 @@ def _pathwise_se(
     return float(comp.std(ddof=1) / np.sqrt(comp.size))
 
 
-# Paths per forward block of a zero-driver evaluation.  Only the terminal
-# samples outlive a block, so the forward part holds about this many paths
-# times the step count, plus one float per path and rung.
-_FORWARD_BLOCK = 4096
+# Paths per forward block of a zero-driver evaluation, the unit the lanes
+# take.  Only the terminal samples outlive a block, so the forward part
+# holds about this many paths times the step count per lane, plus one float
+# per path and rung.
+_FORWARD_BLOCK = 2048
 
 
 @dataclass
@@ -240,8 +256,8 @@ class _Forward:
     horizon (``windows``, cut, and ``smoother_windows``, a view of the step
     rows where the windows lie on the grid).  The arrays are read-only:
     rungs that share the block must all see the same samples.  A block of
-    a streamed pass is valid only until the pass advances, which writes
-    the next block into the same value buffer.
+    a streamed pass is valid only until its lane advances, which writes
+    the lane's next block into the same value buffer.
     """
 
     noise: NoiseBundle
@@ -280,47 +296,6 @@ class _Forward:
         return self.windows if view is None else WindowBatch(xs, view)
 
 
-def _simulate_point(
-    problem: ProblemSpec, t: float, start, config: SolverConfig, keep_increments: bool = False
-) -> Iterator[_Forward]:
-    """The forward part of a point evaluation: noise, increments and Euler.
-
-    Yields the path set in blocks.  A zero driver runs blocks of
-    ``_FORWARD_BLOCK`` paths.  Every block goes into the leading part of
-    one value buffer that belongs to the pass, sized for a full block, so a
-    block lives until the next one is simulated: its increments are drawn
-    into the buffer's rows 1..n_steps, which Euler overwrites with the
-    values.  A nonzero driver, or ``keep_increments``, runs one block of
-    all paths and keeps its increments, because the backward induction
-    reads the whole arrays.  The basis-size guard runs before any noise is
-    drawn, whatever the driver.  A diverging path is reported by its index
-    among all paths.
-    """
-    basis = config.resolved_basis(problem.mode)
-    _check_basis_size(basis.n_features(problem.d), config.n_paths)
-    grid = Grid(t, problem.horizon, config.n_steps)
-    noise = NoiseBundle(config.seed, config.n_paths, config.n_steps, problem.d)
-    spec = SdeSpec(problem.b, problem.sigma)
-    whole = keep_increments or problem.driver.f is not None
-    block = config.n_paths if whole else min(_FORWARD_BLOCK, config.n_paths)
-    euler = euler_markov if problem.mode == "markov" else euler_path_dependent
-    buf = np.empty(value_buffer_size(config.n_steps, problem.d, block))
-    for p0 in range(0, config.n_paths, block):
-        p1 = min(p0 + block, config.n_paths)
-        rows = None if whole else _step_rows(buf, config.n_steps, problem.d, p1 - p0)[1:]
-        dW = noise.increments(grid.dt, p0, p1, out=rows, workers=config.workers)
-        try:
-            traj = euler(spec, start, grid, dW, out=buf)
-        except DivergenceError as err:
-            raise DivergenceError(p0 + err.path, err.step) from None
-        traj.values.flags.writeable = False
-        if whole:
-            dW.flags.writeable = False
-        else:
-            dW = None
-        yield _Forward(noise, dW, traj, basis, p0)
-
-
 def _constant(coef) -> bool:
     """Whether Euler treats a coefficient as a constant: not callable, not cylindrical."""
     return not callable(coef) and not isinstance(coef, CylindricalFunctional)
@@ -345,16 +320,31 @@ def _finite(xi: np.ndarray) -> np.ndarray:
 def _terminal_samples(
     problems: Sequence[ProblemSpec], t: float, start, config: SolverConfig, keep_increments: bool = False
 ) -> tuple[list[np.ndarray], _Forward | None]:
-    """Terminal samples of problems that share one forward pass, checked.
+    """The forward part of a point evaluation and the terminal samples of problems that share it.
 
     The problems share their mode, coefficients, horizon and whether their
-    driver is zero; the returned list holds one (n_paths,) array of
-    samples per problem.  The second result is the one block of all
-    paths when the pass ran in one block, as it does when the induction
-    will run, and None otherwise, so that no block outlives its pass.  A
-    block of samples of the wrong shape raises a ValueError, and so does a
-    NaN or inf among a problem's samples.  Where ``bridge_max`` cannot take
-    effect (a non-constant diffusion, a smoothed running maximum) it warns.
+    driver is zero; the first result holds one (n_paths,) array of checked
+    samples per problem.  One function, ``block``, simulates the paths
+    [p0, p1): it draws their increments, runs Euler, and writes every
+    problem's samples into rows p0..p1 of the results.
+
+    A zero driver streams: the blocks of ``_FORWARD_BLOCK`` paths go to
+    ``sde._lanes``, up to ``config.workers`` threads, and each lane's
+    scratch is its own value buffer, so it holds one block at a time.  The
+    increments are drawn into the buffer's rows 1..n_steps, which Euler
+    overwrites with the values, and a lane's noise and bridge maximum run
+    on that lane alone.  A nonzero driver, or ``keep_increments``, runs one
+    block of all paths on the calling thread, its noise and bridge maximum
+    on ``config.workers`` threads, and keeps its increments, because the
+    backward induction reads the whole arrays; that block is the second
+    result, which is None for a streamed pass, so that no block outlives it.
+
+    The basis-size guard runs before any noise is drawn, whatever the
+    driver.  A diverging path is reported by its index among all paths, the
+    lowest one when several blocks diverge.  A block of samples of the
+    wrong shape raises a ValueError, and so does a NaN or inf among a
+    problem's samples.  Where ``bridge_max`` cannot take effect (a
+    non-constant diffusion, a smoothed running maximum) it warns.
     """
     if config.bridge_max and any(isinstance(p.terminal, SupTerminal) and not _constant(p.sigma) for p in problems):
         warnings.warn("bridge-corrected maxima need a constant diffusion; falling back to the discrete maximum",
@@ -363,20 +353,46 @@ def _terminal_samples(
                                  and isinstance(p.terminal.inner, SupTerminal) for p in problems):
         warnings.warn("a smoothed running maximum is the discrete maximum of its smoothed argument; "
                       "bridge_max has no effect on it", stacklevel=2)
-    n_paths = config.n_paths
+    problem = problems[0]
+    basis = config.resolved_basis(problem.mode)
+    _check_basis_size(basis.n_features(problem.d), config.n_paths)
+    n_paths, n_steps, d = config.n_paths, config.n_steps, problem.d
+    grid = Grid(t, problem.horizon, n_steps)
+    noise = NoiseBundle(config.seed, n_paths, n_steps, d)
+    spec = SdeSpec(problem.b, problem.sigma)
+    euler = euler_markov if problem.mode == "markov" else euler_path_dependent
+    whole = keep_increments or problem.driver.f is not None
     xi = [np.empty(n_paths) for _ in problems]
-    for fwd in _simulate_point(problems[0], t, start, config, keep_increments):
-        p0, p1 = fwd.offset, fwd.offset + fwd.traj.n_paths
-        for r, problem in enumerate(problems):
-            block = _checked(problem.terminal(fwd.traj.terminal()) if problem.mode == "markov"
-                             else _terminal_samples_path(problem, fwd, config), p1 - p0)
-            if p1 - p0 == n_paths:
-                xi[r] = block  # one block of all paths: no copy, and the untouched row is freed
+
+    def block(p0: int, p1: int, buf: np.ndarray | None, cfg: SolverConfig) -> _Forward:
+        rows = None if whole else _step_rows(buf, n_steps, d, p1 - p0)[1:]
+        dW = noise.increments(grid.dt, p0, p1, out=rows, workers=cfg.workers)
+        try:
+            traj = euler(spec, start, grid, dW, out=buf)
+        except DivergenceError as err:
+            raise DivergenceError(p0 + err.path, err.step) from None
+        traj.values.flags.writeable = False
+        dW.flags.writeable = False
+        fwd = _Forward(noise, dW if whole else None, traj, basis, p0)
+        for r, prob in enumerate(problems):
+            samples = _checked(prob.terminal(traj.terminal()) if prob.mode == "markov"
+                               else _terminal_samples_path(prob, fwd, cfg), p1 - p0)
+            if whole:
+                xi[r] = samples  # one block of all paths: no copy, and the untouched row is freed
             else:
-                xi[r][p0:p1] = block  # a copy, so no block outlives its pass
+                xi[r][p0:p1] = samples  # a copy, so no block outlives its lane
+        return fwd
+
+    if whole:
+        fwd = block(0, n_paths, None, config)
+    else:
+        on_lane = replace(config, workers=1)
+        _lanes(lambda p0, p1, buf: block(p0, p1, buf, on_lane), n_paths, _FORWARD_BLOCK, config.workers,
+               value_buffer_size(n_steps, d, min(n_paths, _FORWARD_BLOCK)))
+        fwd = None
     for row in xi:
         _finite(row)
-    return xi, fwd if fwd.traj.n_paths == n_paths else None
+    return xi, fwd
 
 
 def _terminal_time_value(problem: ProblemSpec, t: float, start) -> float | None:

@@ -374,6 +374,21 @@ def test_limit_table_csv_header(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "4"]
 
 
+def test_limit_experiment_builds_features_once_per_trajectory_set(tmp_path, monkeypatch):
+    # a default bsde-limit run: one build for the base and its four rows, one for each solve of the noise floor
+    builds, make_features = [], bsde.make_features
+
+    def spy(spec, traj):
+        builds.append(traj)
+        return make_features(spec, traj)
+
+    monkeypatch.setattr(bsde, "make_features", spy)
+    cfg = tmp_path / "limit.cfg"
+    cfg.write_text("[experiment]\nname = bsde-limit\nseed = 18\n\n[parameters]\nn_paths = 2000\nn_steps = 10\n")
+    main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    assert len(builds) == 3 and len({id(traj) for traj in builds}) == 2  # the floor's first solve reuses the base set
+
+
 # ---------------------------------------------------------------------------
 # the fused one-pass regression against the two-pass reference
 

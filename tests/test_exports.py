@@ -117,6 +117,7 @@ PRIVATE_CROSSINGS = {
     ("cli", "sde", "_usable_cores"): "the --threads default is the noise layer's core count",
     ("solver", "bsde", "_check_basis_size"): "the basis-size guard runs before any noise is drawn",
     ("solver", "bsde", "_zero_driver_value"): "one traced regression per zero-driver evaluation (ROADMAP item 4)",
+    ("solver", "sde", "_lanes"): "a streamed pass deals its forward blocks to the noise layer's lanes",
     ("solver", "sde", "_step_rows"): "a streamed block's increments are drawn into its value buffer's step rows",
     ("solver", "sde", "_usable_cores"): "SolverConfig.workers defaults to the noise layer's core count",
     ("solver", "smoothing", "_convolve"): "mollified state coefficients use the one convolution evaluator",

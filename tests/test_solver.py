@@ -1,5 +1,7 @@
 import os
+import sys
 import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pathpde import smoothing, solver
+from pathpde import sde, smoothing, solver
 from pathpde.bsde import DriverSpec, RegressionBasisSpec
 from pathpde.paths import Grid, Path, WindowBatch
 from pathpde.sde import DivergenceError, SdeSpec, TrajectoryBatch
@@ -542,38 +544,67 @@ def test_pipeline_simulates_once_per_probe_when_rungs_share_coefficients(monkeyp
     assert sum(n * k for n, k in sizes) == passes * 2000 * 20
 
 
-def test_shared_forward_arrays_are_read_only():
-    cfg = SolverConfig(solver._FORWARD_BLOCK + 100, 20, seed=33)
+_PATH_SAMPLES = solver._terminal_samples_path
+
+
+def _blocks_read(monkeypatch, check):
+    """Spy on the path terminals: run ``check`` on each block while it is live, and collect the blocks."""
     blocks = []
-    for fwd in solver._simulate_point(_lookback_problem(), 0.0, Path.constant(0.0, 1.0, 21), cfg):
-        # a block is read before the pass advances
+
+    def spy(problem, fwd, config):
+        check(fwd)
+        blocks.append(fwd)
+        return _PATH_SAMPLES(problem, fwd, config)
+
+    monkeypatch.setattr(solver, "_terminal_samples_path", spy)
+    return blocks
+
+
+def test_shared_forward_arrays_are_read_only(monkeypatch):
+    block = solver._FORWARD_BLOCK
+    history = Path.constant(0.0, 1.0, 21)
+
+    def read_only(fwd):  # a block is read before its lane advances
         assert fwd.dW is None  # a zero driver runs no induction
         assert not fwd.traj.values.flags.writeable
         assert not fwd.windows.values.flags.writeable
         assert fwd.windows is fwd.windows  # cut once
         assert np.array_equal(fwd.windows.values[:, -1], fwd.traj.terminal())
-        blocks.append(fwd)
-    assert [(fwd.offset, fwd.traj.n_paths) for fwd in blocks] == [(0, solver._FORWARD_BLOCK),
-                                                                   (solver._FORWARD_BLOCK, 100)]
-    # advancing the pass writes the next block into the same value buffer
-    assert np.shares_memory(blocks[0].traj.values, blocks[1].traj.values)
-    (fwd,) = solver._simulate_point(_linear_problem(), 0.0, 0.0, cfg)
+
+    for workers in (1, 2):
+        cfg = SolverConfig(block + 100, 20, seed=33, workers=workers)
+        blocks = _blocks_read(monkeypatch, read_only)
+        assert solver._terminal_samples([_lookback_problem()], 0.0, history, cfg)[1] is None
+        assert sorted((fwd.offset, fwd.traj.n_paths) for fwd in blocks) == [(0, block), (block, 100)]
+        # one lane writes its next block into its one value buffer; two lanes have a buffer each
+        assert np.shares_memory(blocks[0].traj.values, blocks[1].traj.values) == (workers == 1)
+    _, fwd = solver._terminal_samples([_linear_problem()], 0.0, 0.0, cfg)
     assert fwd.offset == 0 and fwd.traj.n_paths == cfg.n_paths
     assert fwd.dW.shape == (cfg.n_paths, 20, 1) and not fwd.dW.flags.writeable
 
 
-def test_smoother_reads_aligned_windows_as_views_of_the_step_rows():
+def test_smoother_reads_aligned_windows_as_views_of_the_step_rows(monkeypatch):
     cfg = SolverConfig(solver._FORWARD_BLOCK + 100, 20, seed=35)
     history = Path.constant(0.0, 1.0, 21)
-    for fwd in solver._simulate_point(_lookback_problem(), 0.0, history, cfg):
+
+    def aligned(fwd):
         wb = fwd.smoother_windows
         assert np.shares_memory(wb.values, fwd.traj.values) and not wb.values.flags.writeable
         assert np.array_equal(wb.values, fwd.traj.values)  # 21 nodes at spacing dt: every simulated step
         assert "windows" not in vars(fwd)  # nothing was cut
+
+    blocks = _blocks_read(monkeypatch, aligned)
+    solver._terminal_samples([_lookback_problem()], 0.0, history, cfg)
+    assert len(blocks) == 2
+
     # at t = 0.5 the window reaches back into the history: the cut
-    for fwd in solver._simulate_point(_lookback_problem(), 0.5, history, cfg):
+    def cut(fwd):
         assert fwd.smoother_windows is fwd.windows
         assert not np.shares_memory(fwd.windows.values, fwd.traj.values)
+
+    blocks = _blocks_read(monkeypatch, cut)
+    solver._terminal_samples([_lookback_problem()], 0.5, history, cfg)
+    assert len(blocks) == 2
 
 
 def _present_abs(eta):
@@ -656,6 +687,26 @@ def test_divergence_names_the_path_among_all_paths(monkeypatch):
         for problem, start in ((_heat_problem(), 0.0), (_lookback_problem(), Path.constant(0.0, 1.0, 11))):
             cfg = SolverConfig(1000, 10, seed=40, workers=workers)
             with pytest.raises(DivergenceError, match="path 777, step 4$"):
+                solver._evaluate_point([problem], 0.0, start, cfg)
+
+
+def test_divergence_names_the_lowest_diverging_path_whatever_the_lanes(monkeypatch):
+    # blocks of 64: path 197 is in block 3 and path 265, diverging at an earlier step, in block 4;
+    # two lanes take them on lanes 1 and 0, four lanes on lanes 3 and 0
+    class InfOnTwoPaths(solver.NoiseBundle):
+        def increments(self, dt, p0=0, p1=None, **kwargs):
+            dW = super().increments(dt, p0, p1, **kwargs)
+            for path, step in ((197, 6), (265, 2)):
+                if p0 <= path < p1:
+                    dW[path - p0, step] = np.inf
+            return dW
+
+    monkeypatch.setattr(solver, "NoiseBundle", InfOnTwoPaths)
+    monkeypatch.setattr(solver, "_FORWARD_BLOCK", 64)
+    for workers in (1, 2, 4):
+        for problem, start in ((_heat_problem(), 0.0), (_lookback_problem(), Path.constant(0.0, 1.0, 11))):
+            cfg = SolverConfig(1000, 10, seed=40, workers=workers)
+            with pytest.raises(DivergenceError, match="path 197, step 7$"):
                 solver._evaluate_point([problem], 0.0, start, cfg)
 
 
@@ -906,7 +957,7 @@ def test_bridge_max_on_step_rows_equals_the_path_major_reference():
 
 
 def test_values_do_not_depend_on_the_workers():
-    # a block of 4096 paths at 200 steps is 13 chunks of the noise and the bridge: 3 lanes take 5, 4 and 4
+    # 5000 paths are blocks of 2048, 2048 and 904, one per lane at 3 workers
     history = Path.constant(0.0, 1.0, 201)
 
     def values(workers):
@@ -920,29 +971,116 @@ def test_values_do_not_depend_on_the_workers():
     assert values(2) == ref and values(3) == ref
 
 
-def test_lanes_enter_no_trace_point_and_leave_no_thread(monkeypatch):
-    entered, lanes = [], set()
+def test_each_block_enters_its_trace_points_on_one_thread_and_no_thread_outlives_the_pass(monkeypatch):
+    calls = []  # (thread, trace point, the block's first path where the point names it)
 
-    def spy(owner, name, record):
+    def spy(owner, name, offset):
         original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            record(name)
+            calls.append((threading.get_ident(), name, offset(*args)))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    on_main = lambda name: entered.append((name, threading.current_thread() is threading.main_thread()))
-    for owner, name in ((solver.NoiseBundle, "uniforms"), (solver.NoiseBundle, "increments"),
-                        (solver, "bridge_corrected_max"), (solver, "euler_markov"), (solver, "euler_path_dependent")):
-        spy(owner, name, on_main)
-    spy(solver.NoiseBundle, "_words", lambda name: lanes.add(threading.get_ident()))
+    spy(solver.NoiseBundle, "increments", lambda self, dt, p0=0, *rest: p0)
+    spy(solver, "euler_path_dependent", lambda *args: None)
+    spy(solver, "bridge_corrected_max", lambda *args: args[4])
+    spy(solver._LinearTerminalSmoother, "evaluate_batch", lambda *args: None)
+    history = Path.constant(0.0, 1.0, 21)
+    cfg = SolverConfig(N_BLOCKED, 20, seed=7, workers=3)  # three blocks on three lanes
+    passes = [
+        (lambda: evaluate_ppde(_lookback_problem(), 0.0, history, cfg),
+         ["increments", "euler_path_dependent", "bridge_corrected_max"]),
+        (lambda: strong_viscosity_pipeline(_lookback_problem(), ApproximationSchedule(
+            (4, 16), replace(cfg, bridge_max=False)), [(0.0, history)]),
+         ["increments", "euler_path_dependent", "evaluate_batch", "evaluate_batch"]),
+    ]
     before = threading.active_count()
-    evaluate_ppde(_lookback_problem(), 0.0, Path.constant(0.0, 1.0, 201), SolverConfig(5000, 200, seed=7, workers=3))
-    assert threading.active_count() == before
-    assert {name for name, _ in entered} == {"increments", "bridge_corrected_max", "euler_path_dependent"}
-    assert all(main for _, main in entered)
-    assert len(lanes) >= 2 and threading.main_thread().ident not in lanes  # the words were drawn in lanes
+    for run, block_points in passes:
+        calls.clear()
+        run()
+        assert threading.active_count() == before
+        starts = []
+        for thread in {thread for thread, _, _ in calls}:
+            seen = [(name, p0) for ident, name, p0 in calls if ident == thread]
+            for i in range(0, len(seen), len(block_points)):  # a lane enters one block's points after another's
+                block = seen[i:i + len(block_points)]
+                assert [name for name, _ in block] == block_points
+                assert {p0 for _, p0 in block} - {None} == {block[0][1]}
+                starts.append(block[0][1])
+            assert thread != threading.main_thread().ident
+        assert sorted(starts) == [0, solver._FORWARD_BLOCK, 2 * solver._FORWARD_BLOCK]
+
+
+def test_blas_threads_are_held_on_the_lanes_and_restored(monkeypatch):
+    blas = sde._BLAS
+    prior = blas.get()
+    if prior is None:
+        pytest.skip("numpy's OpenBLAS exports no thread-count controls")
+    held = []
+
+    def terminal(eta):  # runs on the lanes
+        held.append(blas.get())
+        return float(eta.values[-1])
+
+    def failing(eta):
+        raise RuntimeError("terminal failed")
+
+    problem = ProblemSpec("path", 0.0, 1.0, DriverSpec(None), terminal, horizon=1.0)
+    history = Path.constant(0.0, 1.0, 6)
+    cfg = SolverConfig(N_BLOCKED, 5, seed=53, workers=2)
+    blas.set(2)
+    switch = sys.getswitchinterval()
+    try:
+        value = evaluate_ppde(problem, 0.0, history, cfg)
+        assert set(held) == {1} and blas.get() == 2
+        with pytest.raises(RuntimeError, match="terminal failed"):
+            evaluate_ppde(replace(problem, terminal=failing), 0.0, history, cfg)
+        assert blas.get() == 2
+        # concurrent evaluations share the hold: the last to leave restores the caller's setting
+        sys.setswitchinterval(1e-5)
+        results = []
+        users = [threading.Thread(target=lambda: results.append(evaluate_ppde(problem, 0.0, history, cfg)))
+                 for _ in range(4)]
+        for user in users:
+            user.start()
+        for user in users:
+            user.join(timeout=120)
+        assert not any(user.is_alive() for user in users)
+        assert results == [value] * 4 and blas.get() == 2
+    finally:
+        sys.setswitchinterval(switch)
+        blas.set(prior)
+
+
+@pytest.mark.parametrize("name", ["markov", "sup-bridge", "sup-discrete", "cylindrical", "evaluate-batch",
+                                  "path-callable"])
+def test_values_do_not_depend_on_the_workers_across_blocks(monkeypatch, name):
+    # 1000 paths in blocks of 256: four blocks on one, two and four lanes
+    monkeypatch.setattr(solver, "_FORWARD_BLOCK", 256)
+    problem, start, bridge = _streaming_cases()[name]
+    results = []
+    for workers in (1, 2, 4):
+        cfg = SolverConfig(1000, 12, seed=51, workers=workers, bridge_max=bridge)
+        (xi,), _ = solver._terminal_samples([problem], 0.25, start, cfg)
+        results.append((xi, solver._evaluate_point([problem], 0.25, start, cfg)[0]))
+    for xi, value in results[1:]:
+        assert np.array_equal(xi, results[0][0]) and value == results[0][1]
+
+
+def test_a_pipeline_pass_on_lanes_builds_each_rung_factors_once(monkeypatch):
+    builds, build = [], smoothing._FejerLayout.build
+
+    def slow_build(cls, n, basis, horizon, m):
+        builds.append(n)
+        time.sleep(0.05)  # long enough for the other lane to ask for the same factors
+        return build(n, basis, horizon, m)
+
+    monkeypatch.setattr(smoothing._FejerLayout, "build", classmethod(slow_build))
+    schedule = ApproximationSchedule((4, 16), SolverConfig(N_BLOCKED, 20, seed=52, workers=2, bridge_max=False))
+    strong_viscosity_pipeline(_lookback_problem(), schedule, [(0.0, Path.constant(0.0, 1.0, 21))])
+    assert sorted(builds) == [4, 16]
 
 
 def test_workers_default_to_the_usable_cores_and_must_be_positive():
