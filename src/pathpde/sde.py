@@ -481,6 +481,10 @@ def _euler(x0: np.ndarray, grid: Grid, dW: np.ndarray, coefficients: Callable, o
     that advances the coefficients' state once the row of X_{k+1} is
     written.  The increments may be rows 1..n_steps of the value buffer
     itself: step k forms sigma dW_k before it overwrites their row.
+
+    Step functions read X_k, so each such step is guarded before the next
+    one runs.  Constant coefficients take ``_euler_constant``, which
+    guards the block once.
     """
     n_paths, n_steps, d = dW.shape
     V = _step_rows(out, n_steps, d, n_paths)
@@ -491,6 +495,13 @@ def _euler(x0: np.ndarray, grid: Grid, dW: np.ndarray, coefficients: Callable, o
     dt = grid.dt
     R[0] = x0
     b, sigma, after = coefficients(R[0])
+    if not (callable(b) or callable(sigma) or after is not None):
+        _euler_constant(x0, b * dt, sigma, V, dW.transpose(1, 2, 0))
+        steps = V[1:]
+        if not (steps.max() <= 1e12 and steps.min() >= -1e12):  # one guard per block; NaN fails both
+            for k in range(1, n_steps + 1):
+                _guard(R[k], k)
+        return V
     for k in range(n_steps):
         X, row = R[k], R[k + 1]
         b_dt = (b(k, X) if callable(b) else b) * dt
@@ -501,6 +512,31 @@ def _euler(x0: np.ndarray, grid: Grid, dW: np.ndarray, coefficients: Callable, o
         if after is not None:
             after(k, X, row)
     return V
+
+
+def _euler_constant(x0: np.ndarray, b_dt: float, sigma: float, V: np.ndarray, N: np.ndarray) -> None:
+    """Euler steps for constant coefficients on the step rows V[k] and N[k] of values and increments.
+
+    Step k writes (X_k + b dt) + sigma dW_k into row k + 1, the bits of the
+    general recursion, in as few passes as keep them: sigma dW_k is formed
+    in place in that row, and not at all for sigma == 1.0 (1.0 w == w).
+    X_k + b dt takes one scratch row, and no pass for b dt == 0.0: a sum is
+    -0.0 only when both its terms are, and X_0 + 0.0 is not, so no row
+    after the start is -0.0 and X_k + 0.0 == X_k there.  X_0 + b dt is
+    formed once, on x0.  A diverging path overflows in the steps past its
+    first bad one; that is silenced, and the caller's guard names the path.
+    """
+    start = (x0 + b_dt).reshape(-1, 1)  # X_0 + b dt of every path, (d, 1)
+    shifted = None if b_dt == 0.0 else np.empty_like(V[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N.shape[0]):
+            row = V[k + 1]
+            dX = N[k] if sigma == 1.0 else np.multiply(N[k], sigma, out=row)
+            if k == 0:
+                X = start
+            else:
+                X = V[k] if shifted is None else np.add(V[k], b_dt, out=shifted)
+            np.add(X, dX, out=row)
 
 
 def euler_markov(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,6 +131,53 @@ def test_divergence_names_the_path_among_all_increments(workers):
         euler_markov(SdeSpec(0.0, 1.0), 0.0, g, dW)
     with pytest.raises(DivergenceError, match="path 3500, step 4$"):
         euler_path_dependent(SdeSpec(0.0, 1.0), Path.constant(0.0, 1.0, 21), g, dW)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 2.5])
+@pytest.mark.parametrize("b", [0.0, 1.0, 0.3])
+def test_constant_coefficients_step_as_their_callables(b, sigma):
+    # constants take one add per step and one guard per block; callables the per-step recursion
+    g = Grid(0.0, 1.0, 30)
+    as_callables = SdeSpec(lambda t, x: b + 0 * x, lambda t, x: sigma + 0 * x)
+    for x0, d in ((0.4, 1), (np.array([0.4, -1.0]), 2)):
+        dW = NoiseBundle(60, 700, 30, d=d).increments(g.dt)
+        got = euler_markov(SdeSpec(b, sigma), x0, g, dW).values
+        assert np.array_equal(got, euler_markov(as_callables, x0, g, dW).values)
+    # a path-dependent pass whose increments are the value buffer's own rows
+    eta = Path.from_function(lambda x: 0.4 + 0.1 * np.sin(5.0 * x), 1.0, 31)
+    buf = np.empty((31, 1, 700))
+    dW = NoiseBundle(61, 700, 30).increments(g.dt, out=buf[1:])
+    window = SdeSpec(lambda t, wb: b + 0 * wb.values[:, -1], lambda t, wb: sigma + 0 * wb.values[:, -1])
+    ref = euler_path_dependent(window, eta, g, NoiseBundle(61, 700, 30).increments(g.dt)).values
+    assert np.array_equal(euler_path_dependent(SdeSpec(b, sigma), eta, g, dW, out=buf).values, ref)
+
+
+def test_a_signed_zero_start_steps_as_the_general_recursion():
+    # X_0 + 0.0 turns x0 = -0.0 into +0.0, so the start row keeps -0.0 and no later row holds it
+    g = Grid(0.0, 1.0, 12)
+    for d in (1, 2):
+        x0 = np.full(d, -0.0) if d > 1 else -0.0
+        dW = NoiseBundle(62, 80, 12, d=d).increments(g.dt)
+        for sigma in (0.0, 1.0):
+            const = euler_markov(SdeSpec(0.0, sigma), x0, g, dW).values
+            calls = euler_markov(SdeSpec(lambda t, x: 0.0 + 0 * x, lambda t, x: sigma + 0 * x), x0, g, dW).values
+            assert np.array_equal(np.signbit(const), np.signbit(calls)) and np.array_equal(const, calls)
+            assert np.all(np.signbit(const[:, 0])) and not np.any(np.signbit(const[:, 1:]) & (const[:, 1:] == 0))
+        assert np.all(const[:, 1:] == 0.0) if sigma == 0.0 else True
+
+
+@pytest.mark.parametrize("x0, sigma", [(1e12 - 1.6, 1.0), (0.0, 1e300), (0.5, np.inf)])
+def test_a_diverging_constant_block_names_the_path_of_the_per_step_guard(x0, sigma):
+    # the block guard scans its rows only on failure; the overflow past the bad step is silent
+    g = Grid(0.0, 1.0, 10)
+    dW = NoiseBundle(41, 3000, 10).increments(g.dt)
+    with pytest.raises(DivergenceError) as ref:
+        euler_markov(SdeSpec(lambda t, x: 0.0 * x, lambda t, x: sigma + 0 * x), x0, g, dW)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as got:
+            euler_markov(SdeSpec(0.0, sigma), x0, g, dW)
+    assert (got.value.path, got.value.step) == (ref.value.path, ref.value.step)
 
 
 def test_euler_determinism_across_workers():

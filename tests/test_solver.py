@@ -710,6 +710,19 @@ def test_divergence_names_the_lowest_diverging_path_whatever_the_lanes(monkeypat
                 solver._evaluate_point([problem], 0.0, start, cfg)
 
 
+def test_a_diverging_constant_block_names_the_same_path_and_step_on_any_lanes(monkeypatch):
+    # 24 blocks of 256; one guard per constant-coefficient block, then a scan of the failed block's rows
+    monkeypatch.setattr(solver, "_FORWARD_BLOCK", 256)
+    start = 1e12 - 1.6
+    callables = replace(_heat_problem(), b=lambda t, x: 0.0 * x, sigma=lambda t, x: 1.0 + 0 * x)
+    with pytest.raises(DivergenceError) as ref:  # the per-step guard of callable coefficients
+        evaluate_markov(callables, 0.0, start, SolverConfig(6144, 10, seed=41, workers=1))
+    for workers in (1, 2):
+        with pytest.raises(DivergenceError) as got:
+            evaluate_markov(_heat_problem(), 0.0, start, SolverConfig(6144, 10, seed=41, workers=workers))
+        assert (got.value.path, got.value.step) == (ref.value.path, ref.value.step)
+
+
 class _MeanAbsWindow:
     """A terminal with a batch form: the mean absolute window value."""
 
