@@ -1,18 +1,21 @@
 """Forward simulation: Euler schemes for state and path-dependent dynamics.
 
 Noise comes from a counter-based generator (Philox) keyed by a 64-bit seed
-plus a stream tag.  Uniform draws consume exactly one 64-bit word each and
-normals are produced by inverse CDF, so the increment at (path, step,
-component) is a pure function of the key and its counter offset: any block
-of paths can be regenerated bit-identically, independent of how work is
-partitioned across threads.
+plus a stream tag.  Gaussian increments are drawn per block of
+``_NOISE_BLOCK`` (256) paths: block j takes numpy's ziggurat normals from
+its own counter region, which starts at j << 40, so the increment at
+(path, step, component) is a pure function of the key, the block and the
+place in it.  Any block regenerates bit for bit and any range of paths is
+a slice of the one-call array: values depend on the block size, never on
+how work is partitioned across threads.  Uniforms take exactly one 64-bit
+word each, so a path's uniforms are a fixed run of words.
 
-The forward pass is step-major.  Philox lays each path's words out
-contiguously, so ``NoiseBundle.increments`` turns them into increments
-in place, a cache-sized chunk of paths at a time, and writes them
-transposed into a (n_steps, d, n_paths) buffer, of which it returns the
-path-major view; ``bridge_corrected_max`` reads the uniforms of a child
-stream in the same layout, and nothing outside this module knows it.
+The forward pass is step-major.  A block's normals are path-major, so
+``NoiseBundle.increments`` draws them into a scratch of one block and
+writes them once, scaled and transposed, into a (n_steps, d, n_paths)
+buffer, of which it returns the path-major view; ``bridge_corrected_max``
+reads the uniforms of a child stream, path-major per cache-sized chunk
+of paths, and nothing outside this module knows either layout.
 ``_lanes`` is the one parallel axis: it deals units of paths to up to
 ``workers`` threads, and as each unit writes only its own paths, no bit
 depends on how many.  A streamed forward pass (``solver``) deals it whole
@@ -33,7 +36,9 @@ Both schemes run one recursion, ``_euler``, on the step rows of all
 their paths, on the thread that calls them (a lane, in a streamed pass).
 They differ only in the coefficients they build: floats, or step
 functions (k, X) -> array that read a C-ordered copy of the state, a
-feature tracker or a rolling window.
+feature tracker or a rolling window.  Floats take one add per step and
+one guard per block (``_euler_constant``), with the bits of the general
+step.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .paths import Grid, Path, WindowBatch
 from .smoothing import CylindricalFunctional
@@ -73,8 +77,12 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _BINARY_MAGIC = b"PPDETRJ1"
 # Philox words in one cache-sized chunk of paths (512 KB), the unit in which
-# increments and bridge maxima are formed and transposed
+# bridge maxima and cut windows are formed and transposed
 _CHUNK_WORDS = 2**16
+# Paths per block of normals, the unit of regeneration of the increments:
+# their values depend on it, never on the workers or on the caller's range.
+# A divisor of solver._FORWARD_BLOCK, so a streamed block draws whole blocks.
+_NOISE_BLOCK = 256
 
 
 class DivergenceError(RuntimeError):
@@ -142,7 +150,9 @@ _BLAS = _BlasThreads()
 
 
 def _lanes(work: Callable[[int, int, np.ndarray], None], n: int, chunk: int, workers: int, width: int) -> None:
-    """Run ``work(q0, q1, scratch)`` on the chunks [q0, q1) of ``chunk`` paths among n.
+    """Run ``work(q0, q1, scratch)`` on the chunks [q0, q1) of ``chunk`` units among n.
+
+    A unit is a path, or a block of paths for the noise.
 
     The chunks are dealt round-robin to up to ``workers`` lanes, each with
     one scratch buffer of ``width`` doubles; only more than one lane takes
@@ -179,13 +189,18 @@ def _lanes(work: Callable[[int, int, np.ndarray], None], n: int, chunk: int, wor
 
 @dataclass(frozen=True)
 class NoiseBundle:
-    """Reproducible Gaussian increments for n_paths x n_steps x d.
+    """Reproducible Gaussian increments and uniforms for n_paths x n_steps x d.
 
-    The stream for path p occupies a fixed block of counter words, so
-    ``uniforms(p0, p1)`` and ``increments(dt, p0, p1)`` return the same
-    values whether generated in one call or many.  ``child(tag)`` derives
-    an independent stream from the same seed (used for bridge refinement
-    and maximum sampling).
+    Uniforms take one Philox counter word each: the stream of path p
+    occupies a fixed run of words, so ``uniforms(p0, p1)`` is the same
+    whatever the range.  Normals are drawn per block of ``_NOISE_BLOCK``
+    paths: block j reads the counter region that starts at j << 40 of the
+    same key, through numpy's ziggurat, so a block regenerates bit for bit
+    and ``increments(dt, p0, p1)`` is the slice [p0, p1) of the one-call
+    array, whatever the range and the workers.  The normals of block 0 and
+    the uniforms of one bundle read the same first counters, so take the
+    two from different tags.  ``child(tag)`` derives an independent stream
+    from the same seed (used for bridge refinement and maximum sampling).
     """
 
     seed: int
@@ -203,17 +218,20 @@ class NoiseBundle:
         need = self.n_steps * self.d
         return ((need + 3) // 4) * 4  # Philox counter advances in 4-word blocks
 
+    def _generator(self, counter: int) -> np.random.Generator:
+        """A generator on this bundle's Philox key, its counter advanced by ``counter`` 4-word blocks."""
+        bg = np.random.Philox(key=(self.seed & _MASK64) | ((self.tag & _MASK64) << 64))
+        bg.advance(counter)
+        return np.random.Generator(bg)
+
     def _words(self, p0: int, p1: int, out: np.ndarray | None = None) -> np.ndarray:
         """Clamped uniform words of paths p0..p1, shape (p1 - p0, words per path).
 
         ``out``, when given, is a contiguous buffer of (p1 - p0) * words per
         path doubles that receives them.
         """
-        key = (self.seed & _MASK64) | ((self.tag & _MASK64) << 64)
-        bg = np.random.Philox(key=key)
         wpp = self._words_per_path
-        bg.advance((p0 * wpp) // 4)
-        gen = np.random.Generator(bg)
+        gen = self._generator((p0 * wpp) // 4)
         u = gen.random((p1 - p0) * wpp) if out is None else gen.random(out=out)
         np.maximum(u, 2.0**-54, out=u)
         return u.reshape(p1 - p0, wpp)
@@ -223,7 +241,7 @@ class NoiseBundle:
 
         One double consumes exactly one counter word, so block boundaries
         do not change values.  Exact zeros (probability 2^-53 per draw)
-        are clamped away for the inverse-CDF step.
+        are clamped away, so that their logarithm is finite.
         """
         p1 = self.n_paths if p1 is None else p1
         u = self._words(p0, p1)[:, : self.n_steps * self.d]
@@ -236,24 +254,28 @@ class NoiseBundle:
         The result is the path-major view of a step-major (n_steps, d,
         block) buffer, ``out`` when given (say rows 1..n_steps of an Euler
         value buffer), so each step's increments are contiguous rows.  The
-        words are drawn a cache-sized chunk of paths at a time on up to
-        ``workers`` threads; ``ndtri`` and the sqrt(dt) scale run in place
-        on them, and they are written once, transposed, into the buffer.
+        ``_NOISE_BLOCK``-path blocks that cover [p0, p1) are drawn one at a
+        time on up to ``workers`` threads: a block's normals, path-major,
+        fill a scratch of one block (a block cut by p1 draws a prefix of its
+        stream, one cut by p0 drops its leading paths), and are scaled by
+        sqrt(dt) as they are written, transposed, into the buffer.
         """
         p1 = self.n_paths if p1 is None else p1
-        n, d, steps = p1 - p0, self.d, self.n_steps
+        n, d, steps, P = p1 - p0, self.d, self.n_steps, _NOISE_BLOCK
         out = np.empty((steps, d, n)) if out is None else out
-        wpp = self._words_per_path
-        chunk = max(1, _CHUNK_WORDS // wpp)
         scale = np.sqrt(dt)
+        first = p0 // P
 
-        def work(q0: int, q1: int, scratch: np.ndarray) -> None:
-            z = self._words(p0 + q0, p0 + q1, scratch[: (q1 - q0) * wpp])[:, : steps * d]
-            ndtri(z, out=z)
-            z *= scale
-            out[:, :, q0:q1] = z.reshape(q1 - q0, steps, d).transpose(1, 2, 0)
+        def work(j0: int, j1: int, scratch: np.ndarray) -> None:
+            for j in range(first + j0, first + j1):
+                a, e = max(p0, j * P), min(p1, (j + 1) * P)  # the block's paths in the range
+                z = scratch[: (e - j * P) * steps * d]
+                self._generator(j << 40).standard_normal(out=z)
+                z = z.reshape(-1, steps, d)[a - j * P :]
+                np.multiply(z.transpose(1, 2, 0), scale, out=out[:, :, a - p0 : e - p0])
 
-        _lanes(work, n, chunk, workers, min(n, chunk) * wpp)
+        n_blocks = -(-p1 // P) - first if n else 0
+        _lanes(work, n_blocks, 1, workers, min(P, p1 - first * P) * steps * d)
         return out.transpose(2, 0, 1)
 
     def child(self, tag: int, d: int | None = None) -> "NoiseBundle":

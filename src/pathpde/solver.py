@@ -11,22 +11,34 @@ projections keeps the mean of its target and all paths start from one
 state, so Y_0 is the terminal mean up to rounding.  No features or
 solution arrays are built, and the forward part streams: noise, Euler and
 terminal run on blocks of ``_FORWARD_BLOCK`` paths, and only the terminal
-samples outlive a block.  Philox regenerates any block bit for bit and the
-terminals act path by path, so the samples, and the mean and standard
-error taken once over all of them, do not depend on the block size.
+samples outlive a block.  The noise regenerates any range of paths bit
+for bit and the terminals act path by path, so the samples, and the mean
+and standard error taken once over all of them, do not depend on the
+block size, which is a multiple of the noise's 256-path block.
 The blocks are the parallel axis: ``sde._lanes`` deals them to up to
 ``SolverConfig.workers`` threads, and each lane draws, steps and
-evaluates its blocks whole on its own value buffer, so a streamed pass
-holds workers x ``_FORWARD_BLOCK`` x (n_steps + 1) x 8 bytes of paths
-(d times that for a d-dimensional state).  Each block writes only its
-own rows of the samples, so no value depends on the number of lanes;
+evaluates its blocks whole on its own value buffer.  The memory of a
+streamed pass is then, up to small per-block arrays,
+
+    workers x (_FORWARD_BLOCK x (n_steps + 1) x 8 B + one noise scratch)
+    + 8 B per path and problem,
+
+where the value buffer is d times larger for a d-dimensional state and
+the noise scratch is the larger of a 256-path block of normals (256 x
+n_steps x d x 8 B) and a chunk of the bridge maximum (about 2 x 2^16
+doubles).  A pass of all paths adds its increments and the backward
+induction's state.  ``tests/test_solver.py`` holds small evaluations
+at one and two workers to this model, with one value buffer of margin.
+Each block writes only its own rows of the samples, so no value depends
+on the number of lanes;
 user terminals and coefficients are called from lane threads, at the
 same time, on disjoint blocks of paths.  While the lanes run, OpenBLAS
 is held to one thread; the setting is process-wide, so other threads'
 numpy products run single-threaded meanwhile.  A nonzero driver runs one
 block of all paths on the calling thread, whose noise and bridge
 maximum spread their chunks of paths over the workers.  Both passes
-live in ``sde``, the one module that knows the Philox word layout;
+live in ``sde``, the one module that knows the layout of the Philox
+streams;
 ``bridge_corrected_max`` is imported from there.
 
 One loop, ``_evaluate_point``, evaluates a list of problems that share
@@ -239,7 +251,8 @@ def _pathwise_se(
 # Paths per forward block of a zero-driver evaluation, the unit the lanes
 # take.  Only the terminal samples outlive a block, so the forward part
 # holds about this many paths times the step count per lane, plus one float
-# per path and rung.
+# per path and rung.  A multiple of sde._NOISE_BLOCK, so that a block
+# draws whole blocks of normals.
 _FORWARD_BLOCK = 2048
 
 

@@ -123,7 +123,7 @@ def test_euler_divergence_guard():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_divergence_names_the_path_among_all_increments(workers):
-    # 4000 paths of 20 steps are 2 chunks of the noise; path 3500 lies in the second
+    # 4000 paths are 16 blocks of the noise; path 3500 lies in block 13
     g = Grid(0.0, 1.0, 20)
     dW = NoiseBundle(5, 4000, 20).increments(g.dt, workers=workers)
     dW[3500, 3] = np.inf
@@ -181,7 +181,7 @@ def test_a_diverging_constant_block_names_the_path_of_the_per_step_guard(x0, sig
 
 
 def test_euler_determinism_across_workers():
-    # 5000 paths of 60 steps are 5 chunks of the noise: 3 lanes take 2, 2 and 1
+    # 5000 paths are 20 blocks of the noise: 3 lanes take 7, 7 and 6
     g = Grid(0.0, 1.0, 60)
     nb = NoiseBundle(9, 5000, 60)
     spec = SdeSpec(lambda t, x: -0.5 * x, 1.0)
@@ -190,18 +190,58 @@ def test_euler_determinism_across_workers():
     np.testing.assert_array_equal(a.values, c.values)
 
 
+def _block_normal_increments(nb, dt, p0=0, p1=None):
+    """The reference increments: block j of 256 paths draws its path-major normals from
+    numpy's ziggurat on the bundle's Philox key, its counter advanced by j << 40."""
+    blocks = []
+    for j in range(-(-nb.n_paths // 256)):
+        bg = np.random.Philox(key=nb.seed | nb.tag << 64)
+        bg.advance(j << 40)
+        blocks.append(np.random.Generator(bg).standard_normal((min(256, nb.n_paths - 256 * j), nb.n_steps, nb.d)))
+    return np.sqrt(dt) * np.concatenate(blocks)[p0:p1]
+
+
 @pytest.mark.parametrize("d", [1, 3])
 def test_increments_equal_at_any_worker_count(d):
-    # 3 lanes get uneven chunk counts; at d = 1, 8 lanes outnumber the 5 chunks
+    # 24 blocks of 256 paths, the first cut by p0 = 17; 3 lanes get uneven block counts
     nb = NoiseBundle(10, 6001, 45, d=d, tag=3)
     ref = nb.increments(0.02, 17, 6001)
-    assert np.array_equal(ref, ndtri(nb.uniforms(17, 6001)) * np.sqrt(0.02))
+    assert np.array_equal(ref, _block_normal_increments(nb, 0.02, 17, 6001))
     for w in (2, 3, 8):
         assert np.array_equal(nb.increments(0.02, 17, 6001, workers=w), ref)
     rows = np.empty((45, d, 5984))
     got = nb.increments(0.02, 17, 6001, out=rows, workers=3)
     assert np.shares_memory(got, rows) and np.array_equal(got, ref)
     assert nb.increments(0.02, 9, 9, workers=3).shape == (0, 45, d)  # an empty range takes one idle lane
+
+
+def test_each_noise_block_regenerates_and_any_range_is_a_slice_of_the_one_call_array():
+    # 1300 paths are five blocks of 256 and a last one of 20; the ranges cut blocks at either end
+    nb = NoiseBundle(12, 1300, 30, d=2, tag=5)
+    full = nb.increments(0.1)
+    for j in range(6):
+        block = NoiseBundle(12, 1300, 30, d=2, tag=5).increments(0.1, 256 * j, min(256 * j + 256, 1300))
+        assert np.array_equal(block, full[256 * j : 256 * j + 256])
+    for p0, p1 in ((5, 1299), (255, 257), (256, 512), (700, 701), (1024, 1300), (1299, 1300)):
+        for workers in (1, 2, 3):
+            assert np.array_equal(nb.increments(0.1, p0, p1, workers=workers), full[p0:p1])
+    assert not np.array_equal(full[:256], NoiseBundle(12, 1300, 30, d=2, tag=6).increments(0.1)[:256])
+
+
+def test_increment_moments_and_block_independence():
+    # 1000 x 200 normals over four blocks: moments within four standard errors of N(0, 1)
+    nb = NoiseBundle(seed=13, n_paths=1000, n_steps=200)
+    z = nb.increments(1.0).ravel()
+    n = z.size
+    assert abs(z.mean()) <= 4.0 / np.sqrt(n)
+    assert abs(z.var() - 1.0) <= 4.0 * np.sqrt(2.0 / n)
+    assert abs((z**4).mean() / z.var() ** 2 - 3.0) <= 4.0 * np.sqrt(24.0 / n)
+    # neighbouring paths, within and across blocks, are uncorrelated at every step
+    steps = nb.increments(1.0)[:, :, 0]
+    lag = (steps[1:] * steps[:-1]).mean()
+    assert abs(lag) <= 4.0 / np.sqrt(steps[1:].size)
+    across = np.corrcoef(steps[255], steps[256])[0, 1]  # last path of block 0, first of block 1
+    assert abs(across) <= 4.0 / np.sqrt(200)
 
 
 def test_euler_rejects_increments_that_do_not_fit():
@@ -284,7 +324,7 @@ def test_path_dependent_determinism_across_workers(kind):
         b = lambda t, wb: -0.5 * wb.sup_norm()
     eta = Path.from_function(lambda x: np.sin(3.0 * x), 0.5, 51)
     g = Grid(0.0, 0.5, 50)
-    noise = NoiseBundle(24, 3000, 50)  # 3 chunks of the noise
+    noise = NoiseBundle(24, 3000, 50)  # 12 blocks of the noise
     runs = [euler_path_dependent(SdeSpec(b, 1.0), eta, g, noise.increments(g.dt, workers=w)).values
             for w in (1, 2, 8)]
     assert np.array_equal(runs[0], runs[1])
@@ -486,12 +526,12 @@ def _euler_path_path_major(cyl_b, window_sigma, eta, grid, dW):
 
 
 def test_increments_are_step_major_rows_of_the_path_major_normals():
-    # 1500 paths of 50 x 2 words span three chunks of the transposed write
+    # 1500 paths of 50 x 2 normals span six blocks of the transposed write
     nb = NoiseBundle(seed=41, n_paths=1500, n_steps=50, d=2)
     dW = nb.increments(0.02)
     assert dW.shape == (1500, 50, 2)
     assert dW.transpose(1, 2, 0).flags.c_contiguous
-    assert np.array_equal(dW, np.sqrt(0.02) * ndtri(nb.uniforms()))
+    assert np.array_equal(dW, _block_normal_increments(nb, 0.02))
 
 
 def test_euler_writes_the_step_major_buffer_it_is_given():
@@ -516,7 +556,7 @@ def test_euler_writes_the_step_major_buffer_it_is_given():
 @pytest.mark.parametrize("workers", [1, 3])
 def test_euler_on_step_rows_equals_a_path_major_reference(workers):
     g = Grid(0.25, 1.0, 40)
-    dW = NoiseBundle(43, 7000, 40).increments(g.dt, workers=workers)  # 5 chunks of the noise
+    dW = NoiseBundle(43, 7000, 40).increments(g.dt, workers=workers)  # 28 blocks of the noise
     markov = SdeSpec(lambda t, x: np.sin(x) - t, lambda t, x: 1.0 + 0.2 * np.cos(x))
     got = euler_markov(markov, 0.3, g, dW).values
     assert np.array_equal(got, _euler_markov_path_major(markov, 0.3, g, np.ascontiguousarray(dW)))
@@ -549,7 +589,7 @@ def test_vector_euler_on_step_rows_equals_a_path_major_reference(workers):
     # d = 9: numpy sums 9 or more columns of a row in an order that depends on the layout
     d = 9
     g = Grid(0.0, 1.0, 25)
-    dW = NoiseBundle(49, 500, 25, d=d).increments(g.dt, workers=workers)  # 2 chunks of the noise
+    dW = NoiseBundle(49, 500, 25, d=d).increments(g.dt, workers=workers)  # 2 blocks of the noise
 
     def sigma(t, x):  # a full (m, d, d) matrix that reads the state
         s = np.empty((x.shape[0], d, d))

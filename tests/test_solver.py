@@ -723,6 +723,26 @@ def test_a_diverging_constant_block_names_the_same_path_and_step_on_any_lanes(mo
         assert (got.value.path, got.value.step) == (ref.value.path, ref.value.step)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_streamed_pass_peaks_within_the_memory_model(workers):
+    # solver's model: workers x (value buffer + noise scratch) + 8 B per path, and one value buffer of margin
+    import tracemalloc
+
+    for n_paths, n_steps, bridge in ((5 * 2048 + 300, 50, True), (2 * 2048 + 100, 600, False)):
+        cfg = SolverConfig(n_paths, n_steps, seed=3, workers=workers, bridge_max=bridge)
+        eta = Path.constant(0.0, 1.0, n_steps + 1)
+        evaluate_ppde(_lookback_problem(), 0.0, eta, cfg)  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            evaluate_ppde(_lookback_problem(), 0.0, eta, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lane = 2048 * (n_steps + 1) * 8
+        noise = max(256 * n_steps * 8, 2 * 2**16 * 8)  # a 256-path block of normals, or a bridge chunk
+        assert peak <= workers * (lane + noise) + 8 * n_paths + lane
+
+
 class _MeanAbsWindow:
     """A terminal with a batch form: the mean absolute window value."""
 
