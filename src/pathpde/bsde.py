@@ -538,8 +538,8 @@ def limit_experiment(
     increments: np.ndarray,
     q: float = 1.0,
     n_labels: Sequence[int] | None = None,
-) -> list[dict]:
-    """Coupled convergence table for a sequence of perturbed problems.
+) -> tuple[list[dict], BsdeSolution]:
+    """Coupled convergence table for a sequence of perturbed problems, and the base solution.
 
     Each row solves the perturbed problem under the same increments and
     reports E int |Z^n - Z|^q dt, E sup |Y^n - Y|^2, and max_k E|K^n - K|,
@@ -548,7 +548,8 @@ def limit_experiment(
     ``extract_compensator``'s, from the feature provider of its solve.  The
     features are built once per distinct trajectory set, by identity, and
     kept for the call: rows that share the base trajectories share its
-    provider.
+    provider.  The solution of the unperturbed problem, which every row is
+    measured against, is handed back with the rows.
     """
     if not 1 <= q < 2:
         raise ValueError(f"q must lie in [1, 2), got {q}")
@@ -582,4 +583,4 @@ def limit_experiment(
                 "y_sp4": float((sup_y2**4).mean()),
             }
         )
-    return rows
+    return rows, base

@@ -161,8 +161,8 @@ def test_criterion_08_bsde_limit():
     xi = traj.terminal()
     ns = (1, 4, 16, 64)
     drivers = [DriverSpec(lambda t, s, y, z, n=n: -0.1 * y + 1.0 / n, lipschitz=0.1) for n in ns]
-    rows = limit_experiment(drivers, base, [xi] * 4, xi, basis, [traj] * 4, traj, dW,
-                            q=1.0, n_labels=ns)
+    rows, _ = limit_experiment(drivers, base, [xi] * 4, xi, basis, [traj] * 4, traj, dW,
+                               q=1.0, n_labels=ns)
     gaps = [r["z_gap_q"] for r in rows]
     decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
     # solver noise floor: positional Z distance between independent-seed

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pathpde import bsde
+from pathpde import bsde, cli
 from pathpde.cli import main
 from pathpde.paths import Grid, Path
 from pathpde.bsde import (
@@ -319,7 +319,7 @@ def test_limit_experiment_degenerate_control_is_exact_zero():
     g, traj, dW = _brownian(5000, 20, seed=14, x0=1.0)
     drv = DriverSpec(lambda t, s, y, z: -0.1 * y, lipschitz=0.1)
     xi = traj.terminal()
-    rows = limit_experiment([drv], drv, [xi], xi, BASIS, [traj], traj, dW)
+    rows, _ = limit_experiment([drv], drv, [xi], xi, BASIS, [traj], traj, dW)
     assert rows[0]["z_gap_q"] == 0.0
     assert rows[0]["y_gap_sup2"] == 0.0
     assert rows[0]["k_gap_max"] == 0.0
@@ -331,8 +331,8 @@ def test_limit_experiment_vanishing_driver_perturbation():
     xi = traj.terminal()
     ns = [1, 4, 16, 64]
     drivers = [DriverSpec(lambda t, s, y, z, n=n: -0.1 * y + 1.0 / n, lipschitz=0.1) for n in ns]
-    rows = limit_experiment(drivers, base, [xi] * 4, xi, BASIS, [traj] * 4, traj, dW,
-                            q=1.0, n_labels=ns)
+    rows, _ = limit_experiment(drivers, base, [xi] * 4, xi, BASIS, [traj] * 4, traj, dW,
+                               q=1.0, n_labels=ns)
     z_gaps = [r["z_gap_q"] for r in rows]
     y_gaps = [r["y_gap_sup2"] for r in rows]
     assert all(b < a for a, b in zip(z_gaps, z_gaps[1:]))
@@ -352,7 +352,7 @@ def test_limit_experiment_mollified_terminal():
         terms.append(np.asarray(h_n(traj.terminal())))
         trajs.append(traj)
         drivers.append(base)
-    rows = limit_experiment(drivers, base, terms, xi, BASIS, trajs, traj, dW, n_labels=[2, 8, 32])
+    rows, _ = limit_experiment(drivers, base, terms, xi, BASIS, trajs, traj, dW, n_labels=[2, 8, 32])
     y_gaps = [r["y_gap_sup2"] for r in rows]
     assert y_gaps[0] > y_gaps[1] > y_gaps[2]
 
@@ -386,7 +386,33 @@ def test_limit_experiment_builds_features_once_per_trajectory_set(tmp_path, monk
     cfg = tmp_path / "limit.cfg"
     cfg.write_text("[experiment]\nname = bsde-limit\nseed = 18\n\n[parameters]\nn_paths = 2000\nn_steps = 10\n")
     main(["run", str(cfg), "--out", str(tmp_path / "out")])
-    assert len(builds) == 3 and len({id(traj) for traj in builds}) == 2  # the floor's first solve reuses the base set
+    assert len(builds) == 2 and len({id(traj) for traj in builds}) == 2  # the floor's first solve is the base
+
+
+def test_bsde_limit_solves_the_unperturbed_problem_once(tmp_path, monkeypatch):
+    # a default bsde-limit run: the base, its four rows and the floor's second solve
+    solves, solve_bsde = [], bsde.solve_bsde
+
+    def spy(*args, **kwargs):
+        solves.append(args[0])
+        return solve_bsde(*args, **kwargs)
+
+    monkeypatch.setattr(bsde, "solve_bsde", spy)
+    monkeypatch.setattr(cli, "solve_bsde", spy)
+    cfg = tmp_path / "limit.cfg"
+    cfg.write_text("[experiment]\nname = bsde-limit\nseed = 18\n\n[parameters]\nn_paths = 2000\nn_steps = 10\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(solves) == 6
+
+
+def test_limit_experiment_hands_back_its_base_solution():
+    g, traj, dW = _brownian(3000, 20, seed=17, x0=1.0)
+    base = DriverSpec(lambda t, s, y, z: -0.1 * y, lipschitz=0.1)
+    xi = traj.terminal()
+    drivers = [DriverSpec(lambda t, s, y, z, n=n: -0.1 * y + 1.0 / n, lipschitz=0.1) for n in (1, 4)]
+    _, sol = limit_experiment(drivers, base, [xi] * 2, xi, BASIS, [traj] * 2, traj, dW)
+    ref = solve_bsde(base, xi, BASIS, traj, dW)
+    assert np.array_equal(sol.Y, ref.Y) and np.array_equal(sol.Z, ref.Z) and sol.value == ref.value
 
 
 # ---------------------------------------------------------------------------
