@@ -30,16 +30,15 @@ doubles).  A pass of all paths adds its increments and the backward
 induction's state.  ``tests/test_solver.py`` holds small evaluations
 at one and two workers to this model, with one value buffer of margin.
 Each block writes only its own rows of the samples, so no value depends
-on the number of lanes;
-user terminals and coefficients are called from lane threads, at the
-same time, on disjoint blocks of paths.  While the lanes run, OpenBLAS
-is held to one thread; the setting is process-wide, so other threads'
-numpy products run single-threaded meanwhile.  A nonzero driver runs one
-block of all paths on the calling thread, whose noise and bridge
-maximum spread their chunks of paths over the workers.  Both passes
-live in ``sde``, the one module that knows the layout of the Philox
-streams;
-``bridge_corrected_max`` is imported from there.
+on the number of lanes; user terminals and coefficients are called from
+lane threads, at the same time, on disjoint blocks of paths.  While the
+lanes run, OpenBLAS is held to one thread; the setting is process-wide,
+so other threads' numpy products run single-threaded meanwhile.  A
+nonzero driver runs one block of all paths on the calling thread, whose
+noise and bridge maximum spread their blocks and chunks of paths over
+the workers.  Both passes live in ``sde``, the one module that knows the
+layout of the Philox streams; ``bridge_corrected_max`` is imported from
+there.
 
 One loop, ``_evaluate_point``, evaluates a list of problems that share
 one forward pass at one point: the exact values at the horizon, else the
