@@ -163,7 +163,7 @@ def test_a_signed_zero_start_steps_as_the_general_recursion():
             calls = euler_markov(SdeSpec(lambda t, x: 0.0 + 0 * x, lambda t, x: sigma + 0 * x), x0, g, dW).values
             assert np.array_equal(np.signbit(const), np.signbit(calls)) and np.array_equal(const, calls)
             assert np.all(np.signbit(const[:, 0])) and not np.any(np.signbit(const[:, 1:]) & (const[:, 1:] == 0))
-        assert np.all(const[:, 1:] == 0.0) if sigma == 0.0 else True
+            assert sigma != 0.0 or np.all(const == 0.0)
 
 
 @pytest.mark.parametrize("x0, sigma", [(1e12 - 1.6, 1.0), (0.0, 1e300), (0.5, np.inf)])
