@@ -531,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("config")
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--threads", type=int, default=_usable_cores(),
-                       help="threads that draw the noise (default: the usable cores)")
+                       help="lanes of the forward pass (default: the usable cores)")
     run_p.add_argument("--out", default="pathpde_out")
     list_p = sub.add_parser("list", help="list available experiments")
     list_p.add_argument("--json", action="store_true")

@@ -18,22 +18,21 @@ reads the uniforms of a child stream, path-major per cache-sized chunk
 of paths, and nothing outside this module knows either layout.
 ``_lanes`` is the one parallel axis: it deals units of paths to up to
 ``workers`` threads, and as each unit writes only its own paths, no bit
-depends on how many.  A streamed forward pass (``solver``) deals it whole
-blocks, and each lane draws, steps and evaluates its blocks on its own
-value buffer, with the noise and bridge maximum inside on that lane
-alone; a pass of all paths deals it the chunks of its noise and bridge
-maximum.  While more than one lane runs, OpenBLAS is held to one thread
-(``_BlasThreads``), process-wide.  The Euler schemes step on
-contiguous rows of a (n_steps + 1[, d], n_paths) buffer, and
-``TrajectoryBatch.values`` is its path-major view, so ``values.T`` (or
-``values.transpose(1, 2, 0)``) gives the step rows back without a copy.
+depends on how many.  A forward pass (``solver``) deals it whole blocks,
+whatever the driver, and each lane draws, steps and evaluates its blocks,
+noise and bridge maximum included, on that lane alone.  While more than
+one lane runs, OpenBLAS is held to one thread (``_BlasThreads``),
+process-wide.  The Euler schemes step on contiguous rows of a
+(n_steps + 1[, d], n_paths) buffer, and ``TrajectoryBatch.values`` is
+its path-major view, so ``values.T`` (or ``values.transpose(1, 2, 0)``)
+gives the step rows back without a copy.
 Every value is computed by the same arithmetic as on a path-major
 layout, so the layout moves no bit; where numpy's order of summation
 depends on the layout (a row reduction, an einsum contraction), the
 operands are C-ordered, as they were.
 
 Both schemes run one recursion, ``_euler``, on the step rows of all
-their paths, on the thread that calls them (a lane, in a streamed pass).
+their paths, on the thread that calls them (a lane, in a forward pass).
 They differ only in the coefficients they build: floats, or step
 functions (k, X) -> array that read a C-ordered copy of the state, a
 feature tracker or a rolling window.  Floats take one add per step and
@@ -81,7 +80,7 @@ _BINARY_MAGIC = b"PPDETRJ1"
 _CHUNK_WORDS = 2**16
 # Paths per block of normals, the unit of regeneration of the increments:
 # their values depend on it, never on the workers or on the caller's range.
-# A divisor of solver._FORWARD_BLOCK, so a streamed block draws whole blocks.
+# A divisor of solver._FORWARD_BLOCK, so a forward block draws whole blocks.
 _NOISE_BLOCK = 256
 
 
@@ -152,7 +151,7 @@ _BLAS = _BlasThreads()
 def _lanes(work: Callable[[int, int, np.ndarray], None], n: int, chunk: int, workers: int, width: int) -> None:
     """Run ``work(q0, q1, scratch)`` on the chunks [q0, q1) of ``chunk`` units among n.
 
-    A unit is a path, or a block of paths for the noise.
+    A unit is a path, or a block of paths for ``NoiseBundle.increments``.
 
     The chunks are dealt round-robin to up to ``workers`` lanes, each with
     one scratch buffer of ``width`` doubles; only more than one lane takes
@@ -285,7 +284,7 @@ class NoiseBundle:
 
 
 def bridge_corrected_max(
-    values: np.ndarray, dt: float, sigma: float, noise: NoiseBundle, offset: int = 0, workers: int = 1
+    values: np.ndarray, dt: float, sigma: float, noise: NoiseBundle, offset: int = 0
 ) -> np.ndarray:
     """Running maximum with per-step Brownian-bridge maxima.
 
@@ -296,10 +295,10 @@ def bridge_corrected_max(
     auxiliary uniforms, streamed in path blocks: row i of ``values`` reads
     path ``offset + i`` of that stream, so a block of a forward pass gets
     the uniforms it would get in one pass over all paths.  The work runs
-    on cache-sized chunks of paths on up to ``workers`` threads: the log
-    and the scale act in place on the chunk's uniforms in their path-major
-    Philox layout, which are then transposed once and combined with the
-    step rows ``values.T``, (b - a)^2 taking their place.  The maximum is
+    on cache-sized chunks of paths in one scratch: the log and the scale
+    act in place on the chunk's uniforms in their path-major Philox
+    layout, which are then transposed once and combined with the step
+    rows ``values.T``, (b - a)^2 taking their place.  The maximum is
     halved once, which rounds as halving every value: x -> x / 2 is monotone.
     """
     n_paths = values.shape[0]
@@ -311,8 +310,9 @@ def bridge_corrected_max(
     chunk = max(1, min(n_paths, _CHUNK_WORDS // n_steps))
     wpp, d = noise._words_per_path, noise.d
     scale = -2.0 * sigma**2 * dt
-
-    def work(q0: int, q1: int, scratch: np.ndarray) -> None:
+    scratch = np.empty(chunk * (wpp + n_steps))
+    for q0 in range(0, n_paths, chunk):
+        q1 = min(q0 + chunk, n_paths)
         q = q1 - q0
         words, m = scratch[: q * wpp], scratch[chunk * wpp : chunk * wpp + n_steps * q].reshape(n_steps, q)
         u = noise._words(offset + q0, offset + q1, words)[:, : n_steps * d : d]
@@ -328,8 +328,6 @@ def bridge_corrected_max(
         m += b
         m += a
         m.max(axis=0, out=out[q0:q1])
-
-    _lanes(work, n_paths, chunk, workers, chunk * (wpp + n_steps))
     out *= 0.5
     return out
 
@@ -480,10 +478,12 @@ def value_buffer_size(n_steps: int, d: int, n_paths: int) -> int:
 
 
 def _step_rows(out: np.ndarray | None, n_steps: int, d: int, n_paths: int) -> np.ndarray:
-    """The (n_steps + 1, d, n_paths) value buffer: the leading part of ``out``, or a new one."""
+    """The (n_steps + 1, d, n_paths) value buffer: ``out`` if so shaped, else its leading part, or a new one."""
     shape = (n_steps + 1, d, n_paths)
     if out is None:
         return np.empty(shape)
+    if out.dtype == np.float64 and out.shape == shape:
+        return out
     need = value_buffer_size(n_steps, d, n_paths)
     if out.dtype != np.float64 or not out.flags.c_contiguous or out.size < need:
         raise ValueError(f"value buffer of {out.size} {out.dtype} cannot hold {need} contiguous doubles")
@@ -576,8 +576,8 @@ def euler_markov(
     a vector x needs d = x.size.  Step k reads ``dW[:, k]`` as the rows
     ``dW.transpose(1, 2, 0)[k]``, contiguous when dW came from
     ``NoiseBundle.increments``.  The values go into the step-major
-    (n_steps + 1, d, n_paths) buffer held by the leading
-    ``value_buffer_size`` doubles of ``out`` (a new one when None).
+    (n_steps + 1, d, n_paths) buffer ``out`` holds (see ``_step_rows``;
+    a new one when None).
     Callable coefficients see a C-ordered copy of a step's rows as the
     state, (m,) for a scalar x and (m, d) for a vector one, so they round
     as on a path-major layout; constant ones stay floats.
@@ -632,8 +632,8 @@ def euler_path_dependent(
     per coefficient object.  Generic callables receive a
     WindowBatch view of a rolling buffer whose node spacing equals dt, so
     each step's window is a zero-copy slice.  The values go into the
-    step-major buffer held by the leading ``value_buffer_size`` doubles of
-    ``out`` (a new one when None).
+    step-major buffer ``out`` holds (see ``_step_rows``; a new one when
+    None).
     """
     _check_increments(dW, grid)
     if dW.shape[2] != 1:

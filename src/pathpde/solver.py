@@ -8,17 +8,19 @@ is linear and its value is the Feynman-Kac expectation of the terminal
 data, so the point value is the terminal sample mean, with the samples'
 standard error.  That is the induction's own value: each of its
 projections keeps the mean of its target and all paths start from one
-state, so Y_0 is the terminal mean up to rounding.  No features or
-solution arrays are built, and the forward part streams: noise, Euler and
-terminal run on blocks of ``_FORWARD_BLOCK`` paths, and only the terminal
-samples outlive a block.  The noise regenerates any range of paths bit
-for bit and the terminals act path by path, so the samples, and the mean
-and standard error taken once over all of them, do not depend on the
-block size, which is a multiple of the noise's 256-path block.
-The blocks are the parallel axis: ``sde._lanes`` deals them to up to
-``SolverConfig.workers`` threads, and each lane draws, steps and
-evaluates its blocks whole on its own value buffer.  The memory of a
-streamed pass is then, up to small per-block arrays,
+state, so Y_0 is the terminal mean up to rounding, and no features or
+solution arrays are built.
+
+The forward part is one pass for every driver: ``sde._lanes`` deals
+blocks of ``_FORWARD_BLOCK`` paths to up to ``SolverConfig.workers``
+threads, and each lane draws, steps and evaluates its blocks whole, noise
+and bridge maximum included.  The noise regenerates any range of paths
+bit for bit and the terminals act path by path, so the samples, and the
+mean and standard error taken once over all of them, depend neither on
+the block size, a multiple of the noise's 256-path block, nor on the
+lanes.  A zero driver streams: a lane steps its blocks on its own value
+buffer and only the terminal samples outlive a block, so the pass holds,
+up to small per-block arrays,
 
     workers x (_FORWARD_BLOCK x (n_steps + 1) x 8 B + one noise scratch)
     + 8 B per path and problem,
@@ -26,19 +28,22 @@ streamed pass is then, up to small per-block arrays,
 where the value buffer is d times larger for a d-dimensional state and
 the noise scratch is the larger of a 256-path block of normals (256 x
 n_steps x d x 8 B) and a chunk of the bridge maximum (about 2 x 2^16
-doubles).  A pass of all paths adds its increments and the backward
-induction's state.  ``tests/test_solver.py`` holds small evaluations
-at one and two workers to this model, with one value buffer of margin.
-Each block writes only its own rows of the samples, so no value depends
-on the number of lanes; user terminals and coefficients are called from
-lane threads, at the same time, on disjoint blocks of paths.  While the
-lanes run, OpenBLAS is held to one thread; the setting is process-wide,
-so other threads' numpy products run single-threaded meanwhile.  A
-nonzero driver runs one block of all paths on the calling thread, whose
-noise and bridge maximum spread their blocks and chunks of paths over
-the workers.  Both passes live in ``sde``, the one module that knows the
-layout of the Philox streams; ``bridge_corrected_max`` is imported from
-there.
+doubles).  A nonzero driver keeps all paths for the backward induction:
+each block writes its values and increments into its own columns of
+step-major arrays of all paths.  With s steps, a d-dimensional state and
+B features, a state problem then peaks inside the induction at
+
+    ((s + 1) d + s d + (s + 1)(d + 1) + (B + d + 1) + 1) x n_paths x 8 B
+
+(values, increments, the (Y, Z) state, the regression buffer, samples)
+plus one noise scratch per lane; a path problem adds its float32
+features.  ``tests/test_solver.py`` holds small evaluations at one and
+two workers to both models under ``tracemalloc``.  User terminals and
+coefficients are called from lane threads, at the same time, on disjoint
+blocks of paths.  While the lanes run, OpenBLAS is held to one thread,
+process-wide, so other threads' numpy products run single-threaded
+meanwhile.  ``sde`` is the one module that knows the layout of the
+Philox streams; ``bridge_corrected_max`` is imported from there.
 
 One loop, ``_evaluate_point``, evaluates a list of problems that share
 one forward pass at one point: the exact values at the horizon, else the
@@ -77,7 +82,7 @@ import struct
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -150,10 +155,10 @@ class ProblemSpec:
     object with a batch form ``evaluate_batch(WindowBatch) -> (m,)``, or a
     plain Path -> float callable.
 
-    With a zero driver the forward blocks run on ``SolverConfig.workers``
-    lane threads, so the terminal and callable coefficients may be called
-    from several threads at once, each call on its own disjoint block of
-    paths; they must not write state that another call reads.
+    The forward blocks run on ``SolverConfig.workers`` lane threads,
+    whatever the driver, so the terminal and callable coefficients may be
+    called from several threads at once, each call on its own disjoint
+    block of paths; they must not write state that another call reads.
     """
 
     mode: str
@@ -247,40 +252,31 @@ def _pathwise_se(
     return float(comp.std(ddof=1) / np.sqrt(comp.size))
 
 
-# Paths per forward block of a zero-driver evaluation, the unit the lanes
-# take.  Only the terminal samples outlive a block, so the forward part
-# holds about this many paths times the step count per lane, plus one float
-# per path and rung.  A multiple of sde._NOISE_BLOCK, so that a block
-# draws whole blocks of normals.
+# Paths per forward block, the unit the lanes take.  A streamed pass keeps
+# only a block's terminal samples: about this many paths times the steps
+# per lane, plus one float per path and rung.  A multiple of
+# sde._NOISE_BLOCK, so that a block draws whole blocks of normals.
 _FORWARD_BLOCK = 2048
 
 
 @dataclass
 class _Forward:
-    """One simulated block of paths at a point, shared by every rung of a probe.
+    """One simulated block of paths at a point, as the terminals read it; shared by every rung of a probe.
 
     ``offset`` is the index of the block's first path among all paths.
     Holds the noise bundle of all paths (the bridge maximum draws its child
-    stream at the block's offset), the block's trajectories, its increments
-    when a backward induction will read them (None otherwise), the
-    regression basis, and, built on first use, the regression features of
-    the trajectories and for a path problem the look-back windows at the
-    horizon (``windows``, cut, and ``smoother_windows``, a view of the step
-    rows where the windows lie on the grid).  The arrays are read-only:
-    rungs that share the block must all see the same samples.  A block of
-    a streamed pass is valid only until its lane advances, which writes
-    the lane's next block into the same value buffer.
+    stream at the block's offset), the block's trajectories and, built on
+    first use, for a path problem the look-back windows at the horizon
+    (``windows``, cut, and ``smoother_windows``, a view of the step rows
+    where the windows lie on the grid).  The arrays are read-only: rungs
+    that share the block must all see the same samples.  A block of a
+    streamed pass is valid only until its lane advances, which writes the
+    lane's next block into the same value buffer.
     """
 
     noise: NoiseBundle
-    dW: np.ndarray | None
     traj: TrajectoryBatch
-    basis: RegressionBasisSpec | None = None
     offset: int = 0
-
-    @cached_property
-    def features(self):
-        return make_features(self.basis, self.traj)
 
     @property
     def _window_nodes(self) -> np.ndarray:
@@ -329,27 +325,31 @@ def _finite(xi: np.ndarray) -> np.ndarray:
     return xi
 
 
+class _AllPaths(NamedTuple):
+    """The trajectories and increments of all paths of a forward pass, read-only."""
+
+    traj: TrajectoryBatch
+    dW: np.ndarray
+
+
 def _terminal_samples(
-    problems: Sequence[ProblemSpec], t: float, start, config: SolverConfig, keep_increments: bool = False
-) -> tuple[list[np.ndarray], _Forward | None]:
+    problems: Sequence[ProblemSpec], t: float, start, config: SolverConfig, keep_paths: bool = False
+) -> tuple[list[np.ndarray], _AllPaths | None]:
     """The forward part of a point evaluation and the terminal samples of problems that share it.
 
     The problems share their mode, coefficients, horizon and whether their
     driver is zero; the first result holds one (n_paths,) array of checked
     samples per problem.  One function, ``block``, simulates the paths
     [p0, p1): it draws their increments, runs Euler, and writes every
-    problem's samples into rows p0..p1 of the results.
+    problem's samples into rows p0..p1 of the results, on the lanes.
 
-    A zero driver streams: the blocks of ``_FORWARD_BLOCK`` paths go to
-    ``sde._lanes``, up to ``config.workers`` threads, and each lane's
-    scratch is its own value buffer, so it holds one block at a time.  The
-    increments are drawn into the buffer's rows 1..n_steps, which Euler
-    overwrites with the values, and a lane's noise and bridge maximum run
-    on that lane alone.  A nonzero driver, or ``keep_increments``, runs one
-    block of all paths on the calling thread, its noise and bridge maximum
-    on ``config.workers`` threads, and keeps its increments, because the
-    backward induction reads the whole arrays; that block is the second
-    result, which is None for a streamed pass, so that no block outlives it.
+    A zero driver streams: a lane's scratch is its value buffer, whose rows
+    1..n_steps take the increments that Euler then overwrites; the second
+    result is None, so that no block outlives the pass.  A nonzero driver,
+    or ``keep_paths``, keeps all paths for the backward induction: each
+    block writes its values and increments into its own columns
+    [:, :, p0:p1] of step-major arrays of all paths, which the second
+    result holds, read-only.
 
     The basis-size guard runs before any noise is drawn, whatever the
     driver.  A diverging path is reported by its index among all paths, the
@@ -366,45 +366,41 @@ def _terminal_samples(
         warnings.warn("a smoothed running maximum is the discrete maximum of its smoothed argument; "
                       "bridge_max has no effect on it", stacklevel=2)
     problem = problems[0]
-    basis = config.resolved_basis(problem.mode)
-    _check_basis_size(basis.n_features(problem.d), config.n_paths)
+    _check_basis_size(config.resolved_basis(problem.mode).n_features(problem.d), config.n_paths)
     n_paths, n_steps, d = config.n_paths, config.n_steps, problem.d
     grid = Grid(t, problem.horizon, n_steps)
     noise = NoiseBundle(config.seed, n_paths, n_steps, d)
     spec = SdeSpec(problem.b, problem.sigma)
     euler = euler_markov if problem.mode == "markov" else euler_path_dependent
-    whole = keep_increments or problem.driver.f is not None
+    keep = keep_paths or problem.driver.f is not None
     xi = [np.empty(n_paths) for _ in problems]
+    if keep:
+        values, dW = np.empty((n_steps + 1, d, n_paths)), np.empty((n_steps, d, n_paths))
 
-    def block(p0: int, p1: int, buf: np.ndarray | None, cfg: SolverConfig) -> _Forward:
-        rows = None if whole else _step_rows(buf, n_steps, d, p1 - p0)[1:]
-        dW = noise.increments(grid.dt, p0, p1, out=rows, workers=cfg.workers)
+    def block(p0: int, p1: int, buf: np.ndarray) -> None:
+        rows = _step_rows(values[:, :, p0:p1] if keep else buf, n_steps, d, p1 - p0)
+        increments = noise.increments(grid.dt, p0, p1, out=dW[:, :, p0:p1] if keep else rows[1:])
         try:
-            traj = euler(spec, start, grid, dW, out=buf)
+            traj = euler(spec, start, grid, increments, out=rows)
         except DivergenceError as err:
             raise DivergenceError(p0 + err.path, err.step) from None
         traj.values.flags.writeable = False
-        dW.flags.writeable = False
-        fwd = _Forward(noise, dW if whole else None, traj, basis, p0)
+        fwd = _Forward(noise, traj, p0)
         for r, prob in enumerate(problems):
-            samples = _checked(prob.terminal(traj.terminal()) if prob.mode == "markov"
-                               else _terminal_samples_path(prob, fwd, cfg), p1 - p0)
-            if whole:
-                xi[r] = samples  # one block of all paths: no copy, and the untouched row is freed
-            else:
-                xi[r][p0:p1] = samples  # a copy, so no block outlives its lane
-        return fwd
+            xi[r][p0:p1] = _checked(prob.terminal(traj.terminal()) if prob.mode == "markov"
+                                    else _terminal_samples_path(prob, fwd, config), p1 - p0)
 
-    if whole:
-        fwd = block(0, n_paths, None, config)
-    else:
-        on_lane = replace(config, workers=1)
-        _lanes(lambda p0, p1, buf: block(p0, p1, buf, on_lane), n_paths, _FORWARD_BLOCK, config.workers,
-               value_buffer_size(n_steps, d, min(n_paths, _FORWARD_BLOCK)))
-        fwd = None
+    _lanes(block, n_paths, _FORWARD_BLOCK, config.workers,
+           0 if keep else value_buffer_size(n_steps, d, min(n_paths, _FORWARD_BLOCK)))
     for row in xi:
         _finite(row)
-    return xi, fwd
+    if not keep:
+        return xi, None
+    values.flags.writeable = dW.flags.writeable = False
+    vector = problem.mode == "markov" and np.ndim(start)  # euler_markov's layout for a vector start
+    traj = TrajectoryBatch(grid, values.transpose(2, 0, 1) if vector else values[:, 0].T,
+                           start if problem.mode == "path" else None)
+    return xi, _AllPaths(traj, dW.transpose(2, 0, 1))
 
 
 def _terminal_time_value(problem: ProblemSpec, t: float, start) -> float | None:
@@ -434,20 +430,21 @@ def _evaluate_point(
     At the horizon, the exact values (the problems share their horizon).
     Otherwise the forward part runs once; then a zero driver gives the
     terminal sample mean, the induction's Y_0 up to rounding (see the
-    module docstring), and a nonzero driver runs the induction on ``fwd``,
-    one block of all paths.  The path set dies with this call.
+    module docstring), and a nonzero driver runs the induction on all the
+    paths, whose features are built once.  The path set dies with this call.
     """
     exact = [_terminal_time_value(problem, t, start) for problem in problems]
     if exact[0] is not None:
         return [(value, 0.0) for value in exact]
-    xi, fwd = _terminal_samples(problems, t, start, config)
+    xi, paths = _terminal_samples(problems, t, start, config)
+    features = None if paths is None else make_features(config.resolved_basis(problems[0].mode), paths.traj)
     results = []
     for problem, row in zip(problems, xi):
         if problem.driver.f is None:
             results.append((_zero_driver_value(row), float(row.std(ddof=1) / np.sqrt(row.size))))
         else:
-            sol = solve_bsde(problem.driver, row, fwd.features, fwd.traj, fwd.dW)
-            results.append((sol.value, _pathwise_se(sol, problem.driver, fwd.features, row)))
+            sol = solve_bsde(problem.driver, row, features, paths.traj, paths.dW)
+            results.append((sol.value, _pathwise_se(sol, problem.driver, features, row)))
     return results
 
 
@@ -494,9 +491,8 @@ def _terminal_samples_path(problem: ProblemSpec, fwd: _Forward, config: SolverCo
     if isinstance(term, SupTerminal):
         past = _past_sup(traj.prefix, traj.grid.t_start)
         if config.bridge_max and _constant(problem.sigma):
-            body = bridge_corrected_max(
-                traj.values, traj.grid.dt, float(problem.sigma), fwd.noise.child(1), fwd.offset, config.workers
-            )
+            body = bridge_corrected_max(traj.values, traj.grid.dt, float(problem.sigma), fwd.noise.child(1),
+                                        fwd.offset)
         else:  # _terminal_samples warned once if the bridge maximum was asked for
             body = traj.values.max(axis=1)
         return np.maximum(past, body)
@@ -684,10 +680,10 @@ def strong_viscosity_pipeline(
     Every rung shares the probe's seed (common random numbers), so the
     Cauchy gaps between consecutive rungs isolate the smoothing effect.
     Consecutive rungs whose drift and diffusion are the same objects share
-    one forward pass per probe: for a zero driver it runs in path blocks,
-    and each block's look-back windows feed every rung's terminal before
-    the block is dropped; for a nonzero driver it is one block of all
-    paths, whose regression features the rungs share.  The values are
+    one forward pass per probe: it runs in path blocks, and each block's
+    look-back windows feed every rung's terminal before the block is
+    dropped; with a nonzero driver the rungs also share the regression
+    features of the pass's paths.  The values are
     those of one ``evaluate_*`` call per rung and probe, bit for bit.  A
     probe is flagged non-convergent when its last gap both grew and
     exceeds three joint standard errors.
@@ -783,9 +779,9 @@ def comparison_experiment(
         raise ValueError("the comparison experiment runs on the Markovian benchmark family")
     if _terminal_time_value(problem, t, x) is not None:
         raise ValueError(f"the comparison needs t < T: evaluation time {t} is the horizon {problem.horizon}")
-    (xi,), fwd = _terminal_samples([problem], t, x, config, keep_increments=True)
-    traj, dW, grid = fwd.traj, fwd.dW, fwd.traj.grid
-    features = fwd.features
+    (xi,), (traj, dW) = _terminal_samples([problem], t, x, config, keep_paths=True)
+    grid = traj.grid
+    features = make_features(config.resolved_basis(problem.mode), traj)
     sol = solve_bsde(problem.driver, xi, features, traj, dW)
 
     tilt = slack * (problem.horizon - grid.times)[None, :]

@@ -513,7 +513,7 @@ def test_fused_matches_reference_path_sup_terminal():
     dW = nb.increments(g.dt)
     traj = euler_path_dependent(SdeSpec(0.0, 1.0), eta, g, dW)
     problem = ProblemSpec("path", 0.0, 1.0, DriverSpec(None), SupTerminal(), horizon=1.0)
-    xi = _terminal_samples_path(problem, _Forward(nb, dW, traj), SolverConfig(20_000, 40, seed=20))
+    xi = _terminal_samples_path(problem, _Forward(nb, traj), SolverConfig(20_000, 40, seed=20))
     _assert_matches_reference(DriverSpec(None), xi, RegressionBasisSpec("path", 2), traj, dW)
 
 

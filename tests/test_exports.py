@@ -117,8 +117,8 @@ PRIVATE_CROSSINGS = {
     ("cli", "sde", "_usable_cores"): "the --threads default is the noise layer's core count",
     ("solver", "bsde", "_check_basis_size"): "the basis-size guard runs before any noise is drawn",
     ("solver", "bsde", "_zero_driver_value"): "one traced regression per zero-driver evaluation (ROADMAP item 4)",
-    ("solver", "sde", "_lanes"): "a streamed pass deals its forward blocks to the noise layer's lanes",
-    ("solver", "sde", "_step_rows"): "a streamed block's increments are drawn into its value buffer's step rows",
+    ("solver", "sde", "_lanes"): "a forward pass deals its blocks to the noise layer's lanes, whatever the driver",
+    ("solver", "sde", "_step_rows"): "a forward block steps on its lane's value buffer or its columns of all paths",
     ("solver", "sde", "_usable_cores"): "SolverConfig.workers defaults to the noise layer's core count",
     ("solver", "smoothing", "_convolve"): "mollified state coefficients use the one convolution evaluator",
     ("solver", "smoothing", "_mollifier_rule"): "mollified coefficients and drivers use the one quadrature rule",

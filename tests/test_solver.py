@@ -565,7 +565,6 @@ def test_shared_forward_arrays_are_read_only(monkeypatch):
     history = Path.constant(0.0, 1.0, 21)
 
     def read_only(fwd):  # a block is read before its lane advances
-        assert fwd.dW is None  # a zero driver runs no induction
         assert not fwd.traj.values.flags.writeable
         assert not fwd.windows.values.flags.writeable
         assert fwd.windows is fwd.windows  # cut once
@@ -578,9 +577,20 @@ def test_shared_forward_arrays_are_read_only(monkeypatch):
         assert sorted((fwd.offset, fwd.traj.n_paths) for fwd in blocks) == [(0, block), (block, 100)]
         # one lane writes its next block into its one value buffer; two lanes have a buffer each
         assert np.shares_memory(blocks[0].traj.values, blocks[1].traj.values) == (workers == 1)
-    _, fwd = solver._terminal_samples([_linear_problem()], 0.0, 0.0, cfg)
-    assert fwd.offset == 0 and fwd.traj.n_paths == cfg.n_paths
-    assert fwd.dW.shape == (cfg.n_paths, 20, 1) and not fwd.dW.flags.writeable
+        # a nonzero driver keeps all paths: the blocks are columns of the arrays it hands back
+        blocks = _blocks_read(monkeypatch, read_only)
+        path_linear = replace(_lookback_problem(), driver=_linear_problem().driver)
+        (xi,), paths = solver._terminal_samples([path_linear], 0.0, history, cfg)
+        assert sorted((fwd.offset, fwd.traj.n_paths) for fwd in blocks) == [(0, block), (block, 100)]
+        for fwd in blocks:
+            assert np.shares_memory(fwd.traj.values, paths.traj.values)
+            assert np.array_equal(fwd.traj.values, paths.traj.values[fwd.offset:fwd.offset + fwd.traj.n_paths])
+        assert paths.traj.n_paths == cfg.n_paths and paths.traj.prefix is history
+        assert not paths.traj.values.flags.writeable and not paths.dW.flags.writeable
+        assert paths.dW.shape == (cfg.n_paths, 20, 1)
+        _, paths = solver._terminal_samples([_linear_problem()], 0.0, 0.0, cfg)
+        assert paths.traj.values.shape == (cfg.n_paths, 21) and paths.traj.prefix is None
+        assert not paths.traj.values.flags.writeable and not paths.dW.flags.writeable
 
 
 def test_smoother_reads_aligned_windows_as_views_of_the_step_rows(monkeypatch):
@@ -636,7 +646,7 @@ N_BLOCKED = 2 * solver._FORWARD_BLOCK + 101  # three blocks, the last one partia
 
 
 @pytest.mark.parametrize("name", ["path-sup", "path-cylindrical", "markov-constant", "markov-linear-driver"])
-def test_euler_gets_at_most_a_block_of_paths_unless_the_driver_is_nonzero(monkeypatch, name):
+def test_euler_gets_at_most_a_block_of_paths_whatever_the_driver(monkeypatch, name):
     problem, options, probes = _reuse_cases()[name]
     sizes = _euler_sizes(monkeypatch)
     cfg = SolverConfig(N_BLOCKED, 5, seed=38)
@@ -645,10 +655,7 @@ def test_euler_gets_at_most_a_block_of_paths_unless_the_driver_is_nonzero(monkey
     strong_viscosity_pipeline(problem, ApproximationSchedule((2, 4), cfg, **options), [(t, probe)])
     paths = [n for n, _ in sizes]
     assert sum(paths) == 2 * N_BLOCKED  # the evaluation and the pipeline's one shared pass
-    if problem.driver.f is None:
-        assert len(paths) == 6 and max(paths) <= solver._FORWARD_BLOCK
-    else:
-        assert paths == [N_BLOCKED, N_BLOCKED]
+    assert len(paths) == 6 and max(paths) <= solver._FORWARD_BLOCK
 
 
 def test_bridge_fallback_warns_once_per_evaluation():
@@ -704,7 +711,8 @@ def test_divergence_names_the_lowest_diverging_path_whatever_the_lanes(monkeypat
     monkeypatch.setattr(solver, "NoiseBundle", InfOnTwoPaths)
     monkeypatch.setattr(solver, "_FORWARD_BLOCK", 64)
     for workers in (1, 2, 4):
-        for problem, start in ((_heat_problem(), 0.0), (_lookback_problem(), Path.constant(0.0, 1.0, 11))):
+        for problem, start in ((_heat_problem(), 0.0), (_lookback_problem(), Path.constant(0.0, 1.0, 11)),
+                               (_linear_problem(), 0.0)):
             cfg = SolverConfig(1000, 10, seed=40, workers=workers)
             with pytest.raises(DivergenceError, match="path 197, step 7$"):
                 solver._evaluate_point([problem], 0.0, start, cfg)
@@ -743,6 +751,27 @@ def test_a_streamed_pass_peaks_within_the_memory_model(workers):
         assert peak <= workers * (lane + noise) + 8 * n_paths + lane
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_pass_of_all_paths_peaks_within_the_memory_model(workers):
+    # solver's model for s steps, d = 1 and B = 3 features: values, increments, (Y, Z), regression buffer
+    # and samples, ((s + 1) + s + 2 (s + 1) + (B + 2) + 1) x 8 B per path, with 4 x 8 B per path and one
+    # noise scratch per lane of margin
+    import tracemalloc
+
+    for n_paths, n_steps in ((20_000, 20), (9_000, 60)):
+        cfg = SolverConfig(n_paths, n_steps, seed=3, workers=workers)
+        evaluate_markov(_linear_problem(), 0.0, 0.5, cfg)  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            evaluate_markov(_linear_problem(), 0.0, 0.5, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        s, d, B = n_steps, 1, 3
+        model = ((s + 1) * d + s * d + (s + 1) * (d + 1) + (B + d + 1) + 1) * n_paths * 8
+        assert peak <= model + 4 * 8 * n_paths + workers * 256 * n_steps * d * 8
+
+
 class _MeanAbsWindow:
     """A terminal with a batch form: the mean absolute window value."""
 
@@ -758,6 +787,7 @@ def _streaming_cases():
     def path_problem(terminal):
         return ProblemSpec("path", 0.1, 1.0, DriverSpec(None), terminal, horizon=1.0)
 
+    linear = _linear_problem().driver
     return {
         "markov": (_heat_problem(terminal=lambda x: np.abs(x)), 0.3, True),
         "sup-bridge": (path_problem(SupTerminal()), history, True),
@@ -765,26 +795,34 @@ def _streaming_cases():
         "cylindrical": (path_problem(cyl), history, True),
         "evaluate-batch": (path_problem(_MeanAbsWindow()), history, True),
         "path-callable": (path_problem(lambda eta: float(np.abs(eta.values[-1]) + eta.values[0])), history, True),
+        # nonzero drivers keep all paths for the backward induction
+        "markov-linear": (_linear_problem(), 0.3, True),
+        "markov-linear-2d": (ProblemSpec("markov", lambda t, x: -0.2 * x, 1.0, linear,
+                                         lambda x: np.sum(x**2, axis=1), horizon=1.0, d=2),
+                             np.array([0.5, -0.5]), True),
+        "path-linear-cylindrical": (replace(path_problem(cyl), driver=linear), history, True),
     }
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["markov", "sup-bridge", "sup-discrete", "cylindrical", "evaluate-batch", "path-callable"]),
+@given(st.sampled_from(["markov", "sup-bridge", "sup-discrete", "cylindrical", "evaluate-batch", "path-callable",
+                        "markov-linear", "markov-linear-2d", "path-linear-cylindrical"]),
        st.integers(3, 97), st.integers(120, 400),
        st.integers(1, 12), st.sampled_from([0.0, 0.25]), st.integers(0, 2**32 - 1))
 def test_property_streaming_changes_no_sample_value_or_error(name, block, n_paths, n_steps, t, seed):
     assume(n_paths % block)
     problem, start, bridge = _streaming_cases()[name]
-    cfg = SolverConfig(n_paths, n_steps, seed=seed, bridge_max=bridge)
     results = []
     for size in (block, 10 * n_paths):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_FORWARD_BLOCK", size)
-            (xi,), _ = solver._terminal_samples([problem], t, start, cfg)
-            results.append((xi, solver._evaluate_point([problem], t, start, cfg)[0]))
-    (streamed, streamed_value), (whole, whole_value) = results
-    assert np.array_equal(streamed, whole)
-    assert streamed_value == whole_value
+        for workers in (1, 2):
+            cfg = SolverConfig(n_paths, n_steps, seed=seed, workers=workers, bridge_max=bridge)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver, "_FORWARD_BLOCK", size)
+                (xi,), _ = solver._terminal_samples([problem], t, start, cfg)
+                results.append((xi, solver._evaluate_point([problem], t, start, cfg)[0]))
+    for xi, value_and_error in results[1:]:
+        assert np.array_equal(xi, results[0][0])
+        assert value_and_error == results[0][1]
 
 
 @settings(max_examples=20, deadline=None)
@@ -846,7 +884,7 @@ def test_property_path_features_equal_pipeline_batch_features(T, n_steps, n_pref
     prefix = Path(T, np.cumsum(rng.normal(size=n_prefix)))
     values = prefix.values[-1] + np.cumsum(rng.normal(size=(n_paths, n_steps + 1)), axis=1)
     values[:, 0] = prefix.values[-1]
-    fwd = solver._Forward(None, None, TrajectoryBatch(Grid(0.0, T, n_steps), values, prefix))
+    fwd = solver._Forward(None, TrajectoryBatch(Grid(0.0, T, n_steps), values, prefix))
     batches = []
     cyl = CylindricalFunctional(base=lambda t, F: batches.append(F) or F[:, 0],
                                 integrands=(_sin_integrand(), _unit_integrand()))
@@ -984,8 +1022,6 @@ def test_bridge_max_on_step_rows_equals_the_path_major_reference():
                                        noise.increments(g.dt, 1234, 2134))
     got = solver.bridge_corrected_max(traj.values, g.dt, 0.7, noise.child(1), offset=1234)
     assert np.array_equal(got, _bridge_max_path_major(traj.values, g.dt, 0.7, noise.child(1), 1234))
-    for w in (2, 3):  # 2 lanes take 2 chunks and 1
-        assert np.array_equal(solver.bridge_corrected_max(traj.values, g.dt, 0.7, noise.child(1), 1234, w), got)
     assert not np.array_equal(got, solver.bridge_corrected_max(traj.values, g.dt, 0.7, noise.child(1)))
 
 
