@@ -261,9 +261,9 @@ def run_sde_convergence(params, seed, workers, outdir):
     for n in indices:
         b_n = mollify(kinked, 1, n)
         spec_n = SdeSpec(lambda t, x, f=b_n: f(x), 1.0)
-        est, se = coupled_sup_error(spec_n, base, 0.0, g, noise, p=2.0, workers=workers)
+        est, se = coupled_sup_error(spec_n, base, 0.0, g, noise, p=2.0)
         rows.append([n, est, se])
-    zero_est, _ = coupled_sup_error(base, base, 0.0, g, noise, p=2.0, workers=workers)
+    zero_est, _ = coupled_sup_error(base, base, 0.0, g, noise, p=2.0)
     _write_csv(outdir / "sde_convergence.csv", ["n", "coupled_sup_error_p2", "std_error"], rows)
     errs = [r[1] for r in rows]
     checks = [
@@ -281,7 +281,7 @@ def run_bsde_limit(params, seed, workers, outdir):
     g = Grid(0.0, 1.0, n_steps)
     basis = RegressionBasisSpec("markov", 2)
     base_drv = DriverSpec(lambda t, s, y, z, r=rate: -r * y, lipschitz=rate)
-    dW = NoiseBundle(seed, n_paths, n_steps).increments(g.dt, workers=workers)
+    dW = NoiseBundle(seed, n_paths, n_steps).increments(g.dt)
     traj = euler_markov(SdeSpec(0.0, 1.0), 1.0, g, dW)
     xi = traj.terminal()
     drivers = [DriverSpec(lambda t, s, y, z, r=rate, n=n: -r * y + 1.0 / n, lipschitz=rate) for n in indices]
@@ -295,7 +295,7 @@ def run_bsde_limit(params, seed, workers, outdir):
     # solver noise floor: positional Z distance between two independent-seed
     # solves of the unperturbed problem (Z is deterministic for this benchmark);
     # the first is the table's base solution
-    dW2 = NoiseBundle(seed + 1, n_paths, n_steps).increments(g.dt, workers=workers)
+    dW2 = NoiseBundle(seed + 1, n_paths, n_steps).increments(g.dt)
     traj2 = euler_markov(SdeSpec(0.0, 1.0), 1.0, g, dW2)
     sol2 = solve_bsde(base_drv, traj2.terminal(), basis, traj2, dW2)
     floor = float((np.sum(np.abs(sol1.Z - sol2.Z), axis=(1, 2)) * g.dt).mean())
@@ -333,17 +333,13 @@ def run_ito_residual(params, seed, workers, outdir):
         base_hess=lambda t, F: np.broadcast_to(np.array([[0.0, 0.5], [0.5, 0.0]]), (F.shape[0], 2, 2)),
     )
     cases = [("identity", identity), ("quadratic", quadratic), ("cylindrical", CylindricalIto(cyl))]
-    rows, results = [], {}
-    for name, spec in cases:
-        residuals = []
-        for steps in steps_list:
-            g = Grid(0.0, 1.0, steps)
-            dW = NoiseBundle(seed, n_paths, steps).increments(g.dt, workers=workers)
-            traj = euler_markov(SdeSpec(0.0, 1.0), 0.0, g, dW)
-            mean_res, _ = ito_residual(spec, traj.values, g, sigma=1.0)
-            residuals.append(mean_res)
-            rows.append([name, 1.0 / steps, mean_res])
-        results[name] = residuals
+    results = {name: [] for name, _ in cases}
+    for steps in steps_list:  # one noise draw and trajectory per step count, shared by the functionals
+        g = Grid(0.0, 1.0, steps)
+        traj = euler_markov(SdeSpec(0.0, 1.0), 0.0, g, NoiseBundle(seed, n_paths, steps).increments(g.dt))
+        for name, spec in cases:
+            results[name].append(ito_residual(spec, traj.values, g, sigma=1.0)[0])
+    rows = [[name, 1.0 / steps, res] for name, _ in cases for steps, res in zip(steps_list, results[name])]
     _write_csv(outdir / "ito_residual.csv", ["functional", "dt", "mean_residual"], rows)
     dts = np.array([1.0 / s for s in steps_list])
     checks = [Check("identity_residual_exact_zero", max(results["identity"]), 0.0)]

@@ -1,28 +1,26 @@
 """Forward simulation: Euler schemes for state and path-dependent dynamics.
 
 Noise comes from a counter-based generator (Philox) keyed by a 64-bit seed
-plus a stream tag.  Gaussian increments are drawn per block of
-``_NOISE_BLOCK`` (256) paths: block j takes numpy's ziggurat normals from
-its own counter region, which starts at j << 40, so the increment at
-(path, step, component) is a pure function of the key, the block and the
-place in it.  Any block regenerates bit for bit and any range of paths is
-a slice of the one-call array: values depend on the block size, never on
-how work is partitioned across threads.  Uniforms take exactly one 64-bit
-word each, so a path's uniforms are a fixed run of words.
+plus a stream tag.  The one unit in which noise is drawn is the block of
+``_NOISE_BLOCK`` (256) paths: block j takes numpy's ziggurat normals, or
+its uniforms, from its own counter region, which starts at j << 40, so a
+value at (path, step, component) is a pure function of the key, the
+block and the place in it.  Any block regenerates bit for bit and any
+range of paths is a slice of the one-call array: values depend on the
+block size, never on the caller's range.
 
-The forward pass is step-major.  A block's normals are path-major, so
+The forward pass is step-major.  A block's draws are path-major, so
 ``NoiseBundle.increments`` draws them into a scratch of one block and
 writes them once, scaled and transposed, into a (n_steps, d, n_paths)
 buffer, of which it returns the path-major view; ``bridge_corrected_max``
-reads the uniforms of a child stream, path-major per cache-sized chunk
-of paths, and nothing outside this module knows either layout.
-``_lanes`` is the one parallel axis: it deals units of paths to up to
-``workers`` threads, and as each unit writes only its own paths, no bit
-depends on how many.  A forward pass (``solver``) deals it whole blocks,
-whatever the driver, and each lane draws, steps and evaluates its blocks,
-noise and bridge maximum included, on that lane alone.  While more than
-one lane runs, OpenBLAS is held to one thread (``_BlasThreads``),
-process-wide.  The Euler schemes step on contiguous rows of a
+transposes a block of a child stream's uniforms the same way, and nothing
+outside this module knows the layout.  The noise runs on the thread that
+calls it.  ``_lanes`` is the one parallel axis, and a forward pass
+(``solver``) its one caller: it deals the pass's blocks of paths to up to
+``workers`` threads, and each lane draws, steps and evaluates its blocks,
+noise and bridge maximum included, on that lane alone, so no bit depends
+on how many.  While more than one lane runs, OpenBLAS is held to one
+thread (``_BlasThreads``), process-wide.  The Euler schemes step on contiguous rows of a
 (n_steps + 1[, d], n_paths) buffer, and ``TrajectoryBatch.values`` is
 its path-major view, so ``values.T`` (or ``values.transpose(1, 2, 0)``)
 gives the step rows back without a copy.
@@ -49,7 +47,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -75,10 +73,10 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _BINARY_MAGIC = b"PPDETRJ1"
-# Philox words in one cache-sized chunk of paths (512 KB), the unit in which
-# bridge maxima and cut windows are formed and transposed
+# Doubles in one cache-sized tile of a window cut (512 KB), which is formed
+# one row per window node and transposed
 _CHUNK_WORDS = 2**16
-# Paths per block of normals, the unit of regeneration of the increments:
+# Paths per noise block, the one unit in which normals and uniforms are drawn:
 # their values depend on it, never on the workers or on the caller's range.
 # A divisor of solver._FORWARD_BLOCK, so a forward block draws whole blocks.
 _NOISE_BLOCK = 256
@@ -149,13 +147,12 @@ _BLAS = _BlasThreads()
 
 
 def _lanes(work: Callable[[int, int, np.ndarray], None], n: int, chunk: int, workers: int, width: int) -> None:
-    """Run ``work(q0, q1, scratch)`` on the chunks [q0, q1) of ``chunk`` units among n.
+    """Run ``work(q0, q1, scratch)`` on the chunks [q0, q1) of ``chunk`` paths among n.
 
-    A unit is a path, or a block of paths for ``NoiseBundle.increments``.
-
-    The chunks are dealt round-robin to up to ``workers`` lanes, each with
-    one scratch buffer of ``width`` doubles; only more than one lane takes
-    a thread pool, and while it runs OpenBLAS is held to one thread
+    The forward pass (``solver._terminal_samples``) is the one caller.  The
+    chunks are dealt round-robin to up to ``workers`` lanes, each with one
+    scratch buffer of ``width`` doubles; only more than one lane takes a
+    thread pool, and while it runs OpenBLAS is held to one thread
     (``_BLAS``), so that its own threads do not contend with the lanes.  A
     lane runs its chunks in order and stops at one that raises, or before
     any chunk past one that raised on another lane; the error of the lowest
@@ -190,16 +187,14 @@ def _lanes(work: Callable[[int, int, np.ndarray], None], n: int, chunk: int, wor
 class NoiseBundle:
     """Reproducible Gaussian increments and uniforms for n_paths x n_steps x d.
 
-    Uniforms take one Philox counter word each: the stream of path p
-    occupies a fixed run of words, so ``uniforms(p0, p1)`` is the same
-    whatever the range.  Normals are drawn per block of ``_NOISE_BLOCK``
-    paths: block j reads the counter region that starts at j << 40 of the
-    same key, through numpy's ziggurat, so a block regenerates bit for bit
-    and ``increments(dt, p0, p1)`` is the slice [p0, p1) of the one-call
-    array, whatever the range and the workers.  The normals of block 0 and
-    the uniforms of one bundle read the same first counters, so take the
-    two from different tags.  ``child(tag)`` derives an independent stream
-    from the same seed (used for bridge refinement and maximum sampling).
+    Everything is drawn per block of ``_NOISE_BLOCK`` paths: block j reads
+    the counter region that starts at j << 40 of the bundle's key, so a
+    block regenerates bit for bit and ``increments(dt, p0, p1)`` and
+    ``uniforms(p0, p1)`` are the slices [p0, p1) of the one-call arrays,
+    whatever the range.  A block's normals and its uniforms read the same
+    counters, so take the two from different tags.  ``child(tag)`` derives
+    an independent stream from the same seed (used for bridge refinement
+    and maximum sampling).
     """
 
     seed: int
@@ -212,69 +207,56 @@ class NoiseBundle:
         if self.n_paths < 1 or self.n_steps < 1 or self.d < 1:
             raise ValueError("n_paths, n_steps, d must all be positive")
 
-    @property
-    def _words_per_path(self) -> int:
-        need = self.n_steps * self.d
-        return ((need + 3) // 4) * 4  # Philox counter advances in 4-word blocks
-
     def _generator(self, counter: int) -> np.random.Generator:
         """A generator on this bundle's Philox key, its counter advanced by ``counter`` 4-word blocks."""
         bg = np.random.Philox(key=(self.seed & _MASK64) | ((self.tag & _MASK64) << 64))
         bg.advance(counter)
         return np.random.Generator(bg)
 
-    def _words(self, p0: int, p1: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Clamped uniform words of paths p0..p1, shape (p1 - p0, words per path).
+    def _blocks(self, p0: int, p1: int) -> Iterator[tuple[np.random.Generator, int, int, int]]:
+        """Each block that covers [p0, p1), in order: its generator and its paths in the range.
 
-        ``out``, when given, is a contiguous buffer of (p1 - p0) * words per
-        path doubles that receives them.
+        The paths in the range are [a, e).  The generator draws the block's
+        values path-major from the block's first path, so (skip + e - a,
+        n_steps, d) of them reach e, and the first ``skip`` paths lie before p0.
         """
-        wpp = self._words_per_path
-        gen = self._generator((p0 * wpp) // 4)
-        u = gen.random((p1 - p0) * wpp) if out is None else gen.random(out=out)
-        np.maximum(u, 2.0**-54, out=u)
-        return u.reshape(p1 - p0, wpp)
+        P = _NOISE_BLOCK
+        for j in range(p0 // P, -(-p1 // P) if p1 > p0 else 0):
+            a, e = max(p0, j * P), min(p1, (j + 1) * P)
+            yield self._generator(j << 40), a - j * P, a, e
 
     def uniforms(self, p0: int = 0, p1: int | None = None) -> np.ndarray:
-        """Uniforms in (0, 1), shape (block, n_steps, d).
+        """Uniforms in (0, 1), shape (p1 - p0, n_steps, d).
 
-        One double consumes exactly one counter word, so block boundaries
-        do not change values.  Exact zeros (probability 2^-53 per draw)
-        are clamped away, so that their logarithm is finite.
+        Exact zeros (probability 2^-53 per draw) are clamped to 2^-54, so
+        that their logarithm is finite.
         """
         p1 = self.n_paths if p1 is None else p1
-        u = self._words(p0, p1)[:, : self.n_steps * self.d]
-        return u.reshape(p1 - p0, self.n_steps, self.d)
+        out = np.empty((p1 - p0, self.n_steps, self.d))
+        for gen, skip, a, e in self._blocks(p0, p1):
+            out[a - p0 : e - p0] = gen.random((skip + e - a, self.n_steps, self.d))[skip:]
+        np.maximum(out, 2.0**-54, out=out)
+        return out
 
-    def increments(self, dt: float, p0: int = 0, p1: int | None = None, out: np.ndarray | None = None,
-                   workers: int = 1) -> np.ndarray:
-        """Brownian increments N(0, dt), shape (block, n_steps, d).
+    def increments(self, dt: float, p0: int = 0, p1: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        """Brownian increments N(0, dt), shape (p1 - p0, n_steps, d).
 
         The result is the path-major view of a step-major (n_steps, d,
-        block) buffer, ``out`` when given (say rows 1..n_steps of an Euler
-        value buffer), so each step's increments are contiguous rows.  The
-        ``_NOISE_BLOCK``-path blocks that cover [p0, p1) are drawn one at a
-        time on up to ``workers`` threads: a block's normals, path-major,
-        fill a scratch of one block (a block cut by p1 draws a prefix of its
-        stream, one cut by p0 drops its leading paths), and are scaled by
-        sqrt(dt) as they are written, transposed, into the buffer.
+        p1 - p0) buffer, ``out`` when given (say rows 1..n_steps of an Euler
+        value buffer), so each step's increments are contiguous rows.  A
+        block's normals, path-major, fill a scratch of one block, and are
+        scaled by sqrt(dt) as they are written, transposed, into the buffer.
         """
         p1 = self.n_paths if p1 is None else p1
-        n, d, steps, P = p1 - p0, self.d, self.n_steps, _NOISE_BLOCK
-        out = np.empty((steps, d, n)) if out is None else out
+        steps, d = self.n_steps, self.d
+        out = np.empty((steps, d, p1 - p0)) if out is None else out
         scale = np.sqrt(dt)
-        first = p0 // P
-
-        def work(j0: int, j1: int, scratch: np.ndarray) -> None:
-            for j in range(first + j0, first + j1):
-                a, e = max(p0, j * P), min(p1, (j + 1) * P)  # the block's paths in the range
-                z = scratch[: (e - j * P) * steps * d]
-                self._generator(j << 40).standard_normal(out=z)
-                z = z.reshape(-1, steps, d)[a - j * P :]
-                np.multiply(z.transpose(1, 2, 0), scale, out=out[:, :, a - p0 : e - p0])
-
-        n_blocks = -(-p1 // P) - first if n else 0
-        _lanes(work, n_blocks, 1, workers, min(P, p1 - first * P) * steps * d)
+        scratch = np.empty(min(_NOISE_BLOCK, p1 - p0 // _NOISE_BLOCK * _NOISE_BLOCK) * steps * d)
+        for gen, skip, a, e in self._blocks(p0, p1):
+            z = scratch[: (skip + e - a) * steps * d]
+            gen.standard_normal(out=z)
+            z = z.reshape(-1, steps, d)[skip:]
+            np.multiply(z.transpose(1, 2, 0), scale, out=out[:, :, a - p0 : e - p0])
         return out.transpose(2, 0, 1)
 
     def child(self, tag: int, d: int | None = None) -> "NoiseBundle":
@@ -292,41 +274,42 @@ def bridge_corrected_max(
     diffusion bridge is (a + b + sqrt((b-a)^2 - 2 sigma^2 dt ln U)) / 2.
     The plain discrete maximum underestimates by O(sqrt(dt)); this
     estimator is exact in law for constant sigma.  ``noise`` supplies the
-    auxiliary uniforms, streamed in path blocks: row i of ``values`` reads
-    path ``offset + i`` of that stream, so a block of a forward pass gets
-    the uniforms it would get in one pass over all paths.  The work runs
-    on cache-sized chunks of paths in one scratch: the log and the scale
-    act in place on the chunk's uniforms in their path-major Philox
-    layout, which are then transposed once and combined with the step
-    rows ``values.T``, (b - a)^2 taking their place.  The maximum is
-    halved once, which rounds as halving every value: x -> x / 2 is monotone.
+    auxiliary uniforms, its first component: row i of ``values`` reads
+    path ``offset + i`` of ``noise.uniforms()[:, :, 0]``, so a block of a
+    forward pass gets the uniforms it would get in one pass over all
+    paths.  The work runs per noise block in two scratches of one block:
+    the block's uniforms are clamped, logged and scaled in place, then
+    transposed once and combined with the step rows ``values.T``, (b - a)^2
+    taking the uniforms' place.  The maximum is halved once, which rounds
+    as halving every value: x -> x / 2 is monotone.
     """
     n_paths = values.shape[0]
     if sigma == 0.0:
         return values.max(axis=1)
     rows = values.T  # (steps + 1, n)
-    n_steps = rows.shape[0] - 1
+    n_steps, d = rows.shape[0] - 1, noise.d
     out = np.empty(n_paths)
-    chunk = max(1, min(n_paths, _CHUNK_WORDS // n_steps))
-    wpp, d = noise._words_per_path, noise.d
     scale = -2.0 * sigma**2 * dt
-    scratch = np.empty(chunk * (wpp + n_steps))
-    for q0 in range(0, n_paths, chunk):
-        q1 = min(q0 + chunk, n_paths)
-        q = q1 - q0
-        words, m = scratch[: q * wpp], scratch[chunk * wpp : chunk * wpp + n_steps * q].reshape(n_steps, q)
-        u = noise._words(offset + q0, offset + q1, words)[:, : n_steps * d : d]
+    draws = np.empty(min(_NOISE_BLOCK, offset % _NOISE_BLOCK + n_paths) * n_steps * d)
+    tile = np.empty(min(_NOISE_BLOCK, n_paths) * n_steps)
+    for gen, skip, a, e in noise._blocks(offset, offset + n_paths):
+        q0, q1 = a - offset, e - offset
+        u = draws[: (skip + e - a) * n_steps * d]
+        gen.random(out=u)
+        u = u.reshape(-1, n_steps, d)[skip:, :, 0]
+        np.maximum(u, 2.0**-54, out=u)
         np.log(u, out=u)
         u *= scale
+        m = tile[: n_steps * (e - a)].reshape(n_steps, e - a)
         m[...] = u.T
-        d2 = words[: n_steps * q].reshape(n_steps, q)
-        a, b = rows[:-1, q0:q1], rows[1:, q0:q1]
-        np.subtract(b, a, out=d2)
+        d2 = draws[: n_steps * (e - a)].reshape(n_steps, e - a)
+        lo, hi = rows[:-1, q0:q1], rows[1:, q0:q1]
+        np.subtract(hi, lo, out=d2)
         np.square(d2, out=d2)
         m += d2
         np.sqrt(m, out=m)
-        m += b
-        m += a
+        m += hi
+        m += lo
         m.max(axis=0, out=out[q0:q1])
     out *= 0.5
     return out
@@ -679,16 +662,15 @@ def coupled_sup_error(
     grid: Grid,
     noise: NoiseBundle,
     p: float = 2.0,
-    workers: int = 1,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E[sup_s |X^n_s - X_s|^p] under common noise.
 
     Both recursions start at ``grid.t_start``; a history ``Path`` start
     selects the path-dependent scheme, any other start the Markov one.
     Identical specs produce exactly zero: the increments are drawn once,
-    on up to ``workers`` threads, and both recursions consume them.
+    on the calling thread, and both recursions consume them.
     """
-    dW = noise.increments(grid.dt, workers=workers)
+    dW = noise.increments(grid.dt)
     euler = euler_path_dependent if isinstance(start, Path) else euler_markov
     a = euler(spec_n, start, grid, dW)
     bb = euler(spec, start, grid, dW)

@@ -26,12 +26,12 @@ up to small per-block arrays,
     + 8 B per path and problem,
 
 where the value buffer is d times larger for a d-dimensional state and
-the noise scratch is the larger of a 256-path block of normals (256 x
-n_steps x d x 8 B) and a chunk of the bridge maximum (about 2 x 2^16
-doubles).  A nonzero driver keeps all paths for the backward induction:
-each block writes its values and increments into its own columns of
-step-major arrays of all paths.  With s steps, a d-dimensional state and
-B features, a state problem then peaks inside the induction at
+the noise scratch is one 256-path noise block, 256 x n_steps x d x 8 B,
+or two with the bridge maximum (its uniforms and their step rows).  A
+nonzero driver keeps all paths for the backward induction: each block
+writes its values and increments into its own columns of step-major
+arrays of all paths.  With s steps, a d-dimensional state and B
+features, a state problem then peaks inside the induction at
 
     ((s + 1) d + s d + (s + 1)(d + 1) + (B + d + 1) + 1) x n_paths x 8 B
 

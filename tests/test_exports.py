@@ -117,7 +117,7 @@ PRIVATE_CROSSINGS = {
     ("cli", "sde", "_usable_cores"): "the --threads default is the noise layer's core count",
     ("solver", "bsde", "_check_basis_size"): "the basis-size guard runs before any noise is drawn",
     ("solver", "bsde", "_zero_driver_value"): "one traced regression per zero-driver evaluation (ROADMAP item 4)",
-    ("solver", "sde", "_lanes"): "a forward pass deals its blocks to the noise layer's lanes, whatever the driver",
+    ("solver", "sde", "_lanes"): "a forward pass, the lanes' one caller, deals them its blocks, whatever the driver",
     ("solver", "sde", "_step_rows"): "a forward block steps on its lane's value buffer or its columns of all paths",
     ("solver", "sde", "_usable_cores"): "SolverConfig.workers defaults to the noise layer's core count",
     ("solver", "smoothing", "_convolve"): "mollified state coefficients use the one convolution evaluator",
@@ -141,6 +141,26 @@ def test_private_names_cross_modules_only_where_listed():
 
 
 def test_private_import_guard_flags_a_crossing():
-    sources = {"solver": "from .sde import NoiseBundle, _words\nfrom . import __version__\n",
+    sources = {"solver": "from .sde import NoiseBundle, _generator\nfrom . import __version__\n",
                "cli": "from .solver import evaluate_markov\n"}
-    assert _private_imports(sources) == {("solver", "sde", "_words")}
+    assert _private_imports(sources) == {("solver", "sde", "_generator")}
+
+
+def _call_sites(sources: dict[str, str], name: str) -> list[tuple[str, str | None]]:
+    """(module, top-level function or None) of each call of ``name``, plain or as an attribute."""
+    sites = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None)):
+                    sites.append((module, getattr(top, "name", None)))
+    return sites
+
+
+def test_the_forward_pass_is_the_one_caller_of_the_lanes():
+    # one parallel axis: the noise, the bridge maximum and the experiments run on their caller's thread
+    sources = {p.stem: p.read_text() for p in sorted(FsPath(pathpde.__file__).parent.glob("*.py"))}
+    assert _call_sites(sources, "_lanes") == [("solver", "_terminal_samples")]
+    source = "def f():\n    g(_lanes(1))\n\nx = sde._lanes(2)\n"
+    assert _call_sites({"m": source}, "_lanes") == [("m", "f"), ("m", None)]

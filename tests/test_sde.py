@@ -121,16 +121,17 @@ def test_euler_divergence_guard():
         euler_markov(SdeSpec(lambda t, x: x * 1e13, 0.0), 1.0, g, nb.increments(g.dt))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_divergence_names_the_path_among_all_increments(workers):
-    # 4000 paths are 16 blocks of the noise; path 3500 lies in block 13
+@pytest.mark.parametrize("d", [1, 2])
+def test_divergence_names_the_path_among_all_increments(d):
+    # 4000 paths are 16 blocks of the noise; path 3500 lies in block 13, its last component diverges
     g = Grid(0.0, 1.0, 20)
-    dW = NoiseBundle(5, 4000, 20).increments(g.dt, workers=workers)
-    dW[3500, 3] = np.inf
+    dW = NoiseBundle(5, 4000, 20, d=d).increments(g.dt)
+    dW[3500, 3, d - 1] = np.inf
     with pytest.raises(DivergenceError, match="path 3500, step 4$"):
-        euler_markov(SdeSpec(0.0, 1.0), 0.0, g, dW)
-    with pytest.raises(DivergenceError, match="path 3500, step 4$"):
-        euler_path_dependent(SdeSpec(0.0, 1.0), Path.constant(0.0, 1.0, 21), g, dW)
+        euler_markov(SdeSpec(0.0, 1.0), np.zeros(d) if d > 1 else 0.0, g, dW)
+    if d == 1:
+        with pytest.raises(DivergenceError, match="path 3500, step 4$"):
+            euler_path_dependent(SdeSpec(0.0, 1.0), Path.constant(0.0, 1.0, 21), g, dW)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0, 2.5])
@@ -180,14 +181,34 @@ def test_a_diverging_constant_block_names_the_path_of_the_per_step_guard(x0, sig
     assert (got.value.path, got.value.step) == (ref.value.path, ref.value.step)
 
 
+def _cuts(n_paths, parts):
+    """``parts`` ranges covering n_paths paths, cut inside the 256-path noise blocks."""
+    cuts = np.linspace(0, n_paths, parts + 1).astype(int)
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _increments_in_ranges(nb, dt, parts):
+    """The increments as ``parts`` lanes of a forward pass draw them: each range into its own
+    columns of one step-major buffer."""
+    rows = np.empty((nb.n_steps, nb.d, nb.n_paths))
+    for p0, p1 in _cuts(nb.n_paths, parts):
+        nb.increments(dt, p0, p1, out=rows[:, :, p0:p1])
+    return rows.transpose(2, 0, 1)
+
+
+def _euler_in_ranges(euler, spec, start, g, dW, parts):
+    """Values of the paths stepped range by range, as the lanes of a forward pass step them."""
+    return np.concatenate([euler(spec, start, g, dW[p0:p1]).values for p0, p1 in _cuts(dW.shape[0], parts)])
+
+
 def test_euler_determinism_across_workers():
-    # 5000 paths are 20 blocks of the noise: 3 lanes take 7, 7 and 6
+    # 5000 paths are 20 blocks of the noise; a lane steps its own range of them
     g = Grid(0.0, 1.0, 60)
-    nb = NoiseBundle(9, 5000, 60)
+    dW = NoiseBundle(9, 5000, 60).increments(g.dt)
     spec = SdeSpec(lambda t, x: -0.5 * x, 1.0)
-    a, b, c = (euler_markov(spec, 0.3, g, nb.increments(g.dt, workers=w)) for w in (1, 2, 3))
-    np.testing.assert_array_equal(a.values, b.values)
-    np.testing.assert_array_equal(a.values, c.values)
+    ref = euler_markov(spec, 0.3, g, dW).values
+    for parts in (2, 3):
+        np.testing.assert_array_equal(_euler_in_ranges(euler_markov, spec, 0.3, g, dW, parts), ref)
 
 
 def _block_normal_increments(nb, dt, p0=0, p1=None):
@@ -203,29 +224,28 @@ def _block_normal_increments(nb, dt, p0=0, p1=None):
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_increments_equal_at_any_worker_count(d):
-    # 24 blocks of 256 paths, the first cut by p0 = 17; 3 lanes get uneven block counts
+    # 24 blocks of 256 paths, the first cut by p0 = 17; each lane of a forward pass draws its own ranges
     nb = NoiseBundle(10, 6001, 45, d=d, tag=3)
     ref = nb.increments(0.02, 17, 6001)
     assert np.array_equal(ref, _block_normal_increments(nb, 0.02, 17, 6001))
-    for w in (2, 3, 8):
-        assert np.array_equal(nb.increments(0.02, 17, 6001, workers=w), ref)
+    for parts in (2, 3, 8):
+        assert np.array_equal(_increments_in_ranges(nb, 0.02, parts)[17:], ref)
     rows = np.empty((45, d, 5984))
-    got = nb.increments(0.02, 17, 6001, out=rows, workers=3)
+    got = nb.increments(0.02, 17, 6001, out=rows)
     assert np.shares_memory(got, rows) and np.array_equal(got, ref)
-    assert nb.increments(0.02, 9, 9, workers=3).shape == (0, 45, d)  # an empty range takes one idle lane
+    assert nb.increments(0.02, 9, 9).shape == (0, 45, d)
 
 
 def test_each_noise_block_regenerates_and_any_range_is_a_slice_of_the_one_call_array():
     # 1300 paths are five blocks of 256 and a last one of 20; the ranges cut blocks at either end
-    nb = NoiseBundle(12, 1300, 30, d=2, tag=5)
-    full = nb.increments(0.1)
-    for j in range(6):
-        block = NoiseBundle(12, 1300, 30, d=2, tag=5).increments(0.1, 256 * j, min(256 * j + 256, 1300))
-        assert np.array_equal(block, full[256 * j : 256 * j + 256])
-    for p0, p1 in ((5, 1299), (255, 257), (256, 512), (700, 701), (1024, 1300), (1299, 1300)):
-        for workers in (1, 2, 3):
-            assert np.array_equal(nb.increments(0.1, p0, p1, workers=workers), full[p0:p1])
-    assert not np.array_equal(full[:256], NoiseBundle(12, 1300, 30, d=2, tag=6).increments(0.1)[:256])
+    for draw in (lambda nb, *r: nb.increments(0.1, *r), lambda nb, *r: nb.uniforms(*r)):
+        full = draw(NoiseBundle(12, 1300, 30, d=2, tag=5))
+        for j in range(6):
+            block = draw(NoiseBundle(12, 1300, 30, d=2, tag=5), 256 * j, min(256 * j + 256, 1300))
+            assert np.array_equal(block, full[256 * j : 256 * j + 256])
+        for p0, p1 in ((5, 1299), (255, 257), (256, 512), (700, 701), (1024, 1300), (1299, 1300)):
+            assert np.array_equal(draw(NoiseBundle(12, 1300, 30, d=2, tag=5), p0, p1), full[p0:p1])
+        assert not np.array_equal(full[:256], draw(NoiseBundle(12, 1300, 30, d=2, tag=6))[:256])
 
 
 def test_increment_moments_and_block_independence():
@@ -242,6 +262,13 @@ def test_increment_moments_and_block_independence():
     assert abs(lag) <= 4.0 / np.sqrt(steps[1:].size)
     across = np.corrcoef(steps[255], steps[256])[0, 1]  # last path of block 0, first of block 1
     assert abs(across) <= 4.0 / np.sqrt(200)
+    # the uniforms, per block too: mean 1/2, variance 1/12, and no lag or cross-block correlation
+    u = nb.uniforms()[:, :, 0]
+    assert abs(u.mean() - 0.5) <= 4.0 * np.sqrt(1.0 / 12.0 / u.size)
+    assert abs(u.var() - 1.0 / 12.0) <= 4.0 * np.sqrt(1.0 / 180.0 / u.size)  # Var((U - 1/2)^2) = 1/180
+    c = u - 0.5
+    assert abs((c[1:] * c[:-1]).mean() * 12.0) <= 4.0 / np.sqrt(c[1:].size)
+    assert abs(np.corrcoef(u[255], u[256])[0, 1]) <= 4.0 / np.sqrt(200)
 
 
 def test_euler_rejects_increments_that_do_not_fit():
@@ -276,14 +303,13 @@ def test_path_dependent_zero_coefficients_extend_history():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 30), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
-       st.floats(-3.0, 3.0), st.sampled_from([1, 2, 3]), st.booleans(), st.integers(0, 5))
-def test_path_dependent_degenerate_matches_markov_bitwise(n_paths, n_steps, b, sigma, x0, workers,
-                                                         given_out, slack):
+       st.floats(-3.0, 3.0), st.booleans(), st.integers(0, 5))
+def test_path_dependent_degenerate_matches_markov_bitwise(n_paths, n_steps, b, sigma, x0, given_out, slack):
     # constant coefficients: both schemes run the one recursion on the same rows
     g = Grid(0.0, 1.0, n_steps)
     size = value_buffer_size(n_steps, 1, n_paths) + slack
     out_pd, out_mk = (np.empty(size), np.empty(size)) if given_out else (None, None)
-    dW = NoiseBundle(21, n_paths, n_steps).increments(g.dt, workers=workers)
+    dW = NoiseBundle(21, n_paths, n_steps).increments(g.dt)
     pd = euler_path_dependent(SdeSpec(b, sigma), Path.constant(x0, 1.0, 11), g, dW, out_pd)
     mk = euler_markov(SdeSpec(b, sigma), x0, g, dW, out_mk)
     assert np.array_equal(pd.values, mk.values)
@@ -324,11 +350,10 @@ def test_path_dependent_determinism_across_workers(kind):
         b = lambda t, wb: -0.5 * wb.sup_norm()
     eta = Path.from_function(lambda x: np.sin(3.0 * x), 0.5, 51)
     g = Grid(0.0, 0.5, 50)
-    noise = NoiseBundle(24, 3000, 50)  # 12 blocks of the noise
-    runs = [euler_path_dependent(SdeSpec(b, 1.0), eta, g, noise.increments(g.dt, workers=w)).values
-            for w in (1, 2, 8)]
-    assert np.array_equal(runs[0], runs[1])
-    assert np.array_equal(runs[0], runs[2])
+    dW = NoiseBundle(24, 3000, 50).increments(g.dt)  # 12 blocks of the noise
+    ref = euler_path_dependent(SdeSpec(b, 1.0), eta, g, dW).values
+    for parts in (2, 8):  # a lane steps its own range of the paths
+        assert np.array_equal(_euler_in_ranges(euler_path_dependent, SdeSpec(b, 1.0), eta, g, dW, parts), ref)
 
 
 def test_coupled_identical_specs_exactly_zero():
@@ -339,8 +364,8 @@ def test_coupled_identical_specs_exactly_zero():
     assert est == 0.0
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_coupled_draws_the_noise_once(monkeypatch, workers):
+@pytest.mark.parametrize("d", [1, 3])
+def test_coupled_draws_the_noise_once(monkeypatch, d):
     calls = []
     original = NoiseBundle.increments
 
@@ -350,9 +375,8 @@ def test_coupled_draws_the_noise_once(monkeypatch, workers):
 
     monkeypatch.setattr(NoiseBundle, "increments", spy)
     g = Grid(0.0, 1.0, 20)
-    nb = NoiseBundle(15, 3000, 20)
-    est, _ = coupled_sup_error(SdeSpec(0.1, 1.0), SdeSpec(lambda t, x: -0.5 * x, 1.0), 0.3, g, nb,
-                               workers=workers)
+    nb = NoiseBundle(15, 3000, 20, d=d)
+    est, _ = coupled_sup_error(SdeSpec(0.1, 1.0), SdeSpec(lambda t, x: -0.5 * x, 1.0), np.full(d, 0.3) if d > 1 else 0.3, g, nb)
     assert len(calls) == 1
     assert est > 0.0
 
@@ -553,10 +577,10 @@ def test_euler_writes_the_step_major_buffer_it_is_given():
         euler_markov(SdeSpec(0.0, 1.0), 0.5, g, dW, out=np.empty((30, 300)))
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_euler_on_step_rows_equals_a_path_major_reference(workers):
+@pytest.mark.parametrize("parts", [1, 3])
+def test_euler_on_step_rows_equals_a_path_major_reference(parts):
     g = Grid(0.25, 1.0, 40)
-    dW = NoiseBundle(43, 7000, 40).increments(g.dt, workers=workers)  # 28 blocks of the noise
+    dW = _increments_in_ranges(NoiseBundle(43, 7000, 40), g.dt, parts)  # 28 blocks of the noise
     markov = SdeSpec(lambda t, x: np.sin(x) - t, lambda t, x: 1.0 + 0.2 * np.cos(x))
     got = euler_markov(markov, 0.3, g, dW).values
     assert np.array_equal(got, _euler_markov_path_major(markov, 0.3, g, np.ascontiguousarray(dW)))
@@ -584,12 +608,12 @@ def _euler_vector_path_major(spec, x0, grid, dW):
     return out
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_vector_euler_on_step_rows_equals_a_path_major_reference(workers):
+@pytest.mark.parametrize("parts", [1, 3])
+def test_vector_euler_on_step_rows_equals_a_path_major_reference(parts):
     # d = 9: numpy sums 9 or more columns of a row in an order that depends on the layout
     d = 9
     g = Grid(0.0, 1.0, 25)
-    dW = NoiseBundle(49, 500, 25, d=d).increments(g.dt, workers=workers)  # 2 blocks of the noise
+    dW = _increments_in_ranges(NoiseBundle(49, 500, 25, d=d), g.dt, parts)  # 2 blocks of the noise
 
     def sigma(t, x):  # a full (m, d, d) matrix that reads the state
         s = np.empty((x.shape[0], d, d))
@@ -675,10 +699,10 @@ def test_aligned_windows_are_views_of_the_step_rows():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 60), st.integers(0, 11), st.sampled_from([np.nan, np.inf, -np.inf, 2e12, -5e12]),
-       st.sampled_from(["markov", "path"]), st.sampled_from([1, 2]))
-def test_property_divergence_names_the_path_and_step(path, k, bad, scheme, workers):
+       st.sampled_from(["markov", "path"]))
+def test_property_divergence_names_the_path_and_step(path, k, bad, scheme):
     g = Grid(0.0, 1.0, 12)
-    dW = NoiseBundle(45, 61, 12).increments(g.dt, workers=workers)
+    dW = NoiseBundle(45, 61, 12).increments(g.dt)
     dW[path, k, 0] = bad  # the state at step k + 1 is the first bad one
     with pytest.raises(DivergenceError) as err:
         if scheme == "markov":

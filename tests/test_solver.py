@@ -747,7 +747,7 @@ def test_a_streamed_pass_peaks_within_the_memory_model(workers):
         finally:
             tracemalloc.stop()
         lane = 2048 * (n_steps + 1) * 8
-        noise = max(256 * n_steps * 8, 2 * 2**16 * 8)  # a 256-path block of normals, or a bridge chunk
+        noise = (2 if bridge else 1) * 256 * n_steps * 8  # a 256-path noise block, two with the bridge
         assert peak <= workers * (lane + noise) + 8 * n_paths + lane
 
 
@@ -1015,7 +1015,7 @@ def _bridge_max_path_major(values, dt, sigma, noise, offset):
 
 
 def test_bridge_max_on_step_rows_equals_the_path_major_reference():
-    # 900 paths of 200 steps span three chunks of the bridge, the last partial
+    # paths 1234..2133 span five noise blocks, the first and the last cut by the range
     g = Grid(0.0, 1.0, 200)
     noise = solver.NoiseBundle(46, 5000, 200)
     traj = solver.euler_path_dependent(SdeSpec(0.0, 0.7), Path.constant(0.0, 1.0, 11), g,
