@@ -99,11 +99,13 @@ def _usable_cores() -> int:
 class _BlasThreads:
     """OpenBLAS's thread count, and a hold of it at one thread while lanes run.
 
-    numpy's bundled OpenBLAS is reached through ctypes on first use; where
-    its ``scipy_openblas_{get,set}_num_threads64_`` symbols are absent,
-    ``get`` returns None and the hold does nothing.  The count is
-    process-wide, so the holds of concurrent evaluations share it: the
-    first saves the caller's setting and the last restores it.
+    numpy's bundled OpenBLAS is reached through ctypes on first use.  Its
+    ``scipy_openblas_{get,set}_num_threads64_`` symbols are named after the
+    ``scipy-openblas`` build that numpy ships, not after scipy, which is
+    never imported; where they are absent, ``get`` returns None and the
+    hold does nothing.  The count is process-wide, so the holds of
+    concurrent evaluations share it: the first saves the caller's setting
+    and the last restores it.
     """
 
     def __init__(self) -> None:

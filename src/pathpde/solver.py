@@ -78,6 +78,7 @@ function of the gap between the past maximum and the present value
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
@@ -85,7 +86,6 @@ from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bsde import (
     BsdeSolution,
@@ -524,9 +524,11 @@ def lookback_oracle(t: float, eta: Path, horizon: float) -> float:
         eta(0) + m (2 Phi(m / sqrt(tau)) - 1)
                + sqrt(2 tau / pi) exp(-m^2 / (2 tau)),
 
-    by the reflection principle.  Only the last t units of history matter:
-    older values have left the look-back window by time T, so the history
-    must cover [-t, 0].
+    by the reflection principle, and evaluated as m erf(m / sqrt(2 tau)),
+    since 2 Phi(z) - 1 = erf(z / sqrt(2)); that form has no cancellation
+    near z = 0.  Only the last t units of history matter: older values
+    have left the look-back window by time T, so the history must cover
+    [-t, 0].
     """
     if t < 0:
         raise ValueError(f"evaluation time {t} is negative: the problem is posed on [0, {horizon}]")
@@ -540,7 +542,7 @@ def lookback_oracle(t: float, eta: Path, horizon: float) -> float:
     present = float(eta.values[-1])
     m = max(0.0, _past_sup(eta, t) - present)
     gauss_part = np.sqrt(2.0 * tau / np.pi) * np.exp(-(m * m) / (2.0 * tau))
-    return present + m * (2.0 * ndtr(m / np.sqrt(tau)) - 1.0) + gauss_part
+    return present + m * math.erf(m / math.sqrt(2.0 * tau)) + gauss_part
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +663,6 @@ class SolutionField:
 
 @dataclass
 class PipelineReport:
-    indices: tuple[int, ...]
-    probes: list
     values: np.ndarray  # (n_rungs, n_probes)
     std_errors: np.ndarray
     cauchy_gaps: np.ndarray  # (n_rungs - 1, n_probes)
@@ -725,7 +725,7 @@ def strong_viscosity_pipeline(
             "final_index": schedule.indices[-1],
         },
     )
-    return PipelineReport(schedule.indices, probes, values, errors, gaps, converged, field)
+    return PipelineReport(values, errors, gaps, converged, field)
 
 
 def _select_terminal_inner_index(problem, schedule, probes) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path as FsPath
 
 import pytest
@@ -164,3 +167,39 @@ def test_the_forward_pass_is_the_one_caller_of_the_lanes():
     assert _call_sites(sources, "_lanes") == [("solver", "_terminal_samples")]
     source = "def f():\n    g(_lanes(1))\n\nx = sde._lanes(2)\n"
     assert _call_sites({"m": source}, "_lanes") == [("m", "f"), ("m", None)]
+
+
+_NUMPY_ALONE = """
+import importlib, importlib.abc, pkgutil, sys
+
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"{name} is refused", name=name)
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import pathpde
+for module in pkgutil.iter_modules(pathpde.__path__):
+    importlib.import_module(f"pathpde.{module.name}")
+from pathpde.paths import Path
+from pathpde.solver import lookback_oracle
+
+history = Path.from_function(lambda x: np.clip(-4.0 * (x + 0.25), 0.0, 1.0), 2.0, 1601)
+print(repr(float(lookback_oracle(1.0, history, 2.0))))
+assert "scipy" not in sys.modules
+"""
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    # a fresh interpreter that refuses scipy imports every module, cli
+    # included, and evaluates the oracle at a positive gap (one, with tau 1)
+    src = str(FsPath(pathpde.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, "-c", _NUMPY_ALONE, src], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) == pytest.approx(1.1666309411753726, abs=1e-14)

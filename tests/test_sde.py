@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ndtri
 
 from pathpde.paths import Grid, Path, WindowBatch
 from pathpde.sde import (
@@ -31,8 +30,8 @@ ONE = lambda t, x: np.ones_like(x)
 
 def test_noise_block_regeneration_bit_identical():
     nb = NoiseBundle(seed=42, n_paths=1000, n_steps=37, d=2)
-    full = ndtri(nb.uniforms())
-    parts = np.concatenate([ndtri(nb.uniforms(0, 1)), ndtri(nb.uniforms(1, 450)), ndtri(nb.uniforms(450, 1000))])
+    full = nb.uniforms()
+    parts = np.concatenate([nb.uniforms(0, 1), nb.uniforms(1, 450), nb.uniforms(450, 1000)])
     np.testing.assert_array_equal(full, parts)
 
 
@@ -73,7 +72,7 @@ def test_noise_mean_within_bound():
 def test_noise_child_streams_differ():
     nb = NoiseBundle(seed=7, n_paths=10, n_steps=8)
     child = nb.child(1)
-    assert not np.allclose(ndtri(nb.uniforms()), ndtri(child.uniforms()))
+    assert not np.allclose(nb.uniforms(), child.uniforms())
     with pytest.raises(ValueError):
         nb.child(0)
 
@@ -463,7 +462,7 @@ def test_strong_order_under_bridge_refinement():
         g2 = Grid(0.0, 1.0, 2 * n_steps)
         nb = NoiseBundle(18, n_paths, n_steps)
         dW = nb.increments(g.dt)
-        mid = ndtri(nb.child(1).uniforms())
+        mid = nb.child(1).increments(1.0)
         dW2 = bridge_refine(dW, g.dt, mid)
         coarse = euler_markov(spec, 1.0, g, dW)
         fine = euler_markov(spec, 1.0, g2, dW2)
@@ -476,7 +475,7 @@ def test_strong_order_under_bridge_refinement():
 def test_bridge_refine_halves_sum_to_parent():
     nb = NoiseBundle(19, 100, 16)
     dW = nb.increments(0.25)
-    mid = ndtri(nb.child(1).uniforms())
+    mid = nb.child(1).increments(1.0)
     fine = bridge_refine(dW, 0.25, mid)
     np.testing.assert_allclose(fine[:, 0::2] + fine[:, 1::2], dW, atol=1e-14)
 
@@ -487,7 +486,7 @@ def test_bridge_refine_halves_sum_to_parent():
 def test_property_bridge_refine_blocks_and_halves(n_paths, n_steps, d, dt, seed, data):
     nb = NoiseBundle(seed, n_paths, n_steps, d)
     dW = nb.increments(dt)
-    mid = ndtri(nb.child(1).uniforms())
+    mid = nb.child(1).increments(1.0)
     fine = bridge_refine(dW, dt, mid)
     p0 = data.draw(st.integers(0, n_paths - 1))
     p1 = data.draw(st.integers(p0 + 1, n_paths))

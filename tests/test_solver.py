@@ -150,8 +150,10 @@ def test_oracle_unit_gap_value():
     eta = Path.from_function(hist, 2.0, 1601)
     t = 1.0
     got = lookback_oracle(t, eta, 2.0)
+    # gap and tau are both exactly 1: only rounding separates the oracle
+    # from 2 Phi(1) - 1 + sqrt(2 / pi) e^(-1/2), with Phi(1) = 0.8413447460685429
     expect = 1.0 * (2.0 * 0.8413447460685429 - 1.0) + np.sqrt(2.0 / np.pi) * np.exp(-0.5)
-    assert got == pytest.approx(expect, abs=2e-3)
+    assert got == pytest.approx(expect, abs=1e-14)
     assert got == pytest.approx(1.16663, abs=2e-3)
 
 
