@@ -334,7 +334,7 @@ class _Factor:
         buf = self.buf
         n = buf.shape[1]
         head = self.design[:, : min(n, 4096)]
-        scale = np.abs(head).max(axis=1)
+        scale = np.maximum(head.max(axis=1), -head.min(axis=1))  # max |x| per row, with no |head| temporary
         self.design[1:] -= head[1:].mean(axis=1, keepdims=True)
         shift = self.targets[:, 0].copy()
         self.targets -= shift[:, None]
@@ -443,10 +443,11 @@ def solve_bsde(
         factor.fit(out=W_t[k])
         if driver.f is not None:
             y_proj = W_t[k, d]
-            f_k = driver(times[k], features.state(k), y_proj, W_t[k, :d].T)
-            if not np.all(np.isfinite(f_k)):
+            f_dt = targets[0]  # the fit has consumed the targets: a free row for f_k dt
+            np.multiply(driver(times[k], features.state(k), y_proj, W_t[k, :d].T), dt, out=f_dt)
+            if not (-np.inf < f_dt.min() and f_dt.max() < np.inf):  # one guard per step; NaN fails both
                 raise ValueError(f"driver values are not finite (NaN or inf) at step {k} (t = {times[k]:g})")
-            y_proj += f_k * dt
+            y_proj += f_dt
 
     Y = W_t[:, d].T
     Z = W_t[:-1, :d].transpose(2, 0, 1)

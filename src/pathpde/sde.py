@@ -1,13 +1,14 @@
 """Forward simulation: Euler schemes for state and path-dependent dynamics.
 
-Noise comes from a counter-based generator (Philox) keyed by a 64-bit seed
-plus a stream tag.  The one unit in which noise is drawn is the block of
+Noise is keyed by a 64-bit seed plus a 64-bit stream tag, which form one
+128-bit key.  The one unit in which noise is drawn is the block of
 ``_NOISE_BLOCK`` (256) paths: block j takes numpy's ziggurat normals, or
-its uniforms, from its own counter region, which starts at j << 40, so a
-value at (path, step, component) is a pure function of the key, the
-block and the place in it.  Any block regenerates bit for bit and any
-range of paths is a slice of the one-call array: values depend on the
-block size, never on the caller's range.
+its uniforms, from its own SFC64 stream, seeded by
+``SeedSequence(key, spawn_key=(j,))``, so a value at (path, step,
+component) is a pure function of the key, the block and the place in it.
+Any block regenerates bit for bit and any range of paths is a slice of
+the one-call array: values depend on the block size, never on the
+caller's range.
 
 The forward pass is step-major.  A block's draws are path-major, so
 ``NoiseBundle.increments`` draws them into a scratch of one block and
@@ -190,13 +191,17 @@ class NoiseBundle:
     """Reproducible Gaussian increments and uniforms for n_paths x n_steps x d.
 
     Everything is drawn per block of ``_NOISE_BLOCK`` paths: block j reads
-    the counter region that starts at j << 40 of the bundle's key, so a
-    block regenerates bit for bit and ``increments(dt, p0, p1)`` and
+    an SFC64 stream seeded by ``SeedSequence(key, spawn_key=(j,))``, where
+    the key is the seed in the low 64 bits and the tag in the high 64, so
+    a block regenerates bit for bit and ``increments(dt, p0, p1)`` and
     ``uniforms(p0, p1)`` are the slices [p0, p1) of the one-call arrays,
-    whatever the range.  A block's normals and its uniforms read the same
-    counters, so take the two from different tags.  ``child(tag)`` derives
-    an independent stream from the same seed (used for bridge refinement
-    and maximum sampling).
+    whatever the range.  The key is one integer, which ``SeedSequence``
+    pads to four words before it appends j, so no two (seed, tag, block)
+    triples share a stream; a tuple of the three would be flattened into
+    32-bit words, and (2^32 + 5, 1) would collide with (5, 2^32 + 1).  A
+    block's normals and its uniforms read the same stream, so take the two
+    from different tags.  ``child(tag)`` derives an independent stream
+    from the same seed (used for bridge refinement and maximum sampling).
     """
 
     seed: int
@@ -209,11 +214,10 @@ class NoiseBundle:
         if self.n_paths < 1 or self.n_steps < 1 or self.d < 1:
             raise ValueError("n_paths, n_steps, d must all be positive")
 
-    def _generator(self, counter: int) -> np.random.Generator:
-        """A generator on this bundle's Philox key, its counter advanced by ``counter`` 4-word blocks."""
-        bg = np.random.Philox(key=(self.seed & _MASK64) | ((self.tag & _MASK64) << 64))
-        bg.advance(counter)
-        return np.random.Generator(bg)
+    def _generator(self, j: int) -> np.random.Generator:
+        """Block j's generator: SFC64 seeded by this bundle's 128-bit key, spawned at j."""
+        key = (self.seed & _MASK64) | ((self.tag & _MASK64) << 64)
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key, spawn_key=(j,))))
 
     def _blocks(self, p0: int, p1: int) -> Iterator[tuple[np.random.Generator, int, int, int]]:
         """Each block that covers [p0, p1), in order: its generator and its paths in the range.
@@ -225,7 +229,7 @@ class NoiseBundle:
         P = _NOISE_BLOCK
         for j in range(p0 // P, -(-p1 // P) if p1 > p0 else 0):
             a, e = max(p0, j * P), min(p1, (j + 1) * P)
-            yield self._generator(j << 40), a - j * P, a, e
+            yield self._generator(j), a - j * P, a, e
 
     def uniforms(self, p0: int = 0, p1: int | None = None) -> np.ndarray:
         """Uniforms in (0, 1), shape (p1 - p0, n_steps, d).

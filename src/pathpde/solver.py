@@ -36,14 +36,16 @@ features, a state problem then peaks inside the induction at
     ((s + 1) d + s d + (s + 1)(d + 1) + (B + d + 1) + 1) x n_paths x 8 B
 
 (values, increments, the (Y, Z) state, the regression buffer, samples)
-plus one noise scratch per lane; a path problem adds its float32
-features.  ``tests/test_solver.py`` holds small evaluations at one and
-two workers to both models under ``tracemalloc``.  User terminals and
-coefficients are called from lane threads, at the same time, on disjoint
-blocks of paths.  While the lanes run, OpenBLAS is held to one thread,
+plus the driver's result, one row of n_paths doubles, and one noise
+scratch per lane; a path problem adds its float32 features.
+``tests/test_solver.py`` holds small evaluations at one and two workers
+to both models under ``tracemalloc``.  User terminals and coefficients
+are called from lane threads, at the same time, on disjoint blocks of
+paths.  While the lanes run, OpenBLAS is held to one thread,
 process-wide, so other threads' numpy products run single-threaded
-meanwhile.  ``sde`` is the one module that knows the layout of the
-Philox streams; ``bridge_corrected_max`` is imported from there.
+meanwhile.  ``sde`` is the one module that knows the noise blocks and
+their per-block ``SeedSequence`` keying; ``bridge_corrected_max`` is
+imported from there.
 
 One loop, ``_evaluate_point``, evaluates a list of problems that share
 one forward pass at one point: the exact values at the horizon, else the

@@ -36,15 +36,19 @@ def test_catalog_json(capsys):
     assert sorted(e["name"] for e in payload) == sorted(EXPERIMENTS)
 
 
+# markov-heat's relative error has sd sqrt(2 / n_paths) at x = 0, T = 1: at 500k paths 0.002, so its
+# default tolerance of 0.01 is 5 sd (at 20k paths it was 1 sd, and a third of the seeds failed)
+HEAT = {"n_paths": 500_000, "n_steps": 5}
+
+
 def test_run_markov_heat_passes(tmp_path):
-    cfg = _write_config(tmp_path, "markov-heat", n_paths=20_000, n_steps=50)
+    cfg = _write_config(tmp_path, "markov-heat", **HEAT)
     rc = main(["run", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["experiment"] == "markov-heat"
     assert summary["passed"] is True
-    assert summary["config_hash"] == config_digest("markov-heat",
-                                                   {"n_paths": "20000", "n_steps": "50"}, 11)
+    assert summary["config_hash"] == config_digest("markov-heat", {k: str(v) for k, v in HEAT.items()}, 11)
     assert "wall" not in summary and "elapsed" not in summary
     assert (tmp_path / "out" / "markov_heat.csv").exists()
     assert (tmp_path / "out" / "timing.txt").exists()
@@ -196,7 +200,7 @@ def test_tolerance_failure_exits_1(tmp_path, capsys):
 
 
 def test_seed_override_changes_hash(tmp_path):
-    cfg = _write_config(tmp_path, "markov-heat", n_paths=5000, n_steps=20)
+    cfg = _write_config(tmp_path, "markov-heat", **HEAT)
     assert main(["run", str(cfg), "--seed", "99", "--out", str(tmp_path / "a")]) == 0
     a = json.loads((tmp_path / "a" / "summary.json").read_text())
     assert a["seed"] == 99
@@ -210,7 +214,7 @@ def test_rerun_byte_identical(tmp_path):
 
 
 def test_worker_count_does_not_change_artifacts(tmp_path):
-    cfg = _write_config(tmp_path, "markov-heat", n_paths=20_000, n_steps=50)
+    cfg = _write_config(tmp_path, "markov-heat", **HEAT)
     outs = {}
     for w in (1, 4, 8):
         assert main(["run", str(cfg), "--threads", str(w), "--out", str(tmp_path / f"w{w}")]) == 0

@@ -7,6 +7,7 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path as FsPath
+from typing import Callable, Iterator
 
 import pytest
 
@@ -149,24 +150,69 @@ def test_private_import_guard_flags_a_crossing():
     assert _private_imports(sources) == {("solver", "sde", "_generator")}
 
 
-def _call_sites(sources: dict[str, str], name: str) -> list[tuple[str, str | None]]:
-    """(module, top-level function or None) of each call of ``name``, plain or as an attribute."""
-    sites = []
-    for module, source in sources.items():
-        for top in ast.parse(source).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
-                                                           getattr(node.func, "attr", None)):
-                    sites.append((module, getattr(top, "name", None)))
-    return sites
+def _scopes(source: str) -> Iterator[tuple[str | None, ast.AST]]:
+    """Each top-level statement with its name (None if it has none), a class's members as Class.member."""
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                yield ".".join(filter(None, (top.name, getattr(node, "name", None)))), node
+        else:
+            yield getattr(top, "name", None), top
+
+
+def _call_sites(sources: dict[str, str], matches: Callable[[ast.expr], bool]) -> list[tuple[str, str | None]]:
+    """(module, scope) of each call whose callee ``matches``, scopes as ``_scopes`` names them."""
+    return [(module, scope) for module, source in sources.items() for scope, top in _scopes(source)
+            for node in ast.walk(top) if isinstance(node, ast.Call) and matches(node.func)]
+
+
+def _named(name: str) -> Callable[[ast.expr], bool]:
+    """A callee called ``name``, plain or as an attribute."""
+    return lambda func: name in (getattr(func, "id", None), getattr(func, "attr", None))
 
 
 def test_the_forward_pass_is_the_one_caller_of_the_lanes():
     # one parallel axis: the noise, the bridge maximum and the experiments run on their caller's thread
     sources = {p.stem: p.read_text() for p in sorted(FsPath(pathpde.__file__).parent.glob("*.py"))}
-    assert _call_sites(sources, "_lanes") == [("solver", "_terminal_samples")]
+    assert _call_sites(sources, _named("_lanes")) == [("solver", "_terminal_samples")]
     source = "def f():\n    g(_lanes(1))\n\nx = sde._lanes(2)\n"
-    assert _call_sites({"m": source}, "_lanes") == [("m", "f"), ("m", None)]
+    assert _call_sites({"m": source}, _named("_lanes")) == [("m", "f"), ("m", None)]
+
+
+def _numpy_random(func: ast.expr) -> bool:
+    """A callee in numpy's random module, spelled np.random.X or numpy.random.X."""
+    return ast.unparse(func).startswith(("np.random.", "numpy.random."))
+
+
+def _imports_numpy_random(node: ast.AST) -> bool:
+    """An import that would let a module call numpy's random module under another spelling."""
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("numpy.random") or module == "numpy" and any(a.name == "random" for a in node.names)
+    return isinstance(node, ast.Import) and any(a.name.startswith("numpy.random") for a in node.names)
+
+
+# Each place that calls into numpy's random module, with why.  A simulation's
+# noise has one source, a noise block's stream; the experiments' own random
+# inputs in cli are the exemptions.
+RANDOM_SITES = {
+    ("sde", "NoiseBundle._generator"): "block j's SFC64 stream, seeded by SeedSequence(key, spawn_key=(j,))",
+    ("cli", "run_ppde_lookback"): "an experiment input: the random-walk histories of the terminal check",
+    ("cli", "run_fejer_sweep"): "an experiment input: the rough paths of the contraction check",
+}
+
+
+def test_the_noise_block_is_the_one_place_that_builds_a_bit_generator():
+    sources = {p.stem: p.read_text() for p in sorted(FsPath(pathpde.__file__).parent.glob("*.py"))}
+    assert set(_call_sites(sources, _numpy_random)) == set(RANDOM_SITES)
+    # every use is spelled np.random.X, so the calls above are all of them
+    assert not [node for source in sources.values() for node in ast.walk(ast.parse(source))
+                if _imports_numpy_random(node)]
+    imports = ("from numpy import random", "from numpy.random import SFC64", "import numpy.random", "import numpy")
+    assert [_imports_numpy_random(ast.parse(line).body[0]) for line in imports] == [True, True, True, False]
+    source = ("class B:\n    def g(self):\n        return np.random.Generator(np.random.PCG64(1))\n\n"
+              "def f():\n    return np.random.default_rng(2)\n\nx = numpy.random.SFC64(3)\n")
+    assert _call_sites({"m": source}, _numpy_random) == [("m", "B.g"), ("m", "B.g"), ("m", "f"), ("m", None)]
 
 
 _NUMPY_ALONE = """

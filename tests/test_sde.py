@@ -52,9 +52,9 @@ def _bundles_and_cuts(draw):
 @settings(max_examples=80, deadline=None)
 @given(_bundles_and_cuts())
 def test_property_noise_blocks_concatenate_to_the_one_call_arrays(case):
-    # counter-based streams: a path block's draws do not depend on where
-    # the blocks are cut, including word counts n_steps * d that are not
-    # a multiple of the 4-word Philox block
+    # one stream per 256-path block: a path block's draws do not depend on
+    # where the blocks are cut, whether a cut falls inside a noise block or
+    # on its edge, nor on the word count n_steps * d of a path
     nb, cuts = case
     blocks = list(zip(cuts[:-1], cuts[1:]))
     dt = 0.05
@@ -75,6 +75,23 @@ def test_noise_child_streams_differ():
     assert not np.allclose(nb.uniforms(), child.uniforms())
     with pytest.raises(ValueError):
         nb.child(0)
+
+
+def test_noise_keys_are_injective_in_seed_tag_and_block():
+    # (seed 2^32 + 5, tag 1) and (seed 5, tag 2^32 + 1) flatten to the same 32-bit words as a tuple of
+    # entropy; as one 128-bit key, spawned per block, they draw different streams on every block
+    words = [np.random.SeedSequence(entropy).generate_state(4) for entropy in ((2**32 + 5, 1, 0), (5, 2**32 + 1, 0))]
+    assert np.array_equal(*words)
+    blocks = [slice(0, 256), slice(256, 512), slice(512, 700)]
+    a = NoiseBundle(2**32 + 5, 700, 6, d=2, tag=1).uniforms()
+    b = NoiseBundle(5, 700, 6, d=2, tag=2**32 + 1).uniforms()
+    parent = NoiseBundle(5, 700, 6, d=2)
+    p, c = parent.uniforms(), parent.child(1).uniforms()
+    for j, block in enumerate(blocks):
+        assert np.intersect1d(a[block], b[block]).size == 0
+        assert np.intersect1d(p[block], c[block]).size == 0
+        if j + 1 < len(blocks):  # neighbouring blocks of one bundle share no value
+            assert np.intersect1d(p[block], p[blocks[j + 1]]).size == 0
 
 
 def test_euler_zero_coefficients_constant():
@@ -212,11 +229,10 @@ def test_euler_determinism_across_workers():
 
 def _block_normal_increments(nb, dt, p0=0, p1=None):
     """The reference increments: block j of 256 paths draws its path-major normals from
-    numpy's ziggurat on the bundle's Philox key, its counter advanced by j << 40."""
+    numpy's ziggurat on SFC64, seeded by the bundle's 128-bit key spawned at j."""
     blocks = []
     for j in range(-(-nb.n_paths // 256)):
-        bg = np.random.Philox(key=nb.seed | nb.tag << 64)
-        bg.advance(j << 40)
+        bg = np.random.SFC64(np.random.SeedSequence(nb.seed | nb.tag << 64, spawn_key=(j,)))
         blocks.append(np.random.Generator(bg).standard_normal((min(256, nb.n_paths - 256 * j), nb.n_steps, nb.d)))
     return np.sqrt(dt) * np.concatenate(blocks)[p0:p1]
 
