@@ -38,7 +38,7 @@ import numpy as np
 
 from .paths import Grid
 from .sde import TrajectoryBatch
-from .smoothing import FourierBasis
+from .smoothing import FeatureTracker, FourierBasis, Integrand
 
 __all__ = [
     "DriverSpec",
@@ -75,8 +75,10 @@ class DriverSpec:
 
     ``f`` is vectorised over paths: state is whatever the feature provider
     exposes at a step (the state array for Markovian problems, the raw
-    feature bundle for path-dependent ones), y has shape (m,) and z shape
-    (m, d); the result has shape (m,).  ``f = None`` means the zero driver.
+    feature bundle for path-dependent ones, whose ``present`` value is
+    exact and whose other entries are float32 features handed over as
+    float64), y has shape (m,) and z shape (m, d); the result has shape
+    (m,).  ``f = None`` means the zero driver.
     """
 
     f: Callable | None
@@ -181,12 +183,14 @@ class _MarkovFeatures:
 
 
 class _PathFeatures:
-    """Raw path functionals stored per step during one forward sweep.
+    """Path functionals of every step, derived in one sweep along the step rows.
 
-    The trigonometric coordinates are the pathwise integrals of the basis
-    integrands over [-s, 0] at time s, accumulated by trapezoid; running
-    maximum and time-integral are cumulative reductions.  Stored float32:
-    they only feed least squares.
+    The present value is read exact from the float64 step rows
+    ``traj.values.T``.  The derived features only feed least squares and
+    are stored step-major in float32: the running maximum and running
+    time-integral from the history on, and the 2 n_fourier trigonometric
+    coordinates, (steps + 1, 2 n_fourier, n), the cylindrical features of
+    phi_i(u) = e~_i(u - T) that one ``FeatureTracker`` accumulates.
     """
 
     def __init__(self, spec: RegressionBasisSpec, traj: TrajectoryBatch):
@@ -195,68 +199,51 @@ class _PathFeatures:
         if traj.prefix is None:
             raise ValueError("path-dependent features need the history path")
         self.spec = spec
-        # step-major float32 throughout: these arrays only feed least squares
-        v = np.ascontiguousarray(traj.values.T, dtype=np.float32)  # (steps+1, n)
-        self._v_t = v
-        times = traj.grid.times
-        dt = np.float32(traj.grid.dt)
-        prefix = traj.prefix
+        rows = self._rows = traj.values.T  # (steps+1, n)
+        prefix, times, T = traj.prefix, traj.grid.times, traj.prefix.horizon
 
-        pre_max = np.float32(np.max(prefix.values))
-        self.run_max = np.maximum.accumulate(v, axis=0)
-        np.maximum(self.run_max, pre_max, out=self.run_max)
-
-        xs = prefix.nodes
-        pre_int = np.float32(np.trapezoid(prefix.values, xs))
-        cum = np.empty_like(v)
+        # the float32 reductions take no float64 temporary; the running maximum is taken in the sweep
+        self.run_max = np.empty(rows.shape, np.float32)
+        np.maximum(rows[0], np.max(prefix.values), out=self.run_max[0])
+        pre_int = np.float32(np.trapezoid(prefix.values, prefix.nodes))
+        self.run_int = cum = np.empty(rows.shape, np.float32)
         cum[0] = pre_int
-        np.cumsum(np.float32(0.5) * dt * (v[1:] + v[:-1]), axis=0, out=cum[1:])
+        np.add(rows[1:], rows[:-1], out=cum[1:], dtype=np.float32)
+        cum[1:] *= np.float32(0.5) * np.float32(traj.grid.dt)
+        np.cumsum(cum[1:], axis=0, out=cum[1:])
         cum[1:] += pre_int
-        self.run_int = cum
 
-        T = prefix.horizon
         basis = FourierBasis(T, max_index=2 * spec.n_fourier)
-        self.fourier: list[np.ndarray] = []
-        t0 = traj.grid.t_start
-        for i in range(1, 2 * spec.n_fourier + 1):
-            g = lambda u, i=i: basis.evaluate(i, np.asarray(u) - T)
-            g_anti = lambda u, i=i: basis.antiderivative(i, np.asarray(u) - T)
-            # accumulated Lebesgue part int_0^s g(u) X_u du
-            if t0 > 0:
-                us = np.linspace(0.0, t0, max(2, prefix.n_nodes))
-                head = np.float32(np.trapezoid(np.asarray(g(us)) * prefix(us - t0), us))
-            else:
-                head = np.float32(0.0)
-            gk = np.asarray(g(times), dtype=np.float32)[:, None]
-            feat = np.empty_like(v)
-            feat[0] = 0.0
-            np.cumsum(np.float32(0.5) * dt * (gk[1:] * v[1:] + gk[:-1] * v[:-1]), axis=0, out=feat[1:])
-            feat += head
-            np.negative(feat, out=feat)  # feat = -(head + int_0^s g X du)
-            feat += np.asarray(g_anti(times), dtype=np.float32)[:, None] * v
-            self.fourier.append(feat)
+        integrands = [Integrand(lambda u, i=i: basis.antiderivative(i, u - T), lambda u, i=i: basis.evaluate(i, u - T))
+                      for i in range(1, 2 * spec.n_fourier + 1)]
+        tracker = FeatureTracker(integrands, rows[0], traj.grid.t_start, prefix)
+        self.fourier = np.empty((rows.shape[0], len(integrands), rows.shape[1]), np.float32)
+        for k in range(rows.shape[0]):
+            if k:
+                tracker.advance(times[k - 1], rows[k - 1], times[k], rows[k])
+                np.maximum(self.run_max[k - 1], rows[k], out=self.run_max[k])
+            self.fourier[k] = tracker.features(times[k], rows[k]).T
 
     def state(self, k: int):
         return {
-            "present": self._v_t[k].astype(np.float64),
+            "present": self._rows[k],
             "running_max": self.run_max[k].astype(np.float64),
             "running_integral": self.run_int[k].astype(np.float64),
-            "fourier": np.stack([f[k] for f in self.fourier], axis=1).astype(np.float64),
+            "fourier": np.ascontiguousarray(self.fourier[k].T, dtype=np.float64),
         }
 
     def design_t(self, k: int, out: np.ndarray) -> np.ndarray:
         """Write the transposed design, (B, n_paths), into the rows ``out`` and return them."""
-        n_base = out.shape[0] - len(self.fourier)
+        n_base = out.shape[0] - self.fourier.shape[1]
         out[0] = 1.0
-        out[1] = self._v_t[k]
+        out[1] = self._rows[k]
         out[2] = self.run_max[k]
         out[3] = self.run_int[k]
         if self.spec.degree >= 2:
             np.square(out[1], out=out[4])
             np.square(out[2], out=out[5])
             np.multiply(out[1], out[2], out=out[6])
-        for j, f in enumerate(self.fourier):
-            out[n_base + j] = f[k]
+        out[n_base:] = self.fourier[k]
         return out
 
 

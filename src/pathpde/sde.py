@@ -21,10 +21,11 @@ calls it.  ``_lanes`` is the one parallel axis, and a forward pass
 ``workers`` threads, and each lane draws, steps and evaluates its blocks,
 noise and bridge maximum included, on that lane alone, so no bit depends
 on how many.  While more than one lane runs, OpenBLAS is held to one
-thread (``_BlasThreads``), process-wide.  The Euler schemes step on contiguous rows of a
-(n_steps + 1[, d], n_paths) buffer, and ``TrajectoryBatch.values`` is
-its path-major view, so ``values.T`` (or ``values.transpose(1, 2, 0)``)
-gives the step rows back without a copy.
+thread (``_BlasThreads``), process-wide.  The Euler schemes step on
+contiguous rows of a (n_steps + 1[, d], n_paths) buffer, and
+``TrajectoryBatch.values`` is its path-major view (``_trajectories``, for
+them and the forward pass alike), so ``values.T`` (or
+``values.transpose(1, 2, 0)``) gives the step rows back without a copy.
 Every value is computed by the same arithmetic as on a path-major
 layout, so the layout moves no bit; where numpy's order of summation
 depends on the layout (a row reduction, an einsum contraction), the
@@ -479,6 +480,16 @@ def _step_rows(out: np.ndarray | None, n_steps: int, d: int, n_paths: int) -> np
     return out.reshape(-1)[:need].reshape(shape)
 
 
+def _trajectories(grid: Grid, V: np.ndarray, start) -> TrajectoryBatch:
+    """The paths from ``start`` whose values are the path-major view of the step-major buffer V.
+
+    A vector start gives (n_paths, n_steps + 1, d), any other (n_paths, n_steps + 1); a ``Path`` is their history.
+    """
+    if isinstance(start, Path):
+        return TrajectoryBatch(grid, V[:, 0].T, prefix=start)
+    return TrajectoryBatch(grid, V.transpose(2, 0, 1) if np.ndim(start) else V[:, 0].T)
+
+
 def _euler(x0: np.ndarray, grid: Grid, dW: np.ndarray, coefficients: Callable, out: np.ndarray | None) -> np.ndarray:
     """The Euler recursion X_{k+1} = X_k + b dt + sigma dW of both schemes.
 
@@ -584,7 +595,7 @@ def euler_markov(
     if x0.size != dW.shape[2]:
         raise ValueError(f"state dimension {x0.size} does not match increments d={dW.shape[2]}")
     V = _euler(x0, grid, dW, lambda X0: coefficients, out)
-    return TrajectoryBatch(grid, V.transpose(2, 0, 1) if x0.ndim else V[:, 0].T)
+    return _trajectories(grid, V, x0)
 
 
 def _dt_node_count(horizon: float, dt: float) -> int | None:
@@ -658,7 +669,7 @@ def euler_path_dependent(
         return step(b), step(sigma), after if trackers or windowed else None
 
     V = _euler(np.asarray(eta.values[-1], dtype=float), grid, dW, coefficients, out)
-    return TrajectoryBatch(grid, V[:, 0].T, prefix=eta)
+    return _trajectories(grid, V, eta)
 
 
 def coupled_sup_error(

@@ -37,7 +37,9 @@ features, a state problem then peaks inside the induction at
 
 (values, increments, the (Y, Z) state, the regression buffer, samples)
 plus the driver's result, one row of n_paths doubles, and one noise
-scratch per lane; a path problem adds its float32 features.
+scratch per lane.  A path problem adds its float32 features, (2 + 2
+n_fourier)(s + 1) x n_paths x 4 B, and the driver's float64 ``state(k)``
+bundle of a step, (2 + 2 n_fourier) x n_paths x 8 B.
 ``tests/test_solver.py`` holds small evaluations at one and two workers
 to both models under ``tracemalloc``.  User terminals and coefficients
 are called from lane threads, at the same time, on disjoint blocks of
@@ -108,6 +110,7 @@ from .sde import (
     TrajectoryBatch,
     _lanes,
     _step_rows,
+    _trajectories,
     _usable_cores,
     bridge_corrected_max,
     euler_markov,
@@ -399,10 +402,7 @@ def _terminal_samples(
     if not keep:
         return xi, None
     values.flags.writeable = dW.flags.writeable = False
-    vector = problem.mode == "markov" and np.ndim(start)  # euler_markov's layout for a vector start
-    traj = TrajectoryBatch(grid, values.transpose(2, 0, 1) if vector else values[:, 0].T,
-                           start if problem.mode == "path" else None)
-    return xi, _AllPaths(traj, dW.transpose(2, 0, 1))
+    return xi, _AllPaths(_trajectories(grid, values, start), dW.transpose(2, 0, 1))
 
 
 def _terminal_time_value(problem: ProblemSpec, t: float, start) -> float | None:

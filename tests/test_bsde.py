@@ -22,7 +22,7 @@ from pathpde.bsde import (
     solve_bsde,
 )
 from pathpde.sde import NoiseBundle, SdeSpec, TrajectoryBatch, euler_markov, euler_path_dependent
-from pathpde.smoothing import mollify
+from pathpde.smoothing import CylindricalFunctional, FourierBasis, Integrand, mollify
 from pathpde.solver import (
     ProblemSpec,
     SolverConfig,
@@ -816,3 +816,39 @@ def test_spec_row_count_is_what_each_provider_writes(kind, degree, d):
         out = np.full((spec.n_features(d), n_paths), np.nan)
         assert features.design_t(k, out) is out
         assert not np.isnan(out).any()
+
+
+# ---------------------------------------------------------------------------
+# the path state
+
+
+def test_path_state_present_is_the_exact_value():
+    traj, _ = _path_case(1000, 20)
+    spec = RegressionBasisSpec("path", 2)
+    features = make_features(spec, traj)
+    for k in range(traj.grid.n_steps + 1):
+        assert np.array_equal(features.state(k)["present"], traj.values[:, k])
+        assert np.array_equal(features.design_t(k, np.empty((spec.n_features(), traj.n_paths)))[1],
+                              traj.values[:, k])
+
+
+@pytest.mark.parametrize("t0, n_steps", [(0.0, 50), (0.4, 30)])
+def test_path_coordinates_are_the_cylindrical_features_of_their_windows(t0, n_steps):
+    # the coordinates are the pathwise integrals of e~_i(u - T) at absolute time u; windows cut on the
+    # dt-aligned nodes of [-T, 0], which are the history's nodes too, give the reference
+    T = 1.0
+    eta = Path.from_function(lambda x: 0.2 * np.sin(4.0 * x), T, 51)
+    g = Grid(t0, T, n_steps)
+    dW = NoiseBundle(27, 300, n_steps).increments(g.dt)
+    traj = euler_path_dependent(SdeSpec(0.0, 1.0), eta, g, dW)
+    features = make_features(RegressionBasisSpec("path", 2, 2), traj)
+    basis = FourierBasis(T, 4)
+    reference = CylindricalFunctional(base=None, integrands=tuple(
+        Integrand(lambda u, i=i: basis.antiderivative(i, u - T), lambda u, i=i: basis.evaluate(i, u - T))
+        for i in range(1, 5)
+    ))
+    xs = np.linspace(-T, 0.0, 51)
+    for k in (0, 1, n_steps // 3, n_steps - 1, n_steps):
+        windows = traj.window_values(k, xs)
+        want = np.stack([reference.features(g.times[k], Path(T, row)) for row in windows])
+        assert np.abs(features.state(k)["fourier"] - want).max() <= 1e-6

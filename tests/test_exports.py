@@ -123,6 +123,7 @@ PRIVATE_CROSSINGS = {
     ("solver", "bsde", "_zero_driver_value"): "one traced regression per zero-driver evaluation (ROADMAP item 4)",
     ("solver", "sde", "_lanes"): "a forward pass, the lanes' one caller, deals them its blocks, whatever the driver",
     ("solver", "sde", "_step_rows"): "a forward block steps on its lane's value buffer or its columns of all paths",
+    ("solver", "sde", "_trajectories"): "the pass of all paths views its step-major buffer as the Euler schemes do",
     ("solver", "sde", "_usable_cores"): "SolverConfig.workers defaults to the noise layer's core count",
     ("solver", "smoothing", "_convolve"): "mollified state coefficients use the one convolution evaluator",
     ("solver", "smoothing", "_mollifier_rule"): "mollified coefficients and drivers use the one quadrature rule",

@@ -755,23 +755,34 @@ def test_a_streamed_pass_peaks_within_the_memory_model(workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_pass_of_all_paths_peaks_within_the_memory_model(workers):
-    # solver's model for s steps, d = 1 and B = 3 features: values, increments, (Y, Z), regression buffer
-    # and samples, ((s + 1) + s + 2 (s + 1) + (B + 2) + 1) x 8 B per path, with 4 x 8 B per path and one
-    # noise scratch per lane of margin
+    # solver's model for s steps, d = 1 and B features: values, increments, (Y, Z), regression buffer
+    # and samples, ((s + 1) + s + 2 (s + 1) + (B + 2) + 1) x 8 B per path; a path problem adds its
+    # float32 features, (2 + 2 n_fourier)(s + 1) x 4 B per path, and a step's state bundle,
+    # (2 + 2 n_fourier) x 8 B per path.  The driver's result, 8 B per path, and one noise scratch per
+    # lane (two noise blocks with the bridge maximum) are the margin
     import tracemalloc
 
+    lookback = replace(_lookback_problem(), driver=_linear_problem().driver)
     for n_paths, n_steps in ((20_000, 20), (9_000, 60)):
         cfg = SolverConfig(n_paths, n_steps, seed=3, workers=workers)
-        evaluate_markov(_linear_problem(), 0.0, 0.5, cfg)  # lazy set-up outside the trace
-        tracemalloc.start()
-        try:
-            evaluate_markov(_linear_problem(), 0.0, 0.5, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        s, d, B = n_steps, 1, 3
-        model = ((s + 1) * d + s * d + (s + 1) * (d + 1) + (B + d + 1) + 1) * n_paths * 8
-        assert peak <= model + 4 * 8 * n_paths + workers * 256 * n_steps * d * 8
+        s, d = n_steps, 1
+        for problem, start in ((_linear_problem(), 0.5), (lookback, Path.constant(0.0, 1.0, s + 1))):
+            evaluate = evaluate_markov if problem.mode == "markov" else evaluate_ppde
+            evaluate(problem, 0.0, start, cfg)  # lazy set-up outside the trace
+            tracemalloc.start()
+            try:
+                evaluate(problem, 0.0, start, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            basis = cfg.resolved_basis(problem.mode)
+            model = ((s + 1) * d + s * d + (s + 1) * (d + 1) + (basis.n_features(d) + d + 1) + 1) * n_paths * 8
+            noise = 256 * s * d * 8
+            if problem.mode == "path":
+                derived = 2 + 2 * basis.n_fourier
+                model += derived * (s + 1) * 4 * n_paths + derived * 8 * n_paths
+                noise *= 2
+            assert peak <= model + 8 * n_paths + workers * noise
 
 
 class _MeanAbsWindow:
