@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,8 +53,20 @@ class NonConvergenceError(RuntimeError):
     """A diagonal selection or schedule failed to meet its tolerance."""
 
 
-def _gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+@cache
+def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1], read-only: solved once per n.
+
+    ``leggauss`` solves a dense eigenproblem; the mollifiers and the edge
+    bump ask for the same 200-node rule at every rung they build.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _unit_gauss_legendre(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 
@@ -393,8 +406,11 @@ def smooth_terminal(H: Callable, n: int, horizon: float) -> Callable:
     samples, ``B.T @ (A.T @ values.T)``: k sample rows (k, m) on the
     uniform nodes in, their arguments out as m step rows (m, k), one
     column per path.  A single row is doubled so that it too runs through
-    BLAS gemm and rounds like its column in any batch.  ``argument(eta)``,
-    the argument of one path as a Path, is ``argument_rows`` on one row.
+    BLAS gemm and rounds like its column in any batch, so a caller may
+    hand it the rows in tiles: the solver's smoother takes 256 paths at a
+    time, which keeps the (n + 3) x k coordinates and m x k argument of a
+    tile in cache.  ``argument(eta)``, the argument of one path as a
+    Path, is ``argument_rows`` on one row.
     """
     if n < 1:
         raise ValueError(f"smoothing index must be >= 1, got {n}")

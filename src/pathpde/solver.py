@@ -39,15 +39,20 @@ features, a state problem then peaks inside the induction at
 plus the driver's result, one row of n_paths doubles, and one noise
 scratch per lane.  A path problem adds its float32 features, (2 + 2
 n_fourier)(s + 1) x n_paths x 4 B, and the driver's float64 ``state(k)``
-bundle of a step, (2 + 2 n_fourier) x n_paths x 8 B.
-``tests/test_solver.py`` holds small evaluations at one and two workers
-to both models under ``tracemalloc``.  User terminals and coefficients
-are called from lane threads, at the same time, on disjoint blocks of
-paths.  While the lanes run, OpenBLAS is held to one thread,
-process-wide, so other threads' numpy products run single-threaded
-meanwhile.  ``sde`` is the one module that knows the noise blocks and
-their per-block ``SeedSequence`` keying; ``bridge_corrected_max`` is
-imported from there.
+bundle of a step, (2 + 2 n_fourier) x n_paths x 8 B.  A rung group of
+the pipeline holds the streamed model: a smoothed terminal forms its
+argument per ``_SMOOTHER_TILE`` = 256 paths, about one noise scratch a
+lane; a probe at t > 0 adds its cut windows, one ``_FORWARD_BLOCK`` x m
+array per lane for m window nodes, and the cut's two chunk tiles of
+2^16 doubles while it runs.  ``tests/test_solver.py`` holds
+small evaluations at one and two workers to both models under
+``tracemalloc``, and pipelines at t = 0 to the streamed one.  User
+terminals and coefficients are called from lane threads, at the same
+time, on disjoint blocks of paths.  While the lanes run, OpenBLAS is
+held to one thread, process-wide, so other threads' numpy products run
+single-threaded meanwhile.  ``sde`` is the one module that knows the
+noise blocks and their per-block ``SeedSequence`` keying;
+``bridge_corrected_max`` is imported from there.
 
 One loop, ``_evaluate_point``, evaluates a list of problems that share
 one forward pass at one point: the exact values at the horizon, else the
@@ -68,9 +73,10 @@ block (all path-mode rungs, which smooth only the terminal, and Markov
 rungs with constant or unmollified coefficients).
 A path-mode rung's smoothed terminal applies its rank-(n + 3) factors to
 the block's windows (at t = 0 a view of Euler's step rows, neither copied
-nor interpolated) and hands the arguments to ``_window_samples``, the one
-evaluator of a path terminal on windows, which the forward samples and
-the value at the horizon use too.  The final rung defines the returned
+nor interpolated), one 256-path tile at a time, and hands each tile's
+arguments to ``_window_samples``, the one evaluator of a path terminal
+on windows, which the forward samples and the value at the horizon use
+too.  The final rung defines the returned
 solution field.
 
 The lookback benchmark carries its own closed form: for unit-diffusion,
@@ -262,6 +268,10 @@ def _pathwise_se(
 # per lane, plus one float per path and rung.  A multiple of
 # sde._NOISE_BLOCK, so that a block draws whole blocks of normals.
 _FORWARD_BLOCK = 2048
+# Paths per tile of a smoothed terminal's argument (_LinearTerminalSmoother):
+# a tile's (n + 3) x 256 coordinates and m x 256 argument stay in cache and
+# take about one noise scratch.  A divisor of _FORWARD_BLOCK.
+_SMOOTHER_TILE = 256
 
 
 @dataclass
@@ -593,12 +603,17 @@ def _mollify_driver_markov(driver: DriverSpec, d: int, n: int, nodes: int, famil
 class _LinearTerminalSmoother:
     """Batch form of the terminal smoothing ``smooth_terminal(inner, n, T)``.
 
-    ``evaluate_batch`` takes the smoothed arguments of a batch of windows,
-    linear of rank n + 3 in the samples, from ``smooth_terminal``'s
-    ``argument_rows`` as m step rows, one column per path (a view of the
-    step-major values, ``TrajectoryBatch.step_window``, is read with no
-    copy), and hands their transpose to ``_window_samples`` as the windows
-    of the wrapped terminal.
+    ``evaluate_batch`` walks the windows in tiles of ``_SMOOTHER_TILE``
+    paths.  For each tile it takes the smoothed arguments, linear of rank
+    n + 3 in the samples, from ``smooth_terminal``'s ``argument_rows`` as
+    m step rows, one column per path (a view of the step-major values,
+    ``TrajectoryBatch.step_window``, is read with no copy), and hands
+    their transpose to ``_window_samples`` as the windows of the wrapped
+    terminal, whose samples fill the tile's slice of the result.  A tile's
+    (n + 3) x 256 coordinates and m x 256 argument are the largest arrays
+    it forms, so a rung adds about one noise scratch to a lane.  Each
+    path rounds alike in any batch (``argument_rows``), so the tiles
+    change no bit.
     """
 
     def __init__(self, inner, n: int, horizon: float):
@@ -607,8 +622,14 @@ class _LinearTerminalSmoother:
         self._argument_rows = smooth_terminal(inner, n, horizon).argument_rows
 
     def evaluate_batch(self, wb: WindowBatch) -> np.ndarray:
-        rows = self._argument_rows(wb.values)  # (m, n_paths): one column per window
-        return _window_samples(self.inner, self.horizon, WindowBatch(wb.xs, rows.T))
+        k = wb.values.shape[0]
+        out = np.empty(k)
+        for q0 in range(0, k, _SMOOTHER_TILE):
+            q1 = min(q0 + _SMOOTHER_TILE, k)
+            rows = self._argument_rows(wb.values[q0:q1])  # (m, q1 - q0): one column per window
+            samples = _window_samples(self.inner, self.horizon, WindowBatch(wb.xs, rows.T))
+            out[q0:q1] = _checked(samples, q1 - q0)
+        return out
 
 
 def _smooth_rung(problem: ProblemSpec, n: int, schedule: ApproximationSchedule,

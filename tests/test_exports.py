@@ -180,6 +180,12 @@ def test_the_forward_pass_is_the_one_caller_of_the_lanes():
     assert _call_sites({"m": source}, _named("_lanes")) == [("m", "f"), ("m", None)]
 
 
+def test_the_unit_gauss_legendre_rule_is_solved_in_one_place():
+    # leggauss solves a dense eigenproblem: every rule is an affine copy of the one solved per node count
+    sources = {p.stem: p.read_text() for p in sorted(FsPath(pathpde.__file__).parent.glob("*.py"))}
+    assert _call_sites(sources, _named("leggauss")) == [("smoothing", "_unit_gauss_legendre")]
+
+
 def _numpy_random(func: ast.expr) -> bool:
     """A callee in numpy's random module, spelled np.random.X or numpy.random.X."""
     return ast.unparse(func).startswith(("np.random.", "numpy.random."))

@@ -22,7 +22,7 @@ from pathpde.smoothing import (
     smooth_finite_dim,
     smooth_terminal,
 )
-from pathpde.solver import SupTerminal, _LinearTerminalSmoother
+from pathpde.solver import _SMOOTHER_TILE, SupTerminal, _LinearTerminalSmoother
 
 # frozen by independent quadrature (scipy.integrate.quad to 1e-14):
 # 2 * int_0^1 phi_1(w) w dw for the standard exp bump
@@ -86,6 +86,20 @@ def test_mollify_kink_regression_value():
     default = mollify(np.abs, 1, 1, nodes_per_axis=60)
     assert default(np.array([0.0]))[0] == pytest.approx(MOLLIFIED_ABS_AT_ZERO, abs=5e-4)
     assert default(np.array([0.0]))[0] > 0.0
+
+
+def test_each_unit_gauss_legendre_rule_is_solved_once(monkeypatch):
+    calls, leggauss = [], np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or leggauss(n))
+    smoothing._unit_gauss_legendre.cache_clear()
+    for a, b in ((0.0, 1.0), (-0.5, 0.5), (0.0, 1.0)):
+        x, w = smoothing._gauss_legendre(a, b, 37)
+        np.testing.assert_allclose(w.sum(), b - a, rtol=1e-14)
+        x[:] = w[:] = np.nan  # each caller's rule is its own copy
+    assert calls == [37]
+    unit = smoothing._unit_gauss_legendre(37)
+    assert not unit[0].flags.writeable and not unit[1].flags.writeable
+    assert [np.array_equal(u, v) for u, v in zip(unit, leggauss(37))] == [True, True]
 
 
 def test_mollify_rejects_degenerate_rule():
@@ -360,6 +374,21 @@ def test_smoother_rounds_a_path_alike_in_any_batch(n, m):
     for size in (1, 2, 3, 7):
         parts = [smoother.evaluate_batch(WindowBatch(xs, values[i : i + size])) for i in range(0, 40, size)]
         assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("inner", ["sup", "callable"])
+def test_smoother_tiles_equal_row_by_row_on_step_row_views_and_cuts(inner):
+    # two whole tiles and a one-path tile, read from strided step rows and from a C-ordered cut
+    k, m = 2 * _SMOOTHER_TILE + 1, 41
+    smoother = _LinearTerminalSmoother(SupTerminal() if inner == "sup" else _present_plus_spread, 16, 1.0)
+    scalar = smooth_terminal(_path_max if inner == "sup" else _present_plus_spread, 16, 1.0)
+    steps = np.cumsum(_rows(57, 60, k, scale=0.2), axis=0)  # step-major: one row per step, one column per path
+    view = steps.T[:, -m:]
+    assert not view.flags.c_contiguous
+    xs = np.linspace(-1.0, 0.0, m)
+    rows = np.array([scalar(Path(1.0, row)) for row in view])
+    for values in (view, np.ascontiguousarray(view)):
+        assert np.array_equal(smoother.evaluate_batch(WindowBatch(xs, values)), rows)
 
 
 def test_smoother_builds_its_factors_once_per_node_count(monkeypatch):

@@ -619,6 +619,22 @@ def test_smoother_reads_aligned_windows_as_views_of_the_step_rows(monkeypatch):
     assert len(blocks) == 2
 
 
+def test_a_pipeline_hands_argument_rows_at_most_a_tile_of_paths(monkeypatch):
+    sizes, smooth = [], solver.smooth_terminal
+
+    def spy(inner, n, horizon):
+        smoothed = smooth(inner, n, horizon)
+        rows = smoothed.argument_rows
+        smoothed.argument_rows = lambda values: sizes.append(values.shape[0]) or rows(values)
+        return smoothed
+
+    monkeypatch.setattr(solver, "smooth_terminal", spy)
+    cfg = SolverConfig(solver._FORWARD_BLOCK + 257, 20, seed=37, bridge_max=False)  # the last tile holds one path
+    schedule = ApproximationSchedule((4, 16), cfg)
+    strong_viscosity_pipeline(_lookback_problem(), schedule, [(0.0, Path.constant(0.0, 1.0, 21))])
+    assert max(sizes) == solver._SMOOTHER_TILE and sum(sizes) == 2 * cfg.n_paths and sizes.count(1) == 2
+
+
 def _present_abs(eta):
     return float(np.abs(eta.values[-1]))
 
@@ -735,22 +751,30 @@ def test_a_diverging_constant_block_names_the_same_path_and_step_on_any_lanes(mo
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_streamed_pass_peaks_within_the_memory_model(workers):
-    # solver's model: workers x (value buffer + noise scratch) + 8 B per path, and one value buffer of margin
+    # solver's model: workers x (value buffer + noise scratch) + 8 B per path and rung, and one value
+    # buffer of margin; a smoothed rung group forms each rung's argument per 256-path tile, inside it
     import tracemalloc
 
-    for n_paths, n_steps, bridge in ((5 * 2048 + 300, 50, True), (2 * 2048 + 100, 600, False)):
+    cases = ((5 * 2048 + 300, 50, True, None), (2 * 2048 + 100, 600, False, None),
+             (5 * 2048 + 300, 50, False, (4, 16, 64)), (2 * 2048 + 100, 600, False, (4, 64)))
+    for n_paths, n_steps, bridge, indices in cases:
         cfg = SolverConfig(n_paths, n_steps, seed=3, workers=workers, bridge_max=bridge)
         eta = Path.constant(0.0, 1.0, n_steps + 1)
-        evaluate_ppde(_lookback_problem(), 0.0, eta, cfg)  # lazy set-up outside the trace
+        if indices is None:
+            rungs, run = 1, lambda: evaluate_ppde(_lookback_problem(), 0.0, eta, cfg)
+        else:
+            schedule = ApproximationSchedule(indices, cfg)
+            rungs, run = len(indices), lambda: strong_viscosity_pipeline(_lookback_problem(), schedule, [(0.0, eta)])
+        run()  # lazy set-up outside the trace
         tracemalloc.start()
         try:
-            evaluate_ppde(_lookback_problem(), 0.0, eta, cfg)
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         lane = 2048 * (n_steps + 1) * 8
         noise = (2 if bridge else 1) * 256 * n_steps * 8  # a 256-path noise block, two with the bridge
-        assert peak <= workers * (lane + noise) + 8 * n_paths + lane
+        assert peak <= workers * (lane + noise) + 8 * n_paths * rungs + lane
 
 
 @pytest.mark.parametrize("workers", [1, 2])
