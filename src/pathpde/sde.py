@@ -75,9 +75,6 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _BINARY_MAGIC = b"PPDETRJ1"
-# Doubles in one cache-sized tile of a window cut (512 KB), which is formed
-# one row per window node and transposed
-_CHUNK_WORDS = 2**16
 # Paths per noise block, the one unit in which normals and uniforms are drawn:
 # their values depend on it, never on the workers or on the caller's range.
 # A divisor of solver._FORWARD_BLOCK, so a forward block draws whole blocks.
@@ -379,9 +376,10 @@ class TrajectoryBatch:
         on a path-major layout, so a terminal reducing rows adds them in
         the same order whatever the layout of the values.  An aligned
         window (see ``step_window``) is a copy of its step rows.  Otherwise
-        each node interpolates between two step rows: the cut runs on
-        cache-sized chunks of paths, forming a chunk's tile of one row per
-        node from the step rows and writing it transposed into the result.
+        each node interpolates between two step rows: the cut forms one row
+        per node from the step rows and copies their transpose, so it holds
+        three (n_paths, xs.size) arrays; the forward pass hands it one
+        256-path tile (``solver._PATH_TILE``).
         """
         if self.prefix is None:
             raise ValueError("window extraction requires a history path")
@@ -398,23 +396,12 @@ class TrajectoryBatch:
         i0 = np.minimum(pos.astype(int), n_steps - 1)
         i1 = i0 + 1
         w = (pos - i0)[:, None]
-        w0 = 1.0 - w
         rows = self.values.T
-        n, m = self.n_paths, xs.size
-        out = np.empty((n, m))
-        chunk = max(1, _CHUNK_WORDS // m)
-        tile = np.empty((m, min(n, chunk)))
-        tmp = np.empty_like(tile)
-        for q0 in range(0, n, chunk):
-            q1 = min(q0 + chunk, n)
-            a, b, block = tile[:, : q1 - q0], tmp[:, : q1 - q0], rows[:, q0:q1]
-            np.multiply(block[i0], w0, out=a)
-            np.multiply(block[i1], w, out=b)
-            a += b
-            a[history] = pre_vals
-            a[-1] = block[k]
-            out[q0:q1] = a.T
-        return out
+        cut = rows[i0] * (1.0 - w)
+        cut += rows[i1] * w
+        cut[history] = pre_vals
+        cut[-1] = rows[k]
+        return cut.T.copy()
 
     def step_window(self, k: int, xs: np.ndarray) -> np.ndarray | None:
         """The window at grid index k on nodes xs as a view of the values, if aligned; else None.

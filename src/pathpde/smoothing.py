@@ -407,10 +407,11 @@ def smooth_terminal(H: Callable, n: int, horizon: float) -> Callable:
     uniform nodes in, their arguments out as m step rows (m, k), one
     column per path.  A single row is doubled so that it too runs through
     BLAS gemm and rounds like its column in any batch, so a caller may
-    hand it the rows in tiles: the solver's smoother takes 256 paths at a
-    time, which keeps the (n + 3) x k coordinates and m x k argument of a
-    tile in cache.  ``argument(eta)``, the argument of one path as a
-    Path, is ``argument_rows`` on one row.
+    hand it the rows in tiles: the solver's forward pass hands its
+    smoother one tile of 256 paths' windows at a time, which keeps the
+    (n + 3) x k coordinates and m x k argument in cache.
+    ``argument(eta)``, the argument of one path as a Path, is
+    ``argument_rows`` on one row.
     """
     if n < 1:
         raise ValueError(f"smoothing index must be >= 1, got {n}")

@@ -39,14 +39,15 @@ features, a state problem then peaks inside the induction at
 plus the driver's result, one row of n_paths doubles, and one noise
 scratch per lane.  A path problem adds its float32 features, (2 + 2
 n_fourier)(s + 1) x n_paths x 4 B, and the driver's float64 ``state(k)``
-bundle of a step, (2 + 2 n_fourier) x n_paths x 8 B.  A rung group of
-the pipeline holds the streamed model: a smoothed terminal forms its
-argument per ``_SMOOTHER_TILE`` = 256 paths, about one noise scratch a
-lane; a probe at t > 0 adds its cut windows, one ``_FORWARD_BLOCK`` x m
-array per lane for m window nodes, and the cut's two chunk tiles of
-2^16 doubles while it runs.  ``tests/test_solver.py`` holds
-small evaluations at one and two workers to both models under
-``tracemalloc``, and pipelines at t = 0 to the streamed one.  User
+bundle of a step, (2 + 2 n_fourier) x n_paths x 8 B.  A path problem's
+terminals read a block in tiles of ``_PATH_TILE`` = 256 paths, and each
+tile's windows are cut once for every rung, so a rung group of the
+pipeline holds the streamed model: a smoothed terminal forms its argument
+for one tile, about one noise scratch a lane, and a probe at t > 0 adds
+the tile's cut and its interpolation scratch, 3 x 256 x m x 8 B per lane
+for m window nodes.  ``tests/test_solver.py`` holds small evaluations at
+one and two workers to both models under ``tracemalloc``, and pipelines
+at t = 0 and t > 0 to the streamed one.  User
 terminals and coefficients are called from lane threads, at the same
 time, on disjoint blocks of paths.  While the lanes run, OpenBLAS is
 held to one thread, process-wide, so other threads' numpy products run
@@ -72,12 +73,11 @@ evaluate only their terminals and values on the shared pass, block by
 block (all path-mode rungs, which smooth only the terminal, and Markov
 rungs with constant or unmollified coefficients).
 A path-mode rung's smoothed terminal applies its rank-(n + 3) factors to
-the block's windows (at t = 0 a view of Euler's step rows, neither copied
-nor interpolated), one 256-path tile at a time, and hands each tile's
-arguments to ``_window_samples``, the one evaluator of a path terminal
-on windows, which the forward samples and the value at the horizon use
-too.  The final rung defines the returned
-solution field.
+a tile's windows (at t = 0 a view of Euler's step rows, neither copied
+nor interpolated) and hands the arguments to ``_window_samples``, the
+one evaluator of a path terminal on windows, which the forward samples
+and the value at the horizon use too.  The final rung defines the
+returned solution field.
 
 The lookback benchmark carries its own closed form: for unit-diffusion,
 driver-free dynamics the expected terminal running maximum is an explicit
@@ -268,25 +268,25 @@ def _pathwise_se(
 # per lane, plus one float per path and rung.  A multiple of
 # sde._NOISE_BLOCK, so that a block draws whole blocks of normals.
 _FORWARD_BLOCK = 2048
-# Paths per tile of a smoothed terminal's argument (_LinearTerminalSmoother):
-# a tile's (n + 3) x 256 coordinates and m x 256 argument stay in cache and
-# take about one noise scratch.  A divisor of _FORWARD_BLOCK.
-_SMOOTHER_TILE = 256
+# Paths per tile of a path problem's terminals: a tile's cut windows and a
+# smoothed terminal's (n + 3) x 256 coordinates and m x 256 argument stay
+# in cache and take about one noise scratch.  A divisor of _FORWARD_BLOCK.
+_PATH_TILE = 256
 
 
 @dataclass
 class _Forward:
-    """One simulated block of paths at a point, as the terminals read it; shared by every rung of a probe.
+    """One tile of simulated paths at a point, as the path terminals read it; shared by every rung of a probe.
 
-    ``offset`` is the index of the block's first path among all paths.
+    ``offset`` is the index of the tile's first path among all paths.
     Holds the noise bundle of all paths (the bridge maximum draws its child
-    stream at the block's offset), the block's trajectories and, built on
-    first use, for a path problem the look-back windows at the horizon
-    (``windows``, cut, and ``smoother_windows``, a view of the step rows
-    where the windows lie on the grid).  The arrays are read-only: rungs
-    that share the block must all see the same samples.  A block of a
-    streamed pass is valid only until its lane advances, which writes the
-    lane's next block into the same value buffer.
+    stream at the tile's offset), the tile's trajectories and, built on
+    first use, its look-back windows at the horizon (``windows``, cut, and
+    ``smoother_windows``, a view of the step rows where the windows lie on
+    the grid), so a tile is cut once for every rung.  The arrays are
+    read-only: rungs that share the tile must all see the same samples.  A
+    tile of a streamed pass is valid only until its lane advances, which
+    writes the lane's next block into the same value buffer.
     """
 
     noise: NoiseBundle
@@ -356,7 +356,9 @@ def _terminal_samples(
     driver is zero; the first result holds one (n_paths,) array of checked
     samples per problem.  One function, ``block``, simulates the paths
     [p0, p1): it draws their increments, runs Euler, and writes every
-    problem's samples into rows p0..p1 of the results, on the lanes.
+    problem's samples into rows p0..p1 of the results, on the lanes.  A
+    path problem's block is read in tiles of ``_PATH_TILE`` paths, each one
+    ``_Forward`` that every problem's terminal reads in turn.
 
     A zero driver streams: a lane's scratch is its value buffer, whose rows
     1..n_steps take the increments that Euler then overwrites; the second
@@ -400,10 +402,15 @@ def _terminal_samples(
         except DivergenceError as err:
             raise DivergenceError(p0 + err.path, err.step) from None
         traj.values.flags.writeable = False
-        fwd = _Forward(noise, traj, p0)
-        for r, prob in enumerate(problems):
-            xi[r][p0:p1] = _checked(prob.terminal(traj.terminal()) if prob.mode == "markov"
-                                    else _terminal_samples_path(prob, fwd, config), p1 - p0)
+        if problem.mode == "markov":
+            for r, prob in enumerate(problems):
+                xi[r][p0:p1] = _checked(prob.terminal(traj.terminal()), p1 - p0)
+            return
+        for q0 in range(p0, p1, _PATH_TILE):
+            q1 = min(q0 + _PATH_TILE, p1)
+            fwd = _Forward(noise, replace(traj, values=traj.values[q0 - p0:q1 - p0]), q0)
+            for r, prob in enumerate(problems):
+                xi[r][q0:q1] = _checked(_terminal_samples_path(prob, fwd, config), q1 - q0)
 
     _lanes(block, n_paths, _FORWARD_BLOCK, config.workers,
            0 if keep else value_buffer_size(n_steps, d, min(n_paths, _FORWARD_BLOCK)))
@@ -603,17 +610,14 @@ def _mollify_driver_markov(driver: DriverSpec, d: int, n: int, nodes: int, famil
 class _LinearTerminalSmoother:
     """Batch form of the terminal smoothing ``smooth_terminal(inner, n, T)``.
 
-    ``evaluate_batch`` walks the windows in tiles of ``_SMOOTHER_TILE``
-    paths.  For each tile it takes the smoothed arguments, linear of rank
-    n + 3 in the samples, from ``smooth_terminal``'s ``argument_rows`` as
-    m step rows, one column per path (a view of the step-major values,
+    ``evaluate_batch`` takes the smoothed arguments, linear of rank n + 3
+    in the samples, from ``smooth_terminal``'s ``argument_rows`` as m step
+    rows, one column per path (a view of the step-major values,
     ``TrajectoryBatch.step_window``, is read with no copy), and hands
     their transpose to ``_window_samples`` as the windows of the wrapped
-    terminal, whose samples fill the tile's slice of the result.  A tile's
-    (n + 3) x 256 coordinates and m x 256 argument are the largest arrays
-    it forms, so a rung adds about one noise scratch to a lane.  Each
-    path rounds alike in any batch (``argument_rows``), so the tiles
-    change no bit.
+    terminal.  The forward pass hands it one tile of ``_PATH_TILE``
+    paths, so its (n + 3) x 256 coordinates and m x 256 argument add
+    about one noise scratch to a lane.
     """
 
     def __init__(self, inner, n: int, horizon: float):
@@ -622,14 +626,8 @@ class _LinearTerminalSmoother:
         self._argument_rows = smooth_terminal(inner, n, horizon).argument_rows
 
     def evaluate_batch(self, wb: WindowBatch) -> np.ndarray:
-        k = wb.values.shape[0]
-        out = np.empty(k)
-        for q0 in range(0, k, _SMOOTHER_TILE):
-            q1 = min(q0 + _SMOOTHER_TILE, k)
-            rows = self._argument_rows(wb.values[q0:q1])  # (m, q1 - q0): one column per window
-            samples = _window_samples(self.inner, self.horizon, WindowBatch(wb.xs, rows.T))
-            out[q0:q1] = _checked(samples, q1 - q0)
-        return out
+        rows = self._argument_rows(wb.values)  # (m, paths): one column per window
+        return _window_samples(self.inner, self.horizon, WindowBatch(wb.xs, rows.T))
 
 
 def _smooth_rung(problem: ProblemSpec, n: int, schedule: ApproximationSchedule,

@@ -684,7 +684,7 @@ def test_windows_on_step_rows_equal_the_path_major_cut():
         assert got.flags.c_contiguous  # one row per path
         # a terminal reducing rows adds them as on the path-major cut
         assert np.array_equal(np.abs(got).mean(axis=1), np.abs(ref).mean(axis=1))
-    # nodes that span several cache-sized chunks of paths, the last partial
+    # a batch of many paths, cut in one piece
     traj = euler_path_dependent(SdeSpec(0.0, 1.0), eta, g, NoiseBundle(44, 5000, 50).increments(g.dt))
     xs = np.linspace(-1.0, 0.0, 51)
     assert np.array_equal(traj.window_values(31, xs), _window_values_path_major(traj, 31, xs))

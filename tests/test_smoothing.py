@@ -22,7 +22,7 @@ from pathpde.smoothing import (
     smooth_finite_dim,
     smooth_terminal,
 )
-from pathpde.solver import _SMOOTHER_TILE, SupTerminal, _LinearTerminalSmoother
+from pathpde.solver import _PATH_TILE, SupTerminal, _LinearTerminalSmoother
 
 # frozen by independent quadrature (scipy.integrate.quad to 1e-14):
 # 2 * int_0^1 phi_1(w) w dw for the standard exp bump
@@ -378,8 +378,8 @@ def test_smoother_rounds_a_path_alike_in_any_batch(n, m):
 
 @pytest.mark.parametrize("inner", ["sup", "callable"])
 def test_smoother_tiles_equal_row_by_row_on_step_row_views_and_cuts(inner):
-    # two whole tiles and a one-path tile, read from strided step rows and from a C-ordered cut
-    k, m = 2 * _SMOOTHER_TILE + 1, 41
+    # two tiles' worth of paths and one more, read from strided step rows and from a C-ordered cut
+    k, m = 2 * _PATH_TILE + 1, 41
     smoother = _LinearTerminalSmoother(SupTerminal() if inner == "sup" else _present_plus_spread, 16, 1.0)
     scalar = smooth_terminal(_path_max if inner == "sup" else _present_plus_spread, 16, 1.0)
     steps = np.cumsum(_rows(57, 60, k, scale=0.2), axis=0)  # step-major: one row per step, one column per path

@@ -566,7 +566,10 @@ def test_shared_forward_arrays_are_read_only(monkeypatch):
     block = solver._FORWARD_BLOCK
     history = Path.constant(0.0, 1.0, 21)
 
-    def read_only(fwd):  # a block is read before its lane advances
+    tile = solver._PATH_TILE
+    tiles = [(q0, tile) for q0 in range(0, block, tile)] + [(block, 100)]
+
+    def read_only(fwd):  # a tile is read before its lane advances
         assert not fwd.traj.values.flags.writeable
         assert not fwd.windows.values.flags.writeable
         assert fwd.windows is fwd.windows  # cut once
@@ -576,14 +579,17 @@ def test_shared_forward_arrays_are_read_only(monkeypatch):
         cfg = SolverConfig(block + 100, 20, seed=33, workers=workers)
         blocks = _blocks_read(monkeypatch, read_only)
         assert solver._terminal_samples([_lookback_problem()], 0.0, history, cfg)[1] is None
-        assert sorted((fwd.offset, fwd.traj.n_paths) for fwd in blocks) == [(0, block), (block, 100)]
+        assert sorted((fwd.offset, fwd.traj.n_paths) for fwd in blocks) == tiles
         # one lane writes its next block into its one value buffer; two lanes have a buffer each
-        assert np.shares_memory(blocks[0].traj.values, blocks[1].traj.values) == (workers == 1)
-        # a nonzero driver keeps all paths: the blocks are columns of the arrays it hands back
+        first = {fwd.offset: fwd for fwd in blocks}
+        assert np.shares_memory(first[0].traj.values, first[block].traj.values) == (workers == 1)
+        # the tiles of one block are disjoint columns of its buffer
+        assert not np.shares_memory(first[0].traj.values, first[tile].traj.values)
+        # a nonzero driver keeps all paths: the tiles are columns of the arrays it hands back
         blocks = _blocks_read(monkeypatch, read_only)
         path_linear = replace(_lookback_problem(), driver=_linear_problem().driver)
         (xi,), paths = solver._terminal_samples([path_linear], 0.0, history, cfg)
-        assert sorted((fwd.offset, fwd.traj.n_paths) for fwd in blocks) == [(0, block), (block, 100)]
+        assert sorted((fwd.offset, fwd.traj.n_paths) for fwd in blocks) == tiles
         for fwd in blocks:
             assert np.shares_memory(fwd.traj.values, paths.traj.values)
             assert np.array_equal(fwd.traj.values, paths.traj.values[fwd.offset:fwd.offset + fwd.traj.n_paths])
@@ -605,9 +611,10 @@ def test_smoother_reads_aligned_windows_as_views_of_the_step_rows(monkeypatch):
         assert np.array_equal(wb.values, fwd.traj.values)  # 21 nodes at spacing dt: every simulated step
         assert "windows" not in vars(fwd)  # nothing was cut
 
+    tiles = -(-cfg.n_paths // solver._PATH_TILE)
     blocks = _blocks_read(monkeypatch, aligned)
     solver._terminal_samples([_lookback_problem()], 0.0, history, cfg)
-    assert len(blocks) == 2
+    assert len(blocks) == tiles
 
     # at t = 0.5 the window reaches back into the history: the cut
     def cut(fwd):
@@ -616,7 +623,7 @@ def test_smoother_reads_aligned_windows_as_views_of_the_step_rows(monkeypatch):
 
     blocks = _blocks_read(monkeypatch, cut)
     solver._terminal_samples([_lookback_problem()], 0.5, history, cfg)
-    assert len(blocks) == 2
+    assert len(blocks) == tiles
 
 
 def test_a_pipeline_hands_argument_rows_at_most_a_tile_of_paths(monkeypatch):
@@ -632,7 +639,53 @@ def test_a_pipeline_hands_argument_rows_at_most_a_tile_of_paths(monkeypatch):
     cfg = SolverConfig(solver._FORWARD_BLOCK + 257, 20, seed=37, bridge_max=False)  # the last tile holds one path
     schedule = ApproximationSchedule((4, 16), cfg)
     strong_viscosity_pipeline(_lookback_problem(), schedule, [(0.0, Path.constant(0.0, 1.0, 21))])
-    assert max(sizes) == solver._SMOOTHER_TILE and sum(sizes) == 2 * cfg.n_paths and sizes.count(1) == 2
+    assert max(sizes) == solver._PATH_TILE and sum(sizes) == 2 * cfg.n_paths and sizes.count(1) == 2
+
+
+def test_a_tile_is_cut_once_for_every_rung(monkeypatch):
+    rows, cut = [], sde.TrajectoryBatch.window_values
+
+    def spy(traj, k, xs):
+        rows.append(traj.n_paths)
+        return cut(traj, k, xs)
+
+    monkeypatch.setattr(sde.TrajectoryBatch, "window_values", spy)
+    cfg = SolverConfig(solver._FORWARD_BLOCK + 257, 20, seed=37, bridge_max=False)  # 8 + 2 tiles
+    history = Path.from_function(lambda x: 0.2 * np.sin(3.0 * x), 1.0, 41)  # at t = 0.3 the windows are cut
+    strong_viscosity_pipeline(_lookback_problem(), ApproximationSchedule((4, 16), cfg), [(0.3, history)])
+    assert len(rows) == 10 and max(rows) <= solver._PATH_TILE and sum(rows) == cfg.n_paths
+
+
+class _MeanAbsWindow:
+    """A terminal with a batch form: the mean absolute window value."""
+
+    def evaluate_batch(self, wb):
+        return np.abs(wb.values).mean(axis=1)
+
+
+def _path_terminal_kinds():
+    cyl = CylindricalFunctional(base=lambda t, F: np.abs(F[:, 0]) + F[:, 1] ** 2,
+                                integrands=(_unit_integrand(), _sin_integrand()))
+    callable_ = lambda eta: float(np.abs(eta.values[-1]) + eta.values[0])  # noqa: E731
+    return [SupTerminal(), callable_, _MeanAbsWindow(), cyl,
+            solver._LinearTerminalSmoother(SupTerminal(), 8, 1.0), solver._LinearTerminalSmoother(callable_, 8, 1.0)]
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3])
+@pytest.mark.parametrize("bridge", [True, False])
+def test_the_path_tile_changes_no_sample(monkeypatch, t, bridge):
+    problems = [ProblemSpec("path", 0.1, 1.0, DriverSpec(None), term, horizon=1.0) for term in _path_terminal_kinds()]
+    history = Path.from_function(lambda x: 0.2 * np.sin(3.0 * x), 1.0, 41)
+    cfg = SolverConfig(solver._FORWARD_BLOCK + 300, 10, seed=42, workers=2, bridge_max=bridge)
+    samples = []
+    for tile in (256, 1, 100):
+        monkeypatch.setattr(solver, "_PATH_TILE", tile)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # bridge_max has no effect on the smoothed running maximum
+            samples.append(solver._terminal_samples(problems, t, history, cfg)[0])
+    for xi in samples[1:]:
+        for got, ref in zip(xi, samples[0]):
+            assert np.array_equal(got, ref)
 
 
 def _present_abs(eta):
@@ -752,19 +805,22 @@ def test_a_diverging_constant_block_names_the_same_path_and_step_on_any_lanes(mo
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_streamed_pass_peaks_within_the_memory_model(workers):
     # solver's model: workers x (value buffer + noise scratch) + 8 B per path and rung, and one value
-    # buffer of margin; a smoothed rung group forms each rung's argument per 256-path tile, inside it
+    # buffer of margin; a smoothed rung group forms each rung's argument per 256-path tile, inside it.
+    # At t > 0 each lane also cuts a tile's m windows: the cut and its interpolation scratch,
+    # 3 x 256 x m x 8 B
     import tracemalloc
 
-    cases = ((5 * 2048 + 300, 50, True, None), (2 * 2048 + 100, 600, False, None),
-             (5 * 2048 + 300, 50, False, (4, 16, 64)), (2 * 2048 + 100, 600, False, (4, 64)))
-    for n_paths, n_steps, bridge, indices in cases:
+    cases = ((5 * 2048 + 300, 50, True, None, 0.0), (2 * 2048 + 100, 600, False, None, 0.0),
+             (5 * 2048 + 300, 50, False, (4, 16, 64), 0.0), (2 * 2048 + 100, 600, False, (4, 64), 0.0),
+             (5 * 2048 + 300, 50, False, (4, 16, 64), 0.3), (2 * 2048 + 100, 600, False, (4, 64), 0.3))
+    for n_paths, n_steps, bridge, indices, t in cases:
         cfg = SolverConfig(n_paths, n_steps, seed=3, workers=workers, bridge_max=bridge)
         eta = Path.constant(0.0, 1.0, n_steps + 1)
         if indices is None:
-            rungs, run = 1, lambda: evaluate_ppde(_lookback_problem(), 0.0, eta, cfg)
+            rungs, run = 1, lambda: evaluate_ppde(_lookback_problem(), t, eta, cfg)
         else:
             schedule = ApproximationSchedule(indices, cfg)
-            rungs, run = len(indices), lambda: strong_viscosity_pipeline(_lookback_problem(), schedule, [(0.0, eta)])
+            rungs, run = len(indices), lambda: strong_viscosity_pipeline(_lookback_problem(), schedule, [(t, eta)])
         run()  # lazy set-up outside the trace
         tracemalloc.start()
         try:
@@ -774,7 +830,8 @@ def test_a_streamed_pass_peaks_within_the_memory_model(workers):
             tracemalloc.stop()
         lane = 2048 * (n_steps + 1) * 8
         noise = (2 if bridge else 1) * 256 * n_steps * 8  # a 256-path noise block, two with the bridge
-        assert peak <= workers * (lane + noise) + 8 * n_paths * rungs + lane
+        cut = 3 * 256 * (int(round(1.0 / ((1.0 - t) / n_steps))) + 1) * 8 if t else 0
+        assert peak <= workers * (lane + noise + cut) + 8 * n_paths * rungs + lane
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -807,13 +864,6 @@ def test_a_pass_of_all_paths_peaks_within_the_memory_model(workers):
                 model += derived * (s + 1) * 4 * n_paths + derived * 8 * n_paths
                 noise *= 2
             assert peak <= model + 8 * n_paths + workers * noise
-
-
-class _MeanAbsWindow:
-    """A terminal with a batch form: the mean absolute window value."""
-
-    def evaluate_batch(self, wb):
-        return np.abs(wb.values).mean(axis=1)
 
 
 def _streaming_cases():
@@ -1095,26 +1145,29 @@ def test_each_block_enters_its_trace_points_on_one_thread_and_no_thread_outlives
     spy(solver._LinearTerminalSmoother, "evaluate_batch", lambda *args: None)
     history = Path.constant(0.0, 1.0, 21)
     cfg = SolverConfig(N_BLOCKED, 20, seed=7, workers=3)  # three blocks on three lanes
-    passes = [
+    passes = [  # the points of one tile of a block, where it names its first path
         (lambda: evaluate_ppde(_lookback_problem(), 0.0, history, cfg),
-         ["increments", "euler_path_dependent", "bridge_corrected_max"]),
+         lambda q0: [("bridge_corrected_max", q0)]),
         (lambda: strong_viscosity_pipeline(_lookback_problem(), ApproximationSchedule(
             (4, 16), replace(cfg, bridge_max=False)), [(0.0, history)]),
-         ["increments", "euler_path_dependent", "evaluate_batch", "evaluate_batch"]),
+         lambda q0: [("evaluate_batch", None)] * 2),
     ]
     before = threading.active_count()
-    for run, block_points in passes:
+    for run, tile_points in passes:
         calls.clear()
         run()
         assert threading.active_count() == before
         starts = []
         for thread in {thread for thread, _, _ in calls}:
             seen = [(name, p0) for ident, name, p0 in calls if ident == thread]
-            for i in range(0, len(seen), len(block_points)):  # a lane enters one block's points after another's
-                block = seen[i:i + len(block_points)]
-                assert [name for name, _ in block] == block_points
-                assert {p0 for _, p0 in block} - {None} == {block[0][1]}
-                starts.append(block[0][1])
+            while seen:  # a lane enters one block's points after another's
+                p0 = seen[0][1]
+                tiles = range(p0, min(p0 + solver._FORWARD_BLOCK, N_BLOCKED), solver._PATH_TILE)
+                block = [("increments", p0), ("euler_path_dependent", None)]
+                block += [point for q0 in tiles for point in tile_points(q0)]
+                assert seen[:len(block)] == block
+                seen = seen[len(block):]
+                starts.append(p0)
             assert thread != threading.main_thread().ident
         assert sorted(starts) == [0, solver._FORWARD_BLOCK, 2 * solver._FORWARD_BLOCK]
 
