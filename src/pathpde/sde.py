@@ -10,13 +10,14 @@ Any block regenerates bit for bit and any range of paths is a slice of
 the one-call array: values depend on the block size, never on the
 caller's range.
 
-The forward pass is step-major.  A block's draws are path-major, so
-``NoiseBundle.increments`` draws them into a scratch of one block and
-writes them once, scaled and transposed, into a (n_steps, d, n_paths)
-buffer, of which it returns the path-major view; ``bridge_corrected_max``
-transposes a block of a child stream's uniforms the same way, and nothing
-outside this module knows the layout.  The noise runs on the thread that
-calls it.  ``_lanes`` is the one parallel axis, and a forward pass
+The forward pass is step-major.  A block's draws are path-major, so one
+writer, ``NoiseBundle._rows``, draws every block, normals or uniforms,
+into a scratch of one block and writes it once, transposed, into a
+(n_steps, d, n_paths) buffer: scaled by sqrt(dt) for ``increments``,
+copied for ``uniforms``.  Both return its path-major view;
+``bridge_corrected_max`` is arithmetic on a tile's uniform rows, and
+nothing outside this module knows the layout.  The noise runs on the
+thread that calls it.  ``_lanes`` is the one parallel axis, and a forward pass
 (``solver``) its one caller: it deals the pass's blocks of paths to up to
 ``workers`` threads, and each lane draws, steps and evaluates its blocks,
 noise and bridge maximum included, on that lane alone, so no bit depends
@@ -49,7 +50,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -217,51 +218,52 @@ class NoiseBundle:
         key = (self.seed & _MASK64) | ((self.tag & _MASK64) << 64)
         return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key, spawn_key=(j,))))
 
-    def _blocks(self, p0: int, p1: int) -> Iterator[tuple[np.random.Generator, int, int, int]]:
-        """Each block that covers [p0, p1), in order: its generator and its paths in the range.
+    def _rows(self, p0: int, p1: int | None, scale: float | None, out: np.ndarray | None = None) -> np.ndarray:
+        """The path-major view of the step rows (n_steps, d, p1 - p0), ``out`` if given, of paths [p0, p1).
 
-        The paths in the range are [a, e).  The generator draws the block's
-        values path-major from the block's first path, so (skip + e - a,
-        n_steps, d) of them reach e, and the first ``skip`` paths lie before p0.
+        Each block that covers the range draws path-major from its first
+        path into a scratch of one block, and its paths in the range are
+        written transposed into their columns: normals scaled by ``scale``,
+        or, with no scale, uniforms copied.
         """
-        P = _NOISE_BLOCK
+        p1 = self.n_paths if p1 is None else p1
+        steps, d, P = self.n_steps, self.d, _NOISE_BLOCK
+        out = np.empty((steps, d, p1 - p0)) if out is None else out
+        scratch = np.empty(min(P, p1 - p0 // P * P) * steps * d)
         for j in range(p0 // P, -(-p1 // P) if p1 > p0 else 0):
             a, e = max(p0, j * P), min(p1, (j + 1) * P)
-            yield self._generator(j), a - j * P, a, e
+            z = scratch[: (e - j * P) * steps * d]
+            block = z.reshape(-1, steps, d)[a - j * P :].transpose(1, 2, 0)
+            gen = self._generator(j)
+            if scale is None:
+                gen.random(out=z)
+                out[:, :, a - p0 : e - p0] = block
+            else:
+                gen.standard_normal(out=z)
+                np.multiply(block, scale, out=out[:, :, a - p0 : e - p0])
+        return out.transpose(2, 0, 1)
 
     def uniforms(self, p0: int = 0, p1: int | None = None) -> np.ndarray:
         """Uniforms in (0, 1), shape (p1 - p0, n_steps, d).
 
-        Exact zeros (probability 2^-53 per draw) are clamped to 2^-54, so
-        that their logarithm is finite.
+        The result is the path-major view of their step-major (n_steps, d,
+        p1 - p0) rows, so ``uniforms(p0, p1)[:, :, 0].T`` gives the rows of
+        the first component without a copy.  Exact zeros (probability
+        2^-53 per draw) are clamped to 2^-54, so that their logarithm is
+        finite.
         """
-        p1 = self.n_paths if p1 is None else p1
-        out = np.empty((p1 - p0, self.n_steps, self.d))
-        for gen, skip, a, e in self._blocks(p0, p1):
-            out[a - p0 : e - p0] = gen.random((skip + e - a, self.n_steps, self.d))[skip:]
-        np.maximum(out, 2.0**-54, out=out)
-        return out
+        u = self._rows(p0, p1, None)
+        return np.maximum(u, 2.0**-54, out=u)
 
     def increments(self, dt: float, p0: int = 0, p1: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
         """Brownian increments N(0, dt), shape (p1 - p0, n_steps, d).
 
         The result is the path-major view of a step-major (n_steps, d,
         p1 - p0) buffer, ``out`` when given (say rows 1..n_steps of an Euler
-        value buffer), so each step's increments are contiguous rows.  A
-        block's normals, path-major, fill a scratch of one block, and are
-        scaled by sqrt(dt) as they are written, transposed, into the buffer.
+        value buffer), so each step's increments are contiguous rows; the
+        normals are scaled by sqrt(dt) as they are written.
         """
-        p1 = self.n_paths if p1 is None else p1
-        steps, d = self.n_steps, self.d
-        out = np.empty((steps, d, p1 - p0)) if out is None else out
-        scale = np.sqrt(dt)
-        scratch = np.empty(min(_NOISE_BLOCK, p1 - p0 // _NOISE_BLOCK * _NOISE_BLOCK) * steps * d)
-        for gen, skip, a, e in self._blocks(p0, p1):
-            z = scratch[: (skip + e - a) * steps * d]
-            gen.standard_normal(out=z)
-            z = z.reshape(-1, steps, d)[skip:]
-            np.multiply(z.transpose(1, 2, 0), scale, out=out[:, :, a - p0 : e - p0])
-        return out.transpose(2, 0, 1)
+        return self._rows(p0, p1, np.sqrt(dt), out)
 
     def child(self, tag: int, d: int | None = None) -> "NoiseBundle":
         if tag == self.tag:
@@ -280,41 +282,27 @@ def bridge_corrected_max(
     estimator is exact in law for constant sigma.  ``noise`` supplies the
     auxiliary uniforms, its first component: row i of ``values`` reads
     path ``offset + i`` of ``noise.uniforms()[:, :, 0]``, so a block of a
-    forward pass gets the uniforms it would get in one pass over all
-    paths.  The work runs per noise block in two scratches of one block:
-    the block's uniforms are clamped, logged and scaled in place, then
-    transposed once and combined with the step rows ``values.T``, (b - a)^2
-    taking the uniforms' place.  The maximum is halved once, which rounds
-    as halving every value: x -> x / 2 is monotone.
+    forward pass (a tile of 256 paths, one noise block) gets the uniforms
+    it would get in one pass over all paths.  The rest is arithmetic on
+    step rows: the uniform rows are logged and scaled in place and
+    combined with ``values.T`` and their squared differences (b - a)^2.
+    The maximum is halved once, which rounds as halving every value:
+    x -> x / 2 is monotone.
     """
-    n_paths = values.shape[0]
     if sigma == 0.0:
         return values.max(axis=1)
     rows = values.T  # (steps + 1, n)
-    n_steps, d = rows.shape[0] - 1, noise.d
-    out = np.empty(n_paths)
-    scale = -2.0 * sigma**2 * dt
-    draws = np.empty(min(_NOISE_BLOCK, offset % _NOISE_BLOCK + n_paths) * n_steps * d)
-    tile = np.empty(min(_NOISE_BLOCK, n_paths) * n_steps)
-    for gen, skip, a, e in noise._blocks(offset, offset + n_paths):
-        q0, q1 = a - offset, e - offset
-        u = draws[: (skip + e - a) * n_steps * d]
-        gen.random(out=u)
-        u = u.reshape(-1, n_steps, d)[skip:, :, 0]
-        np.maximum(u, 2.0**-54, out=u)
-        np.log(u, out=u)
-        u *= scale
-        m = tile[: n_steps * (e - a)].reshape(n_steps, e - a)
-        m[...] = u.T
-        d2 = draws[: n_steps * (e - a)].reshape(n_steps, e - a)
-        lo, hi = rows[:-1, q0:q1], rows[1:, q0:q1]
-        np.subtract(hi, lo, out=d2)
-        np.square(d2, out=d2)
-        m += d2
-        np.sqrt(m, out=m)
-        m += hi
-        m += lo
-        m.max(axis=0, out=out[q0:q1])
+    lo, hi = rows[:-1], rows[1:]
+    m = noise.uniforms(offset, offset + values.shape[0])[:, :, 0].T  # (steps, n)
+    np.log(m, out=m)
+    m *= -2.0 * sigma**2 * dt
+    d2 = np.subtract(hi, lo)
+    np.square(d2, out=d2)
+    m += d2
+    np.sqrt(m, out=m)
+    m += hi
+    m += lo
+    out = m.max(axis=0)
     out *= 0.5
     return out
 

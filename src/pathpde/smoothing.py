@@ -567,7 +567,8 @@ class CylindricalFunctional:
 
     i.e. base applied to the pathwise integrals of phi_j(. + t) against
     d-eta over [-t, 0].  ``base`` is vectorised: base(t, F) with F of shape
-    (m, N) returns shape (m,).  Optional derivative callables (same
+    (m, N) returns shape (m,); F may not be C-ordered (a tracker's features
+    are the transpose of (N, m) rows).  Optional derivative callables (same
     vectorised convention) enable exact functional derivatives:
 
         vertical    D^V  = sum_j d_j base * phi_j(t)
@@ -673,9 +674,13 @@ class FeatureTracker:
             self.accum[j] += h * (float(ig.dphi(u0)) * x_old + float(ig.dphi(u1)) * x_new)
 
     def features(self, s: float, x: np.ndarray) -> np.ndarray:
-        """Feature matrix of shape (n_paths, N) at time s with present values x."""
-        cols = [float(ig.phi(s)) * x - self.accum[j] for j, ig in enumerate(self.integrands)]
-        return np.stack(cols, axis=1)
+        """Feature matrix of shape (n_paths, N) at time s with present values x.
+
+        It is the transpose of (N, n_paths) rows, formed in one broadcast,
+        so each feature is a contiguous column.
+        """
+        phis = np.array([float(ig.phi(s)) for ig in self.integrands])
+        return (phis[:, None] * x - self.accum).T
 
 
 # ---------------------------------------------------------------------------

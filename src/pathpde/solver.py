@@ -27,11 +27,12 @@ up to small per-block arrays,
 
 where the value buffer is d times larger for a d-dimensional state and
 the noise scratch is one 256-path noise block, 256 x n_steps x d x 8 B,
-or two with the bridge maximum (its uniforms and their step rows).  A
-nonzero driver keeps all paths for the backward induction: each block
-writes its values and increments into its own columns of step-major
-arrays of all paths.  With s steps, a d-dimensional state and B
-features, a state problem then peaks inside the induction at
+or two with the bridge maximum (a tile's uniform rows and their squared
+step differences).  A nonzero driver keeps all paths for the backward
+induction: each block writes its values and increments into its own
+columns of step-major arrays of all paths.  With s steps, a
+d-dimensional state and B features, a state problem then peaks inside
+the induction at
 
     ((s + 1) d + s d + (s + 1)(d + 1) + (B + d + 1) + 1) x n_paths x 8 B
 

@@ -186,6 +186,13 @@ def test_the_unit_gauss_legendre_rule_is_solved_in_one_place():
     assert _call_sites(sources, _named("leggauss")) == [("smoothing", "_unit_gauss_legendre")]
 
 
+def test_each_draw_method_is_called_in_one_place():
+    # one writer draws every noise block, normals or uniforms, and writes its step rows
+    sources = {p.stem: p.read_text() for p in sorted(FsPath(pathpde.__file__).parent.glob("*.py"))}
+    for draw in ("standard_normal", "random"):
+        assert _call_sites(sources, _named(draw)) == [("sde", "NoiseBundle._rows")]
+
+
 def _numpy_random(func: ast.expr) -> bool:
     """A callee in numpy's random module, spelled np.random.X or numpy.random.X."""
     return ast.unparse(func).startswith(("np.random.", "numpy.random."))

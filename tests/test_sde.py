@@ -9,6 +9,7 @@ from pathpde.sde import (
     DivergenceError,
     NoiseBundle,
     SdeSpec,
+    bridge_corrected_max,
     bridge_refine,
     coupled_sup_error,
     euler_markov,
@@ -227,14 +228,34 @@ def test_euler_determinism_across_workers():
         np.testing.assert_array_equal(_euler_in_ranges(euler_markov, spec, 0.3, g, dW, parts), ref)
 
 
-def _block_normal_increments(nb, dt, p0=0, p1=None):
-    """The reference increments: block j of 256 paths draws its path-major normals from
-    numpy's ziggurat on SFC64, seeded by the bundle's 128-bit key spawned at j."""
+def _block_draws(nb, draw, p0=0, p1=None):
+    """The reference draws: block j of 256 paths draws its path-major values with the generator
+    method ``draw`` (numpy's ziggurat normals, or uniforms) on SFC64, seeded by the bundle's
+    128-bit key spawned at j."""
     blocks = []
     for j in range(-(-nb.n_paths // 256)):
-        bg = np.random.SFC64(np.random.SeedSequence(nb.seed | nb.tag << 64, spawn_key=(j,)))
-        blocks.append(np.random.Generator(bg).standard_normal((min(256, nb.n_paths - 256 * j), nb.n_steps, nb.d)))
-    return np.sqrt(dt) * np.concatenate(blocks)[p0:p1]
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(nb.seed | nb.tag << 64, spawn_key=(j,))))
+        blocks.append(getattr(gen, draw)((min(256, nb.n_paths - 256 * j), nb.n_steps, nb.d)))
+    return np.concatenate(blocks)[p0:p1]
+
+
+def _block_normal_increments(nb, dt, p0=0, p1=None):
+    return np.sqrt(dt) * _block_draws(nb, "standard_normal", p0, p1)
+
+
+def test_increments_uniforms_and_the_bridge_read_the_keyed_block_streams():
+    # d = 2 and a nonzero tag; the ranges start and end inside blocks of 256
+    nb = NoiseBundle(2**40 + 9, 2400, 30, d=2, tag=7)
+    for p0, p1 in ((0, 2400), (17, 300), (1234, 2134), (255, 257)):
+        assert np.array_equal(nb.increments(0.02, p0, p1), _block_normal_increments(nb, 0.02, p0, p1))
+        assert np.array_equal(nb.uniforms(p0, p1), np.maximum(_block_draws(nb, "random", p0, p1), 2.0**-54))
+    # the bridge maximum of paths 1234..2133, path-major, in the bridge's order of operations
+    walk = 0.1 * _block_draws(nb, "standard_normal", 0, 900)[:, :, 1]
+    values = np.hstack([np.zeros((900, 1)), np.cumsum(walk, axis=1)])
+    u = np.maximum(_block_draws(nb, "random", 1234, 2134)[:, :, 0], 2.0**-54)
+    lo, hi = values[:, :-1], values[:, 1:]
+    want = (np.sqrt(np.log(u) * (-2.0 * 0.7**2 * 0.02) + (hi - lo) ** 2) + hi + lo).max(axis=1) * 0.5
+    assert np.array_equal(bridge_corrected_max(values, 0.02, 0.7, nb, offset=1234), want)
 
 
 @pytest.mark.parametrize("d", [1, 3])

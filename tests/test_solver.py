@@ -656,6 +656,21 @@ def test_a_tile_is_cut_once_for_every_rung(monkeypatch):
     assert len(rows) == 10 and max(rows) <= solver._PATH_TILE and sum(rows) == cfg.n_paths
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_bridge_draws_each_tile_s_uniforms_once_at_its_own_offset(monkeypatch, workers):
+    ranges, draw = [], sde.NoiseBundle.uniforms
+
+    def spy(noise, p0=0, p1=None):
+        ranges.append((p0, p1))
+        return draw(noise, p0, p1)
+
+    monkeypatch.setattr(sde.NoiseBundle, "uniforms", spy)
+    cfg = SolverConfig(solver._FORWARD_BLOCK + 257, 20, seed=37, workers=workers)  # 8 + 2 tiles
+    evaluate_ppde(_lookback_problem(), 0.0, Path.constant(0.0, 1.0, 21), cfg)
+    tiles = range(0, cfg.n_paths, solver._PATH_TILE)
+    assert sorted(ranges) == [(q0, min(q0 + solver._PATH_TILE, cfg.n_paths)) for q0 in tiles]
+
+
 class _MeanAbsWindow:
     """A terminal with a batch form: the mean absolute window value."""
 
