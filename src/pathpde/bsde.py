@@ -521,7 +521,6 @@ def limit_experiment(
     terminal_seq: Sequence[np.ndarray],
     terminal: np.ndarray,
     features_spec: RegressionBasisSpec,
-    trajectories_seq: Sequence[TrajectoryBatch],
     trajectories: TrajectoryBatch,
     increments: np.ndarray,
     q: float = 1.0,
@@ -529,32 +528,28 @@ def limit_experiment(
 ) -> tuple[list[dict], BsdeSolution]:
     """Coupled convergence table for a sequence of perturbed problems, and the base solution.
 
-    Each row solves the perturbed problem under the same increments and
-    reports E int |Z^n - Z|^q dt, E sup |Y^n - Y|^2, and max_k E|K^n - K|,
-    plus the S^p diagnostics of Y^n for p in {2, 4} (logged, not asserted:
-    only finite p is observable).  Each solve's compensator is
-    ``extract_compensator``'s, from the feature provider of its solve.  The
-    features are built once per distinct trajectory set, by identity, and
-    kept for the call: rows that share the base trajectories share its
-    provider.  The solution of the unperturbed problem, which every row is
-    measured against, is handed back with the rows.
+    Every problem, the base and each row, is solved on the base
+    ``trajectories`` under the same increments, so one feature provider,
+    built before the first solve, serves every solve and its compensator
+    (``extract_compensator``'s).  Each row reports E int |Z^n - Z|^q dt,
+    E sup |Y^n - Y|^2 and max_k E|K^n - K|, plus the S^p diagnostics of
+    Y^n for p in {2, 4} (logged, not asserted: only finite p is
+    observable).  The solution of the unperturbed problem, which every row
+    is measured against, is handed back with the rows.
     """
     if not 1 <= q < 2:
         raise ValueError(f"q must lie in [1, 2), got {q}")
-    providers: dict[int, object] = {}
+    features = make_features(features_spec, trajectories)
 
-    def solve(drv, term, traj):
-        if id(traj) not in providers:
-            providers[id(traj)] = make_features(features_spec, traj)
-        features = providers[id(traj)]
-        sol = solve_bsde(drv, term, features, traj, increments)
-        return sol, extract_compensator(sol.Y, sol.Z, drv, features, traj.grid, increments)
+    def solve(drv, term):
+        sol = solve_bsde(drv, term, features, trajectories, increments)
+        return sol, extract_compensator(sol.Y, sol.Z, drv, features, trajectories.grid, increments)
 
-    base, base_K = solve(driver, terminal, trajectories)
+    base, base_K = solve(driver, terminal)
     dt = trajectories.grid.dt
     rows: list[dict] = []
-    for idx, (drv_n, term_n, traj_n) in enumerate(zip(driver_seq, terminal_seq, trajectories_seq)):
-        sol_n, K_n = solve(drv_n, term_n, traj_n)
+    for idx, (drv_n, term_n) in enumerate(zip(driver_seq, terminal_seq)):
+        sol_n, K_n = solve(drv_n, term_n)
         z_gap_paths = np.sum(np.abs(sol_n.Z - base.Z) ** q, axis=(1, 2)) * dt
         y_gap_paths = np.max(np.abs(sol_n.Y - base.Y), axis=1) ** 2
         k_gap = np.abs(K_n - base_K).mean(axis=0).max()

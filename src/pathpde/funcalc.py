@@ -103,17 +103,19 @@ class FunctionalSpec:
     """A functional with exact derivative callables for the Ito check.
 
     All callables are vectorised over paths: ``value(t, x, state)`` etc.,
-    where x is the (n_paths,) array of present values and state is
-    whatever ``start``/``advance`` maintain (None for present-only
-    functionals).  ``ah`` is the combined (d_t + D^H) term.
+    where x is the (n_paths,) array of present values and state is what
+    ``tracker`` returns (None for present-only functionals, which have no
+    tracker).  ``tracker(x0, t0)`` starts the state from the present
+    values x0 at time t0, and the checker steps it with
+    ``state.advance(u0, x0, u1, x1)`` along each path increment, as a
+    ``FeatureTracker`` steps.  ``ah`` is the combined (d_t + D^H) term.
     """
 
     value: Callable
     ah: Callable
     dv: Callable
     dvv: Callable
-    start: Callable | None = None
-    advance: Callable | None = None
+    tracker: Callable | None = None
 
 
 def PresentFunctional(g: Callable, g_t: Callable, g_x: Callable, g_xx: Callable) -> FunctionalSpec:
@@ -131,23 +133,15 @@ def CylindricalIto(cyl: CylindricalFunctional) -> FunctionalSpec:
 
     The pathwise-integral features F_j(s) = phi_j(s) X_s - int_0^s phi_j' X
     satisfy dF_j = phi_j dX, so the combined (d_t + D^H) term is the
-    explicit time derivative of the base.
+    explicit time derivative of the base.  The state is the functional's
+    own ``FeatureTracker``: ``tracker`` is ``cyl.tracker``.
     """
-
-    def start(x0, t0, prefix):
-        return cyl.tracker(x0, t0=t0, prefix=prefix)
-
-    def advance(st, u0, x0, u1, x1):
-        st.advance(u0, x0, u1, x1)
-        return st
-
     return FunctionalSpec(
         value=lambda t, x, st: np.asarray(cyl.base(t, st.features(t, x))),
         ah=lambda t, x, st: cyl.time_plus_horizontal(t, st.features(t, x)),
         dv=lambda t, x, st: cyl.vertical(t, st.features(t, x), order=1),
         dvv=lambda t, x, st: cyl.vertical(t, st.features(t, x), order=2),
-        start=start,
-        advance=advance,
+        tracker=cyl.tracker,
     )
 
 
@@ -156,13 +150,15 @@ def ito_residual(
     paths: np.ndarray,
     grid: Grid,
     sigma: Callable | float = 1.0,
-    prefix: Path | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean absolute discrete Ito expansion defect along the given paths.
 
     ``paths`` has shape (n_paths, n_steps + 1) on the grid; ``sigma`` is
     the diffusion whose squared value times dt acts as the bracket
-    increment.  Returns (mean residual, per-path residuals).
+    increment.  A functional's state starts from the paths' first values
+    at the grid start, with no history: a tracker that needs one (a
+    cylindrical functional at t0 > 0) raises.  Returns (mean residual,
+    per-path residuals).
     """
     for name in ("value", "ah", "dv", "dvv"):
         if getattr(spec, name) is None:
@@ -175,7 +171,7 @@ def ito_residual(
     dt = grid.dt
     sig = sigma if callable(sigma) else (lambda t, x, s=float(sigma): np.full_like(x, s))
 
-    state = spec.start(paths[:, 0], times[0], prefix) if spec.start is not None else None
+    state = spec.tracker(paths[:, 0], times[0]) if spec.tracker is not None else None
     total = np.zeros(n_paths)
     u0 = spec.value(times[0], paths[:, 0], state)
     for k in range(n_steps):
@@ -188,8 +184,8 @@ def ito_residual(
             + spec.dv(t_k, x_k, state) * dx
             + 0.5 * spec.dvv(t_k, x_k, state) * s2 * dt
         )
-        if spec.advance is not None:
-            state = spec.advance(state, t_k, x_k, times[k + 1], paths[:, k + 1])
+        if state is not None:
+            state.advance(t_k, x_k, times[k + 1], paths[:, k + 1])
     u1 = spec.value(times[-1], paths[:, -1], state)
     residuals = np.abs(u1 - u0 - total)
     return float(residuals.mean()), residuals

@@ -121,10 +121,6 @@ class WindowBatch:
     def horizon(self) -> float:
         return -float(self.xs[0])
 
-    @property
-    def present(self) -> np.ndarray:
-        return self.values[:, -1]
-
     def sup_norm(self) -> np.ndarray:
         return np.max(np.abs(self.values), axis=1)
 

@@ -465,19 +465,20 @@ def _trajectories(grid: Grid, V: np.ndarray, start) -> TrajectoryBatch:
     return TrajectoryBatch(grid, V.transpose(2, 0, 1) if np.ndim(start) else V[:, 0].T)
 
 
-def _euler(x0: np.ndarray, grid: Grid, dW: np.ndarray, coefficients: Callable, out: np.ndarray | None) -> np.ndarray:
+def _euler(
+    x0: np.ndarray, grid: Grid, dW: np.ndarray, b, sigma, after: Callable | None, out: np.ndarray | None
+) -> np.ndarray:
     """The Euler recursion X_{k+1} = X_k + b dt + sigma dW of both schemes.
 
     Returns the step-major (n_steps + 1, d, n_paths) value buffer held by
     ``out`` (a new one when None).  The state is a value per path for a
     0-d x0 and a d-vector per path otherwise; step k reads the state X_k
     and the increments as rows of that buffer and of dW, (m,) or (m, d)
-    for m paths.  ``coefficients(X0)`` runs once, given the start row X0,
-    and returns (b, sigma, after): each coefficient a float or a step
-    function (k, X) -> array, and ``after`` None or a hook (k, X, row)
-    that advances the coefficients' state once the row of X_{k+1} is
-    written.  The increments may be rows 1..n_steps of the value buffer
-    itself: step k forms sigma dW_k before it overwrites their row.
+    for m paths.  Each coefficient is a float or a step function
+    (k, X) -> array, and ``after`` is None or a hook (k, X, row) that
+    advances the coefficients' state once the row of X_{k+1} is written.
+    The increments may be rows 1..n_steps of the value buffer itself:
+    step k forms sigma dW_k before it overwrites their row.
 
     Step functions read X_k, so each such step is guarded before the next
     one runs.  Constant coefficients take ``_euler_constant``, which
@@ -491,7 +492,6 @@ def _euler(x0: np.ndarray, grid: Grid, dW: np.ndarray, coefficients: Callable, o
         R, N = V[:, 0], dW[:, :, 0].T  # (steps, n)
     dt = grid.dt
     R[0] = x0
-    b, sigma, after = coefficients(R[0])
     if not (callable(b) or callable(sigma) or after is not None):
         _euler_constant(x0, b * dt, sigma, V, dW.transpose(1, 2, 0))
         steps = V[1:]
@@ -565,11 +565,10 @@ def euler_markov(
             return float(c)
         return lambda k, X: np.asarray(c(times[k], np.ascontiguousarray(X)), dtype=float)
 
-    coefficients = (step(spec.b), step(spec.sigma), None)
     x0 = np.asarray(x, dtype=float)
     if x0.size != dW.shape[2]:
         raise ValueError(f"state dimension {x0.size} does not match increments d={dW.shape[2]}")
-    V = _euler(x0, grid, dW, lambda X0: coefficients, out)
+    V = _euler(x0, grid, dW, step(spec.b), step(spec.sigma), None, out)
     return _trajectories(grid, V, x0)
 
 
@@ -606,44 +605,43 @@ def euler_path_dependent(
     through running pathwise integrals (no window is built), one tracker
     per coefficient object.  Generic callables receive a
     WindowBatch view of a rolling buffer whose node spacing equals dt, so
-    each step's window is a zero-copy slice.  The values go into the
-    step-major buffer ``out`` holds (see ``_step_rows``; a new one when
-    None).
+    each step's window is a zero-copy slice.  Trackers and window are
+    built before the recursion, for the dW.shape[0] paths: a tracker
+    reads only the size of its start row, the broadcast present value
+    eta(0).  ``_euler`` then takes the step functions and the hook that
+    advances them.  The values go into the step-major buffer ``out``
+    holds (see ``_step_rows``; a new one when None).
     """
     _check_increments(dW, grid)
     if dW.shape[2] != 1:
         raise ValueError(f"path-dependent dynamics are scalar (d = 1), got increments d={dW.shape[2]}")
     times = grid.times
+    x0 = np.asarray(eta.values[-1], dtype=float)
+    start = np.broadcast_to(x0, dW.shape[:1])  # the start row X_0 of every path
     cylindrical = {id(c): c for c in (spec.b, spec.sigma) if isinstance(c, CylindricalFunctional)}
-    windowed = any(callable(c) and id(c) not in cylindrical for c in (spec.b, spec.sigma))
-    xs, pre_vals = _prefix_on_dt_layout(eta, grid.dt) if windowed else (None, None)
-    b, sigma = (c if callable(c) or id(c) in cylindrical else float(c) for c in (spec.b, spec.sigma))
+    trackers = {key: c.tracker(start, t0=grid.t_start, prefix=eta) for key, c in cylindrical.items()}
+    windowed = any(callable(c) and id(c) not in trackers for c in (spec.b, spec.sigma))
+    if windowed:
+        xs, pre_vals = _prefix_on_dt_layout(eta, grid.dt)
+        m = xs.size
+        buf = np.empty((start.size, m + grid.n_steps))
+        buf[:, :m] = pre_vals
 
-    def coefficients(X0: np.ndarray):
-        """Step functions of the paths, which start at X0, and their after-step hook."""
-        trackers = {key: c.tracker(X0, t0=grid.t_start, prefix=eta) for key, c in cylindrical.items()}
+    def step(c):
+        if id(c) in trackers:
+            tracker = trackers[id(c)]
+            return lambda k, X: np.asarray(c.base(times[k], tracker.features(times[k], X)), dtype=float)
+        if callable(c):
+            return lambda k, X: np.asarray(c(times[k], WindowBatch(xs, buf[:, k : k + m])), dtype=float)
+        return float(c)
+
+    def after(k: int, X: np.ndarray, row: np.ndarray) -> None:
         if windowed:
-            m = xs.size
-            buf = np.empty((X0.size, m + grid.n_steps))
-            buf[:, :m] = pre_vals
+            buf[:, m + k] = row
+        for tracker in trackers.values():
+            tracker.advance(times[k], X, times[k + 1], row)
 
-        def step(c):
-            if id(c) in trackers:
-                tracker = trackers[id(c)]
-                return lambda k, X: np.asarray(c.base(times[k], tracker.features(times[k], X)), dtype=float)
-            if callable(c):
-                return lambda k, X: np.asarray(c(times[k], WindowBatch(xs, buf[:, k : k + m])), dtype=float)
-            return c
-
-        def after(k: int, X: np.ndarray, row: np.ndarray) -> None:
-            if windowed:
-                buf[:, m + k] = row
-            for tracker in trackers.values():
-                tracker.advance(times[k], X, times[k + 1], row)
-
-        return step(b), step(sigma), after if trackers or windowed else None
-
-    V = _euler(np.asarray(eta.values[-1], dtype=float), grid, dW, coefficients, out)
+    V = _euler(x0, grid, dW, step(spec.b), step(spec.sigma), after if trackers or windowed else None, out)
     return _trajectories(grid, V, eta)
 
 

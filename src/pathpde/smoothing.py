@@ -112,9 +112,9 @@ class Mollifier:
         r2 = np.sum((self.n * w) ** 2, axis=-1)
         return self.n**self.q * self.normalizer * _bump_profile(r2, self.family)
 
-    def mass(self, nodes_per_axis: int = 40) -> float:
-        """Tensor-quadrature check of the unit mass."""
-        pts, wts = _tensor_rule([1.0 / self.n] * self.q, nodes_per_axis)
+    def mass(self) -> float:
+        """Tensor-quadrature check of the unit mass, on 40 Gauss-Legendre nodes per axis."""
+        pts, wts = _tensor_rule([1.0 / self.n] * self.q, 40)
         return float(np.sum(wts * self(pts)))
 
 
@@ -214,21 +214,21 @@ class FourierBasis:
     """Orthonormal trigonometric basis of L^2([-T, 0]).
 
     Index 0 is the constant 1/sqrt(T); odd index 2k-1 is the sine and even
-    index 2k the cosine at frequency k over the period T.  Index -1 denotes
-    the non-orthonormal linear member x, used by the trend operator.
+    index 2k the cosine at frequency k over the period T.  A negative
+    index raises ``ValueError``.
     """
 
     horizon: float
     max_index: int
 
     def _freq(self, i: int) -> float:
+        if i < 1:
+            raise ValueError(f"basis index must be >= 0, got {i}")
         return 2.0 * np.pi * ((i + 1) // 2) / self.horizon
 
     def evaluate(self, i: int, x) -> np.ndarray:
         T = self.horizon
         x = np.asarray(x, dtype=float)
-        if i == -1:
-            return x.copy()
         if i == 0:
             return np.full_like(x, 1.0 / np.sqrt(T))
         w = self._freq(i)
@@ -240,8 +240,6 @@ class FourierBasis:
         """Integral of e_i from -T to x."""
         T = self.horizon
         x = np.asarray(x, dtype=float)
-        if i == -1:
-            return 0.5 * (x * x - T * T)
         if i == 0:
             return (x + T) / np.sqrt(T)
         w = self._freq(i)
@@ -258,14 +256,14 @@ class FourierBasis:
             return -np.sqrt(2.0 / T) * T * T / (2.0 * np.pi * ((i + 1) // 2))
         return 0.0
 
-    def gram_matrix(self, n_quad: int | None = None) -> np.ndarray:
+    def gram_matrix(self) -> np.ndarray:
         """Quadrature Gram matrix of e_0..e_max on [-T, 0].
 
         Periodic trapezoid is exact to rounding for these band-limited
-        products once the node count clears the Nyquist rate.
+        products once the node count clears the Nyquist rate; the rule
+        takes 8 (max_index + 2) + 64 intervals, well clear of it.
         """
-        if n_quad is None:
-            n_quad = 8 * (self.max_index + 2) + 64
+        n_quad = 8 * (self.max_index + 2) + 64
         xs = np.linspace(-self.horizon, 0.0, n_quad + 1)
         E = np.stack([self.evaluate(i, xs) for i in range(self.max_index + 1)])
         w = np.full(n_quad + 1, self.horizon / n_quad)
@@ -386,8 +384,8 @@ def smooth_terminal(H: Callable, n: int, horizon: float) -> Callable:
     edge bump, and the correction path collects the weighted x-moment
     coefficients a_i of the projection:
 
-        correction = sum_{i=0}^n w_i a_i e_i + a_{-1} e_{-1},
-        a_{-1} = -1/T,  a_i = (1/T) int x e_i dx.
+        correction(x) = sum_{i=0}^n w_i a_i e_i(x) - x / T,
+        a_i = (1/T) int x e_i dx.
 
     This is the form obtained by direct substitution of the endpoint average
     into the projected coordinates of ``FourierBasis(horizon, n)``; it is
@@ -687,8 +685,8 @@ class FeatureTracker:
 # Documented smooth test corpus for the projection sweep
 
 
-def smooth_corpus(horizon: float = 1.0, n_nodes: int = 2049) -> dict[str, Path]:
-    """Named smooth paths used by the projection convergence checks.
+def smooth_corpus(horizon: float = 1.0) -> dict[str, Path]:
+    """Named smooth paths used by the projection convergence checks, each on 2049 nodes.
 
     Kept deliberately band-limited-ish: pure low modes plus one smooth
     non-periodic entry whose detrended part has a mild seam kink.
@@ -696,7 +694,7 @@ def smooth_corpus(horizon: float = 1.0, n_nodes: int = 2049) -> dict[str, Path]:
     T = horizon
 
     def make(f):
-        return Path.from_function(f, T, n_nodes)
+        return Path.from_function(f, T, 2049)
 
     return {
         "mode1": make(lambda x: np.sin(2 * np.pi * (x + T) / T)),

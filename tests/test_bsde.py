@@ -320,7 +320,7 @@ def test_limit_experiment_degenerate_control_is_exact_zero():
     g, traj, dW = _brownian(5000, 20, seed=14, x0=1.0)
     drv = DriverSpec(lambda t, s, y, z: -0.1 * y, lipschitz=0.1)
     xi = traj.terminal()
-    rows, _ = limit_experiment([drv], drv, [xi], xi, BASIS, [traj], traj, dW)
+    rows, _ = limit_experiment([drv], drv, [xi], xi, BASIS, traj, dW)
     assert rows[0]["z_gap_q"] == 0.0
     assert rows[0]["y_gap_sup2"] == 0.0
     assert rows[0]["k_gap_max"] == 0.0
@@ -332,7 +332,7 @@ def test_limit_experiment_vanishing_driver_perturbation():
     xi = traj.terminal()
     ns = [1, 4, 16, 64]
     drivers = [DriverSpec(lambda t, s, y, z, n=n: -0.1 * y + 1.0 / n, lipschitz=0.1) for n in ns]
-    rows, _ = limit_experiment(drivers, base, [xi] * 4, xi, BASIS, [traj] * 4, traj, dW,
+    rows, _ = limit_experiment(drivers, base, [xi] * 4, xi, BASIS, traj, dW,
                                q=1.0, n_labels=ns)
     z_gaps = [r["z_gap_q"] for r in rows]
     y_gaps = [r["y_gap_sup2"] for r in rows]
@@ -347,13 +347,12 @@ def test_limit_experiment_mollified_terminal():
     base = DriverSpec(None)
     kink = lambda x: np.maximum(x, 0.0)
     xi = kink(traj.terminal())
-    terms, trajs, drivers = [], [], []
+    terms, drivers = [], []
     for n in (2, 8, 32):
         h_n = mollify(kink, 1, n)
         terms.append(np.asarray(h_n(traj.terminal())))
-        trajs.append(traj)
         drivers.append(base)
-    rows, _ = limit_experiment(drivers, base, terms, xi, BASIS, trajs, traj, dW, n_labels=[2, 8, 32])
+    rows, _ = limit_experiment(drivers, base, terms, xi, BASIS, traj, dW, n_labels=[2, 8, 32])
     y_gaps = [r["y_gap_sup2"] for r in rows]
     assert y_gaps[0] > y_gaps[1] > y_gaps[2]
 
@@ -361,7 +360,7 @@ def test_limit_experiment_mollified_terminal():
 def test_limit_experiment_rejects_bad_order():
     g, traj, dW = _brownian(500, 5, seed=17)
     with pytest.raises(ValueError):
-        limit_experiment([], DriverSpec(None), [], traj.terminal(), BASIS, [], traj, dW, q=2.0)
+        limit_experiment([], DriverSpec(None), [], traj.terminal(), BASIS, traj, dW, q=2.0)
 
 
 def test_limit_table_csv_header(tmp_path):
@@ -406,12 +405,27 @@ def test_bsde_limit_solves_the_unperturbed_problem_once(tmp_path, monkeypatch):
     assert len(solves) == 6
 
 
+def test_limit_experiment_builds_one_provider_for_every_solve(monkeypatch):
+    # the base and its three rows run on the base trajectories: one feature build, four solves
+    g, traj, dW = _brownian(2000, 10, seed=19, x0=1.0)
+    builds, solves = [], []
+    make, solve = bsde.make_features, bsde.solve_bsde
+    monkeypatch.setattr(bsde, "make_features", lambda *args: builds.append(args) or make(*args))
+    monkeypatch.setattr(bsde, "solve_bsde", lambda *args: solves.append(args) or solve(*args))
+    base = DriverSpec(lambda t, s, y, z: -0.1 * y)
+    drivers = [DriverSpec(lambda t, s, y, z, n=n: -0.1 * y + 1.0 / n) for n in (1, 4, 16)]
+    xi = traj.terminal()
+    rows, _ = limit_experiment(drivers, base, [xi] * 3, xi, BASIS, traj, dW)
+    assert len(rows) == 3 and len(builds) == 1 and len(solves) == 4
+    assert all(args[2] is solves[0][2] for args in solves)  # every solve reads the one provider
+
+
 def test_limit_experiment_hands_back_its_base_solution():
     g, traj, dW = _brownian(3000, 20, seed=17, x0=1.0)
     base = DriverSpec(lambda t, s, y, z: -0.1 * y, lipschitz=0.1)
     xi = traj.terminal()
     drivers = [DriverSpec(lambda t, s, y, z, n=n: -0.1 * y + 1.0 / n, lipschitz=0.1) for n in (1, 4)]
-    _, sol = limit_experiment(drivers, base, [xi] * 2, xi, BASIS, [traj] * 2, traj, dW)
+    _, sol = limit_experiment(drivers, base, [xi] * 2, xi, BASIS, traj, dW)
     ref = solve_bsde(base, xi, BASIS, traj, dW)
     assert np.array_equal(sol.Y, ref.Y) and np.array_equal(sol.Z, ref.Z) and sol.value == ref.value
 
@@ -852,3 +866,38 @@ def test_path_coordinates_are_the_cylindrical_features_of_their_windows(t0, n_st
         windows = traj.window_values(k, xs)
         want = np.stack([reference.features(g.times[k], Path(T, row)) for row in windows])
         assert np.abs(features.state(k)["fourier"] - want).max() <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+
+def _solve_on(n_paths, terminal_paths=None, increments_steps=None):
+    g, traj, dW = _brownian(n_paths, 4, seed=3)
+    xi = np.zeros(terminal_paths or n_paths)
+    return solve_bsde(DriverSpec(None), xi, BASIS, traj, dW[:, :increments_steps])
+
+
+def _path_features(values, prefix):
+    return make_features(RegressionBasisSpec("path", 2), TrajectoryBatch(Grid(0.0, 1.0, 4), values, prefix))
+
+
+_BSDE_INPUT_CHECKS = {
+    "basis kind": (lambda: RegressionBasisSpec("spline"), "unknown basis kind 'spline'"),
+    "basis degree": (lambda: RegressionBasisSpec("markov", 4), "degree must be within 0..3, got 4"),
+    "basis ridge": (lambda: RegressionBasisSpec("markov", 2, ridge=-1e-8), "ridge must be nonnegative"),
+    "terminal shape": (lambda: _solve_on(100, terminal_paths=99), r"terminal samples shape \(99,\) != \(100,\)"),
+    "increments shape": (lambda: _solve_on(100, increments_steps=3), "increments shape .* mismatches trajectories"),
+    "path features of a vector state": (lambda: _path_features(np.zeros((10, 5, 2)), None),
+                                        "need scalar trajectories"),
+    "path features without a history": (lambda: _path_features(np.zeros((10, 5)), None), "need the history path"),
+    "norm order": (lambda: bsde_norms(BsdeSolution(Grid(0.0, 1.0, 2), np.zeros((3, 3)), np.zeros((3, 2, 1))), p=0.5),
+                   "norm order must be >= 1, got 0.5"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BSDE_INPUT_CHECKS))
+def test_input_checks_raise_value_errors(case):
+    call, message = _BSDE_INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -3,7 +3,7 @@ from pathlib import Path as FsPath
 
 import pytest
 
-from pathpde.cli import EXPERIMENTS, config_digest, list_experiments, load_config, main
+from pathpde.cli import EXPERIMENTS, Check, config_digest, list_experiments, load_config, main
 
 
 def _write_config(tmp_path, name, seed=11, **params):
@@ -61,6 +61,28 @@ def test_unknown_experiment_exits_2(tmp_path):
 
 def test_missing_config_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_config_without_an_experiment_section_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[parameters]\nn_paths = 100\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config needs an [experiment] section" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("op", ["==", "<", "!="])
+def test_a_check_knows_only_its_two_comparisons(op):
+    with pytest.raises(ValueError, match=f"unknown comparison '{op}'"):
+        Check("x", 1.0, 1.0, op)
+    assert Check("x", 1.0, 1.0, "<=").passed and Check("x", 1.0, 1.0, ">=").passed
+
+
+def test_list_command_and_no_command(capsys):
+    assert main(["list", "--json"]) == 0
+    assert sorted(e["name"] for e in json.loads(capsys.readouterr().out)) == sorted(EXPERIMENTS)
+    assert main([]) == 2  # no command: the usage, and the exit status of a usage error
+    assert "usage: pathpde" in capsys.readouterr().out
 
 
 def test_malformed_config_reports_line(tmp_path, capsys):

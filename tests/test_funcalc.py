@@ -74,6 +74,12 @@ def test_horizontal_cylindrical_matches_closed_form():
         assert fd == pytest.approx(exact, abs=1e-3)
 
 
+def test_horizontal_step_defaults_to_the_node_spacing():
+    u = lambda t, p: float(np.trapezoid(p.values, p.nodes))
+    eta = Path.from_function(lambda x: x * x, 1.0, 101)
+    assert horizontal_derivative(u, 0.0, eta) == horizontal_derivative(u, 0.0, eta, eps=0.01)
+
+
 def test_horizontal_warns_below_grid_resolution():
     u = lambda t, p: float(np.trapezoid(p.values, p.nodes))
     eta = Path.from_function(lambda x: x * x, 1.0, 101)
@@ -164,6 +170,53 @@ def test_ito_requires_derivative_callables():
     g, paths = _brownian_paths(10, 10)
     with pytest.raises(ValueError, match="callable"):
         ito_residual(broken, paths, g)
+
+
+def test_ito_steps_the_state_its_tracker_starts():
+    # a cylindrical functional's state is its own FeatureTracker, started at the grid start
+    cyl = _cyl_example()
+    assert CylindricalIto(cyl).tracker == cyl.tracker
+    starts, steps = [], []
+
+    class Counter:
+        def advance(self, u0, x0, u1, x1):
+            steps.append((u0, u1))
+
+    def tracker(x0, t0):
+        starts.append((x0.copy(), t0))
+        return Counter()
+
+    spec = FunctionalSpec(value=lambda t, x, st: x, ah=lambda t, x, st: np.zeros_like(x),
+                          dv=lambda t, x, st: np.ones_like(x), dvv=lambda t, x, st: np.zeros_like(x), tracker=tracker)
+    g, paths = _brownian_paths(20, 8)
+    assert ito_residual(spec, paths, g)[0] == 0.0
+    assert len(starts) == 1 and np.array_equal(starts[0][0], paths[:, 0]) and starts[0][1] == 0.0
+    assert steps == list(zip(g.times[:-1], g.times[1:]))
+
+
+def _later_grid_residual():
+    g = Grid(0.5, 1.0, 10)
+    paths = euler_markov(SdeSpec(0.0, 1.0), 0.0, g, NoiseBundle(7, 5, 10).increments(g.dt)).values
+    return ito_residual(CylindricalIto(_cyl_example()), paths, g)
+
+
+_FUNCALC_INPUT_CHECKS = {
+    "a zero horizontal step": (lambda: horizontal_derivative(lambda t, e: 0.0, 0.5, Path.constant(0.0, 1.0, 11), 0.0),
+                               "eps must be positive"),
+    "a negative vertical step": (lambda: vertical_derivative(lambda t, e: 0.0, 0.5, Path.constant(0.0, 1.0, 11), -1e-3),
+                                 "eps must be positive"),
+    "paths off the grid": (lambda: ito_residual(PresentFunctional(*[lambda t, x: x] * 4), np.zeros((3, 6)),
+                                                Grid(0.0, 1.0, 4)),
+                           "paths and grid disagree on the number of steps"),
+    "a cylindrical start after 0": (_later_grid_residual, "a start time t0 > 0 requires the history path"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FUNCALC_INPUT_CHECKS))
+def test_input_checks_raise_value_errors(case):
+    call, message = _FUNCALC_INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_ito_state_dependent_diffusion():

@@ -195,3 +195,27 @@ def test_property_path_and_batch_row_integrals_are_equal(m, k, T, seed, psi0):
         eta = wb.path(i)
         np.testing.assert_array_equal(eta.nodes, wb.xs)
         assert forward_integral(psi0, dpsi, eta.nodes, eta.values) == batch[i]
+
+
+def _csv(tmp_path, text):
+    f = tmp_path / "path.csv"
+    f.write_text(text)
+    return f
+
+
+_PATH_INPUT_CHECKS = {
+    "a 2-d array": (lambda tmp: Path(1.0, np.zeros((2, 2))), "a 1-d array of at least 2 values"),
+    "one value": (lambda tmp: Path(1.0, [0.0]), "a 1-d array of at least 2 values"),
+    "a NaN value": (lambda tmp: Path(1.0, [0.0, np.nan]), "path values must be finite"),
+    "a zero horizon": (lambda tmp: Path(0.0, [0.0, 1.0]), "horizon must be positive, got 0.0"),
+    "a CSV header": (lambda tmp: path_from_csv(_csv(tmp, "t,value\n-1,0\n0,1\n")), "unexpected CSV header"),
+    "descending CSV nodes": (lambda tmp: path_from_csv(_csv(tmp, "x,value\n0,0\n-1,1\n")),
+                             "CSV nodes must ascend from -T to 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PATH_INPUT_CHECKS))
+def test_input_checks_raise_value_errors(case, tmp_path):
+    call, message = _PATH_INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)

@@ -9,6 +9,7 @@ from pathpde.sde import (
     DivergenceError,
     NoiseBundle,
     SdeSpec,
+    TrajectoryBatch,
     bridge_corrected_max,
     bridge_refine,
     coupled_sup_error,
@@ -426,6 +427,17 @@ def test_coupled_drift_gap_closed_form():
     assert est == pytest.approx((1.0 / n) ** 2, abs=max(3.0 * se, 1e-12))
 
 
+def test_coupled_error_from_a_flat_history():
+    # a history start selects the path-dependent scheme: drift 0.2 against 0 under common noise
+    # opens the gap 0.2 t, whose sup over [0, 1] squares to 0.04
+    g = Grid(0.0, 1.0, 20)
+    nb = NoiseBundle(16, 500, 20)
+    eta = Path.constant(0.0, 1.0, 21)
+    est, se = coupled_sup_error(SdeSpec(0.2, 1.0), SdeSpec(0.0, 1.0), eta, g, nb)
+    assert est == pytest.approx(0.04, rel=1e-12) and se < 1e-12
+    assert coupled_sup_error(SdeSpec(0.2, 1.0), SdeSpec(0.2, 1.0), eta, g, nb) == (0.0, 0.0)
+
+
 def test_coupled_mollified_sequence_decreasing():
     g = Grid(0.0, 1.0, 100)
     nb = NoiseBundle(14, 20_000, 100)
@@ -746,3 +758,53 @@ def test_property_divergence_names_the_path_and_step(path, k, bad, scheme):
         else:
             euler_path_dependent(SdeSpec(0.0, 1.0), Path.constant(0.0, 1.0, 13), g, dW)
     assert (err.value.path, err.value.step) == (path, k + 1)
+
+
+def test_a_zero_diffusion_bridge_is_the_discrete_maximum_and_draws_no_uniforms(monkeypatch):
+    draws, uniforms = [], NoiseBundle.uniforms
+    monkeypatch.setattr(NoiseBundle, "uniforms", lambda self, *args: draws.append(args) or uniforms(self, *args))
+    values = np.concatenate([[[-0.7037352358069926, 0.3854804319015887, 0.0]],
+                             np.random.default_rng(3).normal(size=(300, 3))])
+    got = bridge_corrected_max(values, 0.5, 0.0, NoiseBundle(3, 301, 2))
+    assert np.array_equal(got, values.max(axis=1)) and draws == []
+    # the bridge arithmetic at sigma = 0, ((b - a)^2)^(1/2) + b + a halved, misses this step's maximum by an ulp
+    a, b = values[0, :2]
+    assert got[0] == b
+    assert (np.sqrt((b - a) ** 2) + b + a) * 0.5 == 0.38548043190158876 != b
+
+
+def _write_bytes(tmp_path, data):
+    f = tmp_path / "dump.bin"
+    f.write_bytes(data)
+    return f
+
+
+_WINDOW_NODES = np.linspace(-0.5, 0.0, 3)
+_SDE_INPUT_CHECKS = {
+    "no paths": (lambda tmp: NoiseBundle(1, 0, 5), "n_paths, n_steps, d must all be positive"),
+    "no steps": (lambda tmp: NoiseBundle(1, 5, 0), "n_paths, n_steps, d must all be positive"),
+    "no components": (lambda tmp: NoiseBundle(1, 5, 5, d=0), "n_paths, n_steps, d must all be positive"),
+    "a window without a history": (
+        lambda tmp: TrajectoryBatch(Grid(0.0, 1.0, 5), np.zeros((3, 6))).window_values(5, _WINDOW_NODES),
+        "window extraction requires a history path"),
+    "a window of a vector state": (
+        lambda tmp: TrajectoryBatch(Grid(0.0, 1.0, 5), np.zeros((3, 6, 2)), Path.constant(0.0, 1.0, 11))
+        .window_values(5, _WINDOW_NODES),
+        "windows are defined for scalar trajectories only"),
+    "a step that does not divide the history": (
+        lambda tmp: euler_path_dependent(SdeSpec(lambda t, wb: wb.values[:, -1], 1.0), Path.constant(0.0, 1.0, 11),
+                                         Grid(0.0, 0.3, 2), NoiseBundle(1, 4, 2).increments(0.15)),
+        "the loop's rolling window needs dt to divide the horizon"),
+    "a moment order below 1": (
+        lambda tmp: moment_check(TrajectoryBatch(Grid(0.0, 1.0, 2), np.zeros((3, 3))), 0.5),
+        "moment order must be >= 1, got 0.5"),
+    "a bad dump magic": (lambda tmp: trajectories_from_binary(_write_bytes(tmp, b"PPDETRJ0" + bytes(24))),
+                         "bad magic b'PPDETRJ0' in trajectory dump"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SDE_INPUT_CHECKS))
+def test_input_checks_raise_value_errors(case, tmp_path):
+    call, message = _SDE_INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)

@@ -6,6 +6,7 @@ from pathpde import smoothing
 from pathpde.paths import Path, WindowBatch, sup_norm
 from pathpde.smoothing import (
     CylindricalFunctional,
+    FeatureTracker,
     FourierBasis,
     Integrand,
     Mollifier,
@@ -111,6 +112,24 @@ def test_gram_matrix_orthonormal():
     basis = FourierBasis(2.0, 64)
     err = np.abs(basis.gram_matrix() - np.eye(65)).max()
     assert err <= 1e-6
+
+
+@pytest.mark.parametrize("call", [lambda b: b.evaluate(-1, 0.3), lambda b: b.evaluate(-2, 0.3),
+                                  lambda b: b.antiderivative(-1, 0.3), lambda b: b.antiderivative(-4, 0.3)],
+                         ids=["evaluate-1", "evaluate-2", "antiderivative-1", "antiderivative-4"])
+def test_a_negative_basis_index_raises(call):
+    with pytest.raises(ValueError, match="basis index must be >= 0, got -"):
+        call(FourierBasis(1.0, 4))
+
+
+def test_antiderivatives_integrate_their_members():
+    T = 2.0
+    basis = FourierBasis(T, 4)
+    xs = np.linspace(-T, 0.0, 20_001)
+    for i in range(5):
+        e = basis.evaluate(i, xs)
+        quad = np.concatenate([[0.0], np.cumsum(0.5 * (e[1:] + e[:-1]) * np.diff(xs))])
+        np.testing.assert_allclose(basis.antiderivative(i, xs), quad, rtol=0.0, atol=1e-7)
 
 
 def test_x_moment_closed_forms_match_quadrature():
@@ -554,3 +573,40 @@ def test_fourier_coeff_rejects_a_basis_on_another_horizon():
     assert abs(fourier_coeff(eta, 1, FourierBasis(1.0, 4))) > 0.7
     with pytest.raises(ValueError, match="basis horizon 2.0 differs from path horizon 1.0"):
         fourier_coeff(eta, 1, FourierBasis(2.0, 4))
+
+
+_UNIT = Integrand(phi=lambda u: np.ones_like(np.asarray(u, dtype=float)),
+                  dphi=lambda u: np.zeros_like(np.asarray(u, dtype=float)))
+_FLAT = Path.constant(0.0, 1.0, 11)
+_SMOOTHING_INPUT_CHECKS = {
+    "a mollifier family": (lambda: Mollifier(1, 1, "gauss"), "unknown mollifier family 'gauss'"),
+    "a mollifier dimension": (lambda: Mollifier(4, 1), r"mollifier dimension q=4 not supported \(q in 1..3\)"),
+    "a mollifier index": (lambda: Mollifier(1, 0), "mollifier index must be >= 1, got 0"),
+    "an index beyond the basis": (lambda: fourier_coeff(_FLAT, 5, FourierBasis(1.0, 4)),
+                                  "index 5 exceeds basis max_index 4"),
+    "a projection order beyond the basis": (lambda: fejer_project(_FLAT, 5, FourierBasis(1.0, 4)),
+                                            "order 5 exceeds basis max_index 4"),
+    "a smoothing index": (lambda: smooth_terminal(SupTerminal(), 0, 1.0), "smoothing index must be >= 1, got 0"),
+    "a scale index": (lambda: smooth_finite_dim(lambda x: x[:, 0], 1, 0), "scale index k must be >= 1, got 0"),
+    "an argument on another horizon": (lambda: smooth_terminal(SupTerminal(), 4, 1.0).argument(
+        Path.constant(0.0, 2.0, 11)), "path horizon 2.0 does not match functional horizon 1.0"),
+    "a cylindrical time beyond the window": (
+        lambda: CylindricalFunctional(lambda t, F: F[:, 0], (_UNIT,)).features(1.5, _FLAT),
+        r"time 1.5 outside \[0, 1.0\]"),
+    "a missing derivative callable": (
+        lambda: CylindricalFunctional(lambda t, F: F[:, 0], (_UNIT,)).vertical(0.5, np.zeros((3, 1))),
+        "missing the base_grad callable"),
+    "a missing second integrand derivative": (
+        lambda: CylindricalFunctional(lambda t, F: F[:, 0], (_UNIT,), base_grad=lambda t, F: np.ones_like(F))
+        .horizontal(0.5, _FLAT),
+        "horizontal derivative needs d2phi on every integrand"),
+    "a tracker started after 0 without a history": (lambda: FeatureTracker((_UNIT,), np.zeros(3), t0=0.5),
+                                                    "a start time t0 > 0 requires the history path"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SMOOTHING_INPUT_CHECKS))
+def test_input_checks_raise_value_errors(case):
+    call, message = _SMOOTHING_INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import sys
 import threading
@@ -287,8 +288,25 @@ def test_diagonal_index_builds_each_smoothed_base_once(monkeypatch):
     assert sorted(builds) == [1, 2, 3, 4, 5, 6]
 
 
+def test_with_no_path_probe_the_inner_index_is_selected_on_the_flat_path():
+    term = CylindricalFunctional(base=lambda t, F: np.abs(F[:, 0]), integrands=(_unit_integrand(),))
+    prob = ProblemSpec("path", 0.0, 1.0, DriverSpec(None), term, horizon=1.0)
+    sched = ApproximationSchedule((4, 16, 64), SolverConfig(1000, 10))
+    flat = solver._select_terminal_inner_index(prob, sched, [(0.0, Path.constant(0.0, 1.0))])
+    assert np.array_equal(solver._select_terminal_inner_index(prob, sched, []), flat)
+    assert strong_viscosity_pipeline(prob, sched, []).values.shape == (3, 0)
+
+
+def test_mollifying_a_zero_driver_changes_no_value():
+    problem = _heat_problem(terminal=lambda x: np.abs(x))
+    cfg = SolverConfig(2000, 10, seed=45)
+    plain, mollified = (strong_viscosity_pipeline(problem, ApproximationSchedule((2, 4), cfg, mollify_driver=m),
+                                                  [(0.0, 0.0), (0.5, 0.3)]) for m in (False, True))
+    assert np.array_equal(plain.values, mollified.values) and np.array_equal(plain.std_errors, mollified.std_errors)
+
+
 def test_pipeline_rejects_generic_window_coefficients():
-    prob = ProblemSpec("path", lambda t, wb: wb.present, 1.0, DriverSpec(None),
+    prob = ProblemSpec("path", lambda t, wb: wb.values[:, -1], 1.0, DriverSpec(None),
                        SupTerminal(), horizon=1.0)
     sched = ApproximationSchedule((2, 4), SolverConfig(1000, 10, seed=17))
     with pytest.raises(ValueError, match="cylindrical"):
@@ -489,6 +507,13 @@ def _reuse_cases():
     }
 
 
+def _bridge_max_has_no_effect(problem):
+    """Expect the pipeline's warning on a smoothed running maximum at the default ``bridge_max=True``."""
+    if isinstance(problem.terminal, SupTerminal):
+        return pytest.warns(UserWarning, match="bridge_max has no effect")
+    return contextlib.nullcontext()
+
+
 def _per_rung_reference(problem, schedule, probes):
     """The pipeline's values as one evaluate_* call per rung and probe."""
     inner_k = None
@@ -512,8 +537,10 @@ def test_pipeline_matches_one_evaluation_per_rung(name):
     problem, options, probes = _reuse_cases()[name]
     n_steps = 20 if problem.mode == "markov" else 40
     schedule = ApproximationSchedule((2, 4, 8), SolverConfig(4000, n_steps, seed=31), **options)
-    report = strong_viscosity_pipeline(problem, schedule, probes)
-    values, errors = _per_rung_reference(problem, schedule, probes)
+    with _bridge_max_has_no_effect(problem):
+        report = strong_viscosity_pipeline(problem, schedule, probes)
+    with _bridge_max_has_no_effect(problem):
+        values, errors = _per_rung_reference(problem, schedule, probes)
     assert np.array_equal(report.values, values)
     assert np.array_equal(report.std_errors, errors)
 
@@ -541,7 +568,8 @@ def test_pipeline_simulates_once_per_probe_when_rungs_share_coefficients(monkeyp
     problem, options, probes = _reuse_cases()[name]
     sizes = _euler_sizes(monkeypatch)
     schedule = ApproximationSchedule((2, 4, 8), SolverConfig(2000, 20, seed=32), **options)
-    strong_viscosity_pipeline(problem, schedule, probes)
+    with _bridge_max_has_no_effect(problem):
+        strong_viscosity_pipeline(problem, schedule, probes)
     passes = len(probes) * (1 if shared else len(schedule.indices))
     assert sum(n * k for n, k in sizes) == passes * 2000 * 20
 
@@ -738,7 +766,8 @@ def test_euler_gets_at_most_a_block_of_paths_whatever_the_driver(monkeypatch, na
     cfg = SolverConfig(N_BLOCKED, 5, seed=38)
     t, probe = probes[1]
     (evaluate_markov if problem.mode == "markov" else evaluate_ppde)(problem, t, probe, cfg)
-    strong_viscosity_pipeline(problem, ApproximationSchedule((2, 4), cfg, **options), [(t, probe)])
+    with _bridge_max_has_no_effect(problem):
+        strong_viscosity_pipeline(problem, ApproximationSchedule((2, 4), cfg, **options), [(t, probe)])
     paths = [n for n, _ in sizes]
     assert sum(paths) == 2 * N_BLOCKED  # the evaluation and the pipeline's one shared pass
     assert len(paths) == 6 and max(paths) <= solver._FORWARD_BLOCK
@@ -938,7 +967,8 @@ def test_property_streaming_changes_no_pipeline_value(name, block, n_paths, seed
     for size in (block, 10 * n_paths):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_FORWARD_BLOCK", size)
-            reports.append(strong_viscosity_pipeline(problem, schedule, probes))
+            with _bridge_max_has_no_effect(problem):
+                reports.append(strong_viscosity_pipeline(problem, schedule, probes))
     streamed, whole = reports
     assert np.array_equal(streamed.values, whole.values)
     assert np.array_equal(streamed.std_errors, whole.std_errors)
@@ -1091,7 +1121,8 @@ def test_pipeline_builds_the_features_once_per_probe(monkeypatch):
     problem = replace(_lookback_problem(), driver=DriverSpec(lambda t, s, y, z: -0.1 * y))
     probes = _reuse_cases()["path-sup"][2]
     schedule = ApproximationSchedule((2, 4, 8), SolverConfig(2000, 20, seed=37))
-    report = strong_viscosity_pipeline(problem, schedule, probes)
+    with _bridge_max_has_no_effect(problem):
+        report = strong_viscosity_pipeline(problem, schedule, probes)
     assert len(calls) == len(probes)
     assert np.all(np.isfinite(report.values))
 
@@ -1393,3 +1424,58 @@ def test_a_path_terminal_must_be_a_path_functional():
         replace(_lookback_problem(), terminal=3.0)
     for terminal in (SupTerminal(), _CYLINDRICAL, _MeanAbsWindow(), _present_abs):
         assert replace(_lookback_problem(), terminal=terminal).terminal is terminal
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+_CHECK_CONFIG = SolverConfig(1000, 5, seed=1, workers=1)
+_FLAT = Path.constant(0.0, 1.0, 11)
+
+
+def _two_dimensional_driver_pipeline():
+    problem = ProblemSpec("markov", 0.0, 1.0, DriverSpec(lambda t, s, y, z: -0.1 * y),
+                          lambda x: np.sum(x**2, axis=1), horizon=1.0, d=2)
+    schedule = ApproximationSchedule((2,), _CHECK_CONFIG, mollify_driver=True)
+    return strong_viscosity_pipeline(problem, schedule, [(0.0, np.zeros(2))])
+
+
+_SOLVER_INPUT_CHECKS = {
+    "mode": (lambda: ProblemSpec("lattice", 0.0, 1.0, DriverSpec(None), lambda x: x, horizon=1.0),
+             "unknown mode 'lattice'"),
+    "path dimension": (lambda: replace(_lookback_problem(), d=2), r"path-dependent problems are scalar \(d = 1\)"),
+    "horizon": (lambda: ProblemSpec("markov", 0.0, 1.0, DriverSpec(None), abs, horizon=0.0),
+                "horizon must be positive"),
+    "history horizon": (lambda: evaluate_ppde(_lookback_problem(), 0.0, Path.constant(0.0, 2.0, 11), _CHECK_CONFIG),
+                        "history horizon 2.0 differs from problem horizon 1.0"),
+    "time beyond the horizon": (lambda: evaluate_markov(_heat_problem(), 1.5, 0.0, _CHECK_CONFIG),
+                                "evaluation time 1.5 beyond horizon 1.0"),
+    "markov evaluation of a path problem": (lambda: evaluate_markov(_lookback_problem(), 0.0, 0.0, _CHECK_CONFIG),
+                                            "evaluate_markov needs a problem in markov mode"),
+    "path evaluation of a markov problem": (lambda: evaluate_ppde(_heat_problem(), 0.0, _FLAT, _CHECK_CONFIG),
+                                            "evaluate_ppde needs a problem in path mode"),
+    "comparison of a path problem": (lambda: comparison_experiment(_lookback_problem(), 0.5, 0.0, _FLAT, _CHECK_CONFIG),
+                                     "runs on the Markovian benchmark family"),
+    "driver mollification at d = 2": (_two_dimensional_driver_pipeline, "driver mollification supports d = 1 only"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SOLVER_INPUT_CHECKS))
+def test_input_checks_raise_value_errors(case):
+    call, message = _SOLVER_INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_a_configured_basis_builds_the_features_of_a_nonzero_driver_evaluation(monkeypatch):
+    specs, original = [], solver.make_features
+
+    def spy(spec, traj):
+        specs.append(spec)
+        return original(spec, traj)
+
+    monkeypatch.setattr(solver, "make_features", spy)
+    cfg = SolverConfig(2000, 10, seed=44, workers=1, basis=RegressionBasisSpec("markov", 3))
+    value, se = evaluate_markov(_linear_problem(), 0.0, 1.0, cfg)
+    assert specs == [RegressionBasisSpec("markov", 3)] and specs[0].n_features() == 4
+    assert abs(value - np.exp(-0.1)) <= 5.0 * se + 0.01
