@@ -249,6 +249,8 @@ class FourierBasis:
 
     def x_moment(self, i: int) -> float:
         """Closed form of int_{-T}^0 x e_i(x) dx."""
+        if i < 0:
+            raise ValueError(f"basis index must be >= 0, got {i}")
         T = self.horizon
         if i == 0:
             return -(T**1.5) / 2.0

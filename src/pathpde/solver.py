@@ -34,9 +34,11 @@ columns of step-major arrays of all paths.  With s steps, a
 d-dimensional state and B features, a state problem then peaks inside
 the induction at
 
-    ((s + 1) d + s d + (s + 1)(d + 1) + (B + d + 1) + 1) x n_paths x 8 B
+    ((s + 1) d + s d + (s + 1)(d + 1) + (B + d + 1) + 2) x n_paths x 8 B
 
-(values, increments, the (Y, Z) state, the regression buffer, samples)
+(values, increments, the (Y, Z) state, the regression buffer, samples
+and the induction's Feynman-Kac companion, whose spread is the standard
+error)
 plus the driver's result, one row of n_paths doubles, and one noise
 scratch per lane.  A path problem adds its float32 features, (2 + 2
 n_fourier)(s + 1) x n_paths x 4 B, and the driver's float64 ``state(k)``
@@ -99,7 +101,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bsde import (
-    BsdeSolution,
     DriverSpec,
     RegressionBasisSpec,
     _check_basis_size,
@@ -251,17 +252,6 @@ def _probe_seed(seed: int, t: float, probe) -> int:
 
 # ---------------------------------------------------------------------------
 # Point evaluation
-
-
-def _pathwise_se(
-    sol: BsdeSolution, driver: DriverSpec, features, terminal: np.ndarray
-) -> float:
-    """Cross-sectional error of the pathwise Feynman-Kac companion estimator."""
-    comp = np.array(terminal, dtype=float)
-    if driver.f is not None:
-        for k in range(sol.grid.n_steps):
-            comp += driver(sol.grid.times[k], features.state(k), sol.Y[:, k], sol.Z[:, k]) * sol.grid.dt
-    return float(comp.std(ddof=1) / np.sqrt(comp.size))
 
 
 # Paths per forward block, the unit the lanes take.  A streamed pass keeps
@@ -451,7 +441,8 @@ def _evaluate_point(
     Otherwise the forward part runs once; then a zero driver gives the
     terminal sample mean, the induction's Y_0 up to rounding (see the
     module docstring), and a nonzero driver runs the induction on all the
-    paths, whose features are built once.  The path set dies with this call.
+    paths, whose features are built once, and reads its Y_0 and the
+    standard error of its companion.  The path set dies with this call.
     """
     exact = [_terminal_time_value(problem, t, start) for problem in problems]
     if exact[0] is not None:
@@ -464,7 +455,7 @@ def _evaluate_point(
             results.append((_zero_driver_value(row), float(row.std(ddof=1) / np.sqrt(row.size))))
         else:
             sol = solve_bsde(problem.driver, row, features, paths.traj, paths.dW)
-            results.append((sol.value, _pathwise_se(sol, problem.driver, features, row)))
+            results.append((sol.value, sol.std_error))
     return results
 
 
@@ -809,8 +800,7 @@ def comparison_experiment(
     tilt = slack * (problem.horizon - grid.times)[None, :]
     y_super = sol.Y + tilt
     y_sub = sol.Y - tilt
-    se = _pathwise_se(sol, problem.driver, features, xi)
-    tol = 3.0 * se
+    tol = 3.0 * sol.std_error
     order = comparison_check(y_sub, y_super, tol)
     swapped = comparison_check(y_super, y_sub, tol)
 

@@ -96,9 +96,9 @@ def test_driver_and_terminal_scaling_linearity():
 def test_solution_shape_validation():
     g = Grid(0.0, 1.0, 4)
     with pytest.raises(ValueError):
-        BsdeSolution(g, np.zeros((3, 5)), np.zeros((3, 3, 1)))
+        BsdeSolution(g, np.zeros((3, 5)), np.zeros((3, 3, 1)), 0.0)
     with pytest.raises(ValueError):
-        BsdeSolution(g, np.zeros((3, 5)), np.zeros((2, 4, 1)))
+        BsdeSolution(g, np.zeros((3, 5)), np.zeros((2, 4, 1)), 0.0)
 
 
 def test_basis_size_guard():
@@ -281,7 +281,7 @@ def test_norms_constant_solution():
     g = Grid(0.0, 1.0, 10)
     Y = np.full((50, 11), -1.5)
     Z = np.zeros((50, 10, 1))
-    sol = BsdeSolution(g, Y, Z)
+    sol = BsdeSolution(g, Y, Z, 0.0)
     out = bsde_norms(sol, p=3.0, K=np.zeros((50, 11)))
     assert out["sp_norm_Y"] == pytest.approx(1.5**3, abs=1e-14)
     assert out["h2_norm_Z"] == 0.0
@@ -338,8 +338,6 @@ def test_limit_experiment_vanishing_driver_perturbation():
     y_gaps = [r["y_gap_sup2"] for r in rows]
     assert all(b < a for a, b in zip(z_gaps, z_gaps[1:]))
     assert all(b < a for a, b in zip(y_gaps, y_gaps[1:]))
-    # S^p diagnostics are logged for p in {2, 4}
-    assert rows[0]["y_sp2"] > 0 and rows[0]["y_sp4"] > 0
 
 
 def test_limit_experiment_mollified_terminal():
@@ -476,12 +474,16 @@ class _TwoPassFactor:
 
 
 def _reference_solve(driver, terminal, features, traj, dW, ridge):
-    """The backward induction with the two-pass factor, one step at a time."""
+    """The backward induction with the two-pass factor, one step at a time, and its companion.
+
+    The companion is xi plus each step's F dt, with F taken at the step's projection.
+    """
     n_paths, n_steps, d = dW.shape
     dt, times = traj.grid.dt, traj.grid.times
     Y = np.empty((n_paths, n_steps + 1))
     Z = np.empty((n_paths, n_steps, d))
     Y[:, -1] = terminal
+    companion = np.array(terminal, dtype=float)
     targets = np.empty((n_paths, d + 1))
     design = np.empty((features.spec.n_features(traj.d), n_paths))
     for k in range(n_steps - 1, -1, -1):
@@ -493,8 +495,10 @@ def _reference_solve(driver, terminal, features, traj, dW, ridge):
         fitted = factor.fit(targets)
         Z[:, k] = fitted[:, :d]
         y_proj = fitted[:, d]
-        Y[:, k] = y_proj + driver(times[k], features.state(k), y_proj, Z[:, k]) * dt
-    return Y, Z
+        f_dt = driver(times[k], features.state(k), y_proj, Z[:, k]) * dt
+        Y[:, k] = y_proj + f_dt
+        companion += f_dt
+    return Y, Z, companion
 
 
 # float64 eps times the paths summed in one moment, with headroom for the
@@ -505,9 +509,11 @@ REFERENCE_RTOL = 1e-9
 def _assert_matches_reference(driver, xi, basis, traj, dW):
     features = make_features(basis, traj)
     sol = solve_bsde(driver, xi, features, traj, dW)
-    Y, Z = _reference_solve(driver, xi, features, traj, dW, basis.ridge)
+    Y, Z, companion = _reference_solve(driver, xi, features, traj, dW, basis.ridge)
     assert np.abs(sol.Y - Y).max() <= REFERENCE_RTOL * np.abs(Y).max()
     assert np.abs(sol.Z - Z).max() <= REFERENCE_RTOL * np.abs(Z).max()
+    se = companion.std(ddof=1) / np.sqrt(companion.size)
+    assert abs(sol.std_error - se) <= REFERENCE_RTOL * se
 
 
 def test_fused_matches_reference_markov_degree2_d2():
@@ -733,6 +739,51 @@ def test_property_zero_driver_value_is_terminal_mean(seed, basis_case, ridge, te
 
 
 # ---------------------------------------------------------------------------
+# the standard error is that of the induction's own Feynman-Kac companion
+
+
+_COMPANION_DRIVERS = {
+    "linear": lambda t, s, y, z: -0.1 * y + 0.05 * z[:, 0] + 0.2,
+    "abs-z": lambda t, s, y, z: 0.3 * np.abs(z[:, 0]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(_ZERO_DRIVER_BASES),
+    st.sampled_from(sorted(_COMPANION_DRIVERS)),
+    st.sampled_from(["offset", "sup-discrete"]),
+)
+def test_property_companion_mean_is_the_value(seed, basis_case, driver, terminal):
+    # every projection keeps its target's mean and all paths share the state at step 0, so the mean of
+    # xi + sum_k F(t_k, S_k, P_k[Y_{k+1}], Z_k) dt is Y_0; the driver's rows, recorded as the walk reads
+    # them, rebuild the companion whose spread is the solution's standard error
+    kind, degree, d = basis_case
+    n_paths, n_steps = 1500, 8
+    g = Grid(0.0, 1.0, n_steps)
+    dW = NoiseBundle(seed, n_paths, n_steps, d).increments(g.dt)
+    if kind == "markov":
+        traj = euler_markov(SdeSpec(0.0, 1.0), np.zeros(d) if d > 1 else 0.0, g, dW)
+        scalar = traj.values[:, :, 0] if d > 1 else traj.values
+    else:
+        eta = Path.from_function(lambda x: 0.2 * np.sin(4.0 * x), 1.0, 51)
+        traj = euler_path_dependent(SdeSpec(0.0, 1.0), eta, g, dW)
+        scalar = traj.values
+    xi = 3.0 + scalar[:, -1] ** 2 if terminal == "offset" else scalar.max(axis=1)
+    rows = []
+    f = _COMPANION_DRIVERS[driver]
+    drv = DriverSpec(lambda t, s, y, z: rows.append(np.array(f(t, s, y, z))) or rows[-1])
+    sol = solve_bsde(drv, xi, make_features(RegressionBasisSpec(kind, degree), traj), traj, dW)
+    assert len(rows) == n_steps
+    companion = xi.copy()
+    for f_k in rows:
+        companion += f_k * g.dt
+    assert abs(companion.mean() - sol.value) <= 1e-12 * max(1.0, abs(sol.value))
+    assert sol.std_error == companion.std(ddof=1) / np.sqrt(n_paths)
+
+
+# ---------------------------------------------------------------------------
 # the Markov design, built as rows
 
 
@@ -891,7 +942,7 @@ _BSDE_INPUT_CHECKS = {
     "path features of a vector state": (lambda: _path_features(np.zeros((10, 5, 2)), None),
                                         "need scalar trajectories"),
     "path features without a history": (lambda: _path_features(np.zeros((10, 5)), None), "need the history path"),
-    "norm order": (lambda: bsde_norms(BsdeSolution(Grid(0.0, 1.0, 2), np.zeros((3, 3)), np.zeros((3, 2, 1))), p=0.5),
+    "norm order": (lambda: bsde_norms(BsdeSolution(Grid(0.0, 1.0, 2), np.zeros((3, 3)), np.zeros((3, 2, 1)), 0.0), p=0.5),
                    "norm order must be >= 1, got 0.5"),
 }
 

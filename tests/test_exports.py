@@ -180,6 +180,13 @@ def test_the_forward_pass_is_the_one_caller_of_the_lanes():
     assert _call_sites({"m": source}, _named("_lanes")) == [("m", "f"), ("m", None)]
 
 
+def test_the_driver_and_a_step_s_state_are_read_by_the_induction_and_the_compensator_alone():
+    # one backward walk per solve: the standard error's companion is summed inside the induction
+    sources = {p.stem: p.read_text() for p in sorted(FsPath(pathpde.__file__).parent.glob("*.py"))}
+    for callee in ("driver", "state"):
+        assert _call_sites(sources, _named(callee)) == [("bsde", "solve_bsde"), ("bsde", "extract_compensator")]
+
+
 def test_the_unit_gauss_legendre_rule_is_solved_in_one_place():
     # leggauss solves a dense eigenproblem: every rule is an affine copy of the one solved per node count
     sources = {p.stem: p.read_text() for p in sorted(FsPath(pathpde.__file__).parent.glob("*.py"))}

@@ -80,13 +80,16 @@ def test_mollify_constant_exact():
 
 
 def test_mollify_kink_regression_value():
-    # the integrand keeps the kink at the origin, so the tensor rule is
-    # only O(nodes^-2) here; high node counts recover the frozen value
-    fine = mollify(np.abs, 1, 1, nodes_per_axis=4000)
-    assert fine(np.array([0.0]))[0] == pytest.approx(MOLLIFIED_ABS_AT_ZERO, abs=1e-6)
-    default = mollify(np.abs, 1, 1, nodes_per_axis=60)
-    assert default(np.array([0.0]))[0] == pytest.approx(MOLLIFIED_ABS_AT_ZERO, abs=5e-4)
-    assert default(np.array([0.0]))[0] > 0.0
+    # split at the kink, the integral 2 int_0^1 phi_1(r) r dr has a smooth integrand, which the
+    # 200-node rule resolves to rounding
+    r, w = smoothing._gauss_legendre(0.0, 1.0, 200)
+    assert abs(2.0 * np.sum(w * r * Mollifier(1, 1)(r[:, None])) - MOLLIFIED_ABS_AT_ZERO) <= 1e-12
+    # across the kink the tensor rule is only O(nodes^-2): each doubling cuts the error about fourfold
+    values = [mollify(np.abs, 1, 1, nodes_per_axis=m)(np.array([0.0]))[0] for m in (60, 120, 240, 480)]
+    errors = [abs(v - MOLLIFIED_ABS_AT_ZERO) for v in values]
+    assert all(fine <= coarse / 3.5 for coarse, fine in zip(errors, errors[1:]))
+    assert values[0] == pytest.approx(MOLLIFIED_ABS_AT_ZERO, abs=5e-4)
+    assert values[0] > 0.0
 
 
 def test_each_unit_gauss_legendre_rule_is_solved_once(monkeypatch):
@@ -602,6 +605,8 @@ _SMOOTHING_INPUT_CHECKS = {
         "horizontal derivative needs d2phi on every integrand"),
     "a tracker started after 0 without a history": (lambda: FeatureTracker((_UNIT,), np.zeros(3), t0=0.5),
                                                     "a start time t0 > 0 requires the history path"),
+    "an odd negative moment index": (lambda: FourierBasis(1.0, 4).x_moment(-1), "basis index must be >= 0, got -1"),
+    "an even negative moment index": (lambda: FourierBasis(1.0, 4).x_moment(-2), "basis index must be >= 0, got -2"),
 }
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pathpde import sde, smoothing, solver
+from pathpde import bsde, sde, smoothing, solver
 from pathpde.bsde import DriverSpec, RegressionBasisSpec
 from pathpde.paths import Grid, Path, WindowBatch
 from pathpde.sde import DivergenceError, SdeSpec, TrajectoryBatch
@@ -411,6 +411,21 @@ def test_nonzero_driver_runs_the_induction(monkeypatch):
     for problem in (_heat_problem(), _lookback_problem()):
         _evaluate(replace(problem, driver=ZERO_FN), cfg)
     assert calls == ["make_features", "solve_bsde"] * 2
+
+
+def test_a_nonzero_driver_evaluation_walks_its_steps_once(monkeypatch):
+    # the induction sums the companion of the standard error itself: the driver and a step's state are
+    # read once per step, backward, and by nothing after the walk
+    times = []
+    drv = DriverSpec(lambda t, s, y, z: times.append(t) or -0.1 * y)
+    cfg = SolverConfig(5000, 20, seed=25)
+    evaluate_markov(replace(_heat_problem(), driver=drv), 0.0, 0.3, cfg)
+    assert len(times) == 20
+    states, state = [], bsde._PathFeatures.state
+    monkeypatch.setattr(bsde._PathFeatures, "state", lambda self, k: states.append(k) or state(self, k))
+    times.clear()
+    _evaluate(replace(_lookback_problem(), driver=drv), cfg)
+    assert states == list(range(19, -1, -1)) and len(times) == 20
 
 
 class _NoNoise:
@@ -880,8 +895,8 @@ def test_a_streamed_pass_peaks_within_the_memory_model(workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_pass_of_all_paths_peaks_within_the_memory_model(workers):
-    # solver's model for s steps, d = 1 and B features: values, increments, (Y, Z), regression buffer
-    # and samples, ((s + 1) + s + 2 (s + 1) + (B + 2) + 1) x 8 B per path; a path problem adds its
+    # solver's model for s steps, d = 1 and B features: values, increments, (Y, Z), regression buffer,
+    # samples and companion, ((s + 1) + s + 2 (s + 1) + (B + 2) + 2) x 8 B per path; a path problem adds its
     # float32 features, (2 + 2 n_fourier)(s + 1) x 4 B per path, and a step's state bundle,
     # (2 + 2 n_fourier) x 8 B per path.  The driver's result, 8 B per path, and one noise scratch per
     # lane (two noise blocks with the bridge maximum) are the margin
@@ -901,7 +916,7 @@ def test_a_pass_of_all_paths_peaks_within_the_memory_model(workers):
             finally:
                 tracemalloc.stop()
             basis = cfg.resolved_basis(problem.mode)
-            model = ((s + 1) * d + s * d + (s + 1) * (d + 1) + (basis.n_features(d) + d + 1) + 1) * n_paths * 8
+            model = ((s + 1) * d + s * d + (s + 1) * (d + 1) + (basis.n_features(d) + d + 1) + 2) * n_paths * 8
             noise = 256 * s * d * 8
             if problem.mode == "path":
                 derived = 2 + 2 * basis.n_fourier
