@@ -543,10 +543,15 @@ def limit_experiment(
     (``extract_compensator``'s).  Each row reports E int |Z^n - Z|^q dt
     and E sup |Y^n - Y|^2, each with its standard error, and
     max_k E|K^n - K|.  The solution of the unperturbed problem, which
-    every row is measured against, is handed back with the rows.
+    every row is measured against, is handed back with the rows.  Unequal
+    sequence or label lengths raise ``ValueError`` before the first solve.
     """
     if not 1 <= q < 2:
         raise ValueError(f"q must lie in [1, 2), got {q}")
+    if len(terminal_seq) != len(driver_seq):
+        raise ValueError(f"{len(driver_seq)} drivers but {len(terminal_seq)} terminals")
+    if n_labels is not None and len(n_labels) != len(driver_seq):
+        raise ValueError(f"{len(n_labels)} labels for {len(driver_seq)} rows")
     features = make_features(features_spec, trajectories)
 
     def solve(drv, term):

@@ -119,12 +119,21 @@ def _int_list(raw) -> tuple[int, ...]:
     return tuple(int(v) for v in str(raw).split(","))
 
 
-def _index_list(params: dict, default: tuple[int, ...]) -> tuple[int, ...]:
-    """The ``indices`` parameter: smoothing or perturbation indices, each >= 1, strictly increasing."""
+def _index_list(params: dict, default: tuple[int, ...], need: int) -> tuple[int, ...]:
+    """The ``indices`` parameter: each >= 1, strictly increasing, and the ``need`` its monotonicity check compares."""
     indices = _p(params, "indices", default, _int_list)
     if min(indices) < 1 or any(b <= a for a, b in zip(indices, indices[1:])):
         raise ConfigError(f"parameter 'indices': smoothing indices must be >= 1 and strictly increasing, got {indices}")
+    if len(indices) < need:
+        raise ConfigError(f"parameter 'indices': the monotonicity check needs at least {need} indices, got {indices}")
     return indices
+
+
+def _seed(seed: int, name: str) -> int:
+    """A seed in [0, 2^64): numpy's generators reject a negative one, and the noise keys only its low 64 bits."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{name} must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def run_markov_heat(params, seed, workers, outdir):
@@ -172,7 +181,7 @@ def run_markov_kinked_terminal(params, seed, workers, outdir):
     n_paths = _p(params, "n_paths", 100_000, int)
     n_steps = _p(params, "n_steps", 100, int)
     tol = _p(params, "tolerance", 0.02)
-    indices = _index_list(params, (4, 8, 16, 32))
+    indices = _index_list(params, (4, 8, 16, 32), 3)  # pipeline_gaps_decreasing compares two gaps
     prob = ProblemSpec("markov", 0.0, 1.0, DriverSpec(None), lambda x: np.abs(x), horizon=1.0)
     sched = ApproximationSchedule(indices, SolverConfig(n_paths, n_steps, seed=seed, workers=workers))
     report = strong_viscosity_pipeline(prob, sched, [(0.0, 0.0)])
@@ -253,7 +262,7 @@ def run_comparison(params, seed, workers, outdir):
 def run_sde_convergence(params, seed, workers, outdir):
     n_paths = _p(params, "n_paths", 20_000, int)
     n_steps = _p(params, "n_steps", 100, int)
-    indices = _index_list(params, (2, 8, 32))
+    indices = _index_list(params, (2, 8, 32), 2)
     g = Grid(0.0, 1.0, n_steps)
     noise = NoiseBundle(seed, n_paths, n_steps)
     kinked = lambda x: -np.abs(x)
@@ -278,7 +287,7 @@ def run_bsde_limit(params, seed, workers, outdir):
     n_paths = _p(params, "n_paths", 30_000, int)
     n_steps = _p(params, "n_steps", 64, int)
     rate = _p(params, "rate", 0.1)
-    indices = _index_list(params, (1, 4, 16, 64))
+    indices = _index_list(params, (1, 4, 16, 64), 2)
     g = Grid(0.0, 1.0, n_steps)
     basis = RegressionBasisSpec("markov", 2)
     base_drv = DriverSpec(lambda t, s, y, z, r=rate: -r * y, lipschitz=rate)
@@ -446,7 +455,7 @@ def load_config(path: str) -> tuple[str, dict, int]:
     if name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ConfigError(f"unknown experiment {name!r}; known: {known}")
-    seed = _p(parser["experiment"], "seed", 2024, int)
+    seed = _seed(_p(parser["experiment"], "seed", 2024, int), "seed")
     params = dict(parser["parameters"]) if "parameters" in parser else {}
     positive = {"n_paths": int, "n_steps": int, "max_index": int, "n_rough": int, "horizon": float,
                 "slack": float, "steps": lambda raw: min(_int_list(raw))}
@@ -468,11 +477,11 @@ def run(config_path: str, seed_override: int | None, workers: int, outdir: str) 
         name, params, seed = load_config(config_path)
         if workers < 1:
             raise ConfigError(f"--threads must be positive, got {workers}")
+        if seed_override is not None:
+            seed = _seed(seed_override, "--seed")
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if seed_override is not None:
-        seed = seed_override
     out = FsPath(outdir)
     out.mkdir(parents=True, exist_ok=True)
     runner, _ = EXPERIMENTS[name]

@@ -12,7 +12,7 @@ caller's range.
 
 The forward pass is step-major.  A block's draws are path-major, so one
 writer, ``NoiseBundle._rows``, draws every block, normals or uniforms,
-into a scratch of one block and writes it once, transposed, into a
+into a (256, n_steps, d) scratch and writes it once, transposed, into a
 (n_steps, d, n_paths) buffer: scaled by sqrt(dt) for ``increments``,
 copied for ``uniforms``.  Both return its path-major view;
 ``bridge_corrected_max`` is arithmetic on a tile's uniform rows, and
@@ -22,8 +22,8 @@ thread that calls it.  ``_lanes`` is the one parallel axis, and a forward pass
 ``workers`` threads, and each lane draws, steps and evaluates its blocks,
 noise and bridge maximum included, on that lane alone, so no bit depends
 on how many.  While more than one lane runs, OpenBLAS is held to one
-thread (``_BlasThreads``), process-wide.  The Euler schemes step on
-contiguous rows of a (n_steps + 1[, d], n_paths) buffer, and
+thread (``_BlasThreads``), process-wide.  The Euler schemes step on the
+rows of a (n_steps + 1, d, n_paths) array, contiguous in the paths, and
 ``TrajectoryBatch.values`` is its path-major view (``_trajectories``, for
 them and the forward pass alike), so ``values.T`` (or
 ``values.transpose(1, 2, 0)``) gives the step rows back without a copy.
@@ -65,7 +65,6 @@ __all__ = [
     "DivergenceError",
     "euler_markov",
     "euler_path_dependent",
-    "value_buffer_size",
     "coupled_sup_error",
     "moment_check",
     "bridge_refine",
@@ -148,19 +147,19 @@ class _BlasThreads:
 _BLAS = _BlasThreads()
 
 
-def _lanes(work: Callable[[int, int, np.ndarray], None], n: int, chunk: int, workers: int, width: int) -> None:
+def _lanes(work: Callable[[int, int, np.ndarray], None], n: int, chunk: int, workers: int, shape: tuple | int) -> None:
     """Run ``work(q0, q1, scratch)`` on the chunks [q0, q1) of ``chunk`` paths among n.
 
     The forward pass (``solver._terminal_samples``) is the one caller.  The
     chunks are dealt round-robin to up to ``workers`` lanes, each with one
-    scratch buffer of ``width`` doubles; only more than one lane takes a
-    thread pool, and while it runs OpenBLAS is held to one thread
-    (``_BLAS``), so that its own threads do not contend with the lanes.  A
-    lane runs its chunks in order and stops at one that raises, or before
-    any chunk past one that raised on another lane; the error of the lowest
-    chunk that raised is raised, so the error does not depend on ``workers``.
+    scratch array of ``shape`` that its chunks reuse; only more than one
+    lane takes a thread pool, and while it runs OpenBLAS is held to one
+    thread (``_BLAS``), so that its own threads do not contend with the
+    lanes.  A lane runs its chunks in order and stops at one that raises,
+    or before any chunk past one that raised on another lane; the lowest
+    raising chunk's error is raised, so it does not depend on ``workers``.
     """
-    scratch = [np.empty(width) for _ in range(max(1, min(workers, -(-n // chunk))))]
+    scratch = [np.empty(shape) for _ in range(max(1, min(workers, -(-n // chunk))))]
     lock = threading.Lock()
     failed: list = [n, None]  # the lowest chunk that raised, and its error
 
@@ -222,18 +221,18 @@ class NoiseBundle:
         """The path-major view of the step rows (n_steps, d, p1 - p0), ``out`` if given, of paths [p0, p1).
 
         Each block that covers the range draws path-major from its first
-        path into a scratch of one block, and its paths in the range are
-        written transposed into their columns: normals scaled by ``scale``,
-        or, with no scale, uniforms copied.
+        path into the leading rows of a (256, n_steps, d) scratch, and its
+        paths in the range are written transposed into their columns:
+        normals scaled by ``scale``, or, with no scale, uniforms copied.
         """
         p1 = self.n_paths if p1 is None else p1
         steps, d, P = self.n_steps, self.d, _NOISE_BLOCK
         out = np.empty((steps, d, p1 - p0)) if out is None else out
-        scratch = np.empty(min(P, p1 - p0 // P * P) * steps * d)
+        scratch = np.empty((min(P, p1 - p0 // P * P), steps, d))
         for j in range(p0 // P, -(-p1 // P) if p1 > p0 else 0):
             a, e = max(p0, j * P), min(p1, (j + 1) * P)
-            z = scratch[: (e - j * P) * steps * d]
-            block = z.reshape(-1, steps, d)[a - j * P :].transpose(1, 2, 0)
+            z = scratch[: e - j * P]
+            block = z[a - j * P :].transpose(1, 2, 0)
             gen = self._generator(j)
             if scale is None:
                 gen.random(out=z)
@@ -437,24 +436,6 @@ def _check_increments(dW: np.ndarray, grid: Grid) -> None:
         raise ValueError(f"increments of shape {dW.shape} do not match (n_paths, {grid.n_steps}, d)")
 
 
-def value_buffer_size(n_steps: int, d: int, n_paths: int) -> int:
-    """Doubles in the step-major (n_steps + 1, d, n_paths) value buffer of the Euler schemes."""
-    return (n_steps + 1) * d * n_paths
-
-
-def _step_rows(out: np.ndarray | None, n_steps: int, d: int, n_paths: int) -> np.ndarray:
-    """The (n_steps + 1, d, n_paths) value buffer: ``out`` if so shaped, else its leading part, or a new one."""
-    shape = (n_steps + 1, d, n_paths)
-    if out is None:
-        return np.empty(shape)
-    if out.dtype == np.float64 and out.shape == shape:
-        return out
-    need = value_buffer_size(n_steps, d, n_paths)
-    if out.dtype != np.float64 or not out.flags.c_contiguous or out.size < need:
-        raise ValueError(f"value buffer of {out.size} {out.dtype} cannot hold {need} contiguous doubles")
-    return out.reshape(-1)[:need].reshape(shape)
-
-
 def _trajectories(grid: Grid, V: np.ndarray, start) -> TrajectoryBatch:
     """The paths from ``start`` whose values are the path-major view of the step-major buffer V.
 
@@ -470,11 +451,12 @@ def _euler(
 ) -> np.ndarray:
     """The Euler recursion X_{k+1} = X_k + b dt + sigma dW of both schemes.
 
-    Returns the step-major (n_steps + 1, d, n_paths) value buffer held by
-    ``out`` (a new one when None).  The state is a value per path for a
-    0-d x0 and a d-vector per path otherwise; step k reads the state X_k
-    and the increments as rows of that buffer and of dW, (m,) or (m, d)
-    for m paths.  Each coefficient is a float or a step function
+    Returns ``out``, the step-major float64 (n_steps + 1, d, n_paths)
+    value buffer of any strides (a new one when None), or raises
+    ``ValueError``.  The state is a value per path for a 0-d x0 and a
+    d-vector per path otherwise; step k reads the state X_k and the
+    increments as rows of that buffer and of dW, (m,) or (m, d) for m
+    paths.  Each coefficient is a float or a step function
     (k, X) -> array, and ``after`` is None or a hook (k, X, row) that
     advances the coefficients' state once the row of X_{k+1} is written.
     The increments may be rows 1..n_steps of the value buffer itself:
@@ -485,7 +467,10 @@ def _euler(
     guards the block once.
     """
     n_paths, n_steps, d = dW.shape
-    V = _step_rows(out, n_steps, d, n_paths)
+    shape = (n_steps + 1, d, n_paths)
+    V = np.empty(shape) if out is None else out
+    if V.shape != shape or V.dtype != np.float64:
+        raise ValueError(f"value buffer must be a float64 array of shape {shape}, got {V.dtype} {V.shape}")
     if x0.ndim:
         R, N = V.transpose(0, 2, 1), dW.transpose(1, 0, 2)  # (steps, n, d)
     else:
@@ -550,9 +535,8 @@ def euler_markov(
     recursion starts from x at ``grid.t_start``.  A scalar x needs d = 1,
     a vector x needs d = x.size.  Step k reads ``dW[:, k]`` as the rows
     ``dW.transpose(1, 2, 0)[k]``, contiguous when dW came from
-    ``NoiseBundle.increments``.  The values go into the step-major
-    (n_steps + 1, d, n_paths) buffer ``out`` holds (see ``_step_rows``;
-    a new one when None).
+    ``NoiseBundle.increments``.  The values go into ``out``, a float64
+    step-major (n_steps + 1, d, n_paths) array of any strides (or a new one).
     Callable coefficients see a C-ordered copy of a step's rows as the
     state, (m,) for a scalar x and (m, d) for a vector one, so they round
     as on a path-major layout; constant ones stay floats.
@@ -609,8 +593,8 @@ def euler_path_dependent(
     built before the recursion, for the dW.shape[0] paths: a tracker
     reads only the size of its start row, the broadcast present value
     eta(0).  ``_euler`` then takes the step functions and the hook that
-    advances them.  The values go into the step-major buffer ``out``
-    holds (see ``_step_rows``; a new one when None).
+    advances them.  The values go into ``out``, a float64 (n_steps + 1, 1,
+    n_paths) array of any strides, as for ``euler_markov``.
     """
     _check_increments(dW, grid)
     if dW.shape[2] != 1:

@@ -18,9 +18,9 @@ and bridge maximum included.  The noise regenerates any range of paths
 bit for bit and the terminals act path by path, so the samples, and the
 mean and standard error taken once over all of them, depend neither on
 the block size, a multiple of the noise's 256-path block, nor on the
-lanes.  A zero driver streams: a lane steps its blocks on its own value
-buffer and only the terminal samples outlive a block, so the pass holds,
-up to small per-block arrays,
+lanes.  A zero driver streams: each lane steps its blocks on one array of
+one block, its value buffer, and only the terminal samples outlive a
+block, so the pass holds, up to small per-block arrays,
 
     workers x (_FORWARD_BLOCK x (n_steps + 1) x 8 B + one noise scratch)
     + 8 B per path and problem,
@@ -117,13 +117,11 @@ from .sde import (
     SdeSpec,
     TrajectoryBatch,
     _lanes,
-    _step_rows,
     _trajectories,
     _usable_cores,
     bridge_corrected_max,
     euler_markov,
     euler_path_dependent,
-    value_buffer_size,
 )
 from .smoothing import (
     CylindricalFunctional,
@@ -351,13 +349,13 @@ def _terminal_samples(
     path problem's block is read in tiles of ``_PATH_TILE`` paths, each one
     ``_Forward`` that every problem's terminal reads in turn.
 
-    A zero driver streams: a lane's scratch is its value buffer, whose rows
-    1..n_steps take the increments that Euler then overwrites; the second
-    result is None, so that no block outlives the pass.  A nonzero driver,
-    or ``keep_paths``, keeps all paths for the backward induction: each
-    block writes its values and increments into its own columns
-    [:, :, p0:p1] of step-major arrays of all paths, which the second
-    result holds, read-only.
+    A zero driver streams: a lane's scratch is its (n_steps + 1, d, block)
+    value buffer, and a block steps on its columns [:, :, :p1 - p0], whose
+    rows 1..n_steps take the increments that Euler then overwrites; the
+    second result is None, so that no block outlives the pass.  A nonzero
+    driver, or ``keep_paths``, keeps all paths for the backward induction:
+    each block steps on its own columns [:, :, p0:p1] of step-major arrays
+    of all paths, which the second result holds, read-only.
 
     The basis-size guard runs before any noise is drawn, whatever the
     driver.  A diverging path is reported by its index among all paths, the
@@ -386,7 +384,7 @@ def _terminal_samples(
         values, dW = np.empty((n_steps + 1, d, n_paths)), np.empty((n_steps, d, n_paths))
 
     def block(p0: int, p1: int, buf: np.ndarray) -> None:
-        rows = _step_rows(values[:, :, p0:p1] if keep else buf, n_steps, d, p1 - p0)
+        rows = values[:, :, p0:p1] if keep else buf[:, :, :p1 - p0]
         increments = noise.increments(grid.dt, p0, p1, out=dW[:, :, p0:p1] if keep else rows[1:])
         try:
             traj = euler(spec, start, grid, increments, out=rows)
@@ -403,8 +401,8 @@ def _terminal_samples(
             for r, prob in enumerate(problems):
                 xi[r][q0:q1] = _checked(_terminal_samples_path(prob, fwd, config), q1 - q0)
 
-    _lanes(block, n_paths, _FORWARD_BLOCK, config.workers,
-           0 if keep else value_buffer_size(n_steps, d, min(n_paths, _FORWARD_BLOCK)))
+    lane_shape = 0 if keep else (n_steps + 1, d, min(n_paths, _FORWARD_BLOCK))
+    _lanes(block, n_paths, _FORWARD_BLOCK, config.workers, lane_shape)
     for row in xi:
         _finite(row)
     if not keep:
@@ -413,15 +411,20 @@ def _terminal_samples(
     return xi, _AllPaths(_trajectories(grid, values, start), dW.transpose(2, 0, 1))
 
 
+def _check_time(t: float, T: float) -> None:
+    """A ValueError unless the evaluation time t lies in [0, T], up to 1e-12 beyond T."""
+    if t < 0:
+        raise ValueError(f"evaluation time {t} is negative: the problem is posed on [0, {T}]")
+    if t > T + 1e-12:
+        raise ValueError(f"evaluation time {t} beyond horizon {T}")
+
+
 def _terminal_time_value(problem: ProblemSpec, t: float, start) -> float | None:
     """Check the point against the problem; at the horizon, its exact value: the checked sample of the start."""
     T = problem.horizon
     if problem.mode == "path" and abs(start.horizon - T) > 1e-12 * max(1.0, T):
         raise ValueError(f"history horizon {start.horizon} differs from problem horizon {T}")
-    if t < 0:
-        raise ValueError(f"evaluation time {t} is negative: the problem is posed on [0, {T}]")
-    if t > T + 1e-12:
-        raise ValueError(f"evaluation time {t} beyond horizon {T}")
+    _check_time(t, T)
     if abs(t - T) >= 1e-12:
         return None
     if problem.mode == "markov":
@@ -541,10 +544,7 @@ def lookback_oracle(t: float, eta: Path, horizon: float) -> float:
     have left the look-back window by time T, so the history must cover
     [-t, 0].
     """
-    if t < 0:
-        raise ValueError(f"evaluation time {t} is negative: the problem is posed on [0, {horizon}]")
-    if t > horizon + 1e-12:
-        raise ValueError(f"evaluation time {t} beyond horizon {horizon}")
+    _check_time(t, horizon)
     if t > eta.horizon + 1e-12:
         raise ValueError(f"history of horizon {eta.horizon} does not cover [-{t}, 0]")
     tau = max(horizon - t, 0.0)

@@ -933,6 +933,17 @@ def _path_features(values, prefix):
     return make_features(RegressionBasisSpec("path", 2), TrajectoryBatch(Grid(0.0, 1.0, 4), values, prefix))
 
 
+def _limit_on(n_drivers, n_terminals, **kw):
+    """A coupled limit table on 50 Brownian paths whose drivers fail when called: the checks come first."""
+    g, traj, dW = _brownian(50, 4, seed=17)
+
+    def never(*args):
+        raise AssertionError("a solve ran before the length checks")
+
+    return limit_experiment([DriverSpec(never)] * n_drivers, DriverSpec(never), [traj.terminal()] * n_terminals,
+                            traj.terminal(), BASIS, traj, dW, **kw)
+
+
 _BSDE_INPUT_CHECKS = {
     "basis kind": (lambda: RegressionBasisSpec("spline"), "unknown basis kind 'spline'"),
     "basis degree": (lambda: RegressionBasisSpec("markov", 4), "degree must be within 0..3, got 4"),
@@ -942,6 +953,8 @@ _BSDE_INPUT_CHECKS = {
     "path features of a vector state": (lambda: _path_features(np.zeros((10, 5, 2)), None),
                                         "need scalar trajectories"),
     "path features without a history": (lambda: _path_features(np.zeros((10, 5)), None), "need the history path"),
+    "a terminal per driver": (lambda: _limit_on(2, 1), "2 drivers but 1 terminals"),
+    "a label per row": (lambda: _limit_on(2, 2, n_labels=[1]), "1 labels for 2 rows"),
     "norm order": (lambda: bsde_norms(BsdeSolution(Grid(0.0, 1.0, 2), np.zeros((3, 3)), np.zeros((3, 2, 1)), 0.0), p=0.5),
                    "norm order must be >= 1, got 0.5"),
 }

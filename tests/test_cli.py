@@ -128,6 +128,36 @@ def test_bad_smoothing_indices_exit_2(tmp_path, capsys, indices):
 
 
 @pytest.mark.parametrize(
+    "name, indices, need",
+    [
+        ("markov-kinked-terminal", "4,8", 3),
+        ("markov-kinked-terminal", "32", 3),
+        ("sde-convergence", "8", 2),
+        ("bsde-limit", "4", 2),
+    ],
+)
+def test_too_few_indices_for_the_monotonicity_check_exit_2(tmp_path, capsys, name, indices, need):
+    # a check over fewer than two gaps or errors would hold whatever the solver did
+    cfg = _write_config(tmp_path, name, n_paths=1000, n_steps=10, indices=indices)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"needs at least {need} indices" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("seed", ["-3", str(2**64)])
+def test_a_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    # numpy's generators reject a negative seed; the noise keys only a seed's low 64 bits
+    cfg = _write_config(tmp_path, "fejer-sweep", seed=seed, n_rough=2)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: seed must lie in [0, 2^64), got {seed}" in err and "Traceback" not in err
+    cfg = _write_config(tmp_path, "fejer-sweep", n_rough=2)
+    assert main(["run", str(cfg), "--seed", seed, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: --seed must lie in [0, 2^64), got {seed}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
     "name, indices",
     [
         pytest.param("sde-convergence", "0,2", id="sde-convergence"),

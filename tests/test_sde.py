@@ -19,7 +19,6 @@ from pathpde.sde import (
     trajectories_from_binary,
     trajectories_to_binary,
     trajectories_to_csv,
-    value_buffer_size,
 )
 from pathpde.smoothing import CylindricalFunctional, Integrand, mollify
 
@@ -340,12 +339,12 @@ def test_path_dependent_zero_coefficients_extend_history():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 30), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
-       st.floats(-3.0, 3.0), st.booleans(), st.integers(0, 5))
-def test_path_dependent_degenerate_matches_markov_bitwise(n_paths, n_steps, b, sigma, x0, given_out, slack):
+       st.floats(-3.0, 3.0), st.booleans())
+def test_path_dependent_degenerate_matches_markov_bitwise(n_paths, n_steps, b, sigma, x0, given_out):
     # constant coefficients: both schemes run the one recursion on the same rows
     g = Grid(0.0, 1.0, n_steps)
-    size = value_buffer_size(n_steps, 1, n_paths) + slack
-    out_pd, out_mk = (np.empty(size), np.empty(size)) if given_out else (None, None)
+    shape = (n_steps + 1, 1, n_paths)
+    out_pd, out_mk = (np.empty(shape), np.empty(shape)) if given_out else (None, None)
     dW = NoiseBundle(21, n_paths, n_steps).increments(g.dt)
     pd = euler_path_dependent(SdeSpec(b, sigma), Path.constant(x0, 1.0, 11), g, dW, out_pd)
     mk = euler_markov(SdeSpec(b, sigma), x0, g, dW, out_mk)
@@ -609,20 +608,16 @@ def test_increments_are_step_major_rows_of_the_path_major_normals():
 def test_euler_writes_the_step_major_buffer_it_is_given():
     g = Grid(0.0, 1.0, 30)
     dW = NoiseBundle(42, 300, 30).increments(g.dt)
-    buf = np.empty((31, 300))
+    buf = np.empty((31, 1, 300))
     traj = euler_markov(SdeSpec(ZERO, 1.0), 0.5, g, dW, out=buf)
     assert np.shares_memory(traj.values, buf) and traj.values.T.flags.c_contiguous
     path = euler_path_dependent(SdeSpec(0.0, 1.0), Path.constant(0.5, 1.0, 31), g, dW, out=buf)
     assert np.shares_memory(path.values, buf) and path.values.T.flags.c_contiguous
     vector = euler_markov(SdeSpec(0.0, 1.0), np.zeros(2), g, NoiseBundle(42, 300, 30, d=2).increments(g.dt))
     assert vector.values.shape == (300, 31, 2) and vector.values.transpose(1, 2, 0).flags.c_contiguous
-    flat = np.empty(2 * 31 * 300)  # a larger buffer serves through its leading part
-    vector = euler_markov(SdeSpec(0.0, 1.0), np.zeros(2), g, NoiseBundle(42, 300, 30, d=2).increments(g.dt), out=flat)
-    assert np.shares_memory(vector.values, flat[: 31 * 2 * 300])
-    traj = euler_markov(SdeSpec(ZERO, 1.0), 0.5, g, dW, out=flat)
-    assert np.shares_memory(traj.values, flat[: 31 * 300]) and traj.values.T.flags.c_contiguous
-    with pytest.raises(ValueError, match="value buffer"):
-        euler_markov(SdeSpec(0.0, 1.0), 0.5, g, dW, out=np.empty((30, 300)))
+    for wrong in (np.empty((30, 300)), np.empty(31 * 300), np.empty((31, 1, 300), np.float32)):
+        with pytest.raises(ValueError, match=r"value buffer must be a float64 array of shape \(31, 1, 300\)"):
+            euler_markov(SdeSpec(0.0, 1.0), 0.5, g, dW, out=wrong)
 
 
 @pytest.mark.parametrize("parts", [1, 3])
@@ -680,7 +675,7 @@ def test_a_one_by_one_start_is_a_vector_state():
     g = Grid(0.0, 1.0, 20)
     dW = NoiseBundle(50, 200, 20).increments(g.dt)
     spec = SdeSpec(lambda t, x: -x, 1.0)
-    got = euler_markov(spec, np.full((1, 1), 0.3), g, dW, out=np.empty(21 * 200))
+    got = euler_markov(spec, np.full((1, 1), 0.3), g, dW, out=np.empty((21, 1, 200)))
     assert got.values.shape == (200, 21, 1)
     assert np.array_equal(got.values, euler_markov(spec, np.array([0.3]), g, dW).values)
 
@@ -798,6 +793,10 @@ _SDE_INPUT_CHECKS = {
     "a moment order below 1": (
         lambda tmp: moment_check(TrajectoryBatch(Grid(0.0, 1.0, 2), np.zeros((3, 3))), 0.5),
         "moment order must be >= 1, got 0.5"),
+    "an Euler value buffer of the scalar (n_steps + 1, n_paths) form": (
+        lambda tmp: euler_markov(SdeSpec(0.0, 1.0), 0.0, Grid(0.0, 1.0, 4), NoiseBundle(1, 6, 4).increments(0.25),
+                                 out=np.empty((5, 6))),
+        r"value buffer must be a float64 array of shape \(5, 1, 6\), got float64 \(5, 6\)"),
     "a bad dump magic": (lambda tmp: trajectories_from_binary(_write_bytes(tmp, b"PPDETRJ0" + bytes(24))),
                          "bad magic b'PPDETRJ0' in trajectory dump"),
 }
